@@ -515,11 +515,13 @@ def measure_untraced(run, seconds):
     mismatches = sum(check_same(run, f"determinism.{r['tag']}",
                                 reps[0]["hashes"], r["hashes"])
                      for r in reps[1:])
-    good = [r for r in reps if r["ok"]]
+    # with no successful repetition, the failed one's time is reported: the
+    # time a user waited, cut at the deadline if the run was stopped there
+    timed = [r for r in reps if r["ok"]] or reps
     metrics = {
-        "wall_s": statistics.median_low(r["wall"] for r in good) if good else math.nan,
+        "wall_s": statistics.median_low(r["wall"] for r in timed) if timed else math.nan,
         "setup_s": statistics.median(setups) if setups else math.nan,
-        "peak_rss_mb": statistics.median_low(r["rss"] for r in good) if good else math.nan,
+        "peak_rss_mb": statistics.median_low(r["rss"] for r in timed) if timed else math.nan,
         "pass_frac": 1.0 - run.failed / max(run.attempted, 1),
         "accuracy_tol_share": accuracy["accuracy_tol_share"],
     }
