@@ -38,12 +38,13 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 WORK = ROOT / ".perfbench_work"
+CPUS_AVAILABLE = sorted(os.sched_getaffinity(0))
 
 #: every run ends well inside the 180 s a run may take
 DEADLINE_S = 165.0
 #: set-up probes before and again after the repetitions, so that the median
 #: samples both ends of the run
-SETUP_PROBES = 3
+SETUP_PROBES = 4
 #: repetitions a run makes at least, unless one alone outlasts --seconds;
 #: the low median of two drops a repetition slowed by a noisy neighbour
 MIN_REPS = 2
@@ -69,6 +70,9 @@ MASS_BALANCE_TOL = 0.05
 AREA_JUMP_TOL = 0.10
 JUMP_REL = 0.5
 JUMP_SIGNIFICANT = 0.05
+#: tolerance share reported when a run wrote no outputs to check: far above
+#: the 1.0 at which a check fails
+UNMEASURED_SHARE = 100.0
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
@@ -145,17 +149,21 @@ def radial_spec(h, p, margin_scale=1.0):
 
 
 def annulus_spec(h, p, margin_scale=1.0):
-    """Saturated annulus 3 <= r <= 5 around the unit-ball slot, horizon 3.2."""
-    t_max = 3.2
+    """Saturated annulus 3 <= r <= 5 around the unit-ball slot, horizon 3.2/p.
+
+    The horizon is 3.2 in the natural time p*t, as is the contact bracket
+    that ``child.py`` bisects, so the grid is the same for every p.
+    """
+    p_t_max = 3.2
     rho = ANNULUS_BREAKPOINTS[-1][0] / 2.0
-    envelope = 2.0 * rho + t_max / rho
+    envelope = 2.0 * rho + p_t_max / rho
     return {
         "dimension": 2,
         "slot": {"centers": [[0.0, 0.0]], "radii": [1.0]},
         "grid": {"h": h, "margin": _margin(h, envelope, margin_scale)},
         "u_init": {"kind": "radial", "breakpoints": ANNULUS_BREAKPOINTS},
         "p": {"kind": "constant", "value": p},
-        "t_max": t_max, "m_list": ANNULUS_M_LIST, "lambda": 1.0,
+        "t_max": p_t_max / p, "m_list": ANNULUS_M_LIST, "lambda": 1.0,
     }
 
 
@@ -480,7 +488,8 @@ def environment():
     except OSError:
         pass
     return {"nproc": os.cpu_count(),
-            "affinity": len(os.sched_getaffinity(0)),
+            "cpus_available": len(CPUS_AVAILABLE),
+            "pinned_to_cpu": sorted(os.sched_getaffinity(0)),
             "cpu_model": model, "python": platform.python_version(),
             "numpy": numpy.__version__, "scipy": scipy.__version__,
             "threads": {v: "1" for v in THREAD_VARS}, "jobs": 1}
@@ -587,23 +596,36 @@ def measure(workload_name, seed, seconds, trace, h_div=None, margin_scale=1.0):
     finally:
         shutil.rmtree(run.dir, ignore_errors=True)
     units = PER_LAYER if trace else END_TO_END
+    values = {name: _measured_or_fallback(run, name, metrics.get(name))
+              for name in units}
     return {
         "correct": run.failed == 0,
         "attempted": run.attempted,
         "failed": run.failed,
-        "metrics": {name: {"value": _finite_or_none(metrics.get(name)),
-                           "unit": unit} for name, unit in units.items()},
+        "metrics": {name: {"value": values[name], "unit": unit}
+                    for name, unit in units.items()},
         "details": {"workload": workload.name, "seed": seed, "p": run.p,
                     "h": workload.h, "seconds": seconds, "trace": trace,
                     "failures": run.failures, **details},
     }
 
 
-def _finite_or_none(value):
-    """A metric that could not be measured is reported as null, not NaN."""
-    if value is None or not math.isfinite(value):
-        return None
-    return value
+def _measured_or_fallback(run, name, value):
+    """The metric's value; one that could not be measured fails the run.
+
+    The result line must hold a number for every metric, so an unmeasured
+    one is counted as a failed operation and reported as: the time the run
+    took, for a time of the whole run; ``UNMEASURED_SHARE`` for the
+    tolerance share; 0 for anything else (as for a layer that did not run).
+    """
+    if value is not None and math.isfinite(value):
+        return value
+    run.count(f"metric.{name}", False)
+    if name in ("wall_s", "setup_s", "trace.wall_s"):
+        return time.perf_counter() - run.start
+    if name == "accuracy_tol_share":
+        return UNMEASURED_SHARE
+    return 0.0
 
 
 def main(argv=None):
@@ -619,6 +641,10 @@ def main(argv=None):
         return 2
     for var in THREAD_VARS:
         os.environ[var] = "1"
+    # The children are single-threaded and run one at a time.  Keeping them
+    # all on one core (they inherit the mask) spares them migrations between
+    # the shared host's cores; runs varied less with it than without.
+    os.sched_setaffinity(0, {CPUS_AVAILABLE[-1]})
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(128 + signal.SIGTERM))
     _import_mesahs()
 

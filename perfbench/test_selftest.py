@@ -57,6 +57,10 @@ def test_margin_too_small_for_the_horizon_is_a_failed_operation():
     assert result["failed"] >= 1
     assert "rep0.proc0.exit3" in result["details"]["failures"]
     assert result["metrics"]["pass_frac"]["value"] < 1.0
+    # a failed run still reports a number for every metric
+    for name, metric in result["metrics"].items():
+        assert math.isfinite(metric["value"]), name
+    assert result["metrics"]["accuracy_tol_share"]["value"] > 1.0
 
 
 def test_refuses_to_run_without_the_program(tmp_path):
