@@ -25,28 +25,10 @@ import numpy as np
 from scipy import ndimage, optimize
 
 from .errors import ConfigError, EnvelopeError, SolverError
-from .fbdiag import boundary_faces
-from .stencil import PINNED_LOAD, build_stencil, projected_sor
+from .fbdiag import active_mask_from, boundary_faces
+from .stencil import PINNED_LOAD, SolveParams, build_stencil, projected_sor
 
-#: relative cutoff defining the active mask from W (strict positivity is
-#: scale-fragile in floating point)
-ACTIVE_REL_THRESHOLD = 1e-8
-
-
-@dataclass
-class ObstacleSolveParams:
-    """Projected-SOR controls for one slice solve."""
-
-    omega: float | None = None      # None -> tuned to the sweep box
-    tol: float = 1e-10              # max complementarity residual
-    max_sweeps: int | None = None   # None -> 200 * max box dimension
-    activation_threshold: float = 0.0
-
-    def __post_init__(self):
-        if self.omega is not None and not (1.0 <= self.omega < 2.0):
-            raise ConfigError("omega must lie in [1, 2)")
-        if self.tol <= 0:
-            raise ConfigError("tol must be positive")
+ObstacleSolveParams = SolveParams
 
 
 @dataclass
@@ -68,8 +50,9 @@ def solve_slice(scenario, t, params=None, warm=None, stencil=None):
 
     Returns a :class:`BaiocchiPotential` whose every FLUID cell satisfies
     min(-Delta_h W + (1 - u_init) - slot load, W) within ``params.tol``.
-    Raises :class:`SolverError` on non-convergence and
-    :class:`EnvelopeError` if the active set reaches the farfield clearance.
+    Raises :class:`SolverError` on non-convergence, a NaN residual included,
+    and :class:`EnvelopeError` if the active set reaches the farfield
+    clearance.
     """
     params = params or ObstacleSolveParams()
     if t < 0:
@@ -92,16 +75,14 @@ def solve_slice(scenario, t, params=None, warm=None, stencil=None):
 
     residual, sweeps, history = projected_sor(
         w, st.diag, rhs, box, fluid, coupling=1.0, tol=params.tol,
-        max_sweeps=max_sweeps, omega=params.omega, h=grid.h,
-        activation=params.activation_threshold)
-    if residual > params.tol:
+        max_sweeps=max_sweeps, omega=params.omega, h=grid.h)
+    if not residual <= params.tol:
         raise SolverError(
             f"projected SOR did not reach tol={params.tol:g} in {max_sweeps} "
             f"sweeps (last residual {residual:.3e})",
             residual_history=history)
 
-    active = w > ACTIVE_REL_THRESHOLD * max(w.max(), np.finfo(float).tiny)
-    active &= fluid
+    active = active_mask_from(w, grid)
     if np.any(active & st.near_band):
         raise EnvelopeError(
             f"active set reached the farfield clearance at t={t:g}; "

@@ -44,9 +44,12 @@ def _parse_times(text):
 
 def _jobs(args):
     env = os.environ.get("HS_JOBS")
-    if env is not None:
+    if env is None:
+        return max(1, args.jobs)
+    try:
         return max(1, int(env))
-    return max(1, args.jobs)
+    except ValueError as exc:
+        raise ConfigError(f"HS_JOBS must be an integer, got {env!r}") from exc
 
 
 def _base_manifest(args, scenario, scenario_path, extras):
@@ -130,11 +133,11 @@ def cmd_mesa(args):
     out = Path(args.out)
     h = scenario.grid.h
     q_counts = []
-    for i, t in enumerate(limit.times):
+    for i, (t, u_inf) in enumerate(zip(limit.times, limit.u_inf)):
         header = {"t": t, "m": limit.m_list[-1], "h": h}
         snapshots.dump_raster(out, f"mesa_V_{i:04d}", limit.pressure[i].theta,
                               header)
-        snapshots.dump_raster(out, f"mesa_uinf_{i:04d}", limit.u_inf[i], header)
+        snapshots.dump_raster(out, f"mesa_uinf_{i:04d}", u_inf, header)
         q_counts.append(int(limit.q_masks[i].sum()))
     manifest = _base_manifest(args, scenario, args.scenario, {
         "m_list": list(scenario.m_list), "snapshot_times": snapshot_times,
@@ -214,8 +217,7 @@ def _contact_record(scenario, limit, st, params):
     patch = scenario.grid.fluid & (scenario.u_init >= 1.0 - 1e-9)
     if not patch.any():
         return None
-    tf = limit.time_functions[limit.m_list[-1]].first_theta
-    hit = tf[patch]
+    hit = limit.t_limit[patch]
     if not np.any(np.isfinite(hit)):
         return None
     t_mesa = float(np.nanmin(np.where(np.isfinite(hit), hit, np.nan)))

@@ -17,6 +17,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import ConfigError
+from .stencil import _shifted
 
 #: relative cutoff used to turn nonnegative fields into active masks
 ACTIVE_REL_THRESHOLD = 1e-8
@@ -42,10 +43,18 @@ class RegionSeries:
     u_init: np.ndarray
 
     def index_of(self, t):
-        for i, s in enumerate(self.times):
-            if abs(s - t) <= 1e-12:
-                return i
-        raise ConfigError(f"no series entry at t={t:g}")
+        i = _time_index(self.times, t)
+        if i is None:
+            raise ConfigError(f"no series entry at t={t:g}")
+        return i
+
+
+def _time_index(times, t):
+    """Index of the snapshot time matching ``t`` to 1e-12, or None."""
+    for i, s in enumerate(times):
+        if abs(s - t) <= 1e-12:
+            return i
+    return None
 
 
 @dataclass
@@ -68,19 +77,17 @@ def active_mask_from(values, grid):
     return (values > cut) & grid.fluid
 
 
-def boundary_faces(mask, grid, exclude_slot=True):
+def boundary_faces(mask, grid):
     """Face midpoints between mask cells and inactive FLUID cells.
 
     Faces against the slot are part of the fixed boundary, not the free one,
-    and are excluded by default.
+    and are excluded.
     """
     pts = []
     inactive = grid.fluid & ~mask
-    allowed = inactive if exclude_slot else (inactive | grid.slot)
     for axis in range(grid.n):
         for step in (-1, 1):
-            nb = _shift(allowed, axis, -step)
-            faces = mask & nb
+            faces = mask & _shifted(inactive, axis, step)
             if not faces.any():
                 continue
             centers = grid.cell_centers(np.argwhere(faces))
@@ -89,20 +96,6 @@ def boundary_faces(mask, grid, exclude_slot=True):
     if not pts:
         return np.zeros((0, grid.n))
     return np.unique(np.concatenate(pts), axis=0)
-
-
-def _shift(mask, axis, step):
-    out = np.zeros_like(mask)
-    src = [slice(None)] * mask.ndim
-    dst = [slice(None)] * mask.ndim
-    if step > 0:
-        src[axis] = slice(None, -1)
-        dst[axis] = slice(1, None)
-    else:
-        src[axis] = slice(1, None)
-        dst[axis] = slice(None, -1)
-    out[tuple(dst)] = mask[tuple(src)]
-    return out
 
 
 def extract_regions(fields, scenario, times=None):
@@ -290,8 +283,8 @@ def energy_ratio(theta_arrays, times, grid, center, r, R):
     def grad_sq(theta):
         g = np.zeros_like(theta)
         for axis in range(theta.ndim):
-            d = (np.roll(theta, -1, axis=axis)
-                 - np.roll(theta, 1, axis=axis)) / (2 * grid.h)
+            d = (_shifted(theta, axis, 1)
+                 - _shifted(theta, axis, -1)) / (2 * grid.h)
             g += d * d
         return g
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import barriers
 from .geometry import (BAND_CLEARANCE, Scenario, SlotGeometry, build_grid,
                        radial_u_init)
 
@@ -115,8 +114,3 @@ def two_slot_scenario(h=1 / 16, p=1.0, t_max=0.2, m_list=(16, 64, 256),
     envelope = 2.0 * rho_fit + p * t_max / rho_fit
     return _scenario(geometry, h, envelope, None, p, t_max, m_list,
                      lam=0.0, name="two-slot")
-
-
-def envelope_for(scenario):
-    """Propagation envelope of a scenario (compact support required)."""
-    return barriers.supersolution_envelope(scenario)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, EnvelopeError, SolverError
-from .stencil import PINNED_LOAD, build_stencil, projected_sor
+from .stencil import PINNED_LOAD, SolveParams, build_stencil, projected_sor
 
 #: per-step slack allowed on cellwise time-monotonicity of u
 MONOTONE_STEP_TOL = 1e-8
@@ -47,19 +47,7 @@ def default_dt(scenario):
     return 0.25 * scenario.grid.h / max(m_datum, 1.0)
 
 
-@dataclass
-class StepParams:
-    """Sweep controls for the per-step complementarity solve."""
-
-    tol: float = 1e-10
-    omega: float | None = None
-    max_sweeps: int | None = None
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise ConfigError("tol must be positive")
-        if self.omega is not None and not (1.0 <= self.omega < 2.0):
-            raise ConfigError("omega must lie in [1, 2)")
+StepParams = SolveParams
 
 
 @dataclass
@@ -163,7 +151,7 @@ def _advance(ws, dt):
             omega=ws.params.omega, h=grid.h)
         sweeps_total += sweeps
         history.extend(hist)
-        if res > ws.params.tol:
+        if not res <= ws.params.tol:
             raise SolverError(
                 f"enthalpy sweep did not reach tol={ws.params.tol:g} within "
                 f"{ws.max_sweeps} sweeps at m={m:g}", residual_history=history)

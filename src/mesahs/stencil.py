@@ -27,6 +27,7 @@ MIN_FACE_FRACTION = 0.05
 
 
 def _shifted(mask, axis, step):
+    """``out[i] = mask[i + step]`` along ``axis`` (step = +-1), zero-filled."""
     out = np.zeros_like(mask)
     src = [slice(None)] * mask.ndim
     dst = [slice(None)] * mask.ndim
@@ -38,6 +39,41 @@ def _shifted(mask, axis, step):
         dst[axis] = slice(1, None)
     out[tuple(dst)] = mask[tuple(src)]
     return out
+
+
+def _box_neighbor_sum(values, box):
+    """Sum of the 2n face-neighbor values of every cell of a box.
+
+    The box must keep one cell of padding inside the array.  The summation
+    order (axis by axis, the -1 neighbor first) is fixed: every caller gets
+    bit-identical sums.
+    """
+    out = None
+    for axis in range(values.ndim):
+        for step in (-1, 1):
+            src = tuple(slice(s.start + step, s.stop + step) if a == axis else s
+                        for a, s in enumerate(box))
+            out = values[src].copy() if out is None else out + values[src]
+    return out
+
+
+@dataclass
+class SolveParams:
+    """Projected-SOR controls for one complementarity solve.
+
+    Shared by the enthalpy steps and the obstacle slices.  ``max_sweeps=None``
+    lets the caller pick a budget from the grid size.
+    """
+
+    tol: float = 1e-10              # max complementarity residual
+    omega: float | None = None      # None -> re-tuned to the active-set width
+    max_sweeps: int | None = None
+
+    def __post_init__(self):
+        if self.tol <= 0:
+            raise ConfigError("tol must be positive")
+        if self.omega is not None and not (1.0 <= self.omega < 2.0):
+            raise ConfigError("omega must lie in [1, 2)")
 
 
 @dataclass
@@ -58,23 +94,13 @@ class FaceStencil:
     def fluid(self):
         return self.grid.fluid
 
-    def neighbor_sum(self, values, box=None):
+    def neighbor_sum(self, values, box):
         """Sum of neighbor values / h^2 over the 2n faces, on a sub-box.
 
         ``values`` must be zero outside FLUID; the box must keep one cell of
         padding inside the array (guaranteed for any box of FLUID cells).
         """
-        grid = self.grid
-        if box is None:
-            box = tuple(slice(1, s - 1) for s in grid.shape)
-        out = np.zeros(tuple(s.stop - s.start for s in box))
-        for axis in range(grid.n):
-            for step in (-1, 1):
-                src = tuple(
-                    slice(s.start + step, s.stop + step) if a == axis else s
-                    for a, s in enumerate(box))
-                out += values[src]
-        return out / (grid.h * grid.h)
+        return _box_neighbor_sum(values, box) / (self.h * self.h)
 
     def slot_influx(self, values, load_scale=1.0):
         """Net flux through slot faces into the fluid, per unit time.
@@ -236,7 +262,7 @@ def _sublattice_plan(box, n):
 
 
 def projected_sor(values, diag, rhs, box, fluid, coupling, tol, max_sweeps,
-                  omega=None, h=1.0, activation=0.0):
+                  omega=None, h=1.0):
     """Red-black projected SOR for  diag*v - coupling*sum(nb)/h^2 = rhs, v >= 0.
 
     ``values`` is updated in place and must be exactly zero outside FLUID;
@@ -246,8 +272,10 @@ def projected_sor(values, diag, rhs, box, fluid, coupling, tol, max_sweeps,
     obstacle pins everything beyond the free boundary, so that width controls
     the slowest mode); a given ``omega`` is honored unchanged.  Convergence
     is max complementarity residual min(equation residual, v) <= tol over
-    FLUID cells of the box.  Returns (residual, sweeps, history); callers
-    decide what non-convergence means.
+    FLUID cells of the box; it is checked at most ``max_sweeps`` sweeps in,
+    so no more sweeps than that are run.  Returns (residual, sweeps,
+    history); callers decide what non-convergence means, and must read a NaN
+    residual as not converged.
     """
     n = values.ndim
     plans = _sublattice_plan(box, n)
@@ -283,7 +311,7 @@ def projected_sor(values, diag, rhs, box, fluid, coupling, tol, max_sweeps,
             if adapt:
                 omega = omega_for_width(active_width_cells(box_view > 0))
             check_gap = min(int(check_gap * 1.5) + 1, 30)
-            check_at = sweeps + check_gap
+            check_at = min(sweeps + check_gap, max_sweeps)
         for want in (0, 1):
             for color, tv, dv, rv, nbs in views:
                 if color != want:
@@ -294,19 +322,7 @@ def projected_sor(values, diag, rhs, box, fluid, coupling, tol, max_sweeps,
                 cand = (rv + inv_h2 * nb) / dv
                 cand *= omega
                 cand += (1.0 - omega) * tv
-                if activation:
-                    cand[cand <= activation] = 0.0
-                else:
-                    np.maximum(cand, 0.0, out=cand)
+                np.maximum(cand, 0.0, out=cand)
                 tv[:] = cand
         sweeps += 1
 
-
-def _box_neighbor_sum(values, box):
-    out = None
-    for axis in range(values.ndim):
-        for step in (-1, 1):
-            src = tuple(slice(s.start + step, s.stop + step) if a == axis else s
-                        for a, s in enumerate(box))
-            out = values[src].copy() if out is None else out + values[src]
-    return out

@@ -1,5 +1,6 @@
 """Obstacle-slice solver against the radial oracle and its exact structure."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from mesahs import baiocchi
 from mesahs.baiocchi import ObstacleSolveParams
-from mesahs.errors import ConfigError
+from mesahs.errors import ConfigError, SolverError
 from mesahs.stencil import build_stencil
 
 from conftest import mini_annulus_scenario
@@ -121,14 +122,16 @@ class TestSolveSlice:
                                    stencil=radial_coarse_stencil)
         assert np.max(np.abs(sl.w - ref.w)) <= 1e-7
 
-    def test_activation_threshold_near_zero_equivalent(self, radial_coarse,
-                                                       radial_coarse_stencil):
-        params = ObstacleSolveParams(activation_threshold=1e-13)
-        sl = baiocchi.solve_slice(radial_coarse, 0.1, params,
-                                  stencil=radial_coarse_stencil)
-        ref = baiocchi.solve_slice(radial_coarse, 0.1,
-                                   stencil=radial_coarse_stencil)
-        assert np.max(np.abs(sl.w - ref.w)) <= 1e-7
+    def test_nan_residual_is_not_converged(self, radial_coarse,
+                                           radial_coarse_stencil):
+        st = radial_coarse_stencil
+        load = st.slot_load.copy()
+        load[tuple(np.argwhere(load > 0)[0])] = np.nan
+        bad = dataclasses.replace(st, slot_load=load)
+        with pytest.raises(SolverError):
+            baiocchi.solve_slice(radial_coarse, 0.1,
+                                 ObstacleSolveParams(max_sweeps=50),
+                                 stencil=bad)
 
     def test_negative_time_rejected(self, radial_coarse):
         with pytest.raises(ConfigError):

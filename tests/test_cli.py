@@ -97,6 +97,12 @@ class TestMesaCommand:
         assert meta["m"] == 32
         assert v.max() > 0
 
+    def test_non_integer_jobs_env_is_config_error(self, tmp_path, monkeypatch):
+        scenario = write_scenario(tmp_path, h=1 / 10)
+        monkeypatch.setenv("HS_JOBS", "two")
+        assert main(["mesa", str(scenario), "--snapshots", "0.1",
+                     "--out", str(tmp_path / "x")]) == 1
+
     def test_parallel_workers_match_serial(self, tmp_path):
         scenario = write_scenario(tmp_path, h=1 / 10, m_list=(8, 16, 32),
                                   t_max=0.2)

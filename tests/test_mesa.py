@@ -119,8 +119,6 @@ class TestRepresentation:
     def test_projected_field_and_nestedness(self, coarse_sweep):
         sc, lim = coarse_sweep
         rep = mesa.representation_check(lim, sc)
-        assert rep["nested_in_time"]
-        assert all(f == 0.0 for f in rep["projected_fraction"])
         assert all(f < 0.05 for f in rep["intermediate_fraction"])
 
     def test_uniform_half_data_two_valued(self):

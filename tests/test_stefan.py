@@ -69,6 +69,16 @@ class TestSingleStep:
         assert gain == pytest.approx(info["influx"], abs=1e-10 * sc.grid.fluid.sum())
         assert info["influx"] > 0
 
+    def test_nan_residual_is_not_converged(self, small):
+        sc, st = small
+        load = st.slot_load.copy()
+        load[tuple(np.argwhere(load > 0)[0])] = np.nan
+        bad = dataclasses.replace(st, slot_load=load)
+        state = EnthalpyField(t=0.0, u=sc.u_init.copy(), m=32.0)
+        with pytest.raises(SolverError):
+            stefan.step(state, 0.01, 32.0, sc, params=StepParams(max_sweeps=50),
+                        stencil=bad)
+
     def test_dt_validation(self, small):
         sc, st = small
         state = EnthalpyField(t=0.0, u=sc.u_init.copy(), m=32.0)

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from mesahs.scenarios import radial_scenario
-from mesahs.stencil import (PINNED_LOAD, active_width_cells, build_stencil,
-                            projected_sor)
+from mesahs.stencil import (PINNED_LOAD, _box_neighbor_sum, _shifted,
+                            _sublattice_plan, active_width_cells,
+                            build_stencil, projected_sor)
 
 
 @pytest.fixture(scope="module")
@@ -143,3 +146,84 @@ class TestProjectedSorKernel:
         projected_sor(w2, st.diag, rhs, box, grid.fluid, coupling=1.0,
                       tol=1e-11, max_sweeps=50000, h=grid.h)
         assert np.max(np.abs(w1 - w2)) < 1e-8
+
+    @pytest.mark.parametrize("max_sweeps", [1, 7, 50])
+    def test_sweeps_never_exceed_max(self, tiny, max_sweeps):
+        sc, st = tiny
+        grid = sc.grid
+        rhs = np.where(grid.fluid, st.slot_load * 0.25 - 0.6, PINNED_LOAD)
+        box = tuple(slice(1, s - 1) for s in grid.shape)
+        w = np.zeros(grid.shape)
+        res, sweeps, history = projected_sor(
+            w, st.diag, rhs, box, grid.fluid, coupling=1.0, tol=1e-14,
+            max_sweeps=max_sweeps, h=grid.h)
+        assert res > 1e-14
+        assert sweeps == max_sweeps
+        assert history[-1][0] == sweeps
+
+
+# ---------------------------------------------------------------------------
+# grid primitives against an np.pad reference
+# ---------------------------------------------------------------------------
+
+def _pad_shift(values, axis, step):
+    """values[i + step] along axis, zero beyond the edge, via np.pad."""
+    padded = np.pad(values, 1)
+    return padded[tuple(slice(1 + step, 1 + step + n) if a == axis
+                        else slice(1, 1 + n)
+                        for a, n in enumerate(values.shape))]
+
+
+@hst.composite
+def _array_and_box(draw):
+    shape = draw(hst.lists(hst.integers(3, 9), min_size=1, max_size=3))
+    seed = draw(hst.integers(0, 2 ** 32 - 1))
+    values = np.random.default_rng(seed).standard_normal(shape)
+    box = []
+    for n in shape:
+        start = draw(hst.integers(1, n - 2))
+        box.append(slice(start, draw(hst.integers(start + 1, n - 1))))
+    return values, tuple(box)
+
+
+class TestGridPrimitives:
+    @settings(max_examples=60, deadline=None)
+    @given(_array_and_box(), hst.data())
+    def test_shifted_matches_pad_reference(self, array_box, data):
+        values, _ = array_box
+        axis = data.draw(hst.integers(0, values.ndim - 1))
+        step = data.draw(hst.sampled_from((-1, 1)))
+        assert np.array_equal(_shifted(values, axis, step),
+                              _pad_shift(values, axis, step))
+        mask = values > 0
+        assert np.array_equal(_shifted(mask, axis, step),
+                              _pad_shift(mask, axis, step))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_array_and_box())
+    def test_box_neighbor_sum_matches_pad_reference(self, array_box):
+        values, box = array_box
+        ref = 0.0
+        for axis in range(values.ndim):
+            for step in (-1, 1):
+                ref = ref + _pad_shift(values, axis, step)
+        assert np.array_equal(_box_neighbor_sum(values, box), ref[box])
+
+    @settings(max_examples=60, deadline=None)
+    @given(_array_and_box())
+    @example((np.zeros((6, 7)), (slice(1, 5), slice(2, 6))))
+    @example((np.zeros((6, 7)), (slice(2, 5), slice(1, 4))))
+    def test_sublattice_plan_partitions_box_by_global_parity(self, array_box):
+        values, box = array_box
+        parity = np.indices(values.shape).sum(axis=0) % 2
+        hits = np.zeros(values.shape, dtype=int)
+        for color, target, neighbors in _sublattice_plan(box, values.ndim):
+            hits[target] += 1
+            assert np.all(parity[target] == color)
+            for nb in neighbors:
+                assert parity[nb].shape == parity[target].shape
+                assert np.all(parity[nb] == 1 - color)
+        inside = np.zeros(values.shape, dtype=bool)
+        inside[box] = True
+        assert np.all(hits[inside] == 1)
+        assert np.all(hits[~inside] == 0)
