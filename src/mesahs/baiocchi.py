@@ -8,9 +8,8 @@ against to locate topology events.
 
 The solver is projected red-black SOR on the face-flux discretization; the
 operator is a symmetric M-matrix, so projected SOR converges for any
-relaxation factor in (0, 2).  By default the factor is re-tuned during the
-iteration to the measured width of the active set (pass ``omega`` to force
-the classical fixed value).
+relaxation factor in (0, 2).  The factor is re-tuned during the iteration to
+the measured width of the active set.
 
 The radial oracle used in tests and reports lives here too: for a unit-ball
 slot, constant data p and constant initial enthalpy lam < 1, the free
@@ -26,9 +25,7 @@ from scipy import ndimage, optimize
 
 from .errors import ConfigError, EnvelopeError, SolverError
 from .fbdiag import active_mask_from, boundary_faces
-from .stencil import PINNED_LOAD, SolveParams, build_stencil, projected_sor
-
-ObstacleSolveParams = SolveParams
+from .stencil import SolveParams, _box_residual, build_stencil, projected_sor
 
 
 @dataclass
@@ -54,7 +51,7 @@ def solve_slice(scenario, t, params=None, warm=None, stencil=None):
     and :class:`EnvelopeError` if the active set reaches the farfield
     clearance.
     """
-    params = params or ObstacleSolveParams()
+    params = params or SolveParams()
     if t < 0:
         raise ConfigError("slice time must be nonnegative")
     st = stencil if stencil is not None else build_stencil(scenario)
@@ -62,20 +59,19 @@ def solve_slice(scenario, t, params=None, warm=None, stencil=None):
     fluid = grid.fluid
 
     w = np.zeros(grid.shape)
-    if warm is not None:
-        w[fluid] = warm.w[fluid]
     if t == 0.0:
         return BaiocchiPotential(t=0.0, w=w, active_mask=np.zeros(grid.shape, bool),
                                  residual=0.0, sweeps=0)
+    if warm is not None:
+        w[fluid] = warm.w[fluid]
 
-    rhs = np.where(fluid, st.slot_load * t - (1.0 - scenario.u_init),
-                   PINNED_LOAD)
+    rhs = st.slot_load * t - (1.0 - scenario.u_init)
     box = tuple(slice(1, s - 1) for s in grid.shape)
     max_sweeps = params.max_sweeps or 200 * max(grid.shape)
 
     residual, sweeps, history = projected_sor(
         w, st.diag, rhs, box, fluid, coupling=1.0, tol=params.tol,
-        max_sweeps=max_sweeps, omega=params.omega, h=grid.h)
+        max_sweeps=max_sweeps, h=grid.h)
     if not residual <= params.tol:
         raise SolverError(
             f"projected SOR did not reach tol={params.tol:g} in {max_sweeps} "
@@ -96,14 +92,13 @@ def complementarity_report(scenario, slice_, stencil=None):
     st = stencil if stencil is not None else build_stencil(scenario)
     grid = scenario.grid
     box = tuple(slice(1, s - 1) for s in grid.shape)
-    rhs = np.where(grid.fluid, st.slot_load * slice_.t - (1.0 - scenario.u_init), 0.0)
-    nb = st.neighbor_sum(slice_.w, box)
-    pde = st.diag[box] * slice_.w[box] - nb - rhs[box]
-    fluid_box = grid.fluid[box]
+    rhs = st.slot_load * slice_.t - (1.0 - scenario.u_init)
+    pde, max_comp = _box_residual(slice_.w, st.diag, rhs, box, grid.fluid,
+                                  coupling=1.0, h=grid.h)
     return {
         "min_w": float(slice_.w[grid.fluid].min()),
-        "max_comp": float(np.abs(np.minimum(pde, slice_.w[box])[fluid_box]).max()),
-        "max_product": float(np.abs((pde * slice_.w[box])[fluid_box]).max()),
+        "max_comp": max_comp,
+        "max_product": float(np.abs((pde * slice_.w[box])[grid.fluid[box]]).max()),
     }
 
 

@@ -200,7 +200,7 @@ class Envelope:
 
 
 def supersolution_envelope(scenario):
-    """Envelope radius function for a scenario (requires compact support).
+    """Envelope radius function for a scenario.
 
     The smallest admissible rescaled speed satisfies the front-flux check
     k/(1 + ell*t) <= ell at t = 0, i.e. ell = k with k the (rescale-invariant)
@@ -208,9 +208,6 @@ def supersolution_envelope(scenario):
     """
     center, rho_fit = scenario.geometry.bounding_center_radius()
     supp = scenario.support_radius()
-    near = scenario.grid.near_band() | scenario.grid.farfield
-    if np.any(scenario.u_init[near] > 0):
-        raise ConfigError("u_init is not compactly supported inside the domain")
     rho = max(rho_fit, 0.5 * supp)
     k = scenario.max_datum
     return Envelope(center=np.asarray(center, dtype=float), rho=float(rho),

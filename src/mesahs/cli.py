@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__, baiocchi, barriers, fbdiag, mesa, snapshots, stefan
 from .errors import ConfigError, EnvelopeError, MesaHSError, SolverError
 from .geometry import load_scenario
-from .stencil import build_stencil
+from .stencil import SolveParams, build_stencil
 
 EXIT_CONFIG = 1
 EXIT_SOLVER = 2
@@ -84,7 +84,7 @@ def _dump_run(out_dir, result, scenario, tag):
 def cmd_stefan(args):
     scenario = load_scenario(args.scenario)
     snapshot_times = _parse_times(args.snapshots)
-    params = stefan.StepParams(tol=args.tol)
+    params = SolveParams(tol=args.tol)
     envelope = barriers.supersolution_envelope(scenario)
     result = stefan.run(scenario, args.m, snapshot_times, dt=args.dt,
                         params=params)
@@ -105,7 +105,7 @@ def _mesa_worker(payload):
     scenario_path, m, snapshot_times, dt, tol, keep_u = payload
     scenario = load_scenario(scenario_path)
     result = stefan.run(scenario, m, snapshot_times, dt=dt,
-                        params=stefan.StepParams(tol=tol), keep_u=keep_u)
+                        params=SolveParams(tol=tol), keep_u=keep_u)
     return m, result
 
 
@@ -113,7 +113,7 @@ def _run_sweep(args, scenario, snapshot_times):
     if args.m_list is not None:
         m_list = tuple(float(x) for x in _parse_times(args.m_list))
         scenario = dataclasses.replace(scenario, m_list=m_list)
-    params = stefan.StepParams(tol=args.tol)
+    params = SolveParams(tol=args.tol)
     jobs = _jobs(args)
     precomputed = {}
     if jobs > 1:
@@ -153,7 +153,7 @@ def cmd_mesa(args):
 def cmd_obstacle(args):
     scenario = load_scenario(args.scenario)
     times = _parse_times(args.times)
-    params = baiocchi.ObstacleSolveParams(tol=args.tol, omega=args.omega)
+    params = SolveParams(tol=args.tol)
     st = build_stencil(scenario)
     out = Path(args.out)
     rows = []
@@ -173,7 +173,7 @@ def cmd_obstacle(args):
                          "fb_r_min", "fb_r_median", "fb_r_max"], rows)
     manifest = _base_manifest(args, scenario, args.scenario, {
         "times": sorted(times), "solver_tol": params.tol,
-        "omega": params.omega, "report": "obstacle_report.csv",
+        "report": "obstacle_report.csv",
     })
     snapshots.write_manifest(out, manifest)
     print(f"obstacle slices at {sorted(times)}: wrote {out}")
@@ -184,7 +184,7 @@ def cmd_compare(args):
     scenario = load_scenario(args.scenario)
     times = sorted(_parse_times(args.times))
     scenario, limit = _run_sweep(args, scenario, times)
-    params = baiocchi.ObstacleSolveParams(tol=args.tol)
+    params = SolveParams(tol=args.tol)
     st = build_stencil(scenario)
     slices = []
     warm = None
@@ -352,7 +352,6 @@ def build_parser():
     p = sub.add_parser("obstacle", help="solve obstacle slices")
     common(p)
     p.add_argument("--times", required=True)
-    p.add_argument("--omega", type=float, default=None)
     p.set_defaults(func=cmd_obstacle)
 
     p = sub.add_parser("compare", help="both routes plus cross-validation")

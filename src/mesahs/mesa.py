@@ -127,7 +127,7 @@ def sweep(scenario, snapshot_times, dt=None, params=None, precomputed=None):
     return MesaLimit(
         m_list=m_list, times=list(last_result.times),
         pressure=last_result.theta_fields, u_raw=u_raw, q_masks=q_masks,
-        tail_gap=tail_gap or [np.nan] * len(last_result.times),
+        tail_gap=tail_gap,
         w_integrals=last_result.w_integrals,
         time_functions=time_functions, per_m_theta=per_m_theta,
         grid=grid, u_init=scenario.u_init)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, EnvelopeError, SolverError
-from .stencil import PINNED_LOAD, SolveParams, build_stencil, projected_sor
+from .stencil import SolveParams, build_stencil, projected_sor
 
 #: per-step slack allowed on cellwise time-monotonicity of u
 MONOTONE_STEP_TOL = 1e-8
@@ -45,9 +45,6 @@ def default_dt(scenario):
     """
     m_datum = scenario.max_datum
     return 0.25 * scenario.grid.h / max(m_datum, 1.0)
-
-
-StepParams = SolveParams
 
 
 @dataclass
@@ -138,7 +135,7 @@ def _advance(ws, dt):
         np.maximum(theta + (dt / ws.dt_prev) * (theta - ws.theta_prev),
                    0.0, out=theta)
 
-    rhs = np.where(fluid, (u_old - 1.0) + dt * st.slot_load, PINNED_LOAD)
+    rhs = (u_old - 1.0) + dt * st.slot_load
     diag_step = 1.0 / m + dt * st.diag
     box = st.window_box(ws.window_source(), pad=2)
     history = []
@@ -148,7 +145,7 @@ def _advance(ws, dt):
         res, sweeps, hist = projected_sor(
             theta, diag_step, rhs, box, fluid, coupling=dt,
             tol=ws.params.tol, max_sweeps=ws.max_sweeps - sweeps_total,
-            omega=ws.params.omega, h=grid.h)
+            h=grid.h)
         sweeps_total += sweeps
         history.extend(hist)
         if not res <= ws.params.tol:
@@ -158,13 +155,7 @@ def _advance(ws, dt):
 
         # flux may not cross the window edge, else the frozen update outside
         # the box would be wrong: expand and continue sweeping
-        ring = st.box_ring(box) & fluid
-        if not ring.any():
-            break
-        grown = st.grow_box(box, 1)
-        gain = np.zeros(grid.shape)
-        gain[grown] = st.neighbor_sum(theta, grown)
-        if float(gain[ring].max()) <= 0.0:
+        if not st.box_leaks(theta, box):
             break
         box = st.grow_box(box, 4)
 
@@ -201,7 +192,7 @@ def step(state, dt, m, scenario, params=None, stencil=None):
     Returns (new field, info) where info carries the slot influx of the step
     and the sweep count.  The input field is not modified.
     """
-    params = params or StepParams()
+    params = params or SolveParams()
     st = stencil if stencil is not None else build_stencil(scenario)
     ws = _StepWorkspace(scenario, m, params, st)
     ws.u = state.u.copy()
@@ -221,7 +212,7 @@ def run(scenario, m, snapshot_times, dt=None, params=None, stencil=None,
     step, and the run aborts if temperature ever reaches the farfield
     clearance.  Returns a :class:`RunResult`.
     """
-    params = params or StepParams()
+    params = params or SolveParams()
     snapshot_times = [float(t) for t in snapshot_times]
     if any(b < a for a, b in zip(snapshot_times, snapshot_times[1:])):
         raise ConfigError("snapshot times must be sorted")

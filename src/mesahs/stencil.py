@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ConfigError
 
@@ -59,21 +58,18 @@ def _box_neighbor_sum(values, box):
 
 @dataclass
 class SolveParams:
-    """Projected-SOR controls for one complementarity solve.
+    """Controls for one complementarity solve.
 
     Shared by the enthalpy steps and the obstacle slices.  ``max_sweeps=None``
     lets the caller pick a budget from the grid size.
     """
 
     tol: float = 1e-10              # max complementarity residual
-    omega: float | None = None      # None -> re-tuned to the active-set width
     max_sweeps: int | None = None
 
     def __post_init__(self):
         if self.tol <= 0:
             raise ConfigError("tol must be positive")
-        if self.omega is not None and not (1.0 <= self.omega < 2.0):
-            raise ConfigError("omega must lie in [1, 2)")
 
 
 @dataclass
@@ -113,30 +109,40 @@ class FaceStencil:
         return float(contrib[g.fluid].sum()) * g.cell_volume
 
     def window_box(self, source_mask, pad):
-        """Bounding box of a dilated mask, clipped one cell inside the grid."""
-        mask = ndimage.binary_dilation(source_mask, iterations=pad)
-        if not mask.any():
+        """Bounding box of a mask grown by ``pad`` cells; None if empty."""
+        if not source_mask.any():
             return None
         box = []
-        for axis, size in enumerate(self.grid.shape):
+        for axis in range(self.grid.n):
             other = tuple(a for a in range(self.grid.n) if a != axis)
-            line = mask.any(axis=other)
-            idx = np.nonzero(line)[0]
-            box.append(slice(max(1, idx[0]), min(size - 1, idx[-1] + 1)))
-        return tuple(box)
+            idx = np.nonzero(source_mask.any(axis=other))[0]
+            box.append(slice(idx[0], idx[-1] + 1))
+        return self.grow_box(tuple(box), pad)
 
     def grow_box(self, box, cells):
         return tuple(slice(max(1, s.start - cells),
                            min(size - 1, s.stop + cells))
                      for s, size in zip(box, self.grid.shape))
 
-    def box_ring(self, box):
-        """Mask of cells just outside the box (one-cell shell)."""
-        outer = self.grow_box(box, 1)
-        ring = np.zeros(self.grid.shape, dtype=bool)
-        ring[outer] = True
-        ring[box] = False
-        return ring
+    def box_leaks(self, values, box):
+        """Whether a positive face cell of the box borders FLUID outside it.
+
+        Cells in the grid's one-cell clearance do not count.  With ``values``
+        >= 0 and zero outside the box this is exactly whether flux crosses the
+        box edge into FLUID.
+        """
+        fluid = self.grid.fluid
+        for axis, (s, size) in enumerate(zip(box, self.grid.shape)):
+            for inner, outer in ((s.start, s.start - 1), (s.stop - 1, s.stop)):
+                if not 1 <= outer < size - 1:
+                    continue
+                face = list(box)
+                face[axis] = inner
+                out = list(box)
+                out[axis] = outer
+                if np.any((values[tuple(face)] > 0) & fluid[tuple(out)]):
+                    return True
+        return False
 
 
 def build_stencil(scenario):
@@ -230,7 +236,22 @@ def active_width_cells(active):
 # ---------------------------------------------------------------------------
 
 #: load assigned to non-fluid cells so the projected update pins them at zero
-PINNED_LOAD = -1e30
+_PINNED_LOAD = -1e30
+
+
+def _box_residual(values, diag, rhs, box, fluid, coupling, h):
+    """Equation residual diag*v - coupling*sum(nb)/h^2 - rhs on a box.
+
+    Also returns the max complementarity residual |min(residual, v)| over
+    the FLUID cells of the box: the number the kernel compares with tol.
+    """
+    # the box spans the whole grid on obstacle slices, so every temporary
+    # is a grid-sized array: scale and reuse the neighbor sum in place
+    nb = _box_neighbor_sum(values, box)
+    nb *= coupling / (h * h)
+    pde = diag[box] * values[box] - nb - rhs[box]
+    comp = np.abs(np.minimum(pde, values[box], out=nb), out=nb)
+    return pde, float(comp[fluid[box]].max())
 
 
 def _sublattice_plan(box, n):
@@ -262,37 +283,29 @@ def _sublattice_plan(box, n):
 
 
 def projected_sor(values, diag, rhs, box, fluid, coupling, tol, max_sweeps,
-                  omega=None, h=1.0):
+                  h=1.0):
     """Red-black projected SOR for  diag*v - coupling*sum(nb)/h^2 = rhs, v >= 0.
 
     ``values`` is updated in place and must be exactly zero outside FLUID;
-    ``rhs`` must carry :data:`PINNED_LOAD` on non-fluid cells so no mask is
-    needed in the inner loop.  With ``omega=None`` the relaxation factor is
-    re-tuned at every residual check to the measured active-set width (the
-    obstacle pins everything beyond the free boundary, so that width controls
-    the slowest mode); a given ``omega`` is honored unchanged.  Convergence
-    is max complementarity residual min(equation residual, v) <= tol over
-    FLUID cells of the box; it is checked at most ``max_sweeps`` sweeps in,
-    so no more sweeps than that are run.  Returns (residual, sweeps,
-    history); callers decide what non-convergence means, and must read a NaN
-    residual as not converged.
+    ``rhs`` is read on FLUID cells only, and non-fluid cells stay pinned at
+    zero.  The relaxation factor is re-tuned at every residual check to the
+    measured active-set width (the obstacle pins everything beyond the free
+    boundary, so that width controls the slowest mode).  Convergence is max
+    complementarity residual min(equation residual, v) <= tol over FLUID
+    cells of the box; it is checked at most ``max_sweeps`` sweeps in, so no
+    more sweeps than that are run, and the first non-finite residual ends the
+    solve.  Returns (residual, sweeps, history); callers decide what
+    non-convergence means, and must read a NaN residual as not converged.
     """
     n = values.ndim
     plans = _sublattice_plan(box, n)
     inv_h2 = coupling / (h * h)
+    rhs = np.where(fluid, rhs, _PINNED_LOAD)
     views = []
     for color, target, neighbors in plans:
         views.append((color, values[target], diag[target], rhs[target],
                       [values[nb] for nb in neighbors]))
-
-    fluid_box = fluid[box]
-    diag_box = diag[box]
-    rhs_box = rhs[box]
     box_view = values[box]
-
-    adapt = omega is None
-    if adapt:
-        omega = omega_for_width(active_width_cells(values > 0))
 
     history = []
     sweeps = 0
@@ -300,16 +313,11 @@ def projected_sor(values, diag, rhs, box, fluid, coupling, tol, max_sweeps,
     check_gap = 2
     while True:
         if sweeps >= check_at:
-            nb = _box_neighbor_sum(values, box)
-            pde = diag_box * box_view - inv_h2 * nb - rhs_box
-            res = float(np.abs(np.minimum(pde, box_view))[fluid_box].max())
+            res = _box_residual(values, diag, rhs, box, fluid, coupling, h)[1]
             history.append((sweeps, res))
-            if res <= tol:
+            if res <= tol or sweeps >= max_sweeps or not np.isfinite(res):
                 return res, sweeps, history
-            if sweeps >= max_sweeps:
-                return res, sweeps, history
-            if adapt:
-                omega = omega_for_width(active_width_cells(box_view > 0))
+            omega = omega_for_width(active_width_cells(box_view > 0))
             check_gap = min(int(check_gap * 1.5) + 1, 30)
             check_at = min(sweeps + check_gap, max_sweeps)
         for want in (0, 1):
@@ -325,4 +333,3 @@ def projected_sor(values, diag, rhs, box, fluid, coupling, tol, max_sweeps,
                 np.maximum(cand, 0.0, out=cand)
                 tv[:] = cand
         sweeps += 1
-
