@@ -15,6 +15,7 @@ masking.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +53,10 @@ def _box_neighbor_sum(values, box):
         for step in (-1, 1):
             src = tuple(slice(s.start + step, s.stop + step) if a == axis else s
                         for a, s in enumerate(box))
-            out = values[src].copy() if out is None else out + values[src]
+            if out is None:
+                out = values[src].copy()
+            else:
+                out += values[src]
     return out
 
 
@@ -221,13 +225,19 @@ def active_width_cells(active):
     factor tuned to it beats one tuned to the bounding box, because the
     obstacle pins the field to zero beyond the free boundary.
     """
-    count = int(active.sum())
+    count = int(np.count_nonzero(active))
     if count == 0:
         return 8.0
+    # each axis has two boundary faces per active cell, less two per pair of
+    # adjacent active cells along it
     boundary = 0
     for axis in range(active.ndim):
-        for step in (-1, 1):
-            boundary += int((active & ~_shifted(active, axis, step)).sum())
+        lo = tuple(slice(None, -1) if a == axis else slice(None)
+                   for a in range(active.ndim))
+        hi = tuple(slice(1, None) if a == axis else slice(None)
+                   for a in range(active.ndim))
+        pairs = int(np.count_nonzero(active[lo] & active[hi]))
+        boundary += 2 * (count - pairs)
     return max(8.0, 2.0 * count / max(boundary / 2, 1))
 
 
@@ -251,35 +261,43 @@ def _box_residual(values, diag, rhs, box, fluid, coupling, h):
     nb *= coupling / (h * h)
     pde = diag[box] * values[box] - nb - rhs[box]
     comp = np.abs(np.minimum(pde, values[box], out=nb), out=nb)
-    return pde, float(comp[fluid[box]].max())
+    return pde, float(np.max(comp, where=fluid[box], initial=0.0))
 
 
 def _sublattice_plan(box, n):
-    """Strided red-black decomposition of a box into 2^n sub-lattices.
+    """Red-black decomposition of a box into its 2^n parity sub-lattices.
 
-    Each sub-lattice is one parity tuple; its color is the global cell
-    parity, so updates are bit-identical regardless of the window.  For each
-    sub-lattice the 2n neighbor slices address the opposite color only.
+    The box is grown by its one-cell halo into ``ext``; sub-lattice ``q`` (a
+    parity tuple) holds the cells ``ext.start + q + 2k`` and is stored as one
+    contiguous array by the kernel.  Returns ``(ext, targets)``; each target
+    is ``(color, parity, cells, neighbors)``: ``color`` is the global cell
+    parity, so updates are bit-identical regardless of the window; ``cells``
+    is the unit-stride slice of the sub-lattice that lies inside the box; and
+    ``neighbors`` gives, for each axis and step (-1, +1) in that order, the
+    opposite-parity sub-lattice and the unit-stride slice of it that holds
+    those face neighbors.
     """
-    plans = []
-    for bits in range(1 << n):
-        parity = [(bits >> a) & 1 for a in range(n)]
-        target = tuple(slice(s.start + parity[a], s.stop, 2)
-                       for a, s in enumerate(box))
-        counts = [len(range(t.start, t.stop, 2)) for t in target]
+    ext = tuple(slice(s.start - 1, s.stop + 1) for s in box)
+    lengths = [s.stop - s.start for s in box]
+    targets = []
+    for parity in itertools.product((0, 1), repeat=n):
+        # box cells sit at ext offsets 1..length; this parity's first one is
+        # sub-lattice index 1 - p
+        counts = [(length - p) // 2 + p for length, p in zip(lengths, parity)]
         if any(c == 0 for c in counts):
             continue
+        cells = tuple(slice(1 - p, 1 - p + c) for p, c in zip(parity, counts))
         neighbors = []
         for axis in range(n):
+            q = tuple(1 - p if a == axis else p for a, p in enumerate(parity))
             for step in (-1, 1):
-                nb = tuple(
-                    slice(t.start + step, t.start + step + 2 * counts[a] - 1, 2)
-                    if a == axis else t
-                    for a, t in enumerate(target))
-                neighbors.append(nb)
-        color = (sum(parity) + sum(s.start for s in box)) % 2
-        plans.append((color, target, neighbors))
-    return plans
+                shift = (parity[axis] + step - q[axis]) // 2
+                neighbors.append((q, tuple(
+                    slice(c.start + shift, c.stop + shift) if a == axis else c
+                    for a, c in enumerate(cells))))
+        color = (sum(parity) + sum(s.start for s in ext)) % 2
+        targets.append((color, parity, cells, neighbors))
+    return ext, targets
 
 
 def projected_sor(values, diag, rhs, box, fluid, coupling, tol, max_sweeps,
@@ -296,15 +314,31 @@ def projected_sor(values, diag, rhs, box, fluid, coupling, tol, max_sweeps,
     more sweeps than that are run, and the first non-finite residual ends the
     solve.  Returns (residual, sweeps, history); callers decide what
     non-convergence means, and must read a NaN residual as not converged.
+
+    For the length of one call the box and its halo live in 2^n contiguous
+    parity sub-lattices (see :func:`_sublattice_plan`), swept with the
+    floating-point operations of a strided sweep in the same order, so the
+    result is bit-identical to it.  ``values`` is written back before every
+    residual check, and the kernel returns only at a check.
     """
     n = values.ndim
-    plans = _sublattice_plan(box, n)
+    ext, targets = _sublattice_plan(box, n)
     inv_h2 = coupling / (h * h)
-    rhs = np.where(fluid, rhs, _PINNED_LOAD)
-    views = []
-    for color, target, neighbors in plans:
-        views.append((color, values[target], diag[target], rhs[target],
-                      [values[nb] for nb in neighbors]))
+
+    def lattice(array, parity):
+        return array[ext][tuple(slice(p, None, 2) for p in parity)]
+
+    subs = {q: lattice(values, q).copy()
+            for q in itertools.product((0, 1), repeat=n)}
+    updates = []
+    for color, parity, cells, neighbors in targets:
+        tv = subs[parity][cells]
+        pinned = np.where(lattice(fluid, parity)[cells],
+                          lattice(rhs, parity)[cells], _PINNED_LOAD)
+        updates.append((color, tv, lattice(diag, parity)[cells].copy(), pinned,
+                        [subs[q][nb] for q, nb in neighbors],
+                        lattice(values, parity)[cells]))
+    scratch = np.empty(max(u[1].size for u in updates))
     box_view = values[box]
 
     history = []
@@ -313,6 +347,8 @@ def projected_sor(values, diag, rhs, box, fluid, coupling, tol, max_sweeps,
     check_gap = 2
     while True:
         if sweeps >= check_at:
+            for _, tv, _, _, _, out in updates:
+                out[...] = tv
             res = _box_residual(values, diag, rhs, box, fluid, coupling, h)[1]
             history.append((sweeps, res))
             if res <= tol or sweeps >= max_sweeps or not np.isfinite(res):
@@ -321,15 +357,20 @@ def projected_sor(values, diag, rhs, box, fluid, coupling, tol, max_sweeps,
             check_gap = min(int(check_gap * 1.5) + 1, 30)
             check_at = min(sweeps + check_gap, max_sweeps)
         for want in (0, 1):
-            for color, tv, dv, rv, nbs in views:
+            for color, tv, dv, rv, nbs, _ in updates:
                 if color != want:
                     continue
-                nb = nbs[0].copy()
-                for other in nbs[1:]:
-                    nb += other
-                cand = (rv + inv_h2 * nb) / dv
+                # (rv + inv_h2*sum(nb)) / dv * omega + (1 - omega) * tv, with
+                # the additions commuted only, which IEEE keeps exact
+                cand = scratch[:tv.size].reshape(tv.shape)
+                np.add(nbs[0], nbs[1], out=cand)
+                for other in nbs[2:]:
+                    cand += other
+                cand *= inv_h2
+                cand += rv
+                cand /= dv
                 cand *= omega
-                cand += (1.0 - omega) * tv
-                np.maximum(cand, 0.0, out=cand)
-                tv[:] = cand
+                tv *= 1.0 - omega
+                tv += cand
+                np.maximum(tv, 0.0, out=tv)
         sweeps += 1
