@@ -52,8 +52,8 @@ def solve_slice(scenario, t, params=None, warm=None, stencil=None):
     clearance.
     """
     params = params or SolveParams()
-    if t < 0:
-        raise ConfigError("slice time must be nonnegative")
+    if not 0 <= t < np.inf:
+        raise ConfigError("slice time must be nonnegative and finite")
     st = stencil if stencil is not None else build_stencil(scenario)
     grid = scenario.grid
     fluid = grid.fluid

@@ -73,9 +73,9 @@ def _dump_run(out_dir, result, scenario, tag):
         header = {"t": t, "m": result.m, "h": h}
         if result.u_fields:
             snapshots.dump_raster(out_dir, f"{tag}_u_{i:04d}",
-                                  result.u_fields[i].u, header)
+                                  result.u_fields[i], header)
         snapshots.dump_raster(out_dir, f"{tag}_theta_{i:04d}",
-                              result.theta_fields[i].theta, header)
+                              result.theta_fields[i], header)
     snapshots.write_csv(out_dir / f"{tag}_flux.csv",
                         ["step", "t", "influx", "cumulative"],
                         result.ledger.rows)
@@ -135,8 +135,7 @@ def cmd_mesa(args):
     q_counts = []
     for i, (t, u_inf) in enumerate(zip(limit.times, limit.u_inf)):
         header = {"t": t, "m": limit.m_list[-1], "h": h}
-        snapshots.dump_raster(out, f"mesa_V_{i:04d}", limit.pressure[i].theta,
-                              header)
+        snapshots.dump_raster(out, f"mesa_V_{i:04d}", limit.pressure[i], header)
         snapshots.dump_raster(out, f"mesa_uinf_{i:04d}", u_inf, header)
         q_counts.append(int(limit.q_masks[i].sum()))
     manifest = _base_manifest(args, scenario, args.scenario, {

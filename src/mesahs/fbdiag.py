@@ -101,18 +101,14 @@ def boundary_faces(mask, grid):
 def extract_regions(fields, scenario, times=None):
     """Build a :class:`RegionSeries` from pressure/potential fields or masks.
 
-    ``fields`` may hold arrays, objects with ``.theta`` or ``.w``, or boolean
-    masks; ``times`` defaults to the fields' own ``.t`` attributes.
+    ``fields`` may hold arrays, objects with ``.w`` (obstacle slices), or
+    boolean masks; ``times`` defaults to the fields' own ``.t`` attributes.
     """
     grid = scenario.grid
     masks, fb, wmeas, meas = [], [], [], []
     resolved_times = []
     for i, item in enumerate(fields):
-        values = getattr(item, "theta", None)
-        if values is None:
-            values = getattr(item, "w", None)
-        if values is None:
-            values = item
+        values = getattr(item, "w", item)
         t = getattr(item, "t", None)
         if times is not None:
             t = times[i]

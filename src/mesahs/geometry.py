@@ -326,8 +326,10 @@ def build_grid(geometry, h, margin, band_cells=2, required_radius=None):
     :class:`EnvelopeError` reports the margin that would suffice.
     """
     h = float(h)
-    if h <= 0:
-        raise ConfigError("grid spacing h must be positive")
+    if not 0 < h < np.inf:
+        raise ConfigError("grid spacing h must be positive and finite")
+    if not 0 <= margin < np.inf:
+        raise ConfigError("grid margin must be nonnegative and finite")
     if band_cells < 2:
         raise ConfigError("farfield band must be at least 2 cells wide")
     center, rho = geometry.bounding_center_radius()
@@ -410,12 +412,13 @@ class Scenario:
                 "u_init must be compactly supported away from the farfield band")
         if not (0.0 <= self.lambda_bound <= 1.0):
             raise ConfigError("lambda_bound must lie in [0, 1]")
-        if self.t_max <= 0:
-            raise ConfigError("t_max must be positive")
+        if not 0 < self.t_max < np.inf:
+            raise ConfigError("t_max must be positive and finite")
         m = tuple(float(x) for x in self.m_list)
-        if not m or any(x <= 0 for x in m) or any(
+        if not m or not all(0 < x < np.inf for x in m) or any(
                 b <= a for a, b in zip(m, m[1:])):
-            raise ConfigError("m_list must be positive and strictly increasing")
+            raise ConfigError(
+                "m_list must be positive, finite and strictly increasing")
         if self.geometry.sample_spacing > g.h + 1e-12:
             raise ConfigError(
                 "boundary sample spacing exceeds grid spacing; resample the slot")
@@ -470,7 +473,7 @@ def radial_u_init(grid, geometry, breakpoints):
 # scenario files
 # ---------------------------------------------------------------------------
 
-def _geometry_from_dict(d, n):
+def _geometry_from_dict(d):
     kind = d.get("kind")
     centers = d["centers"]
     if kind == "polygon-with-rounded-corners" or (
@@ -484,15 +487,15 @@ def load_scenario(path):
     path = Path(path)
     try:
         spec = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:   # JSON and text decoding included
         raise ConfigError(f"cannot read scenario file {path}: {exc}") from exc
     try:
         n = int(spec["dimension"])
-        geometry = _geometry_from_dict(spec["slot"], n)
+        geometry = _geometry_from_dict(spec["slot"])
         if geometry.n != n:
             raise ConfigError("slot dimension does not match 'dimension'")
         h = float(spec["grid"]["h"])
-        if geometry.sample_spacing > h:
+        if 0 < h < geometry.sample_spacing:
             geometry = geometry.resampled(h / 2)
         grid = build_grid(geometry, h, float(spec["grid"]["margin"]),
                           band_cells=int(spec["grid"].get("band_cells", 2)))
@@ -505,6 +508,10 @@ def load_scenario(path):
                         name=path.stem)
     except KeyError as exc:
         raise ConfigError(f"scenario file missing key {exc}") from exc
+    except (AttributeError, IndexError, OSError, OverflowError, TypeError,
+            ValueError) as exc:
+        # a value of the wrong type, shape or size, or an unreadable raster
+        raise ConfigError(f"malformed scenario file {path}: {exc}") from exc
 
 
 def _u_init_from_dict(d, grid, geometry, base_dir):

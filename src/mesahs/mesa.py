@@ -27,33 +27,29 @@ MONOTONE_SWEEP_TOL = 1e-7
 
 
 @dataclass
-class TimeFunctions:
-    """First-crossing times: temperature positivity and unit enthalpy."""
-
-    m: float
-    first_theta: np.ndarray
-    first_unit: np.ndarray
-
-
-@dataclass
 class MesaLimit:
-    """Limit data of one sweep, per snapshot time."""
+    """Limit data of one sweep: lists hold one array per snapshot time."""
 
     m_list: tuple
     times: list
-    pressure: list            # TemperatureField at the last level (the V's)
     u_raw: list               # raw last-level enthalpy arrays
     q_masks: list
     tail_gap: list
     w_integrals: list         # running integral of the last-level temperature
-    time_functions: dict      # m -> TimeFunctions
+    first_theta: dict         # m -> first time of positive temperature
+    first_unit: dict          # m -> first time of unit enthalpy
     per_m_theta: dict         # m -> list of snapshot temperature arrays
     grid: object
     u_init: np.ndarray
 
     @property
+    def pressure(self):
+        """Last-level temperatures: the limiting pressures V."""
+        return self.per_m_theta[self.m_list[-1]]
+
+    @property
     def t_limit(self):
-        return self.time_functions[self.m_list[-1]].first_theta
+        return self.first_theta[self.m_list[-1]]
 
     @property
     def u_inf(self):
@@ -66,28 +62,32 @@ class MesaLimit:
 
     def active_mask_at(self, t):
         i = _time_index(self.times, t)
-        return None if i is None else active_mask_from(self.pressure[i].theta,
+        return None if i is None else active_mask_from(self.pressure[i],
                                                        self.grid)
 
 
 def sweep(scenario, snapshot_times, dt=None, params=None, precomputed=None):
     """Run every diffusivity in the scenario and form the limit fields.
 
-    Requires at least three strictly increasing m values.  All runs share the
-    step length so snapshots align cellwise; temperatures are checked to be
-    nondecreasing in m at every snapshot.  ``precomputed`` may map m values
-    to finished :class:`stefan.RunResult` objects (from parallel workers);
-    the reduction itself is always a deterministic single-threaded fold.
+    Requires at least three strictly increasing m values and at least one
+    snapshot time.  All runs share the step length so snapshots align
+    cellwise; temperatures are checked to be nondecreasing in m at every
+    snapshot.  ``precomputed`` may map m values to finished
+    :class:`stefan.RunResult` objects (from parallel workers); the reduction
+    itself is always a deterministic single-threaded fold.
     """
     m_list = scenario.m_list
     if len(m_list) < 3:
         raise ConfigError("the sweep needs at least 3 diffusivity values")
+    if not snapshot_times:
+        raise ConfigError("the sweep needs at least one snapshot time")
     st = build_stencil(scenario)
     dt = dt if dt is not None else stefan.default_dt(scenario)
     precomputed = precomputed or {}
 
     per_m_theta = {}
-    time_functions = {}
+    first_theta = {}
+    first_unit = {}
     prev_thetas = None
     prev_m = None
     tail_gap = None
@@ -98,7 +98,7 @@ def sweep(scenario, snapshot_times, dt=None, params=None, precomputed=None):
         if result is None:
             result = stefan.run(scenario, m, snapshot_times, dt=dt,
                                 params=params, stencil=st, keep_u=keep_u)
-        thetas = [f.theta for f in result.theta_fields]
+        thetas = result.theta_fields
         if prev_thetas is not None:
             worst = max(float((a - b).max())
                         for a, b in zip(prev_thetas, thetas))
@@ -109,27 +109,25 @@ def sweep(scenario, snapshot_times, dt=None, params=None, precomputed=None):
                     "discretization fault")
             tail_gap = [float(np.abs(a - b).max())
                         for a, b in zip(prev_thetas, thetas)]
-        time_functions[m] = TimeFunctions(
-            m=m, first_theta=result.first_theta_time,
-            first_unit=result.first_unit_time)
+        first_theta[m] = result.first_theta_time
+        first_unit[m] = result.first_unit_time
         per_m_theta[m] = thetas
         prev_thetas = thetas
         prev_m = m
         last_result = result
 
     grid = scenario.grid
-    u_raw = [f.u for f in last_result.u_fields]
+    u_raw = last_result.u_fields
     q_masks = [grid.fluid & (u >= 1.0 - grid.h) for u in u_raw]
     for earlier, later in zip(q_masks, q_masks[1:]):
         if np.any(earlier & ~later):
             raise SolverError("plateau region not nested in time")
 
     return MesaLimit(
-        m_list=m_list, times=list(last_result.times),
-        pressure=last_result.theta_fields, u_raw=u_raw, q_masks=q_masks,
-        tail_gap=tail_gap,
-        w_integrals=last_result.w_integrals,
-        time_functions=time_functions, per_m_theta=per_m_theta,
+        m_list=m_list, times=list(last_result.times), u_raw=u_raw,
+        q_masks=q_masks, tail_gap=tail_gap,
+        w_integrals=last_result.w_integrals, first_theta=first_theta,
+        first_unit=first_unit, per_m_theta=per_m_theta,
         grid=grid, u_init=scenario.u_init)
 
 
@@ -151,7 +149,7 @@ def representation_check(limit, scenario, tol=None):
     return {"tol": tol, "intermediate_fraction": intermediate}
 
 
-def harmonicity_check(pressure_field, active_mask, grid, interior_margin=2,
+def harmonicity_check(pressure, active_mask, grid, interior_margin=2,
                       slot_margin=2):
     """Max discrete Laplacian of the limiting pressure inside the region.
 
@@ -159,13 +157,12 @@ def harmonicity_check(pressure_field, active_mask, grid, interior_margin=2,
     ``slot_margin`` cells away from the slot, where the pressure should be
     harmonic up to O(M/m + h).  An empty interior is reported, not an error.
     """
-    theta = pressure_field.theta if hasattr(pressure_field, "theta") else pressure_field
     region = ndimage.binary_erosion(active_mask, iterations=interior_margin)
     region &= ~ndimage.binary_dilation(grid.slot, iterations=slot_margin)
     region &= grid.fluid
     if not region.any():
         return {"max_residual": 0.0, "cells": 0, "empty": True}
-    lap = _laplacian(theta, grid.h)
+    lap = _laplacian(pressure, grid.h)
     return {"max_residual": float(np.abs(lap[region]).max()),
             "cells": int(region.sum()), "empty": False}
 

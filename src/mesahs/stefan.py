@@ -30,10 +30,18 @@ from .stencil import SolveParams, build_stencil, projected_sor
 MONOTONE_STEP_TOL = 1e-8
 
 
+def _diffusivity(m):
+    """``m`` as a float; raises ConfigError unless it is positive and finite."""
+    m = float(m)
+    if not 0.0 < m < np.inf:
+        raise ConfigError(f"diffusivity m must be positive and finite, "
+                          f"got {m:g}")
+    return m
+
+
 def temperature(u, m):
     """Temperature of enthalpy u at diffusivity m: m * max(u - 1, 0)."""
-    if m <= 0:
-        raise ConfigError("diffusivity m must be positive")
+    m = _diffusivity(m)
     return m * np.maximum(np.asarray(u, dtype=float) - 1.0, 0.0)
 
 
@@ -45,24 +53,6 @@ def default_dt(scenario):
     """
     m_datum = scenario.max_datum
     return 0.25 * scenario.grid.h / max(m_datum, 1.0)
-
-
-@dataclass
-class EnthalpyField:
-    """Enthalpy samples at one time (step-end values)."""
-
-    t: float
-    u: np.ndarray
-    m: float
-
-
-@dataclass
-class TemperatureField:
-    """Temperature samples at one time; also holds mesa-limit pressures."""
-
-    t: float
-    theta: np.ndarray
-    m: float | None = None
 
 
 @dataclass
@@ -81,7 +71,11 @@ class FluxLedger:
 
 @dataclass
 class RunResult:
-    """Snapshots and diagnostics of one enthalpy run."""
+    """Snapshots and diagnostics of one enthalpy run.
+
+    ``u_fields``, ``theta_fields`` and ``w_integrals`` hold one array per
+    entry of ``times``; ``u_fields`` is empty when the run drops enthalpy.
+    """
 
     m: float
     dt: float
@@ -120,8 +114,6 @@ class _StepWorkspace:
 
 def _advance(ws, dt):
     """One conservative implicit step; returns the slot influx of the step."""
-    if dt <= 0:
-        raise ConfigError("dt must be positive")
     st = ws.st
     grid = ws.scenario.grid
     fluid = grid.fluid
@@ -186,41 +178,25 @@ def _advance(ws, dt):
     return influx, theta_old, sweeps_total
 
 
-def step(state, dt, m, scenario, params=None, stencil=None):
-    """Advance one enthalpy field by a single implicit step.
-
-    Returns (new field, info) where info carries the slot influx of the step
-    and the sweep count.  The input field is not modified.
-    """
-    params = params or SolveParams()
-    st = stencil if stencil is not None else build_stencil(scenario)
-    ws = _StepWorkspace(scenario, m, params, st)
-    ws.u = state.u.copy()
-    ws.theta = temperature(state.u, m)
-    ws.theta[~scenario.grid.fluid] = 0.0
-    influx, _, sweeps = _advance(ws, dt)
-    new = EnthalpyField(t=state.t + dt, u=ws.u, m=m)
-    return new, {"influx": influx, "sweeps": sweeps}
-
-
 def run(scenario, m, snapshot_times, dt=None, params=None, stencil=None,
-        keep_u=True, every_step_snapshots=False):
+        keep_u=True):
     """March the m-problem through ``snapshot_times`` and collect fields.
 
-    Snapshot times must be sorted within [0, t_max]; the step length shrinks
-    to land on each exactly.  Cellwise time-monotonicity is asserted every
-    step, and the run aborts if temperature ever reaches the farfield
-    clearance.  Returns a :class:`RunResult`.
+    ``m`` must be positive and finite, and snapshot times sorted within
+    [0, t_max]; the step length shrinks to land on each exactly.  Cellwise
+    time-monotonicity is asserted every step, and the run aborts if
+    temperature ever reaches the farfield clearance.  Returns a
+    :class:`RunResult`.
     """
     params = params or SolveParams()
+    m = _diffusivity(m)
     snapshot_times = [float(t) for t in snapshot_times]
+    if not all(0.0 <= t <= scenario.t_max + 1e-12 for t in snapshot_times):
+        raise ConfigError("snapshot times must lie within [0, t_max]")
     if any(b < a for a, b in zip(snapshot_times, snapshot_times[1:])):
         raise ConfigError("snapshot times must be sorted")
-    if snapshot_times and (snapshot_times[0] < 0
-                           or snapshot_times[-1] > scenario.t_max + 1e-12):
-        raise ConfigError("snapshot times must lie within [0, t_max]")
     dt = float(dt) if dt is not None else default_dt(scenario)
-    if dt <= 0:
+    if not dt > 0:
         raise ConfigError("dt must be positive")
 
     st = stencil if stencil is not None else build_stencil(scenario)
@@ -231,7 +207,7 @@ def run(scenario, m, snapshot_times, dt=None, params=None, stencil=None,
     first_unit = np.where(grid.fluid & (scenario.u_init >= 1.0), 0.0, np.inf)
     w_accum = np.zeros(grid.shape)
     ledger = FluxLedger()
-    result = RunResult(m=float(m), dt=dt, times=[], u_fields=[],
+    result = RunResult(m=m, dt=dt, times=[], u_fields=[],
                        theta_fields=[], w_integrals=[], ledger=ledger,
                        first_theta_time=first_theta,
                        first_unit_time=first_unit, mass_error=np.nan, steps=0)
@@ -239,8 +215,8 @@ def run(scenario, m, snapshot_times, dt=None, params=None, stencil=None,
     def take_snapshot(t):
         result.times.append(t)
         if keep_u:
-            result.u_fields.append(EnthalpyField(t=t, u=ws.u.copy(), m=m))
-        result.theta_fields.append(TemperatureField(t=t, theta=ws.theta.copy(), m=m))
+            result.u_fields.append(ws.u.copy())
+        result.theta_fields.append(ws.theta.copy())
         result.w_integrals.append(w_accum.copy())
 
     t = 0.0
@@ -264,11 +240,8 @@ def run(scenario, m, snapshot_times, dt=None, params=None, stencil=None,
             first_theta[newly] = t
             newly = grid.fluid & (ws.u >= 1.0 - 1e-12) & ~np.isfinite(first_unit)
             first_unit[newly] = t
-            if every_step_snapshots:
-                take_snapshot(t)
         t = target
-        if not every_step_snapshots or not result.times or result.times[-1] != t:
-            take_snapshot(t)
+        take_snapshot(t)
         gap = float((u_prev_snap - ws.u)[grid.fluid].max())
         if gap > MONOTONE_STEP_TOL:
             raise SolverError(f"u not monotone between snapshots (drop {gap:.2e})")
@@ -284,15 +257,15 @@ def run(scenario, m, snapshot_times, dt=None, params=None, stencil=None,
 # diagnostics
 # ---------------------------------------------------------------------------
 
-def essential_range_check(field_, u_init, m, tol, max_datum, grid):
+def essential_range_check(u, u_init, m, tol, max_datum, grid):
     """Fraction of FLUID cells outside {u_init(x)} union [1-tol, 1+M/m+tol].
 
-    The limit structure forbids values strictly between the initial data and
-    the unit plateau; on a grid only an O(h)-wide transition ring may offend,
-    so the fraction must vanish under refinement.
+    ``u`` is an enthalpy array.  The limit structure forbids values strictly
+    between the initial data and the unit plateau; on a grid only an
+    O(h)-wide transition ring may offend, so the fraction must vanish under
+    refinement.
     """
     fluid = grid.fluid
-    u = field_.u
     near_init = np.abs(u - u_init) <= tol
     in_plateau = (u >= 1.0 - tol) & (u <= 1.0 + max_datum / m + tol)
     offending = fluid & ~(near_init | in_plateau)

@@ -72,8 +72,8 @@ class SolveParams:
     max_sweeps: int | None = None
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ConfigError("tol must be positive")
+        if not 0 < self.tol < np.inf:
+            raise ConfigError("tol must be positive and finite")
 
 
 @dataclass

@@ -103,14 +103,14 @@ class TestCriterion4Sandwich:
         center, _ = sc.geometry.bounding_center_radius()
         ok = True
         detail = []
-        for tf in result.theta_fields:
-            mask = fbdiag.active_mask_from(tf.theta, sc.grid)
+        for t, theta in zip(result.times, result.theta_fields):
+            mask = fbdiag.active_mask_from(theta, sc.grid)
             pts = fbdiag.boundary_faces(mask, sc.grid)
             r = np.linalg.norm(pts - center, axis=1)
-            lo = 2 + ell_sub * tf.t - 2 * h
-            hi = 2 + ell * tf.t + 2 * h
+            lo = 2 + ell_sub * t - 2 * h
+            hi = 2 + ell * t + 2 * h
             ok = ok and lo <= r.min() and r.max() <= hi
-            detail.append(f"t={tf.t:g}: [{r.min():.3f}, {r.max():.3f}] in "
+            detail.append(f"t={t:g}: [{r.min():.3f}, {r.max():.3f}] in "
                           f"[{lo:.3f}, {hi:.3f}]")
         verdict(4, "barrier sandwich", ok, "; ".join(detail))
 
@@ -158,9 +158,8 @@ class TestCriterion6EssentialRange:
 
         limit = radial64_sweep["limit"]
         idx = limit.times.index(0.25)
-        field = stefan.EnthalpyField(t=0.25, u=limit.u_raw[idx], m=1024)
         rep64 = stefan.essential_range_check(
-            field, radial64.u_init, 1024, tol=tol,
+            limit.u_raw[idx], radial64.u_init, 1024, tol=tol,
             max_datum=radial64.max_datum, grid=radial64.grid)
         fracs[64] = rep64["fraction"]
         ratio = fracs[64] / fracs[32]

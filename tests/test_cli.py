@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from mesahs import baiocchi, snapshots
 from mesahs.cli import main
@@ -171,6 +172,60 @@ class TestExitCodes:
         code = main(["obstacle", str(scenario), "--times", "0.25",
                      "--out", str(tmp_path / "x"), "--tol", "1e-30"])
         assert code == 2
+
+    @pytest.mark.parametrize("mutate", [
+        pytest.param(lambda s: s.update(dimension="two"), id="dimension-word"),
+        pytest.param(lambda s: [1, 2], id="top-level-list"),
+        pytest.param(lambda s: s.update(grid=[1, 2]), id="grid-list"),
+        pytest.param(lambda s: s["grid"].update(h="x"), id="h-word"),
+        pytest.param(lambda s: s["grid"].update(h=float("nan")), id="h-nan"),
+        pytest.param(lambda s: s["grid"].update(margin=-5.0),
+                     id="negative-margin"),
+        pytest.param(lambda s: s.update(m_list="abc"), id="m-list-word"),
+        pytest.param(lambda s: s.update(m_list=[[1], [2], [3]]),
+                     id="m-list-nested"),
+        pytest.param(lambda s: s.update(t_max="soon"), id="t-max-word"),
+        pytest.param(lambda s: s["slot"].update(centers=[[0.0, 0.0], [3.0]],
+                                                radii=[1.0, 1.0]),
+                     id="ragged-centers"),
+        pytest.param(lambda s: s.update(p={"kind": "samples",
+                                           "values": "abc"}),
+                     id="p-samples-word"),
+        pytest.param(lambda s: s.update(u_init={"kind": "raster",
+                                                "path": "missing.bin",
+                                                "shape": [32, 32]}),
+                     id="missing-raster"),
+    ])
+    def test_malformed_scenario_is_config_error(self, tmp_path, capsys,
+                                                mutate):
+        path = write_scenario(tmp_path)
+        spec = json.loads(path.read_text())
+        spec = mutate(spec) or spec
+        path.write_text(json.dumps(spec))
+        code = main(["obstacle", str(path), "--times", "0.1",
+                     "--out", str(tmp_path / "x")])
+        record = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert (code, record["error"]) == (1, "config")
+
+    @pytest.mark.parametrize("args", [
+        ["stefan", "--m", "-1", "--snapshots", "0.1"],
+        ["stefan", "--m", "nan", "--snapshots", "0.1"],
+        ["stefan", "--m", "16", "--snapshots", "nan"],
+        ["stefan", "--m", "16", "--snapshots", "0.1", "--dt", "nan"],
+        ["obstacle", "--times", "0.1", "--tol", "nan"],
+        ["obstacle", "--times", "0.1", "--tol", "inf"],
+        ["obstacle", "--times", "nan"],
+        ["obstacle", "--times", "inf"],
+        ["mesa", "--m-list", "8,nan,32", "--snapshots", "0.1"],
+        ["mesa", "--snapshots", ""],
+        ["compare", "--times", ""],
+    ], ids=" ".join)
+    def test_bad_number_is_config_error(self, tmp_path, capsys, args):
+        scenario = write_scenario(tmp_path)
+        code = main([args[0], str(scenario), *args[1:],
+                     "--out", str(tmp_path / "x")])
+        record = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert (code, record["error"]) == (1, "config")
 
     def test_envelope_error(self, tmp_path):
         scenario = write_scenario(tmp_path, margin=1.0, p=4.0, t_max=2.0,

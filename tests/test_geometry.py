@@ -1,9 +1,12 @@
 """Slot geometry, grid classification, scenario validation and files."""
 
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy import ndimage
 
 from mesahs import barriers, scenarios
@@ -161,6 +164,45 @@ class TestAnnulusScenario:
         assert np.all(sc.u_init == 0.0)
 
 
+#: small valid scenario files for the fuzzed loader
+_VALID_SPECS = (
+    {"dimension": 2,
+     "slot": {"centers": [[0.0, 0.0]], "radii": [1.0]},
+     "grid": {"h": 0.25, "margin": 2.0, "band_cells": 2},
+     "u_init": {"kind": "radial",
+                "breakpoints": [[0.0, 0.0], [1.5, 0.0], [1.6, 1.0],
+                                [1.8, 1.0], [1.9, 0.0]]},
+     "p": {"kind": "constant", "value": 1.0},
+     "t_max": 0.25, "m_list": [8, 16, 32], "lambda": 1.0},
+    {"dimension": 2,
+     "slot": {"kind": "polygon-with-rounded-corners",
+              "centers": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+              "rounding": 0.25},
+     "grid": {"h": 0.25, "margin": 2.0},
+     "u_init": {"kind": "constant", "value": 0.0},
+     "p": {"kind": "constant", "value": 2.0},
+     "t_max": 0.5, "m_list": [16, 64, 256], "lambda": 0.0},
+)
+
+#: replacement values: wrong types and shapes, non-finite and negative numbers
+#: (no large finite numbers, which would only ask for a huge grid)
+_SWAPPED_VALUES = (None, True, "x", [], {}, [1.0, 2.0], [[1.0], [2.0, 3.0]],
+                   float("nan"), float("inf"), float("-inf"), -1.0, 0.0, -2)
+
+
+def _spec_paths(node, prefix=()):
+    """Key paths of every node of a JSON tree, the root included."""
+    yield prefix
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield from _spec_paths(child, prefix + (key,))
+
+
 class TestScenarioFiles:
     def _write(self, path, spec):
         path.write_text(json.dumps(spec))
@@ -220,6 +262,34 @@ class TestScenarioFiles:
     def test_missing_key_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
             load_scenario(self._write(tmp_path / "broken.json", {"dimension": 2}))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=hst.data())
+    def test_fuzzed_file_loads_or_is_config_error(self, tmp_path_factory,
+                                                  data):
+        # any mix of dropped keys and swapped values either loads or fails
+        # with a ConfigError/EnvelopeError, never with another exception
+        spec = copy.deepcopy(data.draw(hst.sampled_from(_VALID_SPECS)))
+        for _ in range(data.draw(hst.integers(1, 3))):
+            path = data.draw(hst.sampled_from(list(_spec_paths(spec))))
+            value = copy.deepcopy(data.draw(hst.sampled_from(_SWAPPED_VALUES)))
+            if not path:
+                spec = value
+                continue
+            parent = spec
+            for key in path[:-1]:
+                parent = parent[key]
+            if data.draw(hst.booleans()):
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+        target = tmp_path_factory.getbasetemp() / "fuzzed.json"
+        target.write_text(json.dumps(spec))
+        try:
+            sc = load_scenario(target)
+        except (ConfigError, EnvelopeError):
+            return
+        assert isinstance(sc, Scenario)
 
     def test_content_hash_stable(self, radial_coarse):
         assert radial_coarse.content_hash() == radial_coarse.content_hash()

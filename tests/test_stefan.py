@@ -9,8 +9,9 @@ from scipy import ndimage
 import mesahs.stefan as stefan
 from mesahs import barriers, scenarios
 from mesahs.errors import ConfigError, EnvelopeError, SolverError
-from mesahs.stefan import EnthalpyField, temperature
-from mesahs.stencil import SolveParams, build_stencil
+from mesahs.mesa import MONOTONE_SWEEP_TOL
+from mesahs.stefan import temperature
+from mesahs.stencil import FaceStencil, SolveParams, build_stencil
 
 from conftest import mini_annulus_scenario
 
@@ -23,8 +24,13 @@ class TestTemperature:
             assert temperature(1.0 + big_m / m, m) == pytest.approx(big_m)
 
     def test_nonpositive_m_rejected(self):
-        with pytest.raises(ConfigError):
-            temperature(1.2, 0.0)
+        # non-finite m too, and by the run as well as the conversion
+        sc = scenarios.radial_scenario(h=1 / 8, t_max=0.1, m_list=(8, 16, 32))
+        for m in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ConfigError):
+                temperature(1.2, m)
+            with pytest.raises(ConfigError, match="diffusivity"):
+                stefan.run(sc, m, snapshot_times=[0.1])
 
 
 @pytest.fixture(scope="module")
@@ -44,8 +50,8 @@ class TestNoEvolution:
         sc = p_zero_scenario()
         res = stefan.run(sc, 32, snapshot_times=[0.0, 0.1, 0.3])
         fl = sc.grid.fluid
-        for f in res.u_fields:
-            assert np.array_equal(f.u[fl], sc.u_init[fl])
+        for u in res.u_fields:
+            assert np.array_equal(u[fl], sc.u_init[fl])
         assert res.ledger.total() == 0.0
 
     def test_zero_pressure_with_saturated_patch(self):
@@ -56,35 +62,42 @@ class TestNoEvolution:
         u[sc.grid.fluid & (r > 1.5) & (r < 2.0)] = 1.0
         sc = dataclasses.replace(sc, u_init=u)
         res = stefan.run(sc, 32, snapshot_times=[0.2])
-        assert np.array_equal(res.u_fields[-1].u[sc.grid.fluid],
+        assert np.array_equal(res.u_fields[-1][sc.grid.fluid],
                               sc.u_init[sc.grid.fluid])
+
+
+def one_step(sc, u, m, dt, st):
+    """A run of a single implicit step of length dt from enthalpy u."""
+    return stefan.run(dataclasses.replace(sc, u_init=u), m, [dt], dt=dt,
+                      stencil=st)
 
 
 class TestSingleStep:
     def test_step_is_conservative(self, small):
         sc, st = small
-        state = EnthalpyField(t=0.0, u=sc.u_init.copy(), m=32.0)
-        new, info = stefan.step(state, 0.01, 32.0, sc, stencil=st)
-        gain = float((new.u - state.u)[sc.grid.fluid].sum()) * sc.grid.cell_volume
-        assert gain == pytest.approx(info["influx"], abs=1e-10 * sc.grid.fluid.sum())
-        assert info["influx"] > 0
+        res = one_step(sc, sc.u_init, 32.0, 0.01, st)
+        assert res.steps == 1
+        influx = res.ledger.rows[0][2]
+        gain = (float((res.u_fields[-1] - sc.u_init)[sc.grid.fluid].sum())
+                * sc.grid.cell_volume)
+        assert gain == pytest.approx(influx, abs=1e-10 * sc.grid.fluid.sum())
+        assert influx > 0
 
     def test_nan_residual_is_not_converged(self, small):
         sc, st = small
         load = st.slot_load.copy()
         load[tuple(np.argwhere(load > 0)[0])] = np.nan
         bad = dataclasses.replace(st, slot_load=load)
-        state = EnthalpyField(t=0.0, u=sc.u_init.copy(), m=32.0)
         with pytest.raises(SolverError) as err:
-            stefan.step(state, 0.01, 32.0, sc, stencil=bad)
+            one_step(sc, sc.u_init, 32.0, 0.01, bad)
         # the first residual check is already NaN and ends the solve
         assert err.value.residual_history[-1][0] == 0
 
     def test_dt_validation(self, small):
         sc, st = small
-        state = EnthalpyField(t=0.0, u=sc.u_init.copy(), m=32.0)
-        with pytest.raises(ConfigError):
-            stefan.step(state, 0.0, 32.0, sc, stencil=st)
+        for dt in (0.0, -0.01, np.nan):
+            with pytest.raises(ConfigError):
+                stefan.run(sc, 32.0, [0.01], dt=dt, stencil=st)
 
     def test_comparison_principle_random_pairs(self, small):
         sc, st = small
@@ -98,18 +111,16 @@ class TestSingleStep:
             base = ndimage.uniform_filter(base, size=3)
             u1 = np.where(interior, base, 0.0)
             u2 = np.minimum(u1 + np.where(interior, 0.3 * rng.random(grid.shape), 0.0), 1.0)
-            s1 = EnthalpyField(t=0.0, u=u1, m=64.0)
-            s2 = EnthalpyField(t=0.0, u=u2, m=64.0)
-            r1, _ = stefan.step(s1, 0.005, 64.0, sc, stencil=st)
-            r2, _ = stefan.step(s2, 0.005, 64.0, sc, stencil=st)
-            assert np.all(r1.u[grid.fluid] <= r2.u[grid.fluid] + 1e-8)
+            r1 = one_step(sc, u1, 64.0, 0.005, st).u_fields[-1]
+            r2 = one_step(sc, u2, 64.0, 0.005, st).u_fields[-1]
+            assert np.all(r1[grid.fluid] <= r2[grid.fluid] + 1e-8)
 
 
 class TestRun:
     def test_snapshot_zero_exact(self, small):
         sc, st = small
         res = stefan.run(sc, 32, snapshot_times=[0.0, 0.05], stencil=st)
-        assert np.array_equal(res.u_fields[0].u[sc.grid.fluid],
+        assert np.array_equal(res.u_fields[0][sc.grid.fluid],
                               sc.u_init[sc.grid.fluid])
 
     def test_monotone_in_time_and_bounded(self, small):
@@ -117,13 +128,13 @@ class TestRun:
         res = stefan.run(sc, 128, snapshot_times=[0.05, 0.1, 0.2], stencil=st)
         fl = sc.grid.fluid
         for a, b in zip(res.u_fields, res.u_fields[1:]):
-            assert np.all(b.u[fl] >= a.u[fl] - 1e-8)
-        for f in res.u_fields:
-            assert f.u[fl].min() >= 0.0
-            assert f.u[fl].max() <= 1.0 + sc.max_datum / 128 + 1e-8
-        for f in res.theta_fields:
-            assert f.theta[fl].min() >= 0.0
-            assert f.theta[fl].max() <= sc.max_datum + 1e-8
+            assert np.all(b[fl] >= a[fl] - 1e-8)
+        for u in res.u_fields:
+            assert u[fl].min() >= 0.0
+            assert u[fl].max() <= 1.0 + sc.max_datum / 128 + 1e-8
+        for theta in res.theta_fields:
+            assert theta[fl].min() >= 0.0
+            assert theta[fl].max() <= sc.max_datum + 1e-8
 
     def test_mass_balance_across_run(self, small):
         sc, st = small
@@ -138,10 +149,10 @@ class TestRun:
         center, _ = sc.geometry.bounding_center_radius()
         r = sc.grid.radius_from(center)
         prev = None
-        for f in res.theta_fields:
-            active = f.theta > 0
+        for t, theta in zip(res.times, res.theta_fields):
+            active = theta > 0
             assert active.any()
-            assert r[active].max() <= env.radius(f.t) + 2 * sc.grid.h
+            assert r[active].max() <= env.radius(t) + 2 * sc.grid.h
             # radius-increasing annulus around the slot
             collar = ndimage.binary_dilation(sc.grid.slot) & sc.grid.fluid
             assert np.all(active[collar])
@@ -185,6 +196,29 @@ class TestRun:
             stefan.run(sc, 32, snapshot_times=[2.0])
 
 
+class TestWindowIndependence:
+    # dt=None steps at the default length, with no regrowth; one step of
+    # 0.3 floods the patch and leaks out of its first window
+    @pytest.mark.parametrize("dt", [None, 0.3])
+    def test_full_box_run_matches_windowed_run(self, mini_annulus,
+                                               monkeypatch, dt):
+        # the window and its regrowth may change sweep counts, never the
+        # converged fields: solving every step on the whole interior box
+        # must agree to the sweep tolerance, across the patch flooding too
+        sc = mini_annulus
+        st = build_stencil(sc)
+        times = [0.1, 0.2, 0.3] if dt is None else [0.3]
+        windowed = stefan.run(sc, 256, times, dt=dt, stencil=st)
+        interior = tuple(slice(1, s - 1) for s in sc.grid.shape)
+        monkeypatch.setattr(FaceStencil, "window_box",
+                            lambda self, source_mask, pad: interior)
+        full = stefan.run(sc, 256, times, dt=dt, stencil=st)
+        assert full.steps == windowed.steps
+        for name in ("theta_fields", "u_fields", "w_integrals"):
+            for a, b in zip(getattr(windowed, name), getattr(full, name)):
+                assert np.abs(a - b).max() <= MONOTONE_SWEEP_TOL
+
+
 class TestThreeDimensions:
     def test_3d_run_contained_and_conservative(self):
         sc = scenarios.radial_scenario(h=1 / 6, t_max=0.1, m_list=(8, 16, 32),
@@ -192,7 +226,7 @@ class TestThreeDimensions:
         res = stefan.run(sc, 16, snapshot_times=[0.05, 0.1])
         fl = sc.grid.fluid
         assert res.mass_error <= 1e-10 * fl.sum() * res.steps
-        th = res.theta_fields[-1].theta
+        th = res.theta_fields[-1]
         assert th.max() <= sc.max_datum + 1e-8
         env = barriers.supersolution_envelope(sc)
         center, _ = sc.geometry.bounding_center_radius()
@@ -218,16 +252,17 @@ class TestPatchContact:
 class TestEssentialRange:
     def test_initial_field_clean(self, small):
         sc, _ = small
-        field = EnthalpyField(t=0.0, u=sc.u_init.copy(), m=64.0)
-        rep = stefan.essential_range_check(field, sc.u_init, 64.0, tol=0.05,
-                                           max_datum=sc.max_datum, grid=sc.grid)
+        rep = stefan.essential_range_check(sc.u_init, sc.u_init, 64.0,
+                                           tol=0.05, max_datum=sc.max_datum,
+                                           grid=sc.grid)
         assert rep["fraction"] == 0.0
 
     def test_saturated_field_clean(self, small):
         sc, _ = small
-        field = EnthalpyField(t=0.0, u=np.ones(sc.grid.shape), m=64.0)
-        rep = stefan.essential_range_check(field, sc.u_init, 64.0, tol=0.05,
-                                           max_datum=sc.max_datum, grid=sc.grid)
+        rep = stefan.essential_range_check(np.ones(sc.grid.shape), sc.u_init,
+                                           64.0, tol=0.05,
+                                           max_datum=sc.max_datum,
+                                           grid=sc.grid)
         assert rep["fraction"] == 0.0
 
     def test_transition_ring_is_thin(self, small):
@@ -278,11 +313,16 @@ class TestWeakFormResidual:
         for h in (1 / 8, 1 / 16, 1 / 32):
             sc = scenarios.radial_scenario(h=h, t_max=0.2, m_list=(8, 16, 32))
             dt = h / 8
-            res = stefan.run(sc, 32.0, snapshot_times=[0.2], dt=dt,
-                             every_step_snapshots=True)
+            # a snapshot at every step: the times the run itself reaches
+            t, step_times = 0.0, []
+            while t < 0.2 - 1e-13:
+                t += min(dt, 0.2 - t)
+                step_times.append(t)
+            res = stefan.run(sc, 32.0, snapshot_times=step_times, dt=dt)
+            assert res.steps == len(res.times)
             times = res.times
-            u_arrays = [f.u for f in res.u_fields]
-            th_arrays = [f.theta for f in res.theta_fields]
+            u_arrays = res.u_fields
+            th_arrays = res.theta_fields
             worst = 0.0
             # bump boxes must avoid the slot: nearest box corner stays at
             # radius > 1 for all three centers

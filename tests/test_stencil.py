@@ -272,6 +272,38 @@ def _sor_case(draw):
                         max_sweeps=draw(hst.sampled_from((1, 7, 50))), h=h)
 
 
+@hst.composite
+def _padded_case(draw):
+    """A random problem and a box grown by non-FLUID cells on some faces.
+
+    The arrays get a 3-cell frame so the grown box keeps its halo inside
+    them; the frame and the added cells are non-FLUID, zero in ``values``
+    and carry an arbitrary load.
+    """
+    values, kwargs = draw(_sor_case())
+    n = values.ndim
+    frame = 3
+    off_load = draw(hst.floats())
+    values = np.pad(values, frame)
+    kwargs = dict(kwargs,
+                  diag=np.pad(kwargs["diag"], frame, constant_values=1.0),
+                  rhs=np.pad(kwargs["rhs"], frame, constant_values=off_load),
+                  fluid=np.pad(kwargs["fluid"], frame),
+                  box=tuple(slice(s.start + frame, s.stop + frame)
+                            for s in kwargs["box"]))
+    # cells added below and above the box on each axis, on one face at least
+    grow = draw(hst.lists(hst.integers(0, frame - 1), min_size=2 * n,
+                          max_size=2 * n).filter(any))
+    big = tuple(slice(s.start - grow[2 * a], s.stop + grow[2 * a + 1])
+                for a, s in enumerate(kwargs["box"]))
+    added = np.zeros(values.shape, dtype=bool)
+    added[big] = True
+    added[kwargs["box"]] = False
+    kwargs["fluid"][added] = False
+    values[added] = 0.0
+    return values, kwargs, big
+
+
 def _nan_load_case():
     shape = (9, 10)
     fluid = np.ones(shape, dtype=bool)
@@ -395,6 +427,22 @@ class TestProjectedSorKernel:
         assert _bits(got[0]) == _bits(ref[0])
         assert ([(s, _bits(r)) for s, r in got[2]]
                 == [(s, _bits(r)) for s, r in ref[2]])
+
+    @settings(max_examples=150, deadline=None)
+    @given(_padded_case())
+    def test_kernel_ignores_non_fluid_padding(self, case):
+        # sub-lattice colours are global parities, so a box grown by
+        # non-FLUID cells must give the same bits: values everywhere,
+        # sweeps, residual history and final residual
+        values, kwargs, big = case
+        padded = values.copy()
+        want = projected_sor(values, **kwargs)
+        got = projected_sor(padded, **dict(kwargs, box=big))
+        assert padded.tobytes() == values.tobytes()
+        assert got[1] == want[1]
+        assert _bits(got[0]) == _bits(want[0])
+        assert ([(s, _bits(r)) for s, r in got[2]]
+                == [(s, _bits(r)) for s, r in want[2]])
 
     def test_slice_memory_stays_pinned(self, radial_coarse,
                                        radial_coarse_stencil):
