@@ -243,10 +243,10 @@ def subsolution_speed(n, k, eps, bounds=None):
     -(gamma2*k - eps*k*gamma4/(2n)).  The speed is half that margin, exactly
     linear in k.
     """
-    if k <= 0:
-        raise ConfigError("slot datum k must be positive")
-    if eps < 0:
-        raise ConfigError("eps must be nonnegative")
+    if not 0 < k < np.inf:
+        raise ConfigError("slot datum k must be positive and finite")
+    if not 0 <= eps < np.inf:
+        raise ConfigError("eps must be nonnegative and finite")
     if bounds is None:
         bounds = derivative_bounds(n)
     margin = bounds.gamma2 - eps * bounds.gamma4 / (2 * n)

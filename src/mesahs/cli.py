@@ -19,7 +19,6 @@ import json
 import os
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -101,29 +100,13 @@ def cmd_stefan(args):
     return 0
 
 
-def _mesa_worker(payload):
-    scenario_path, m, snapshot_times, dt, tol, keep_u = payload
-    scenario = load_scenario(scenario_path)
-    result = stefan.run(scenario, m, snapshot_times, dt=dt,
-                        params=SolveParams(tol=tol), keep_u=keep_u)
-    return m, result
-
-
 def _run_sweep(args, scenario, snapshot_times):
     if args.m_list is not None:
         m_list = tuple(float(x) for x in _parse_times(args.m_list))
         scenario = dataclasses.replace(scenario, m_list=m_list)
-    params = SolveParams(tol=args.tol)
-    jobs = _jobs(args)
-    precomputed = {}
-    if jobs > 1:
-        dt = args.dt if args.dt is not None else stefan.default_dt(scenario)
-        payloads = [(args.scenario, m, snapshot_times, dt, args.tol,
-                     m == scenario.m_list[-1]) for m in scenario.m_list]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            precomputed = dict(pool.map(_mesa_worker, payloads))
     return scenario, mesa.sweep(scenario, snapshot_times, dt=args.dt,
-                                params=params, precomputed=precomputed)
+                                params=SolveParams(tol=args.tol),
+                                jobs=_jobs(args))
 
 
 def cmd_mesa(args):
@@ -220,7 +203,7 @@ def _contact_record(scenario, limit, st, params):
     if not np.any(np.isfinite(hit)):
         return None
     t_mesa = float(np.nanmin(np.where(np.isfinite(hit), hit, np.nan)))
-    dt = stefan.default_dt(scenario)
+    dt = limit.dt
     try:
         t_obstacle = baiocchi.contact_time(
             scenario, patch, t_lo=max(dt, t_mesa / 4), t_hi=scenario.t_max,
@@ -375,7 +358,6 @@ def build_parser():
     p.add_argument("--radii", default=None, help="comma-separated scan radii")
     p.add_argument("--out", required=True)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(func=cmd_diagnose)
     return parser
 

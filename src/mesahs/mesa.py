@@ -11,7 +11,10 @@ the grid by thresholding the last-level enthalpy at 1 - h.
 
 from __future__ import annotations
 
+import functools
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from multiprocessing import get_context
 
 import numpy as np
 from scipy import ndimage
@@ -28,14 +31,19 @@ MONOTONE_SWEEP_TOL = 1e-7
 
 @dataclass
 class MesaLimit:
-    """Limit data of one sweep: lists hold one array per snapshot time."""
+    """Limit data of one sweep: lists hold one array per snapshot time.
+
+    ``dt`` is the step every level ran with; ``w_integrals`` are the last
+    level's W^n, the backward-Euler sums of :class:`stefan.RunResult`.
+    """
 
     m_list: tuple
+    dt: float
     times: list
     u_raw: list               # raw last-level enthalpy arrays
     q_masks: list
     tail_gap: list
-    w_integrals: list         # running integral of the last-level temperature
+    w_integrals: list         # last-level W^n, the discrete Baiocchi transform
     first_theta: dict         # m -> first time of positive temperature
     first_unit: dict          # m -> first time of unit enthalpy
     per_m_theta: dict         # m -> list of snapshot temperature arrays
@@ -66,38 +74,44 @@ class MesaLimit:
                                                        self.grid)
 
 
-def sweep(scenario, snapshot_times, dt=None, params=None, precomputed=None):
+def sweep(scenario, snapshot_times, dt=None, params=None, jobs=1):
     """Run every diffusivity in the scenario and form the limit fields.
 
     Requires at least three strictly increasing m values and at least one
-    snapshot time.  All runs share the step length so snapshots align
-    cellwise; temperatures are checked to be nondecreasing in m at every
-    snapshot.  ``precomputed`` may map m values to finished
-    :class:`stefan.RunResult` objects (from parallel workers); the reduction
-    itself is always a deterministic single-threaded fold.
+    snapshot time; the level list, the snapshot times and dt are validated
+    before any level runs.  All runs share the step length and the stencil,
+    so snapshots align cellwise; temperatures are checked to be nondecreasing
+    in m at every snapshot.  With ``jobs > 1`` the levels run in that many
+    worker processes; either way the results are folded one level at a time
+    in m order, so the limit is the same bits.
     """
     m_list = scenario.m_list
     if len(m_list) < 3:
         raise ConfigError("the sweep needs at least 3 diffusivity values")
     if not snapshot_times:
         raise ConfigError("the sweep needs at least one snapshot time")
-    st = build_stencil(scenario)
-    dt = dt if dt is not None else stefan.default_dt(scenario)
-    precomputed = precomputed or {}
+    snapshot_times, dt = stefan._check_times(scenario, snapshot_times, dt)
+    level = functools.partial(_run_level, scenario, snapshot_times, dt,
+                              params, build_stencil(scenario))
+    if jobs <= 1:
+        return _fold(scenario, dt, map(level, m_list))
+    # spawned workers start from a fresh import: no state forked mid-run
+    with ProcessPoolExecutor(jobs, mp_context=get_context("spawn")) as pool:
+        return _fold(scenario, dt, pool.map(level, m_list))
 
-    per_m_theta = {}
-    first_theta = {}
-    first_unit = {}
-    prev_thetas = None
-    prev_m = None
-    tail_gap = None
-    last_result = None
-    for m in m_list:
-        keep_u = m == m_list[-1]
-        result = precomputed.get(m)
-        if result is None:
-            result = stefan.run(scenario, m, snapshot_times, dt=dt,
-                                params=params, stencil=st, keep_u=keep_u)
+
+def _run_level(scenario, snapshot_times, dt, params, stencil, m):
+    """One level of the sweep; only the last level keeps its enthalpy."""
+    return stefan.run(scenario, m, snapshot_times, dt=dt, params=params,
+                      stencil=stencil, keep_u=m == scenario.m_list[-1])
+
+
+def _fold(scenario, dt, results):
+    """Reduce the level runs, in m order, to the limit fields."""
+    m_list = scenario.m_list
+    per_m_theta, first_theta, first_unit = {}, {}, {}
+    prev_m = prev_thetas = tail_gap = None
+    for m, result in zip(m_list, results):
         thetas = result.theta_fields
         if prev_thetas is not None:
             worst = max(float((a - b).max())
@@ -114,19 +128,18 @@ def sweep(scenario, snapshot_times, dt=None, params=None, precomputed=None):
         per_m_theta[m] = thetas
         prev_thetas = thetas
         prev_m = m
-        last_result = result
 
     grid = scenario.grid
-    u_raw = last_result.u_fields
+    u_raw = result.u_fields
     q_masks = [grid.fluid & (u >= 1.0 - grid.h) for u in u_raw]
     for earlier, later in zip(q_masks, q_masks[1:]):
         if np.any(earlier & ~later):
             raise SolverError("plateau region not nested in time")
 
     return MesaLimit(
-        m_list=m_list, times=list(last_result.times), u_raw=u_raw,
+        m_list=m_list, dt=dt, times=list(result.times), u_raw=u_raw,
         q_masks=q_masks, tail_gap=tail_gap,
-        w_integrals=last_result.w_integrals, first_theta=first_theta,
+        w_integrals=result.w_integrals, first_theta=first_theta,
         first_unit=first_unit, per_m_theta=per_m_theta,
         grid=grid, u_init=scenario.u_init)
 

@@ -45,6 +45,19 @@ def temperature(u, m):
     return m * np.maximum(np.asarray(u, dtype=float) - 1.0, 0.0)
 
 
+def _check_times(scenario, snapshot_times, dt):
+    """Validated snapshot times and dt (default if None); raises ConfigError."""
+    snapshot_times = [float(t) for t in snapshot_times]
+    if not all(0.0 <= t <= scenario.t_max + 1e-12 for t in snapshot_times):
+        raise ConfigError("snapshot times must lie within [0, t_max]")
+    if any(b < a for a, b in zip(snapshot_times, snapshot_times[1:])):
+        raise ConfigError("snapshot times must be sorted")
+    dt = float(dt) if dt is not None else default_dt(scenario)
+    if not dt > 0:
+        raise ConfigError("dt must be positive")
+    return snapshot_times, dt
+
+
 def default_dt(scenario):
     """Step so the free boundary moves at most about a quarter cell.
 
@@ -75,6 +88,10 @@ class RunResult:
 
     ``u_fields``, ``theta_fields`` and ``w_integrals`` hold one array per
     entry of ``times``; ``u_fields`` is empty when the run drops enthalpy.
+    ``w_integrals`` holds the backward-Euler sums W^n = sum_k dt_k theta^k,
+    the discrete Baiocchi transform of the run: the steps telescope to
+    u^n - u_init = -A_h W^n + t_n * slot_load on FLUID, up to the solver
+    tolerance per step, for any dt.
     """
 
     m: float
@@ -82,7 +99,7 @@ class RunResult:
     times: list
     u_fields: list
     theta_fields: list
-    w_integrals: list       # running time integral of the temperature
+    w_integrals: list       # backward-Euler sums of dt * temperature
     ledger: FluxLedger
     first_theta_time: np.ndarray
     first_unit_time: np.ndarray
@@ -190,14 +207,7 @@ def run(scenario, m, snapshot_times, dt=None, params=None, stencil=None,
     """
     params = params or SolveParams()
     m = _diffusivity(m)
-    snapshot_times = [float(t) for t in snapshot_times]
-    if not all(0.0 <= t <= scenario.t_max + 1e-12 for t in snapshot_times):
-        raise ConfigError("snapshot times must lie within [0, t_max]")
-    if any(b < a for a, b in zip(snapshot_times, snapshot_times[1:])):
-        raise ConfigError("snapshot times must be sorted")
-    dt = float(dt) if dt is not None else default_dt(scenario)
-    if not dt > 0:
-        raise ConfigError("dt must be positive")
+    snapshot_times, dt = _check_times(scenario, snapshot_times, dt)
 
     st = stencil if stencil is not None else build_stencil(scenario)
     grid = scenario.grid
@@ -220,22 +230,16 @@ def run(scenario, m, snapshot_times, dt=None, params=None, stencil=None,
         result.w_integrals.append(w_accum.copy())
 
     t = 0.0
-    targets = list(snapshot_times)
-    if targets and targets[0] == 0.0:
-        take_snapshot(0.0)
-        targets.pop(0)
     step_index = 0
     u_prev_snap = ws.u.copy()
-    for target in targets:
+    for target in snapshot_times:
         while t < target - 1e-13:
             dt_step = min(dt, target - t)
-            influx, theta_old, _ = _advance(ws, dt_step)
+            influx, _, _ = _advance(ws, dt_step)
             t += dt_step
             step_index += 1
             ledger.add(step_index, t, influx)
-            fresh = theta_old > 0.0
-            w_accum += dt_step * np.where(fresh, 0.5 * (theta_old + ws.theta),
-                                          ws.theta)
+            w_accum += dt_step * ws.theta
             newly = (ws.theta > 0.0) & ~np.isfinite(first_theta)
             first_theta[newly] = t
             newly = grid.fluid & (ws.u >= 1.0 - 1e-12) & ~np.isfinite(first_unit)

@@ -1,13 +1,15 @@
 """End-to-end CLI runs: exit codes, outputs, manifests, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from mesahs import baiocchi, snapshots
+import mesahs
+from mesahs import baiocchi, snapshots, stefan
 from mesahs.cli import main
 
 
@@ -117,6 +119,23 @@ class TestMesaCommand:
             hashes.append(manifest["output_hashes"])
         assert hashes[0] == hashes[1]
 
+    def test_bad_level_list_runs_no_level(self, tmp_path, monkeypatch):
+        # the sweep validates its levels before it starts any, workers or not
+        scenario = write_scenario(tmp_path, h=1 / 10)
+        monkeypatch.delenv("HS_JOBS", raising=False)
+        calls = []
+
+        def level_run(scenario, m, *args, **kwargs):
+            calls.append(m)
+            raise AssertionError("a level ran before validation")
+
+        monkeypatch.setattr(stefan, "run", level_run)
+        code = main(["mesa", str(scenario), "--m-list", "16,1024",
+                     "--snapshots", "0.1", "--jobs", "2",
+                     "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert calls == []
+
 
 class TestCompareCommand:
     def test_contact_record_present(self, tmp_path):
@@ -132,6 +151,16 @@ class TestCompareCommand:
         assert (out / "compare.csv").exists()
         worst = max(r["supgap_rel"] for r in manifest["cross_validation"])
         assert worst <= 0.08
+
+    def test_contact_tolerance_follows_dt(self, tmp_path):
+        scenario = mini_annulus_spec(tmp_path)
+        out = tmp_path / "cmp"
+        code = main(["compare", str(scenario), "--times", "0.3",
+                     "--dt", "0.04", "--out", str(out)])
+        assert code == 0
+        contact = json.loads((out / "manifest.json").read_text())["contact"]
+        assert contact["tol"] == 2 * 0.04
+        assert contact["gap"] <= contact["tol"]
 
 
 class TestBarriersCommand:
@@ -227,6 +256,14 @@ class TestExitCodes:
         record = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert (code, record["error"]) == (1, "config")
 
+    @pytest.mark.parametrize("args", [["--k", "nan"], ["--eps", "nan"],
+                                      ["--k", "inf"]], ids=" ".join)
+    def test_non_finite_barrier_constant_is_config_error(self, tmp_path,
+                                                         capsys, args):
+        code = main(["barriers", *args, "--out", str(tmp_path / "x")])
+        record = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert (code, record["error"]) == (1, "config")
+
     def test_envelope_error(self, tmp_path):
         scenario = write_scenario(tmp_path, margin=1.0, p=4.0, t_max=2.0,
                                   m_list=(8, 16))
@@ -237,6 +274,10 @@ class TestExitCodes:
 
 class TestEntryPoint:
     def test_version_via_console_script(self):
+        # the child imports the package this test imported, installed or not
+        src = os.path.dirname(os.path.dirname(mesahs.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-m", "mesahs.cli",
-                               "--version"], capture_output=True, text=True)
+                               "--version"], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mesahs import mesa, scenarios
+from mesahs import baiocchi, mesa, scenarios
 from mesahs.errors import ConfigError, SolverError
 from mesahs.mesa import MONOTONE_SWEEP_TOL
 
@@ -68,7 +68,6 @@ class TestSweep:
         assert lim.w_integral_at(0.123) is None
 
     def test_zero_pressure_limit_is_trivial(self):
-        from mesahs import baiocchi
         sc = scenarios.radial_scenario(h=1 / 10, t_max=0.2, m_list=(8, 16, 32))
         sc = dataclasses.replace(sc, p_samples=np.zeros_like(sc.p_samples))
         lim = mesa.sweep(sc, snapshot_times=[0.1, 0.2])
@@ -85,14 +84,44 @@ class TestSweep:
         assert all(r["supgap_w"] == 0.0 for r in rows)
         assert all(r["hausdorff_cells"] == 0.0 for r in rows)
 
-    def test_doctored_sweep_detected(self):
+    def test_doctored_sweep_detected(self, monkeypatch):
         from mesahs import stefan as stefan_mod
         sc = scenarios.radial_scenario(h=1 / 10, t_max=0.1, m_list=(8, 16, 32))
-        bad = stefan_mod.run(sc, 16, snapshot_times=[0.1])
-        # larger than anything the higher level gives
-        bad.theta_fields = [2.0 * theta for theta in bad.theta_fields]
+        run = stefan_mod.run
+
+        def doctored(scenario, m, *args, **kwargs):
+            result = run(scenario, m, *args, **kwargs)
+            if m == 16:
+                # larger than anything the higher level gives
+                result.theta_fields = [2.0 * th for th in result.theta_fields]
+            return result
+
+        monkeypatch.setattr(stefan_mod, "run", doctored)
         with pytest.raises(SolverError, match="monotone in m"):
-            mesa.sweep(sc, snapshot_times=[0.1], precomputed={16.0: bad})
+            mesa.sweep(sc, snapshot_times=[0.1])
+
+
+class TestRouteGap:
+    # with W the exact backward-Euler sum, W^n solves the slice route's
+    # obstacle problem up to the O(p/m) temperature on the active set, for
+    # any dt: the gap falls like 1/m and does not follow the step length
+    @pytest.mark.parametrize("annulus", [False, True],
+                             ids=["radial", "mini-annulus"])
+    def test_gap_falls_like_one_over_m_for_any_dt(self, radial_coarse,
+                                                  mini_annulus, annulus):
+        sc = mini_annulus if annulus else radial_coarse
+        h, t = sc.grid.h, 0.25
+        sl = baiocchi.solve_slice(sc, t)
+
+        def gap(m, dt):
+            level_sc = dataclasses.replace(sc, m_list=(m / 4, m / 2, m))
+            lim = mesa.sweep(level_sc, snapshot_times=[t], dt=dt)
+            return baiocchi.cross_validate(lim, [sl], sc)[0]["supgap_rel"]
+
+        gaps = [gap(m, h / 4) for m in (64, 256, 1024)]
+        for coarse, fine in zip(gaps, gaps[1:]):
+            assert 3.5 <= coarse / fine <= 4.5
+        assert abs(gap(1024, h) / gaps[-1] - 1.0) < 0.1
 
 
 class TestTimeFunctions:

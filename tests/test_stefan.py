@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy import ndimage
 
 import mesahs.stefan as stefan
@@ -217,6 +219,32 @@ class TestWindowIndependence:
         for name in ("theta_fields", "u_fields", "w_integrals"):
             for a, b in zip(getattr(windowed, name), getattr(full, name)):
                 assert np.abs(a - b).max() <= MONOTONE_SWEEP_TOL
+
+
+class TestBaiocchiIdentity:
+    @settings(max_examples=20, deadline=None)
+    @given(annulus=hst.booleans(), log2_m=hst.floats(2.0, 11.0),
+           dt_over_h=hst.floats(0.125, 2.0),
+           times=hst.lists(hst.floats(0.0, 0.3), min_size=1, max_size=4))
+    def test_w_is_discrete_baiocchi_transform(self, radial_coarse,
+                                              mini_annulus, annulus, log2_m,
+                                              dt_over_h, times):
+        # backward Euler telescopes: u^n - u_init = -A_h W^n + t_n*slot_load
+        # on FLUID for W^n = sum dt_k theta^k; each step adds at most its
+        # equation residual, which the kernel holds within tol
+        sc = mini_annulus if annulus else radial_coarse
+        st = build_stencil(sc)
+        params = SolveParams()
+        result = stefan.run(sc, 2.0 ** log2_m, sorted(times),
+                            dt=dt_over_h * sc.grid.h, params=params,
+                            stencil=st)
+        fluid = sc.grid.fluid
+        interior = tuple(slice(1, s - 1) for s in sc.grid.shape)
+        for t, u, w in zip(result.times, result.u_fields, result.w_integrals):
+            a_w = st.diag * w
+            a_w[interior] -= st.neighbor_sum(w, interior)
+            gap = np.abs(u - sc.u_init + a_w - t * st.slot_load)[fluid].max()
+            assert gap <= result.steps * params.tol + 1e-12
 
 
 class TestThreeDimensions:
