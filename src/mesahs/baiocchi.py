@@ -21,11 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage, optimize
+from scipy import ndimage
 
-from .errors import ConfigError, EnvelopeError, SolverError
+from .errors import ConfigError, EnvelopeError
 from .fbdiag import active_mask_from, boundary_faces
-from .stencil import SolveParams, _box_residual, build_stencil, projected_sor
+from .stencil import SolveParams, _box_residual, build_stencil
 
 
 @dataclass
@@ -56,27 +56,18 @@ def solve_slice(scenario, t, params=None, warm=None, stencil=None):
         raise ConfigError("slice time must be nonnegative and finite")
     st = stencil if stencil is not None else build_stencil(scenario)
     grid = scenario.grid
-    fluid = grid.fluid
 
     w = np.zeros(grid.shape)
     if t == 0.0:
         return BaiocchiPotential(t=0.0, w=w, active_mask=np.zeros(grid.shape, bool),
                                  residual=0.0, sweeps=0)
     if warm is not None:
-        w[fluid] = warm.w[fluid]
+        np.copyto(w, warm.w, where=grid.fluid)
 
-    rhs = st.slot_load * t - (1.0 - scenario.u_init)
-    box = tuple(slice(1, s - 1) for s in grid.shape)
-    max_sweeps = params.max_sweeps or 200 * max(grid.shape)
-
-    residual, sweeps, history = projected_sor(
-        w, st.diag, rhs, box, fluid, coupling=1.0, tol=params.tol,
-        max_sweeps=max_sweeps, h=grid.h)
-    if not residual <= params.tol:
-        raise SolverError(
-            f"projected SOR did not reach tol={params.tol:g} in {max_sweeps} "
-            f"sweeps (last residual {residual:.3e})",
-            residual_history=history)
+    # the interior box never leaks, so the solve is one kernel call
+    residual, sweeps, _ = st.solve(
+        w, st.diag, _slice_rhs(scenario, st, t), st.interior, coupling=1.0,
+        tol=params.tol, max_sweeps=params.max_sweeps or 200 * max(grid.shape))
 
     active = active_mask_from(w, grid)
     if np.any(active & st.near_band):
@@ -87,14 +78,19 @@ def solve_slice(scenario, t, params=None, warm=None, stencil=None):
                              residual=residual, sweeps=sweeps)
 
 
+def _slice_rhs(scenario, st, t):
+    """Load of the slice at time t: the slot data p*t less (1 - u_init)."""
+    return st.slot_load * t - (1.0 - scenario.u_init)
+
+
 def complementarity_report(scenario, slice_, stencil=None):
     """Cellwise residuals of the converged slice (for invariant tests)."""
     st = stencil if stencil is not None else build_stencil(scenario)
     grid = scenario.grid
-    box = tuple(slice(1, s - 1) for s in grid.shape)
-    rhs = st.slot_load * slice_.t - (1.0 - scenario.u_init)
-    pde, max_comp = _box_residual(slice_.w, st.diag, rhs, box, grid.fluid,
-                                  coupling=1.0, h=grid.h)
+    box = st.interior
+    pde, max_comp = _box_residual(slice_.w, st.diag,
+                                  _slice_rhs(scenario, st, slice_.t), box,
+                                  grid.fluid, coupling=1.0, h=grid.h)
     return {
         "min_w": float(slice_.w[grid.fluid].min()),
         "max_comp": max_comp,
@@ -157,13 +153,12 @@ def cross_validate(mesa_limit, slices, scenario):
             "supgap_w": gap,
             "supgap_rel": gap / max_w,
             "max_w": max_w,
-            "hausdorff_cells": hausdorff_cells(mesa_mask, sl.active_mask,
-                                               scenario.grid.h),
+            "hausdorff_cells": hausdorff_cells(mesa_mask, sl.active_mask),
         })
     return rows
 
 
-def hausdorff_cells(mask_a, mask_b, h):
+def hausdorff_cells(mask_a, mask_b):
     """Symmetric Hausdorff distance between two masks, in cell units."""
     if not mask_a.any() and not mask_b.any():
         return 0.0
@@ -196,6 +191,9 @@ def radial_fb_radius(t, n=2, lam=0.0, r_max=1e3):
         raise ConfigError("radial oracle needs lam in [0, 1)")
     if t <= 0:
         return 1.0
+    # deferred: only this oracle uses scipy.optimize, and no CLI command does
+    from scipy import optimize
+
     f = lambda R: radial_fb_equation(R, n=n, lam=lam) - t
     hi = 2.0
     while f(hi) < 0:

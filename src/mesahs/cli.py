@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import traceback
 from pathlib import Path
@@ -42,13 +41,7 @@ def _parse_times(text):
 
 
 def _jobs(args):
-    env = os.environ.get("HS_JOBS")
-    if env is None:
-        return max(1, args.jobs)
-    try:
-        return max(1, int(env))
-    except ValueError as exc:
-        raise ConfigError(f"HS_JOBS must be an integer, got {env!r}") from exc
+    return max(1, args.jobs)
 
 
 def _base_manifest(args, scenario, scenario_path, extras):
@@ -308,12 +301,10 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scenario=True):
-        if scenario:
-            p.add_argument("scenario", help="scenario JSON file")
+    def common(p):
+        p.add_argument("scenario", help="scenario JSON file")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="parallel jobs (HS_JOBS overrides)")
+        p.add_argument("--jobs", type=int, default=1, help="parallel jobs")
         p.add_argument("--tol", type=float, default=1e-10,
                        help="solver tolerance")
 

@@ -147,18 +147,17 @@ def _fold(scenario, dt, results):
 def representation_check(limit, scenario, tol=None):
     """Check the two-value structure of the limit enthalpy.
 
-    Reports the fraction of raw cells strictly between the initial data and
-    the plateau, which must vanish under refinement.  Nestedness of Q in
-    time is enforced by :func:`sweep`, and ``u_inf`` is
+    Reports, per snapshot, the :func:`stefan.essential_range_check` fraction
+    of the raw last-level enthalpy, which must vanish under refinement.
+    Nestedness of Q in time is enforced by :func:`sweep`, and ``u_inf`` is
     chi_Q + u_init * (1 - chi_Q) by definition, so neither is re-checked.
     """
-    grid = scenario.grid
-    tol = tol if tol is not None else 5.0 * grid.h
-    fluid = grid.fluid
-    intermediate = []
-    for u_raw in limit.u_raw:
-        between = (u_raw > scenario.u_init + tol) & (u_raw < 1.0 - tol)
-        intermediate.append(float(between[fluid].mean()))
+    tol = tol if tol is not None else 5.0 * scenario.grid.h
+    intermediate = [
+        stefan.essential_range_check(u_raw, scenario.u_init, limit.m_list[-1],
+                                     tol, scenario.max_datum,
+                                     scenario.grid)["fraction"]
+        for u_raw in limit.u_raw]
     return {"tol": tol, "intermediate_fraction": intermediate}
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, EnvelopeError, SolverError
-from .stencil import SolveParams, build_stencil, projected_sor
+from .stencil import SolveParams, build_stencil
 
 #: per-step slack allowed on cellwise time-monotonicity of u
 MONOTONE_STEP_TOL = 1e-8
@@ -132,8 +132,7 @@ class _StepWorkspace:
 def _advance(ws, dt):
     """One conservative implicit step; returns the slot influx of the step."""
     st = ws.st
-    grid = ws.scenario.grid
-    fluid = grid.fluid
+    fluid = ws.scenario.grid.fluid
     m = ws.m
     u_old = ws.u
     theta = ws.theta
@@ -144,29 +143,12 @@ def _advance(ws, dt):
         np.maximum(theta + (dt / ws.dt_prev) * (theta - ws.theta_prev),
                    0.0, out=theta)
 
-    rhs = (u_old - 1.0) + dt * st.slot_load
-    diag_step = 1.0 / m + dt * st.diag
-    box = st.window_box(ws.window_source(), pad=2)
-    history = []
-    sweeps_total = 0
-
-    while True:
-        res, sweeps, hist = projected_sor(
-            theta, diag_step, rhs, box, fluid, coupling=dt,
-            tol=ws.params.tol, max_sweeps=ws.max_sweeps - sweeps_total,
-            h=grid.h)
-        sweeps_total += sweeps
-        history.extend(hist)
-        if not res <= ws.params.tol:
-            raise SolverError(
-                f"enthalpy sweep did not reach tol={ws.params.tol:g} within "
-                f"{ws.max_sweeps} sweeps at m={m:g}", residual_history=history)
-
-        # flux may not cross the window edge, else the frozen update outside
-        # the box would be wrong: expand and continue sweeping
-        if not st.box_leaks(theta, box):
-            break
-        box = st.grow_box(box, 4)
+    # flux may not cross the window edge, else the frozen update outside
+    # the box would be wrong: the solve grows the box until none does
+    _, sweeps, box = st.solve(
+        theta, 1.0 / m + dt * st.diag, (u_old - 1.0) + dt * st.slot_load,
+        st.window_box(ws.window_source(), pad=2), coupling=dt,
+        tol=ws.params.tol, max_sweeps=ws.max_sweeps)
 
     nb = st.neighbor_sum(theta, box)
     u_new_box = np.where(
@@ -180,7 +162,7 @@ def _advance(ws, dt):
     if drop > MONOTONE_STEP_TOL:
         raise SolverError(
             f"enthalpy decreased by {drop:.3e} in one step (m={m:g}); "
-            "monotone structure violated", residual_history=history)
+            "monotone structure violated")
 
     if bool((theta[st.near_band] > 0.0).any()):
         raise EnvelopeError(
@@ -192,7 +174,7 @@ def _advance(ws, dt):
     ws.theta_prev = theta_old
     ws.dt_prev = dt
     ws.theta = theta
-    return influx, theta_old, sweeps_total
+    return influx, theta_old, sweeps
 
 
 def run(scenario, m, snapshot_times, dt=None, params=None, stencil=None,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, SolverError
 
 #: slot-face interpolation distances are clamped away from zero for stability
 MIN_FACE_FRACTION = 0.05
@@ -64,8 +64,8 @@ def _box_neighbor_sum(values, box):
 class SolveParams:
     """Controls for one complementarity solve.
 
-    Shared by the enthalpy steps and the obstacle slices.  ``max_sweeps=None``
-    lets the caller pick a budget from the grid size.
+    Both routes hand them to :meth:`FaceStencil.solve`; ``max_sweeps=None``
+    lets each route pick its own budget from the grid size.
     """
 
     tol: float = 1e-10              # max complementarity residual
@@ -91,8 +91,9 @@ class FaceStencil:
         return self.grid.h
 
     @property
-    def fluid(self):
-        return self.grid.fluid
+    def interior(self):
+        """The box of every cell off the grid's one-cell edge."""
+        return tuple(slice(1, s - 1) for s in self.grid.shape)
 
     def neighbor_sum(self, values, box):
         """Sum of neighbor values / h^2 over the 2n faces, on a sub-box.
@@ -147,6 +148,32 @@ class FaceStencil:
                 if np.any((values[tuple(face)] > 0) & fluid[tuple(out)]):
                     return True
         return False
+
+    def solve(self, values, diag, rhs, box, coupling, tol, max_sweeps):
+        """Projected SOR from ``box``, grown by 4 cells while flux leaks out.
+
+        Solves diag*v - coupling*sum(nb)/h^2 = rhs, v >= 0 in place, with
+        ``values`` zero outside the box; one ``max_sweeps`` budget covers
+        every kernel call.  Returns (residual, sweeps, final box).  Raises
+        :class:`SolverError`, with the residual history of every call,
+        unless residual <= tol (never true of a NaN).
+        """
+        history, sweeps = [], 0
+        while True:
+            res, used, hist = projected_sor(
+                values, diag, rhs, box, self.grid.fluid, coupling=coupling,
+                tol=tol, max_sweeps=max_sweeps - sweeps, h=self.h)
+            sweeps += used
+            history += hist
+            if not res <= tol:
+                raise SolverError(
+                    f"projected SOR did not reach tol={tol:g} within "
+                    f"{max_sweeps} sweeps on box "
+                    f"{[(s.start, s.stop) for s in box]} (last residual "
+                    f"{res:.3e})", residual_history=history)
+            if not self.box_leaks(values, box):
+                return res, sweeps, box
+            box = self.grow_box(box, 4)
 
 
 def build_stencil(scenario):
@@ -312,8 +339,9 @@ def projected_sor(values, diag, rhs, box, fluid, coupling, tol, max_sweeps,
     complementarity residual min(equation residual, v) <= tol over FLUID
     cells of the box; it is checked at most ``max_sweeps`` sweeps in, so no
     more sweeps than that are run, and the first non-finite residual ends the
-    solve.  Returns (residual, sweeps, history); callers decide what
-    non-convergence means, and must read a NaN residual as not converged.
+    solve.  Returns (residual, sweeps, history).  :meth:`FaceStencil.solve`
+    is the one caller in the package, and the one place where a residual
+    above tol, or a NaN, becomes a :class:`SolverError`.
 
     For the length of one call the box and its halo live in 2^n contiguous
     parity sub-lattices (see :func:`_sublattice_plan`), swept with the

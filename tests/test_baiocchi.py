@@ -258,18 +258,18 @@ class TestHausdorff:
     def test_identical_masks(self):
         m = np.zeros((10, 10), dtype=bool)
         m[3:6, 3:6] = True
-        assert baiocchi.hausdorff_cells(m, m, 0.1) == 0.0
+        assert baiocchi.hausdorff_cells(m, m) == 0.0
 
     def test_one_cell_offset(self):
         a = np.zeros((10, 10), dtype=bool)
         b = np.zeros((10, 10), dtype=bool)
         a[3:6, 3:6] = True
         b[3:7, 3:6] = True
-        assert baiocchi.hausdorff_cells(a, b, 0.1) == 1.0
+        assert baiocchi.hausdorff_cells(a, b) == 1.0
 
     def test_empty_conventions(self):
         e = np.zeros((5, 5), dtype=bool)
         f = e.copy()
         f[2, 2] = True
-        assert baiocchi.hausdorff_cells(e, e, 0.1) == 0.0
-        assert baiocchi.hausdorff_cells(e, f, 0.1) == float("inf")
+        assert baiocchi.hausdorff_cells(e, e) == 0.0
+        assert baiocchi.hausdorff_cells(e, f) == float("inf")

@@ -84,27 +84,20 @@ class TestStefanCommand:
 
 
 class TestMesaCommand:
-    def test_m_list_override_and_jobs_env(self, tmp_path, monkeypatch):
+    def test_m_list_override_and_jobs_env(self, tmp_path):
         scenario = write_scenario(tmp_path, h=1 / 10, m_list=(8, 16))
         out = tmp_path / "run"
-        monkeypatch.setenv("HS_JOBS", "1")
         code = main(["mesa", str(scenario), "--m-list", "8,16,32",
-                     "--snapshots", "0.1,0.2", "--jobs", "7",
+                     "--snapshots", "0.1,0.2", "--jobs", "1",
                      "--out", str(out)])
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["m_list"] == [8, 16, 32]
-        assert manifest["jobs"] == 1          # HS_JOBS wins over --jobs
+        assert manifest["jobs"] == 1
         assert len(manifest["tail_gap"]) == 2
         v, meta = snapshots.load_raster(out / "mesa_V_0001.json")
         assert meta["m"] == 32
         assert v.max() > 0
-
-    def test_non_integer_jobs_env_is_config_error(self, tmp_path, monkeypatch):
-        scenario = write_scenario(tmp_path, h=1 / 10)
-        monkeypatch.setenv("HS_JOBS", "two")
-        assert main(["mesa", str(scenario), "--snapshots", "0.1",
-                     "--out", str(tmp_path / "x")]) == 1
 
     def test_parallel_workers_match_serial(self, tmp_path):
         scenario = write_scenario(tmp_path, h=1 / 10, m_list=(8, 16, 32),
@@ -122,7 +115,6 @@ class TestMesaCommand:
     def test_bad_level_list_runs_no_level(self, tmp_path, monkeypatch):
         # the sweep validates its levels before it starts any, workers or not
         scenario = write_scenario(tmp_path, h=1 / 10)
-        monkeypatch.delenv("HS_JOBS", raising=False)
         calls = []
 
         def level_run(scenario, m, *args, **kwargs):
@@ -272,12 +264,23 @@ class TestExitCodes:
         assert code == 3
 
 
+def _child_env():
+    """Environment whose child imports the package this test imported."""
+    src = os.path.dirname(os.path.dirname(mesahs.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 class TestEntryPoint:
     def test_version_via_console_script(self):
-        # the child imports the package this test imported, installed or not
-        src = os.path.dirname(os.path.dirname(mesahs.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-m", "mesahs.cli",
                                "--version"], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": path})
+                              env=_child_env())
         assert proc.returncode == 0
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # only the radial oracle needs scipy.optimize; no command pays for it
+        probe = "import sys, mesahs.cli; print('scipy.optimize' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", probe],
+                              capture_output=True, text=True, env=_child_env())
+        assert (proc.returncode, proc.stdout.strip()) == (0, "False")

@@ -211,7 +211,7 @@ class TestWindowIndependence:
         st = build_stencil(sc)
         times = [0.1, 0.2, 0.3] if dt is None else [0.3]
         windowed = stefan.run(sc, 256, times, dt=dt, stencil=st)
-        interior = tuple(slice(1, s - 1) for s in sc.grid.shape)
+        interior = st.interior
         monkeypatch.setattr(FaceStencil, "window_box",
                             lambda self, source_mask, pad: interior)
         full = stefan.run(sc, 256, times, dt=dt, stencil=st)
@@ -239,7 +239,7 @@ class TestBaiocchiIdentity:
                             dt=dt_over_h * sc.grid.h, params=params,
                             stencil=st)
         fluid = sc.grid.fluid
-        interior = tuple(slice(1, s - 1) for s in sc.grid.shape)
+        interior = st.interior
         for t, u, w in zip(result.times, result.u_fields, result.w_integrals):
             a_w = st.diag * w
             a_w[interior] -= st.neighbor_sum(w, interior)

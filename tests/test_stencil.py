@@ -9,7 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 from scipy import ndimage
 
+import mesahs.stencil
 from mesahs.baiocchi import solve_slice
+from mesahs.errors import SolverError
+from mesahs.mesa import MONOTONE_SWEEP_TOL
 from mesahs.scenarios import radial_scenario
 from mesahs.stencil import (_PINNED_LOAD, FaceStencil, _box_neighbor_sum,
                             _shifted, _sublattice_plan, active_width_cells,
@@ -46,7 +49,7 @@ def _ring_gain_leaks(st, values, box):
     ring = np.zeros(shape, dtype=bool)
     ring[grown] = True
     ring[box] = False
-    ring &= st.fluid
+    ring &= st.grid.fluid
     if not ring.any():
         return False
     gain = np.zeros(shape)
@@ -91,7 +94,7 @@ class TestStencilGeometry:
         sc, st = tiny
         rng = np.random.default_rng(7)
         v = np.where(sc.grid.fluid, rng.random(sc.grid.shape), 0.0)
-        box = tuple(slice(1, s - 1) for s in sc.grid.shape)
+        box = st.interior
         got = st.neighbor_sum(v, box)
         h2 = sc.grid.h ** 2
         want = (v[:-2, 1:-1] + v[2:, 1:-1] + v[1:-1, :-2] + v[1:-1, 2:]) / h2
@@ -343,7 +346,7 @@ class TestProjectedSorKernel:
         grid = sc.grid
         rhs = st.slot_load * 0.5 + 0.2
         w = np.zeros(grid.shape)
-        box = tuple(slice(1, s - 1) for s in grid.shape)
+        box = st.interior
         res, sweeps, _ = projected_sor(w, st.diag, rhs, box, grid.fluid,
                                        coupling=1.0, tol=1e-12,
                                        max_sweeps=20000, h=grid.h)
@@ -358,7 +361,7 @@ class TestProjectedSorKernel:
         grid = sc.grid
         rhs = np.ones(grid.shape)   # positive load off FLUID too
         w = np.zeros(grid.shape)
-        box = tuple(slice(1, s - 1) for s in grid.shape)
+        box = st.interior
         projected_sor(w, st.diag, rhs, box, grid.fluid, coupling=1.0,
                       tol=1e-10, max_sweeps=20000, h=grid.h)
         assert np.all(w[~grid.fluid] == 0.0)
@@ -369,7 +372,7 @@ class TestProjectedSorKernel:
         sc, st = tiny
         grid = sc.grid
         rhs = st.slot_load * 0.25 - 0.6
-        box = tuple(slice(1, s - 1) for s in grid.shape)
+        box = st.interior
         w = np.zeros(grid.shape)
         res, sweeps, history = projected_sor(
             w, st.diag, rhs, box, grid.fluid, coupling=1.0, tol=1e-14,
@@ -399,7 +402,7 @@ class TestProjectedSorKernel:
         rhs_hi = rhs_lo + raise_load * rng.exponential(0.5, grid.shape)
         rhs_lo[~grid.fluid] = off_fluid
         rhs_hi[~grid.fluid] = rng.uniform(-1e300, 1e300, (~grid.fluid).sum())
-        box = tuple(slice(1, s - 1) for s in grid.shape)
+        box = st.interior
         solved = []
         for rhs in (rhs_lo, rhs_hi):
             v = np.zeros(grid.shape)
@@ -459,6 +462,71 @@ class TestProjectedSorKernel:
         finally:
             tracemalloc.stop()
         assert peak / (sc.grid.fluid.size * 8) <= 9.4
+
+
+def _flooding_step(sc, st):
+    """One m = 256, dt = 0.3 enthalpy step from u_init: (diag, rhs, coupling).
+
+    The step floods the patch, so its temperature spreads far beyond a
+    window around the slot.
+    """
+    m, dt = 256.0, 0.3
+    return 1.0 / m + dt * st.diag, (sc.u_init - 1.0) + dt * st.slot_load, dt
+
+
+class TestSolveDriver:
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        # (sweeps, history) of every kernel call the driver makes
+        calls = []
+        kernel = mesahs.stencil.projected_sor
+
+        def recorded(*args, **kwargs):
+            result = kernel(*args, **kwargs)
+            calls.append((result[1], result[2]))
+            return result
+
+        monkeypatch.setattr(mesahs.stencil, "projected_sor", recorded)
+        return calls
+
+    def test_regrowth_reaches_interior_solution(self, mini_annulus,
+                                                kernel_calls):
+        sc = mini_annulus
+        st = build_stencil(sc)
+        diag, rhs, coupling = _flooding_step(sc, st)
+        small = st.window_box(sc.grid.slot, pad=1)
+        theta = np.zeros(sc.grid.shape)
+        res, sweeps, box = st.solve(theta, diag, rhs, small, coupling,
+                                    tol=1e-10, max_sweeps=10 ** 6)
+        assert len(kernel_calls) > 1 and box != small
+        assert not st.box_leaks(theta, box)
+        assert res <= 1e-10
+        assert sweeps == sum(used for used, _ in kernel_calls)
+        ref = np.zeros(sc.grid.shape)
+        st.solve(ref, diag, rhs, st.interior, coupling, tol=1e-10,
+                 max_sweeps=10 ** 6)
+        assert np.abs(theta - ref).max() <= MONOTONE_SWEEP_TOL
+
+    def test_one_budget_covers_every_regrowth(self, mini_annulus,
+                                              kernel_calls):
+        # a budget one sweep past every call but the last of an unbounded
+        # solve runs out after the regrowths, in that last call
+        sc = mini_annulus
+        st = build_stencil(sc)
+        diag, rhs, coupling = _flooding_step(sc, st)
+        small = st.window_box(sc.grid.slot, pad=1)
+        st.solve(np.zeros(sc.grid.shape), diag, rhs, small, coupling,
+                 tol=1e-10, max_sweeps=10 ** 6)
+        assert len(kernel_calls) > 1
+        budget = sum(used for used, _ in kernel_calls[:-1]) + 1
+        kernel_calls.clear()
+        with pytest.raises(SolverError, match="on box") as err:
+            st.solve(np.zeros(sc.grid.shape), diag, rhs, small, coupling,
+                     tol=1e-10, max_sweeps=budget)
+        assert len(kernel_calls) > 1
+        assert sum(used for used, _ in kernel_calls) <= budget
+        assert err.value.residual_history == [
+            check for _, history in kernel_calls for check in history]
 
 
 # ---------------------------------------------------------------------------
