@@ -24,6 +24,10 @@ class SolverError(MesaHSError):
         super().__init__(message)
         self.residual_history = list(residual_history or [])
 
+    def at(self, where):
+        """The same failure, with its message prefixed by where it happened."""
+        return SolverError(f"{where}: {self}", self.residual_history)
+
 
 class EnvelopeError(MesaHSError):
     """The active region reached (or would reach) the farfield band."""

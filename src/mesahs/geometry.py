@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -101,10 +102,18 @@ class SlotGeometry:
             raise ConfigError("rounded polygons are 2D only")
         if vertices.shape[0] < 3:
             raise ConfigError("polygon needs at least 3 vertices")
+        if not np.all(np.isfinite(vertices)):
+            raise ConfigError("polygon vertices must be finite")
         rounding = float(rounding)
-        if rounding <= 0:
-            raise ConfigError("corner rounding radius must be positive")
-        if _signed_area(vertices) < 0:
+        if not 0 < rounding < np.inf:
+            raise ConfigError(
+                "corner rounding radius must be positive and finite")
+        with np.errstate(over="ignore", invalid="ignore"):
+            area = _signed_area(vertices)
+        if not np.isfinite(area):
+            raise ConfigError("polygon area must be finite; the vertices are "
+                              "too large")
+        if area < 0:
             vertices = vertices[::-1]
         if not _is_convex(vertices):
             raise ConfigError("only convex polygons are supported")
@@ -271,17 +280,24 @@ class Grid:
     def cell_volume(self):
         return self.h ** self.n
 
-    @property
+    # each role mask is computed once per grid and shared by every reader,
+    # so it is read-only: an in-place write raises instead of corrupting it
+    @cached_property
     def fluid(self):
-        return self.mask == FLUID
+        return _read_only(self.mask == FLUID)
 
-    @property
+    @cached_property
     def slot(self):
-        return self.mask == SLOT
+        return _read_only(self.mask == SLOT)
 
-    @property
+    @cached_property
     def farfield(self):
-        return self.mask == FARFIELD
+        return _read_only(self.mask == FARFIELD)
+
+    def __getstate__(self):
+        # a pickled copy recomputes the masks: unpickled arrays are writable
+        return {k: v for k, v in self.__dict__.items()
+                if k not in ("fluid", "slot", "farfield")}
 
     def axes(self):
         return [self.lo[i] + (np.arange(self.shape[i]) + 0.5) * self.h
@@ -314,6 +330,11 @@ class Grid:
                 "slot": int(np.count_nonzero(self.slot)),
                 "farfield": int(np.count_nonzero(self.farfield)),
                 "total": int(np.prod(self.shape))}
+
+
+def _read_only(array):
+    array.setflags(write=False)
+    return array
 
 
 def build_grid(geometry, h, margin, band_cells=2, required_radius=None):

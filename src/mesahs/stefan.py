@@ -120,13 +120,8 @@ class _StepWorkspace:
         self.theta = np.zeros(grid.shape)
         self.theta_prev = None
         self.dt_prev = None
-        self.u_slack = min(0.5, max(grid.h, 1e-3))
         self.max_sweeps = params.max_sweeps or max(
             2000, int(50 * np.sqrt(grid.fluid.sum())))
-
-    def window_source(self):
-        g = self.scenario.grid
-        return g.slot | (self.theta > 0) | (g.fluid & (self.u >= 1.0 - self.u_slack))
 
 
 def _advance(ws, dt):
@@ -145,10 +140,10 @@ def _advance(ws, dt):
 
     # flux may not cross the window edge, else the frozen update outside
     # the box would be wrong: the solve grows the box until none does
+    window = st.window_box(st.window_source(theta > 0, u_old), pad=2)
     _, sweeps, box = st.solve(
         theta, 1.0 / m + dt * st.diag, (u_old - 1.0) + dt * st.slot_load,
-        st.window_box(ws.window_source(), pad=2), coupling=dt,
-        tol=ws.params.tol, max_sweeps=ws.max_sweeps)
+        window, coupling=dt, tol=ws.params.tol, max_sweeps=ws.max_sweeps)
 
     nb = st.neighbor_sum(theta, box)
     u_new_box = np.where(
@@ -161,7 +156,7 @@ def _advance(ws, dt):
     drop = float((u_old - u)[fluid].max())
     if drop > MONOTONE_STEP_TOL:
         raise SolverError(
-            f"enthalpy decreased by {drop:.3e} in one step (m={m:g}); "
+            f"enthalpy decreased by {drop:.3e} in one step; "
             "monotone structure violated")
 
     if bool((theta[st.near_band] > 0.0).any()):
@@ -222,9 +217,14 @@ def run(scenario, m, snapshot_times, dt=None, params=None, stencil=None,
         while t < target - 1e-13:
             last = target - t <= dt + 1e-13
             dt_step = target - t if last else dt
-            influx, _, _ = _advance(ws, dt_step)
-            t = target if last else t + dt_step
+            t_end = target if last else t + dt_step
             step_index += 1
+            try:
+                influx, _, _ = _advance(ws, dt_step)
+            except SolverError as exc:
+                raise exc.at(f"m={m:g}, step {step_index} to "
+                             f"t={t_end:g}") from exc
+            t = t_end
             ledger.add(step_index, t, influx)
             w_accum += dt_step * ws.theta
             newly = (ws.theta > 0.0) & ~np.isfinite(first_theta)

@@ -113,6 +113,17 @@ class FaceStencil:
         contrib = load_scale * self.slot_load - self.slot_coef * values
         return float(contrib[g.fluid].sum()) * g.cell_volume
 
+    def window_source(self, positive, u):
+        """Mask that a solve window must cover before its pad.
+
+        It holds the slot, the ``positive`` cells and every FLUID cell whose
+        enthalpy ``u`` lies within one cell width (clamped to [1e-3, 0.5])
+        of saturation: the cells that can turn active first.
+        """
+        g = self.grid
+        slack = min(0.5, max(g.h, 1e-3))
+        return g.slot | positive | (g.fluid & (u >= 1.0 - slack))
+
     def window_box(self, source_mask, pad):
         """Bounding box of a mask grown by ``pad`` cells; None if empty."""
         if not source_mask.any():

@@ -6,11 +6,63 @@ import math
 import numpy as np
 import pytest
 
-from mesahs import baiocchi
+import mesahs.stencil
+from mesahs import baiocchi, scenarios
 from mesahs.errors import ConfigError, SolverError
-from mesahs.stencil import SolveParams, build_stencil
+from mesahs.mesa import MONOTONE_SWEEP_TOL
+from mesahs.stencil import FaceStencil, SolveParams, build_stencil
 
 from conftest import mini_annulus_scenario
+
+#: the ten times of the radial warm chain, as in the compare workload
+CHAIN_TIMES = [round(0.05 * k, 10) for k in range(1, 11)]
+
+
+def _record_kernel_calls(monkeypatch):
+    """List that gets (sweeps, box) of every kernel call from now on."""
+    calls = []
+    kernel = mesahs.stencil.projected_sor
+
+    def recorded(values, diag, rhs, box, *args, **kwargs):
+        result = kernel(values, diag, rhs, box, *args, **kwargs)
+        calls.append((result[1], box))
+        return result
+
+    monkeypatch.setattr(mesahs.stencil, "projected_sor", recorded)
+    return calls
+
+
+def _full_box(monkeypatch, st):
+    """Make every window the interior box: the reference solve."""
+    interior = st.interior
+    monkeypatch.setattr(FaceStencil, "window_box",
+                        lambda self, source_mask, pad: interior)
+
+
+def _box_cells(box):
+    return math.prod(s.stop - s.start for s in box)
+
+
+def _warm_chain(sc, st, full_box):
+    """W of each chain slice and the kernel calls of the whole chain."""
+    with pytest.MonkeyPatch.context() as mp:
+        if full_box:
+            _full_box(mp, st)
+        calls = _record_kernel_calls(mp)
+        ws, warm = [], None
+        for t in CHAIN_TIMES:
+            warm = baiocchi.solve_slice(sc, t, warm=warm, stencil=st)
+            ws.append(warm.w)
+    return ws, calls
+
+
+@pytest.fixture(scope="module")
+def radial32_chains():
+    sc = scenarios.radial_scenario(h=1 / 32, t_max=0.5)
+    st = build_stencil(sc)
+    return {"scenario": sc, "stencil": st,
+            "windowed": _warm_chain(sc, st, full_box=False),
+            "reference": _warm_chain(sc, st, full_box=True)}
 
 
 class TestRadialOracle:
@@ -128,6 +180,15 @@ class TestSolveSlice:
         # the first residual check is already NaN and ends the solve
         assert err.value.residual_history[-1][0] == 0
 
+    def test_nonconvergence_names_the_time(self, radial_coarse,
+                                           radial_coarse_stencil):
+        with pytest.raises(SolverError,
+                           match=r"^obstacle slice at t=0\.2: ") as err:
+            baiocchi.solve_slice(radial_coarse, 0.2,
+                                 SolveParams(max_sweeps=3),
+                                 stencil=radial_coarse_stencil)
+        assert err.value.residual_history[-1][0] == 3
+
     def test_negative_time_rejected(self, radial_coarse):
         with pytest.raises(ConfigError):
             baiocchi.solve_slice(radial_coarse, -0.1)
@@ -159,6 +220,64 @@ class TestSolveSlice:
         assert np.all(sl.active_mask[collar])
         bal = baiocchi.mass_balance_check(sc, sl)
         assert bal["relative"] <= 0.10
+
+
+class TestSliceWindow:
+    # a warm-started slice solves on a window around its warm start, grown
+    # while flux leaks; the reference solves every slice on the interior box
+
+    def test_chain_matches_reference_on_smaller_boxes(self, radial32_chains):
+        ws, calls = radial32_chains["windowed"]
+        ref_ws, ref_calls = radial32_chains["reference"]
+        for w, ref in zip(ws, ref_ws):
+            assert np.array_equal(w, ref)
+        assert [used for used, _ in calls] == [used for used, _ in ref_calls]
+        interior = _box_cells(radial32_chains["stencil"].interior)
+        # the first slice is cold, every later one starts from a window
+        assert _box_cells(calls[0][1]) == interior
+        assert all(_box_cells(box) < interior for _, box in calls[1:])
+
+    def test_chain_work_stays_windowed(self, radial32_chains):
+        # box cells x sweeps over the chain's kernel calls: 24.3 M against
+        # 45.9 M on the interior box, so a silent fallback to the whole box
+        # fails here, with no wall-clock noise
+        _, calls = radial32_chains["windowed"]
+        _, ref_calls = radial32_chains["reference"]
+        work = sum(used * _box_cells(box) for used, box in calls)
+        full = sum(used * _box_cells(box) for used, box in ref_calls)
+        assert work <= 0.7 * full
+
+    def test_far_behind_warm_start_regrows_to_the_reference(
+            self, radial32_chains, monkeypatch):
+        sc, st = radial32_chains["scenario"], radial32_chains["stencil"]
+        seed = baiocchi.solve_slice(sc, 0.05, stencil=st)
+        calls = _record_kernel_calls(monkeypatch)
+        sl = baiocchi.solve_slice(sc, 0.5, warm=seed, stencil=st)
+        assert len(calls) > 1
+        assert not st.box_leaks(sl.w, calls[-1][1])
+        rep = baiocchi.complementarity_report(sc, sl, stencil=st)
+        assert rep["max_comp"] <= SolveParams().tol
+        _full_box(monkeypatch, st)
+        ref = baiocchi.solve_slice(sc, 0.5, warm=seed, stencil=st)
+        assert np.abs(sl.w - ref.w).max() <= MONOTONE_SWEEP_TOL
+
+    def test_patch_near_saturation_is_in_the_first_window(self, mini_annulus,
+                                                          monkeypatch):
+        # warm-started before contact and solved after it: the saturated
+        # patch lies inside the first window, so the solve needs no regrowth
+        sc = mini_annulus
+        st = build_stencil(sc)
+        patch = sc.grid.fluid & (sc.u_init >= 1.0 - 1e-9)
+        pre = baiocchi.solve_slice(sc, 0.08, stencil=st)
+        assert not np.any(pre.active_mask & patch)
+        calls = _record_kernel_calls(monkeypatch)
+        post = baiocchi.solve_slice(sc, 0.12, warm=pre, stencil=st)
+        assert np.any(post.active_mask & patch)
+        assert len(calls) == 1
+        assert _box_cells(calls[0][1]) < _box_cells(st.interior)
+        _full_box(monkeypatch, st)
+        ref = baiocchi.solve_slice(sc, 0.12, warm=pre, stencil=st)
+        assert np.array_equal(post.w, ref.w)
 
 
 class TestMassBalance:

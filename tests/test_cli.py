@@ -228,6 +228,31 @@ class TestExitCodes:
         record = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert (code, record["error"]) == (1, "config")
 
+    @pytest.mark.parametrize("slot", [
+        pytest.param({"rounding": float("nan")}, id="nan-rounding"),
+        pytest.param({"rounding": float("inf")}, id="inf-rounding"),
+        pytest.param({"centers": [[0.0, 0.0], [1.0, float("nan")],
+                                  [0.0, 1.0]]}, id="nan-vertex"),
+        pytest.param({"centers": [[0.0, 0.0], [float("inf"), 0.0],
+                                  [0.0, 1.0]]}, id="inf-vertex"),
+        pytest.param({"centers": [[0.0, 0.0], [1e308, 0.0], [0.0, 1e308]]},
+                     id="area-overflow"),
+    ])
+    def test_nan_or_huge_polygon_is_config_error(self, tmp_path, capsys,
+                                                 slot):
+        path = write_scenario(tmp_path)
+        spec = json.loads(path.read_text())
+        spec["slot"] = {"kind": "polygon-with-rounded-corners",
+                        "centers": [[-0.6, -0.6], [0.6, -0.6], [0.6, 0.6],
+                                    [-0.6, 0.6]],
+                        "rounding": 0.3, **slot}
+        path.write_text(json.dumps(spec))
+        code = main(["obstacle", str(path), "--times", "0.1",
+                     "--out", str(tmp_path / "x")])
+        record = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert (code, record["error"]) == (1, "config")
+        assert "finite" in record["message"]
+
     @pytest.mark.parametrize("args", [
         ["stefan", "--m", "-1", "--snapshots", "0.1"],
         ["stefan", "--m", "nan", "--snapshots", "0.1"],

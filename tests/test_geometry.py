@@ -2,6 +2,7 @@
 
 import copy
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -13,6 +14,10 @@ from mesahs import barriers, scenarios
 from mesahs.errors import ConfigError, EnvelopeError
 from mesahs.geometry import (FARFIELD, FLUID, SLOT, Scenario, SlotGeometry,
                              build_grid, load_scenario, radial_u_init)
+
+
+#: a polygon slot that is valid with any positive, finite rounding
+_SQUARE = [(-0.6, -0.6), (0.6, -0.6), (0.6, 0.6), (-0.6, 0.6)]
 
 
 class TestSlotGeometry:
@@ -49,6 +54,20 @@ class TestSlotGeometry:
         assert not geom.contains(np.array([[1.19, 1.19]]))[0]
         norms = np.linalg.norm(geom.normals, axis=1)
         assert np.allclose(norms, 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("vertices, rounding", [
+        pytest.param(_SQUARE, float("nan"), id="nan-rounding"),
+        pytest.param(_SQUARE, float("inf"), id="inf-rounding"),
+        pytest.param([(0, 0), (1, float("nan")), (0, 1)], 0.2,
+                     id="nan-vertex"),
+        pytest.param([(0, 0), (float("inf"), 0), (0, 1)], 0.2,
+                     id="inf-vertex"),
+        pytest.param([(0, 0), (1e308, 0), (0, 1e308)], 0.2,
+                     id="area-overflow"),
+    ])
+    def test_non_finite_polygon_rejected(self, vertices, rounding):
+        with pytest.raises(ConfigError, match="finite"):
+            SlotGeometry.rounded_polygon(vertices, rounding)
 
     def test_nonconvex_polygon_rejected(self):
         vertices = [(0, 0), (2, 0), (1, 0.2), (0, 2)]
@@ -91,6 +110,19 @@ class TestBuildGrid:
         fluid = grid.fluid
         assert not fluid[0, :].any() and not fluid[-1, :].any()
         assert not fluid[:, 0].any() and not fluid[:, -1].any()
+
+    def test_role_masks_are_cached_and_read_only(self, radial_coarse):
+        grid = radial_coarse.grid
+        for name, role in (("fluid", FLUID), ("slot", SLOT),
+                           ("farfield", FARFIELD)):
+            mask = getattr(grid, name)
+            assert getattr(grid, name) is mask
+            assert np.array_equal(mask, grid.mask == role)
+            with pytest.raises(ValueError):
+                mask[0, 0] = not mask[0, 0]
+            # a pickled copy, as sent to a worker process, is read-only too
+            with pytest.raises(ValueError):
+                getattr(pickle.loads(pickle.dumps(grid)), name)[0, 0] = True
 
 
 class TestScenario:

@@ -183,6 +183,16 @@ class TestRun:
             stefan.run(sc, 32, snapshot_times=[0.05], params=params, stencil=st)
         assert err.value.residual_history
 
+    def test_nonconvergence_names_m_step_and_time(self, small):
+        # within 36 sweeps the short first step, to t = 0.001, converges
+        # and the second, to t = 0.011, does not
+        sc, st = small
+        with pytest.raises(SolverError,
+                           match=r"^m=32, step 2 to t=0\.011: ") as err:
+            stefan.run(sc, 32, snapshot_times=[0.001, 0.05], dt=0.01,
+                       params=SolveParams(max_sweeps=36), stencil=st)
+        assert err.value.residual_history[-1][0] == 36
+
     def test_envelope_abort_on_tight_domain(self):
         # a legal grid whose margin is too small for the horizon: the run
         # must abort before contaminating the farfield band
