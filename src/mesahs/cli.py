@@ -71,6 +71,9 @@ def _dump_run(out_dir, result, scenario, tag):
     snapshots.write_csv(out_dir / f"{tag}_flux.csv",
                         ["step", "t", "influx", "cumulative"],
                         result.ledger.rows)
+    snapshots.write_csv(out_dir / f"{tag}_steps.csv",
+                        ["step", "t", "sweeps", "residual", "box_cells"],
+                        result.step_log)
 
 
 def cmd_stefan(args):
@@ -197,9 +200,10 @@ def _contact_record(scenario, limit, st, params):
         return None
     t_mesa = float(np.nanmin(np.where(np.isfinite(hit), hit, np.nan)))
     dt = limit.dt
+    # W vanishes at t = 0, so the patch is inactive there whatever dt is
     try:
         t_obstacle = baiocchi.contact_time(
-            scenario, patch, t_lo=max(dt, t_mesa / 4), t_hi=scenario.t_max,
+            scenario, patch, t_lo=0.0, t_hi=scenario.t_max,
             tol_t=dt, params=params, stencil=st)
     except ConfigError as exc:
         return {"t_mesa": t_mesa, "t_obstacle": None,

@@ -80,6 +80,8 @@ class SlotGeometry:
         radii = np.atleast_1d(_as_float_array(radii))
         if centers.shape[0] != radii.shape[0]:
             raise ConfigError("need one radius per ball center")
+        if not (np.all(np.isfinite(centers)) and np.all(np.isfinite(radii))):
+            raise ConfigError("slot ball centers and radii must be finite")
         if np.any(radii <= 0):
             raise ConfigError("slot radii must be positive")
         n = centers.shape[1]

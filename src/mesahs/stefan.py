@@ -19,6 +19,7 @@ sweep tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,7 +92,8 @@ class RunResult:
     ``w_integrals`` holds the backward-Euler sums W^n = sum_k dt_k theta^k,
     the discrete Baiocchi transform of the run: the steps telescope to
     u^n - u_init = -A_h W^n + t_n * slot_load on FLUID, up to the solver
-    tolerance per step, for any dt.
+    tolerance per step, for any dt.  ``step_log`` holds one row per step:
+    (step, t, sweeps, final residual, cells of the final solve box).
     """
 
     m: float
@@ -105,6 +107,7 @@ class RunResult:
     first_unit_time: np.ndarray
     mass_error: float
     steps: int
+    step_log: list
 
 
 class _StepWorkspace:
@@ -125,7 +128,11 @@ class _StepWorkspace:
 
 
 def _advance(ws, dt):
-    """One conservative implicit step; returns the slot influx of the step."""
+    """One conservative implicit step.
+
+    Returns the step's slot influx, the solver's final residual, its sweep
+    count and the cell count of the final solve box.
+    """
     st = ws.st
     fluid = ws.scenario.grid.fluid
     m = ws.m
@@ -141,7 +148,7 @@ def _advance(ws, dt):
     # flux may not cross the window edge, else the frozen update outside
     # the box would be wrong: the solve grows the box until none does
     window = st.window_box(st.window_source(theta > 0, u_old), pad=2)
-    _, sweeps, box = st.solve(
+    residual, sweeps, box = st.solve(
         theta, 1.0 / m + dt * st.diag, (u_old - 1.0) + dt * st.slot_load,
         window, coupling=dt, tol=ws.params.tol, max_sweeps=ws.max_sweeps)
 
@@ -169,7 +176,7 @@ def _advance(ws, dt):
     ws.theta_prev = theta_old
     ws.dt_prev = dt
     ws.theta = theta
-    return influx, theta_old, sweeps
+    return influx, residual, sweeps, math.prod(s.stop - s.start for s in box)
 
 
 def run(scenario, m, snapshot_times, dt=None, params=None, stencil=None,
@@ -198,7 +205,8 @@ def run(scenario, m, snapshot_times, dt=None, params=None, stencil=None,
     result = RunResult(m=m, dt=dt, times=[], u_fields=[],
                        theta_fields=[], w_integrals=[], ledger=ledger,
                        first_theta_time=first_theta,
-                       first_unit_time=first_unit, mass_error=np.nan, steps=0)
+                       first_unit_time=first_unit, mass_error=np.nan, steps=0,
+                       step_log=[])
 
     def take_snapshot(t):
         result.times.append(t)
@@ -220,12 +228,13 @@ def run(scenario, m, snapshot_times, dt=None, params=None, stencil=None,
             t_end = target if last else t + dt_step
             step_index += 1
             try:
-                influx, _, _ = _advance(ws, dt_step)
+                influx, residual, sweeps, cells = _advance(ws, dt_step)
             except SolverError as exc:
                 raise exc.at(f"m={m:g}, step {step_index} to "
                              f"t={t_end:g}") from exc
             t = t_end
             ledger.add(step_index, t, influx)
+            result.step_log.append((step_index, t, sweeps, residual, cells))
             w_accum += dt_step * ws.theta
             newly = (ws.theta > 0.0) & ~np.isfinite(first_theta)
             first_theta[newly] = t

@@ -16,6 +16,7 @@ masking.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -306,14 +307,16 @@ def _sublattice_plan(box, n):
     """Red-black decomposition of a box into its 2^n parity sub-lattices.
 
     The box is grown by its one-cell halo into ``ext``; sub-lattice ``q`` (a
-    parity tuple) holds the cells ``ext.start + q + 2k`` and is stored as one
-    contiguous array by the kernel.  Returns ``(ext, targets)``; each target
-    is ``(color, parity, cells, neighbors)``: ``color`` is the global cell
-    parity, so updates are bit-identical regardless of the window; ``cells``
-    is the unit-stride slice of the sub-lattice that lies inside the box; and
-    ``neighbors`` gives, for each axis and step (-1, +1) in that order, the
+    parity tuple) holds the cells ``ext.start + q + 2k``, and the kernel
+    stores every sub-lattice at the origin of one common padded shape.
+    Returns ``(ext, targets)``; each target is ``(color, parity, cells,
+    neighbors)``: ``color`` is the global cell parity, so updates are
+    bit-identical regardless of the window; ``cells`` is the unit-stride
+    slice of the sub-lattice that lies inside the box; and ``neighbors``
+    gives, for each axis and step (-1, +1) in that order, the
     opposite-parity sub-lattice and the unit-stride slice of it that holds
-    those face neighbors.
+    those face neighbors.  Every slice of a target has the same extents, so
+    in the common shape they all start one fixed flat offset apart.
     """
     ext = tuple(slice(s.start - 1, s.stop + 1) for s in box)
     lengths = [s.stop - s.start for s in box]
@@ -354,54 +357,94 @@ def projected_sor(values, diag, rhs, box, fluid, coupling, tol, max_sweeps,
     is the one caller in the package, and the one place where a residual
     above tol, or a NaN, becomes a :class:`SolverError`.
 
-    For the length of one call the box and its halo live in 2^n contiguous
-    parity sub-lattices (see :func:`_sublattice_plan`), swept with the
-    floating-point operations of a strided sweep in the same order, so the
-    result is bit-identical to it.  ``values`` is written back before every
-    residual check, and the kernel returns only at a check.
+    For the length of one call the box and its halo live in 2^n parity
+    sub-lattices of one common padded shape (see :func:`_sublattice_plan`).
+    There each target's box cells and its 2n face neighbors are equal-length
+    contiguous flat ranges, so one update is 10 ufunc calls on 1-D ranges.
+    A range also crosses off-box entries (row ends, the halo and the
+    padding); those never change during a call, so they are saved once and
+    restored after every update, and their ``dv`` is 1 so the discarded
+    values stay finite.  Each box cell gets the floating-point operations
+    of a strided sweep in the same order, so the result is bit-identical to
+    it.  ``values`` is written back before every residual check, and the
+    kernel returns only at a check.
     """
     n = values.ndim
     ext, targets = _sublattice_plan(box, n)
     inv_h2 = coupling / (h * h)
+    shape = tuple((s.stop - s.start + 1) // 2 for s in ext)
+    strides = [math.prod(shape[a + 1:]) for a in range(n)]
 
     def lattice(array, parity):
         return array[ext][tuple(slice(p, None, 2) for p in parity)]
 
-    subs = {q: lattice(values, q).copy()
-            for q in itertools.product((0, 1), repeat=n)}
-    updates = []
+    def offset(cells):
+        return sum(c.start * s for c, s in zip(cells, strides))
+
+    subs = {}
+    for q in itertools.product((0, 1), repeat=n):
+        sub = lattice(values, q)
+        subs[q] = np.zeros(shape)
+        subs[q][tuple(slice(0, k) for k in sub.shape)] = sub
+    by_color = ([], [])
+    write_back = []
     for color, parity, cells, neighbors in targets:
-        tv = subs[parity][cells]
-        pinned = np.where(lattice(fluid, parity)[cells],
-                          lattice(rhs, parity)[cells], _PINNED_LOAD)
-        updates.append((color, tv, lattice(diag, parity)[cells].copy(), pinned,
-                        [subs[q][nb] for q, nb in neighbors],
-                        lattice(values, parity)[cells]))
-    scratch = np.empty(max(u[1].size for u in updates))
+        counts = [c.stop - c.start for c in cells]
+        length = sum((c - 1) * s for c, s in zip(counts, strides)) + 1
+        start = offset(cells)
+        tv = subs[parity].reshape(-1)[start:start + length]
+        # per-target arrays hold whole rows of the common shape, cut to the
+        # range; ``inbox`` views the box cells in them
+        rows = (counts[0],) + shape[1:]
+        inbox = (slice(None),) + tuple(slice(0, c) for c in counts[1:])
+        dv = np.ones(rows)
+        dv[inbox] = lattice(diag, parity)[cells]
+        rv = np.zeros(rows)
+        rv[inbox] = _PINNED_LOAD
+        np.copyto(rv[inbox], lattice(rhs, parity)[cells],
+                  where=lattice(fluid, parity)[cells])
+        off_box = np.ones(rows, dtype=bool)
+        off_box[inbox] = False
+        off = np.flatnonzero(off_box.reshape(-1)[:length])
+        nbs = [subs[q].reshape(-1)[offset(nb):offset(nb) + length]
+               for q, nb in neighbors]
+        by_color[color].append((tv, dv.reshape(-1)[:length],
+                                rv.reshape(-1)[:length], nbs, off, tv[off]))
+        write_back.append((lattice(values, parity)[cells],
+                           subs[parity][cells]))
+    size = max(len(tv) for group in by_color for tv, *_ in group)
     box_view = values[box]
 
     history = []
     sweeps = 0
-    check_at = 0
     check_gap = 2
     while True:
-        if sweeps >= check_at:
-            for _, tv, _, _, _, out in updates:
-                out[...] = tv
-            res = _box_residual(values, diag, rhs, box, fluid, coupling, h)[1]
-            history.append((sweeps, res))
-            if res <= tol or sweeps >= max_sweeps or not np.isfinite(res):
-                return res, sweeps, history
-            omega = omega_for_width(active_width_cells(box_view > 0))
-            check_gap = min(int(check_gap * 1.5) + 1, 30)
-            check_at = min(sweeps + check_gap, max_sweeps)
-        for want in (0, 1):
-            for color, tv, dv, rv, nbs, _ in updates:
-                if color != want:
-                    continue
+        for out, block in write_back:
+            out[...] = block
+        res = _box_residual(values, diag, rhs, box, fluid, coupling, h)[1]
+        history.append((sweeps, res))
+        if res <= tol or sweeps >= max_sweeps or not np.isfinite(res):
+            return res, sweeps, history
+        omega = omega_for_width(active_width_cells(box_view > 0))
+        check_gap = min(int(check_gap * 1.5) + 1, 30)
+        check_at = min(sweeps + check_gap, max_sweeps)
+        _sweep_ranges(by_color, inv_h2, omega, check_at - sweeps, size)
+        sweeps = check_at
+
+
+def _sweep_ranges(by_color, inv_h2, omega, count, size):
+    """``count`` red-black sweeps over the flat ranges of :func:`projected_sor`.
+
+    The update buffer lives only here: the residual check between two calls
+    sets the kernel's memory peak.
+    """
+    scratch = np.empty(size)
+    for _ in range(count):
+        for group in by_color:
+            for tv, dv, rv, nbs, off, kept in group:
                 # (rv + inv_h2*sum(nb)) / dv * omega + (1 - omega) * tv, with
                 # the additions commuted only, which IEEE keeps exact
-                cand = scratch[:tv.size].reshape(tv.shape)
+                cand = scratch[:tv.size]
                 np.add(nbs[0], nbs[1], out=cand)
                 for other in nbs[2:]:
                     cand += other
@@ -412,4 +455,4 @@ def projected_sor(values, diag, rhs, box, fluid, coupling, tol, max_sweeps,
                 tv *= 1.0 - omega
                 tv += cand
                 np.maximum(tv, 0.0, out=tv)
-        sweeps += 1
+                tv[off] = kept

@@ -83,6 +83,37 @@ class TestStefanCommand:
             assert all(float(r.split(",")[2]) == 0.0 for r in flux[1:])
 
 
+    def test_step_record_counts_every_sweep(self, tmp_path, monkeypatch):
+        scenario = write_scenario(tmp_path)
+        used = []
+        kernel = mesahs.stencil.projected_sor
+
+        def counted(*args, **kwargs):
+            result = kernel(*args, **kwargs)
+            used.append(result[1])
+            return result
+
+        monkeypatch.setattr(mesahs.stencil, "projected_sor", counted)
+        records = []
+        for sub in ("a", "b"):
+            out = tmp_path / sub
+            code = main(["stefan", str(scenario), "--m", "16",
+                         "--snapshots", "0.1,0.2", "--out", str(out)])
+            assert code == 0
+            records.append((out / "stefan_m16_steps.csv").read_bytes())
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "stefan_m16_steps.csv" in manifest["output_hashes"]
+        assert records[0] == records[1]
+        lines = records[0].decode().split()
+        assert lines[0] == "step,t,sweeps,residual,box_cells"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [int(r[0]) for r in rows] == list(range(1, manifest["steps"] + 1))
+        assert float(rows[-1][1]) == 0.2
+        assert 2 * sum(int(r[2]) for r in rows) == sum(used)
+        assert all(0 <= float(r[3]) <= 1e-10 for r in rows)
+        assert all(int(r[4]) > 0 for r in rows)
+
+
 class TestMesaCommand:
     def test_m_list_override_and_jobs_env(self, tmp_path):
         scenario = write_scenario(tmp_path, h=1 / 10, m_list=(8, 16))
@@ -153,6 +184,18 @@ class TestCompareCommand:
         contact = json.loads((out / "manifest.json").read_text())["contact"]
         assert contact["tol"] == 2 * 0.04
         assert contact["gap"] <= contact["tol"]
+
+    def test_contact_bracket_holds_when_dt_passes_contact(self, tmp_path):
+        # one step of dt = 0.2 already runs past the contact (t about 0.12);
+        # the obstacle bracket must still start before it
+        scenario = mini_annulus_spec(tmp_path)
+        out = tmp_path / "cmp"
+        code = main(["compare", str(scenario), "--times", "0.2",
+                     "--dt", "0.2", "--out", str(out)])
+        assert code == 0
+        contact = json.loads((out / "manifest.json").read_text())["contact"]
+        assert contact["t_obstacle"] is not None
+        assert contact["gap"] <= contact["tol"] == 2 * 0.2
 
 
 class TestBarriersCommand:
@@ -252,6 +295,23 @@ class TestExitCodes:
         record = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert (code, record["error"]) == (1, "config")
         assert "finite" in record["message"]
+
+    @pytest.mark.parametrize("slot", [
+        pytest.param({"radii": [float("nan")]}, id="nan-radius"),
+        pytest.param({"radii": [float("inf")]}, id="inf-radius"),
+        pytest.param({"centers": [[float("nan"), 0.0]]}, id="nan-center"),
+        pytest.param({"centers": [[0.0, float("-inf")]]}, id="inf-center"),
+    ])
+    def test_non_finite_ball_is_config_error(self, tmp_path, capsys, slot):
+        path = write_scenario(tmp_path)
+        spec = json.loads(path.read_text())
+        spec["slot"].update(slot)
+        path.write_text(json.dumps(spec))
+        code = main(["obstacle", str(path), "--times", "0.1",
+                     "--out", str(tmp_path / "x")])
+        record = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert (code, record["error"]) == (1, "config")
+        assert record["message"] == "slot ball centers and radii must be finite"
 
     @pytest.mark.parametrize("args", [
         ["stefan", "--m", "-1", "--snapshots", "0.1"],

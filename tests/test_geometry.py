@@ -69,6 +69,17 @@ class TestSlotGeometry:
         with pytest.raises(ConfigError, match="finite"):
             SlotGeometry.rounded_polygon(vertices, rounding)
 
+    @pytest.mark.parametrize("center, radius", [
+        pytest.param((0.0, 0.0), float("nan"), id="nan-radius"),
+        pytest.param((0.0, 0.0), float("inf"), id="inf-radius"),
+        pytest.param((float("nan"), 0.0), 1.0, id="nan-center"),
+        pytest.param((0.0, float("inf")), 1.0, id="inf-center"),
+        pytest.param((0.0, 0.0, float("-inf")), 1.0, id="inf-center-3d"),
+    ])
+    def test_non_finite_ball_rejected(self, center, radius):
+        with pytest.raises(ConfigError, match="finite"):
+            SlotGeometry.ball(center, radius)
+
     def test_nonconvex_polygon_rejected(self):
         vertices = [(0, 0), (2, 0), (1, 0.2), (0, 2)]
         with pytest.raises(ConfigError):

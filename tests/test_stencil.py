@@ -319,6 +319,23 @@ def _nan_load_case():
                         coupling=1.0, tol=1e-10, max_sweeps=50, h=1.0)
 
 
+def _edge_case(shape, box):
+    """A problem whose every interior cell is FLUID, solved on ``box``.
+
+    Every FLUID cell starts nonzero, the cells just outside the box
+    included: the kernel's flat ranges cross some of them and must leave
+    them as they were.
+    """
+    rng = np.random.default_rng(len(shape) + sum(s.start for s in box))
+    fluid = np.zeros(shape, dtype=bool)
+    fluid[tuple(slice(1, size - 1) for size in shape)] = True
+    values = np.where(fluid, rng.exponential(1.0, shape), 0.0)
+    return values, dict(diag=2 * len(shape) * rng.uniform(1.0, 1.5, shape),
+                        rhs=rng.uniform(-1.0, 1.0, shape), box=box,
+                        fluid=fluid, coupling=1.0, tol=1e-12, max_sweeps=50,
+                        h=1.0)
+
+
 class TestProjectedSorKernel:
     def _dense_oracle(self, st, grid, rhs, coupling):
         """Assemble the operator and solve the unconstrained system densely."""
@@ -418,6 +435,20 @@ class TestProjectedSorKernel:
     @settings(max_examples=150, deadline=None)
     @given(_sor_case())
     @example(_nan_load_case())
+    # one cell thick along each axis in turn, and along all of them
+    @example(_edge_case((7, 9), (slice(3, 4), slice(2, 8))))
+    @example(_edge_case((9, 7), (slice(2, 8), slice(3, 4))))
+    @example(_edge_case((5, 6), (slice(2, 3), slice(3, 4))))
+    @example(_edge_case((5, 7, 6), (slice(2, 3), slice(1, 6), slice(2, 5))))
+    @example(_edge_case((7, 5, 6), (slice(1, 6), slice(2, 3), slice(2, 5))))
+    @example(_edge_case((6, 7, 5), (slice(2, 5), slice(1, 6), slice(2, 3))))
+    @example(_edge_case((5, 5, 5), (slice(2, 3), slice(2, 3), slice(2, 3))))
+    # from the first interior cell, with odd and even extents
+    @example(_edge_case((12,), (slice(1, 8),)))
+    @example(_edge_case((8, 9), (slice(1, 6), slice(1, 5))))
+    @example(_edge_case((10, 10), (slice(1, 5), slice(1, 8))))
+    @example(_edge_case((9, 10), (slice(2, 6), slice(3, 8))))
+    @example(_edge_case((8, 7, 9), (slice(1, 6), slice(1, 5), slice(2, 8))))
     def test_kernel_matches_strided_reference(self, case):
         # the sub-lattice kernel must reproduce the strided sweep bit for bit:
         # values everywhere, sweeps, residual history and final residual
