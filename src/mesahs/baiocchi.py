@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ConfigError, EnvelopeError, SolverError
 from .fbdiag import active_mask_from, boundary_faces
@@ -92,7 +91,7 @@ def solve_slice(scenario, t, params=None, warm=None, stencil=None):
         raise exc.at(f"obstacle slice at t={t:g}") from exc
 
     active = active_mask_from(w, grid)
-    if np.any(active & st.near_band):
+    if np.any(active & grid.near_band):
         raise EnvelopeError(
             f"active set reached the farfield clearance at t={t:g}; "
             "enlarge the grid margin")
@@ -186,6 +185,7 @@ def hausdorff_cells(mask_a, mask_b):
         return 0.0
     if not mask_a.any() or not mask_b.any():
         return float("inf")
+    from scipy import ndimage   # deferred: no solve path loads scipy
     d_to_b = ndimage.distance_transform_edt(~mask_b)
     d_to_a = ndimage.distance_transform_edt(~mask_a)
     return float(max(d_to_b[mask_a].max(), d_to_a[mask_b].max()))

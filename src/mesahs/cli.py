@@ -40,10 +40,6 @@ def _parse_times(text):
         raise ConfigError(f"cannot parse time list {text!r}") from exc
 
 
-def _jobs(args):
-    return max(1, args.jobs)
-
-
 def _base_manifest(args, scenario, scenario_path, extras):
     manifest = {
         "package_version": __version__,
@@ -53,8 +49,9 @@ def _base_manifest(args, scenario, scenario_path, extras):
         "scenario_content_hash": scenario.content_hash(),
         "grid": {"h": scenario.grid.h, "shape": list(scenario.grid.shape),
                  "counts": scenario.grid.counts()},
-        "jobs": _jobs(args),
     }
+    if "jobs" in args:
+        manifest["jobs"] = max(1, args.jobs)
     manifest.update(extras)
     return manifest
 
@@ -102,7 +99,7 @@ def _run_sweep(args, scenario, snapshot_times):
         scenario = dataclasses.replace(scenario, m_list=m_list)
     return scenario, mesa.sweep(scenario, snapshot_times, dt=args.dt,
                                 params=SolveParams(tol=args.tol),
-                                jobs=_jobs(args))
+                                jobs=args.jobs)
 
 
 def cmd_mesa(args):
@@ -305,15 +302,16 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, jobs=True):
         p.add_argument("scenario", help="scenario JSON file")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--jobs", type=int, default=1, help="parallel jobs")
+        if jobs:
+            p.add_argument("--jobs", type=int, default=1, help="parallel jobs")
         p.add_argument("--tol", type=float, default=1e-10,
                        help="solver tolerance")
 
     p = sub.add_parser("stefan", help="run one diffusivity")
-    common(p)
+    common(p, jobs=False)
     p.add_argument("--m", type=float, required=True)
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--snapshots", required=True, help="comma-separated times")

@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ConfigError
+from .geometry import _fibonacci_sphere
 from .stencil import _shifted
 
 #: relative cutoff used to turn nonnegative fields into active masks
@@ -134,6 +134,7 @@ def extract_regions(fields, scenario, times=None):
 
 def component_count(mask):
     """Number of face-connected components of a boolean mask."""
+    from scipy import ndimage   # deferred: no solve path loads scipy
     _, count = ndimage.label(mask)
     return int(count)
 
@@ -159,11 +160,9 @@ def min_diameter(points, n_directions=64):
         ang = np.pi * np.arange(n_directions) / n_directions
         dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
     elif n == 3:
-        k = np.arange(n_directions) + 0.5
-        phi = np.arccos(1 - k / n_directions)      # hemisphere suffices
-        theta = np.pi * (1 + np.sqrt(5.0)) * k
-        dirs = np.stack([np.sin(phi) * np.cos(theta),
-                         np.sin(phi) * np.sin(theta), np.cos(phi)], axis=1)
+        # a width is even in the direction, so a hemisphere suffices: the
+        # first half of a Fibonacci sphere of twice the points
+        dirs = _fibonacci_sphere(2 * n_directions)[:n_directions]
     else:
         raise ConfigError("min_diameter supports 2D and 3D point sets")
     proj = points @ dirs.T

@@ -25,7 +25,6 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ConfigError, EnvelopeError
 
@@ -161,21 +160,25 @@ class SlotGeometry:
         return c, rho
 
     def to_dict(self):
-        d = {"kind": self.kind, "centers": self.centers.tolist(),
-             "radii": self.radii.tolist()}
-        return d
+        return {"kind": self.kind, "centers": self.centers.tolist(),
+                "radii": self.radii.tolist()}
 
 
 def _sample_balls(centers, radii, spacing):
     pts, nrm = [], []
     n = centers.shape[1]
-    for c, r in zip(centers, radii):
+    with np.errstate(over="ignore"):
+        counts = np.ceil(2 * np.pi * radii / spacing if n == 2
+                         else 4 * np.pi * radii * radii / spacing ** 2)
+    if not np.all(np.isfinite(counts)):
+        raise ConfigError("slot radius too large: sample count not finite")
+    for c, r, count in zip(centers, radii, counts):
         if n == 2:
-            count = max(8, int(np.ceil(2 * np.pi * r / spacing)))
+            count = max(8, int(count))
             ang = 2 * np.pi * np.arange(count) / count
             nu = np.stack([np.cos(ang), np.sin(ang)], axis=1)
         else:
-            count = max(32, int(np.ceil(4 * np.pi * r * r / spacing ** 2)))
+            count = max(32, int(count))
             nu = _fibonacci_sphere(count)
         pts.append(c + r * nu)
         nrm.append(nu)
@@ -296,10 +299,16 @@ class Grid:
     def farfield(self):
         return _read_only(self.mask == FARFIELD)
 
+    @cached_property
+    def near_band(self):
+        """FLUID cells within BAND_CLEARANCE cells of the farfield band."""
+        return _read_only(_frame(self.shape, self.band_cells + BAND_CLEARANCE)
+                          & self.fluid)
+
     def __getstate__(self):
         # a pickled copy recomputes the masks: unpickled arrays are writable
         return {k: v for k, v in self.__dict__.items()
-                if k not in ("fluid", "slot", "farfield")}
+                if k not in ("fluid", "slot", "farfield", "near_band")}
 
     def axes(self):
         return [self.lo[i] + (np.arange(self.shape[i]) + 0.5) * self.h
@@ -322,11 +331,6 @@ class Grid:
         indices = np.atleast_2d(indices)
         return self.lo + (indices + 0.5) * self.h
 
-    def near_band(self):
-        """FLUID cells within BAND_CLEARANCE cells of the farfield band."""
-        dil = ndimage.binary_dilation(self.farfield, iterations=BAND_CLEARANCE)
-        return dil & self.fluid
-
     def counts(self):
         return {"fluid": int(np.count_nonzero(self.fluid)),
                 "slot": int(np.count_nonzero(self.slot)),
@@ -337,6 +341,15 @@ class Grid:
 def _read_only(array):
     array.setflags(write=False)
     return array
+
+
+def _frame(shape, width):
+    """Cells within ``width`` cells of the array edge.  The band is the frame
+    of width ``band_cells``, and k face-wise dilations of the frame of width
+    b give the frame of width b + k, so every mask grown from it is a frame."""
+    frame = np.ones(shape, dtype=bool)
+    frame[tuple(slice(width, size - width) for size in shape)] = False
+    return frame
 
 
 def build_grid(geometry, h, margin, band_cells=2, required_radius=None):
@@ -372,14 +385,9 @@ def build_grid(geometry, h, margin, band_cells=2, required_radius=None):
     lo = np.asarray(center, dtype=float) - half
 
     mask = np.zeros(shape, dtype=np.int8)
-    idx = np.indices(shape)
-    band = np.zeros(shape, dtype=bool)
-    for i in range(n):
-        band |= (idx[i] < band_cells) | (idx[i] >= shape[i] - band_cells)
+    band = _frame(shape, band_cells)
     axes = [lo[i] + (np.arange(shape[i]) + 0.5) * h for i in range(n)]
-    centers = np.stack([c + np.zeros(shape) for c in
-                        np.meshgrid(*axes, indexing="ij", sparse=True)],
-                       axis=-1)
+    centers = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     inside = geometry.contains(centers.reshape(-1, n)).reshape(shape)
     mask[band] = FARFIELD
     mask[inside & ~band] = SLOT
@@ -387,9 +395,8 @@ def build_grid(geometry, h, margin, band_cells=2, required_radius=None):
         raise ConfigError("slot reaches the farfield band; increase margin")
     if not np.any(mask == SLOT):
         raise ConfigError("grid too coarse: no cell center falls inside the slot")
-    slot_dil = ndimage.binary_dilation(mask == SLOT,
-                                       iterations=band_cells + BAND_CLEARANCE)
-    if np.any(slot_dil & band):
+    # the slot grown by band_cells + BAND_CLEARANCE cells must miss the band
+    if np.any(_frame(shape, 2 * band_cells + BAND_CLEARANCE) & (mask == SLOT)):
         raise ConfigError("slot too close to the farfield band; increase margin")
     return Grid(h=h, lo=lo, shape=shape, mask=mask, band_cells=band_cells)
 
@@ -429,7 +436,7 @@ class Scenario:
             raise ConfigError("pressure samples must be finite and >= 0")
         if np.any(~np.isfinite(u)) or np.any(u < 0) or np.any(u > 1):
             raise ConfigError("u_init must take values in [0, 1]")
-        outer = g.farfield | g.near_band()
+        outer = g.farfield | g.near_band
         if np.any(u[outer] > 0):
             raise ConfigError(
                 "u_init must be compactly supported away from the farfield band")

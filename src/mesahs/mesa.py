@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from multiprocessing import get_context
 
 import numpy as np
-from scipy import ndimage
 
 from . import stefan
 from .errors import ConfigError, SolverError
@@ -169,6 +168,7 @@ def harmonicity_check(pressure, active_mask, grid, interior_margin=2,
     ``slot_margin`` cells away from the slot, where the pressure should be
     harmonic up to O(M/m + h).  An empty interior is reported, not an error.
     """
+    from scipy import ndimage   # deferred: no solve path loads scipy
     region = ndimage.binary_erosion(active_mask, iterations=interior_margin)
     region &= ~ndimage.binary_dilation(grid.slot, iterations=slot_margin)
     region &= grid.fluid
@@ -189,5 +189,6 @@ def _laplacian(values, h):
 
 def detachment_ok(active_mask, grid):
     """True when the active set contains the full 1-cell collar of the slot."""
+    from scipy import ndimage   # deferred: no solve path loads scipy
     collar = ndimage.binary_dilation(grid.slot, iterations=1) & grid.fluid
     return bool(np.all(active_mask[collar]))

@@ -166,7 +166,7 @@ def _advance(ws, dt):
             f"enthalpy decreased by {drop:.3e} in one step; "
             "monotone structure violated")
 
-    if bool((theta[st.near_band] > 0.0).any()):
+    if bool((theta[ws.scenario.grid.near_band] > 0.0).any()):
         raise EnvelopeError(
             "temperature reached the farfield clearance; the truncated domain "
             "is too small for this horizon (enlarge the grid margin)")

@@ -32,12 +32,8 @@ def _shifted(mask, axis, step):
     out = np.zeros_like(mask)
     src = [slice(None)] * mask.ndim
     dst = [slice(None)] * mask.ndim
-    if step > 0:
-        src[axis] = slice(1, None)
-        dst[axis] = slice(None, -1)
-    else:
-        src[axis] = slice(None, -1)
-        dst[axis] = slice(1, None)
+    tail, head = slice(1, None), slice(None, -1)
+    src[axis], dst[axis] = (tail, head) if step > 0 else (head, tail)
     out[tuple(dst)] = mask[tuple(src)]
     return out
 
@@ -85,7 +81,6 @@ class FaceStencil:
     diag: np.ndarray        # sum over faces of 1/(h*d_f)
     slot_coef: np.ndarray   # sum over slot faces of 1/(h*d_f)
     slot_load: np.ndarray   # sum over slot faces of p_f/(h*d_f)
-    near_band: np.ndarray
 
     @property
     def h(self):
@@ -225,7 +220,7 @@ def build_stencil(scenario):
     diag = np.where(fluid, diag, 1.0)   # unit diagonal off-fluid: avoids 0/0
 
     return FaceStencil(grid=grid, diag=diag, slot_coef=slot_coef,
-                       slot_load=slot_load, near_band=grid.near_band())
+                       slot_load=slot_load)
 
 
 def _crossing_fraction(geom, outside_pts, inside_pts, iters=40):

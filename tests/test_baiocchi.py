@@ -8,7 +8,7 @@ import pytest
 
 import mesahs.stencil
 from mesahs import baiocchi, scenarios
-from mesahs.errors import ConfigError, SolverError
+from mesahs.errors import ConfigError, EnvelopeError, SolverError
 from mesahs.mesa import MONOTONE_SWEEP_TOL
 from mesahs.stencil import FaceStencil, SolveParams, build_stencil
 
@@ -188,6 +188,19 @@ class TestSolveSlice:
                                  SolveParams(max_sweeps=3),
                                  stencil=radial_coarse_stencil)
         assert err.value.residual_history[-1][0] == 3
+
+    def test_active_set_at_the_band_is_envelope_error(
+            self, radial_coarse, radial_coarse_stencil):
+        # the grid is sized for t_max = 0.3; by t = 2 the free boundary
+        # reaches the farfield clearance, cold or warm-started
+        st = radial_coarse_stencil
+        below = baiocchi.solve_slice(radial_coarse, 1.0, stencil=st)
+        assert not np.any(below.active_mask & radial_coarse.grid.near_band)
+        for warm in (None, below):
+            with pytest.raises(EnvelopeError,
+                               match=r"farfield clearance at t=2;"):
+                baiocchi.solve_slice(radial_coarse, 2.0, warm=warm,
+                                     stencil=st)
 
     def test_negative_time_rejected(self, radial_coarse):
         with pytest.raises(ConfigError):

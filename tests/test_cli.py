@@ -114,6 +114,20 @@ class TestStefanCommand:
         assert all(int(r[4]) > 0 for r in rows)
 
 
+    def test_jobs_flag_is_gone(self, tmp_path, capsys):
+        # one diffusivity runs in one process: no --jobs, no manifest key
+        scenario = write_scenario(tmp_path, p=0.0, m_list=(8, 16))
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            main(["stefan", str(scenario), "--m", "16", "--snapshots", "0.1",
+                  "--jobs", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert main(["stefan", str(scenario), "--m", "16",
+                     "--snapshots", "0.1", "--out", str(out)]) == 0
+        assert "jobs" not in json.loads((out / "manifest.json").read_text())
+
+
 class TestMesaCommand:
     def test_m_list_override_and_jobs_env(self, tmp_path):
         scenario = write_scenario(tmp_path, h=1 / 10, m_list=(8, 16))
@@ -222,6 +236,27 @@ class TestDiagnoseCommand:
         assert all(r["classification"] in ("regular", "cusp-suspect",
                                            "unresolved") for r in reports)
         assert (out / "regions.csv").exists()
+
+    def test_mesa_run_with_given_points(self, tmp_path):
+        # a mesa directory holds V rasters; --points fixes where to classify
+        scenario = write_scenario(tmp_path, h=1 / 10, m_list=(8, 16, 32),
+                                  t_max=0.2)
+        run_dir = tmp_path / "run"
+        assert main(["mesa", str(scenario), "--snapshots", "0.1,0.2",
+                     "--out", str(run_dir)]) == 0
+        out = tmp_path / "diag"
+        assert main(["diagnose", str(run_dir), str(scenario),
+                     "--points", "1.3,0;0,-1.3", "--radii", "0.4,0.5,0.6",
+                     "--out", str(out)]) == 0
+        reports = json.loads((out / "fb_points.json").read_text())
+        assert [r["point"] for r in reports] == [[1.3, 0.0], [0.0, -1.3]]
+        assert all(r["t"] == 0.2 and r["radii"] == [0.4, 0.5, 0.6]
+                   for r in reports)
+        rows = (out / "regions.csv").read_text().split()
+        assert [float(r.split(",")[0]) for r in rows[1:]] == [0.1, 0.2]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["max_growth_slope"] is not None
+        assert len(manifest["classifications"]) == 2
 
 
 class TestExitCodes:
@@ -348,6 +383,40 @@ class TestExitCodes:
                      "--snapshots", "2.0", "--out", str(tmp_path / "x")])
         assert code == 3
 
+    def test_obstacle_envelope_error(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path, margin=1.0, p=4.0, t_max=2.0,
+                                  m_list=(8, 16))
+        code = main(["obstacle", str(scenario), "--times", "2.0",
+                     "--out", str(tmp_path / "x")])
+        record = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert (code, record["error"]) == (3, "envelope")
+        assert "farfield clearance at t=2" in record["message"]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_huge_ball_is_config_error(self, tmp_path, capsys, n):
+        path = write_scenario(tmp_path)
+        spec = json.loads(path.read_text())
+        spec["dimension"] = n
+        spec["slot"] = {"centers": [[0.0] * n], "radii": [1e308]}
+        path.write_text(json.dumps(spec))
+        code = main(["obstacle", str(path), "--times", "0.1",
+                     "--out", str(tmp_path / "x")])
+        record = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert (code, record["error"]) == (1, "config")
+        assert "finite" in record["message"]
+
+    def test_pressure_sample_count_mismatch_is_config_error(self, tmp_path,
+                                                           capsys):
+        path = write_scenario(tmp_path)
+        spec = json.loads(path.read_text())
+        spec["p"] = {"kind": "samples", "values": [1.0, 2.0, 3.0]}
+        path.write_text(json.dumps(spec))
+        code = main(["obstacle", str(path), "--times", "0.1",
+                     "--out", str(tmp_path / "x")])
+        record = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert (code, record["error"]) == (1, "config")
+        assert "boundary sample count" in record["message"]
+
 
 def _child_env():
     """Environment whose child imports the package this test imported."""
@@ -363,9 +432,25 @@ class TestEntryPoint:
                               env=_child_env())
         assert proc.returncode == 0
 
-    def test_import_leaves_scipy_optimize_unloaded(self):
-        # only the radial oracle needs scipy.optimize; no command pays for it
-        probe = "import sys, mesahs.cli; print('scipy.optimize' in sys.modules)"
+    def test_import_leaves_scipy_optimize_unloaded(self, tmp_path):
+        # scipy loads only for diagnostics that ask for it: neither the
+        # import nor an obstacle run nor its free-boundary report does
+        scenario = write_scenario(tmp_path, h=1 / 16, margin=2.0, t_max=0.25)
+        run_dir, diag = tmp_path / "run", tmp_path / "diag"
+        probe = "\n".join([
+            "import sys",
+            "from mesahs.cli import main",
+            "loaded = lambda: sorted(m for m in sys.modules",
+            "                        if m.split('.')[0] == 'scipy')",
+            "print(loaded())",
+            f"assert main(['obstacle', {str(scenario)!r}, '--times',",
+            f"             '0.1,0.25', '--out', {str(run_dir)!r}]) == 0",
+            f"assert main(['diagnose', {str(run_dir)!r}, {str(scenario)!r},",
+            f"             '--out', {str(diag)!r}]) == 0",
+            "print(loaded())"])
         proc = subprocess.run([sys.executable, "-c", probe],
                               capture_output=True, text=True, env=_child_env())
-        assert (proc.returncode, proc.stdout.strip()) == (0, "False")
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert (lines[0], lines[-1]) == ("[]", "[]")
+        assert (diag / "fb_points.json").exists()

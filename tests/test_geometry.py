@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
+from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
 from mesahs import barriers, scenarios
 from mesahs.errors import ConfigError, EnvelopeError
-from mesahs.geometry import (FARFIELD, FLUID, SLOT, Scenario, SlotGeometry,
-                             build_grid, load_scenario, radial_u_init)
+from mesahs.geometry import (BAND_CLEARANCE, FARFIELD, FLUID, SLOT, Grid,
+                             Scenario, SlotGeometry, build_grid,
+                             load_scenario, radial_u_init)
 
 
 #: a polygon slot that is valid with any positive, finite rounding
@@ -75,6 +77,8 @@ class TestSlotGeometry:
         pytest.param((float("nan"), 0.0), 1.0, id="nan-center"),
         pytest.param((0.0, float("inf")), 1.0, id="inf-center"),
         pytest.param((0.0, 0.0, float("-inf")), 1.0, id="inf-center-3d"),
+        pytest.param((0.0, 0.0), 1e308, id="huge-radius"),
+        pytest.param((0.0, 0.0, 0.0), 1e308, id="huge-radius-3d"),
     ])
     def test_non_finite_ball_rejected(self, center, radius):
         with pytest.raises(ConfigError, match="finite"):
@@ -84,6 +88,95 @@ class TestSlotGeometry:
         vertices = [(0, 0), (2, 0), (1, 0.2), (0, 2)]
         with pytest.raises(ConfigError):
             SlotGeometry.rounded_polygon(vertices, rounding=0.1)
+
+
+def _band_reference(shape, width):
+    """Cells less than ``width`` cells from an edge, by per-axis distance."""
+    idx = np.indices(shape)
+    dist = [np.minimum(i, size - 1 - i) for i, size in zip(idx, shape)]
+    return np.min(dist, axis=0) < width
+
+
+class _CellSlot:
+    """Stub slot made of whole unit cells of the box [-half, half]^n.
+
+    With h = 1 and margin = half, :func:`build_grid` puts cell i of the box
+    at the center -half + i + 0.5, so its slot mask is exactly ``cells``.
+    """
+
+    def __init__(self, cells):
+        self.cells = cells
+        self.n = cells.ndim
+
+    def bounding_center_radius(self):
+        return np.zeros(self.n), 0.0
+
+    def contains(self, points):
+        idx = np.floor(points + self.cells.shape[0] / 2).astype(int)
+        return self.cells[tuple(idx.T)]
+
+
+@hst.composite
+def _dims_and_band(draw, max_side):
+    n = draw(hst.sampled_from((2, 3)))
+    return n, draw(hst.integers(2, 5)), max_side[n]
+
+
+class TestBandFrames:
+    """The band and every mask grown from it are frames of the box."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=hst.data())
+    def test_near_band_is_the_dilated_band(self, data):
+        n, band_cells, max_side = data.draw(_dims_and_band({2: 16, 3: 9}))
+        shape = tuple(data.draw(hst.lists(hst.integers(1, max_side),
+                                          min_size=n, max_size=n)))
+        slot = data.draw(hnp.arrays(bool, shape))
+        mask = np.where(slot, SLOT, FLUID).astype(np.int8)
+        mask[_band_reference(shape, band_cells)] = FARFIELD
+        grid = Grid(h=1.0, lo=np.zeros(n), shape=shape, mask=mask,
+                    band_cells=band_cells)
+        reference = ndimage.binary_dilation(
+            grid.farfield, iterations=BAND_CLEARANCE) & grid.fluid
+        assert np.array_equal(grid.near_band, reference)
+        assert grid.near_band is grid.near_band
+        with pytest.raises(ValueError):
+            grid.near_band[(0,) * n] = True
+        copy_ = pickle.loads(pickle.dumps(grid))
+        assert np.array_equal(copy_.near_band, reference)
+        assert not copy_.near_band.flags.writeable
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=hst.data())
+    def test_build_grid_matches_dilation_reference(self, data):
+        # verdicts and masks of build_grid against the slot grown by
+        # scipy.ndimage, on slots of one or two boxes of whole cells
+        n, band_cells, max_half = data.draw(_dims_and_band({2: 10, 3: 6}))
+        half = data.draw(hst.integers(1, max_half))
+        shape = (2 * half,) * n
+        cells = np.zeros(shape, dtype=bool)
+        for _ in range(data.draw(hst.integers(1, 2))):
+            lo = [data.draw(hst.integers(0, s - 1)) for s in shape]
+            hi = [data.draw(hst.integers(a + 1, s)) for a, s in zip(lo, shape)]
+            cells[tuple(slice(a, b) for a, b in zip(lo, hi))] = True
+        band = _band_reference(shape, band_cells)
+        grown = ndimage.binary_dilation(
+            cells, iterations=band_cells + BAND_CLEARANCE)
+        if np.any(cells & band):
+            verdict = "reaches the farfield band"
+        elif np.any(grown & band):
+            verdict = "too close to the farfield band"
+        else:
+            verdict = None
+        if verdict is not None:
+            with pytest.raises(ConfigError, match=verdict):
+                build_grid(_CellSlot(cells), 1.0, half, band_cells=band_cells)
+            return
+        grid = build_grid(_CellSlot(cells), 1.0, half, band_cells=band_cells)
+        assert np.array_equal(grid.slot, cells)
+        assert np.array_equal(grid.farfield, band)
+        assert np.array_equal(grid.near_band, ndimage.binary_dilation(
+            band, iterations=BAND_CLEARANCE) & grid.fluid)
 
 
 class TestBuildGrid:
@@ -301,6 +394,46 @@ class TestScenarioFiles:
         }
         with pytest.raises(ConfigError, match="compactly"):
             load_scenario(self._write(tmp_path / "bad.json", spec))
+
+    def test_pressure_samples_follow_the_boundary(self, tmp_path):
+        spec = copy.deepcopy(_VALID_SPECS[0])
+        count = SlotGeometry.ball((0.0, 0.0), 1.0).boundary_samples.shape[0]
+        values = np.linspace(1.0, 2.0, count)
+        spec["p"] = {"kind": "samples", "values": values.tolist()}
+        sc = load_scenario(self._write(tmp_path / "p.json", spec))
+        assert np.array_equal(sc.p_samples, values)
+        assert sc.max_datum == 2.0
+        spec["p"]["values"] = values[1:].tolist()
+        with pytest.raises(ConfigError, match="boundary sample count"):
+            load_scenario(self._write(tmp_path / "short.json", spec))
+
+    @pytest.mark.parametrize("slot", [
+        pytest.param({"centers": [[0.0, 0.0]], "radii": [0.25]}, id="ball"),
+        pytest.param({"kind": "polygon-with-rounded-corners",
+                      "centers": [[0.0, 0.0], [0.3, 0.0], [0.0, 0.3]],
+                      "rounding": 0.05}, id="rounded-polygon"),
+    ])
+    def test_fine_grid_resamples_the_slot(self, tmp_path, slot):
+        # the default boundary spacing 0.02 exceeds h: the loader halves h
+        h = 0.0125
+        spec = {"dimension": 2, "slot": slot,
+                "grid": {"h": h, "margin": 0.3},
+                "u_init": {"kind": "constant", "value": 0.0},
+                "p": {"kind": "constant", "value": 1.0},
+                "t_max": 0.1, "m_list": [8, 16, 32]}
+        sc = load_scenario(self._write(tmp_path / "fine.json", spec))
+        coarse = (SlotGeometry.ball((0.0, 0.0), 0.25) if "radii" in slot else
+                  SlotGeometry.rounded_polygon(slot["centers"], 0.05))
+        geom = sc.geometry
+        assert geom.sample_spacing == h / 2
+        assert (geom.kind, geom.n) == (coarse.kind, coarse.n)
+        assert np.array_equal(geom.centers, coarse.centers)
+        assert np.array_equal(geom.radii, coarse.radii)
+        assert geom.boundary_samples.shape[0] > coarse.boundary_samples.shape[0]
+        gaps = np.linalg.norm(np.diff(geom.boundary_samples, axis=0), axis=1)
+        assert gaps.max() <= h
+        assert np.allclose(geom.signed_distance(geom.boundary_samples), 0.0,
+                           atol=1e-12)
 
     def test_missing_key_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError):

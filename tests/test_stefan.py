@@ -106,7 +106,7 @@ class TestSingleStep:
         rng = np.random.default_rng(11)
         grid = sc.grid
         center, _ = sc.geometry.bounding_center_radius()
-        interior = grid.fluid & ~grid.near_band() & \
+        interior = grid.fluid & ~grid.near_band & \
             (grid.radius_from(center) < 2.2)
         for trial in range(3):
             base = rng.random(grid.shape) * 0.9

@@ -84,8 +84,7 @@ def _window_case(draw):
     positive = rng.random(shape) < draw(hst.sampled_from((0.05, 0.3, 1.0)))
     values[box] = np.where(positive & fluid, rng.random(shape), 0.0)[box]
     grid = SimpleNamespace(shape=shape, n=len(shape), fluid=fluid)
-    st = FaceStencil(grid=grid, diag=None, slot_coef=None, slot_load=None,
-                     near_band=None)
+    st = FaceStencil(grid=grid, diag=None, slot_coef=None, slot_load=None)
     return st, mask, draw(hst.integers(1, 4)), values, box
 
 
