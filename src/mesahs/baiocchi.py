@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, EnvelopeError, SolverError
 from .fbdiag import active_mask_from, boundary_faces
-from .stencil import SolveParams, _box_residual, build_stencil
+from .stencil import _box_residual, build_stencil
 
 #: cells a warm-started slice's window reaches beyond its source.  A
 #: narrower pad regrows more often: on the radial h = 1/64 ten-slice chain,
@@ -47,11 +47,11 @@ class BaiocchiPotential:
         return float(self.w.max())
 
 
-def solve_slice(scenario, t, params=None, warm=None, stencil=None):
+def solve_slice(scenario, t, warm=None, stencil=None):
     """Solve the obstacle problem at time t by projected red-black SOR.
 
     Returns a :class:`BaiocchiPotential` whose every FLUID cell satisfies
-    min(-Delta_h W + (1 - u_init) - slot load, W) within ``params.tol``.
+    min(-Delta_h W + (1 - u_init) - slot load, W) within ``stencil.SOLVE_TOL``.
     Raises :class:`SolverError`, naming t, on non-convergence, a NaN
     residual included, and :class:`EnvelopeError` if the active set reaches
     the farfield clearance.
@@ -66,7 +66,6 @@ def solve_slice(scenario, t, params=None, warm=None, stencil=None):
     near-saturated cells put a saturated patch that the flow is about to
     reach inside the first window.
     """
-    params = params or SolveParams()
     if not 0 <= t < np.inf:
         raise ConfigError("slice time must be nonnegative and finite")
     st = stencil if stencil is not None else build_stencil(scenario)
@@ -84,9 +83,7 @@ def solve_slice(scenario, t, params=None, warm=None, stencil=None):
 
     try:
         residual, sweeps, _ = st.solve(
-            w, st.diag, _slice_rhs(scenario, st, t), box, coupling=1.0,
-            tol=params.tol,
-            max_sweeps=params.max_sweeps or 200 * max(grid.shape))
+            w, st.diag, _slice_rhs(scenario, st, t), box, coupling=1.0)
     except SolverError as exc:
         raise exc.at(f"obstacle slice at t={t:g}") from exc
 
@@ -246,8 +243,7 @@ def fb_radius_stats(active_mask, grid, center):
     return (float(r.min()), float(np.median(r)), float(r.max()))
 
 
-def contact_time(scenario, patch_mask, t_lo, t_hi, tol_t, params=None,
-                 stencil=None):
+def contact_time(scenario, patch_mask, t_lo, t_hi, tol_t, stencil=None):
     """Bisect for the first slice time whose active set meets ``patch_mask``.
 
     Requires the patch inactive at ``t_lo`` and active at ``t_hi``.  Solves
@@ -255,8 +251,8 @@ def contact_time(scenario, patch_mask, t_lo, t_hi, tol_t, params=None,
     monotonically from below.
     """
     st = stencil if stencil is not None else build_stencil(scenario)
-    lo_slice = solve_slice(scenario, t_lo, params, stencil=st)
-    hi_active = solve_slice(scenario, t_hi, params, stencil=st)
+    lo_slice = solve_slice(scenario, t_lo, stencil=st)
+    hi_active = solve_slice(scenario, t_hi, stencil=st)
     if np.any(lo_slice.active_mask & patch_mask):
         raise ConfigError("patch already active at t_lo")
     if not np.any(hi_active.active_mask & patch_mask):
@@ -264,7 +260,7 @@ def contact_time(scenario, patch_mask, t_lo, t_hi, tol_t, params=None,
     lo, hi = t_lo, t_hi
     while hi - lo > tol_t:
         mid = 0.5 * (lo + hi)
-        sl = solve_slice(scenario, mid, params, warm=lo_slice, stencil=st)
+        sl = solve_slice(scenario, mid, warm=lo_slice, stencil=st)
         if np.any(sl.active_mask & patch_mask):
             hi = mid
         else:

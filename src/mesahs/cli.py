@@ -8,7 +8,8 @@ constants), and ``diagnose`` (free-boundary reports for a finished run).
 Every run writes ``manifest.json`` recording the scenario hash, package
 version, every tolerance actually used, and a hash of every output file;
 single-threaded reruns of the same manifest are bit-identical.  Exit codes:
-1 bad configuration, 2 solver failure, 3 envelope violation, 4 internal.
+1 bad configuration or command line, 2 solver failure, 3 envelope
+violation, 4 internal.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from . import __version__, baiocchi, barriers, fbdiag, mesa, snapshots, stefan
 from .errors import ConfigError, EnvelopeError, MesaHSError, SolverError
 from .geometry import load_scenario
-from .stencil import SolveParams, build_stencil
+from .stencil import SOLVE_TOL, build_stencil
 
 EXIT_CONFIG = 1
 EXIT_SOLVER = 2
@@ -76,15 +77,13 @@ def _dump_run(out_dir, result, scenario, tag):
 def cmd_stefan(args):
     scenario = load_scenario(args.scenario)
     snapshot_times = _parse_times(args.snapshots)
-    params = SolveParams(tol=args.tol)
     envelope = barriers.supersolution_envelope(scenario)
-    result = stefan.run(scenario, args.m, snapshot_times, dt=args.dt,
-                        params=params)
+    result = stefan.run(scenario, args.m, snapshot_times, dt=args.dt)
     out = Path(args.out)
     _dump_run(out, result, scenario, f"stefan_m{args.m:g}")
     manifest = _base_manifest(args, scenario, args.scenario, {
         "m": args.m, "dt": result.dt, "snapshot_times": snapshot_times,
-        "solver_tol": params.tol, "mass_error": result.mass_error,
+        "solver_tol": SOLVE_TOL, "mass_error": result.mass_error,
         "steps": result.steps, "envelope": envelope.to_dict(),
     })
     snapshots.write_manifest(out, manifest)
@@ -98,7 +97,6 @@ def _run_sweep(args, scenario, snapshot_times):
         m_list = tuple(float(x) for x in _parse_times(args.m_list))
         scenario = dataclasses.replace(scenario, m_list=m_list)
     return scenario, mesa.sweep(scenario, snapshot_times, dt=args.dt,
-                                params=SolveParams(tol=args.tol),
                                 jobs=args.jobs)
 
 
@@ -117,7 +115,7 @@ def cmd_mesa(args):
     manifest = _base_manifest(args, scenario, args.scenario, {
         "m_list": list(scenario.m_list), "snapshot_times": snapshot_times,
         "tail_gap": [float(g) for g in limit.tail_gap],
-        "q_cell_counts": q_counts, "solver_tol": args.tol,
+        "q_cell_counts": q_counts, "solver_tol": SOLVE_TOL,
     })
     snapshots.write_manifest(out, manifest)
     print(f"mesa sweep m={list(scenario.m_list)}: tail gap "
@@ -128,13 +126,12 @@ def cmd_mesa(args):
 def cmd_obstacle(args):
     scenario = load_scenario(args.scenario)
     times = _parse_times(args.times)
-    params = SolveParams(tol=args.tol)
     st = build_stencil(scenario)
     out = Path(args.out)
     rows = []
     warm = None
     for i, t in enumerate(sorted(times)):
-        sl = baiocchi.solve_slice(scenario, t, params, warm=warm, stencil=st)
+        sl = baiocchi.solve_slice(scenario, t, warm=warm, stencil=st)
         warm = sl
         snapshots.dump_raster(out, f"obstacle_W_{i:04d}", sl.w,
                               {"t": t, "m": None, "h": scenario.grid.h})
@@ -147,7 +144,7 @@ def cmd_obstacle(args):
                         ["t", "residual", "sweeps", "mass_discrepancy",
                          "fb_r_min", "fb_r_median", "fb_r_max"], rows)
     manifest = _base_manifest(args, scenario, args.scenario, {
-        "times": sorted(times), "solver_tol": params.tol,
+        "times": sorted(times), "solver_tol": SOLVE_TOL,
         "report": "obstacle_report.csv",
     })
     snapshots.write_manifest(out, manifest)
@@ -159,17 +156,16 @@ def cmd_compare(args):
     scenario = load_scenario(args.scenario)
     times = sorted(_parse_times(args.times))
     scenario, limit = _run_sweep(args, scenario, times)
-    params = SolveParams(tol=args.tol)
     st = build_stencil(scenario)
     slices = []
     warm = None
     for t in times:
-        sl = baiocchi.solve_slice(scenario, t, params, warm=warm, stencil=st)
+        sl = baiocchi.solve_slice(scenario, t, warm=warm, stencil=st)
         slices.append(sl)
         warm = sl
     rows = baiocchi.cross_validate(limit, slices, scenario)
 
-    contact = _contact_record(scenario, limit, st, params)
+    contact = _contact_record(scenario, limit, st)
     out = Path(args.out)
     csv_rows = [[r["t"], r["supgap_w"], r["supgap_rel"], r["hausdorff_cells"],
                  contact is not None] for r in rows]
@@ -178,7 +174,7 @@ def cmd_compare(args):
                          "contact_flags"], csv_rows)
     manifest = _base_manifest(args, scenario, args.scenario, {
         "times": times, "m_list": list(scenario.m_list),
-        "solver_tol": args.tol, "cross_validation": rows,
+        "solver_tol": SOLVE_TOL, "cross_validation": rows,
         "contact": contact,
     })
     snapshots.write_manifest(out, manifest)
@@ -187,7 +183,7 @@ def cmd_compare(args):
     return 0
 
 
-def _contact_record(scenario, limit, st, params):
+def _contact_record(scenario, limit, st):
     """Contact-time agreement between the two routes, when a patch exists."""
     patch = scenario.grid.fluid & (scenario.u_init >= 1.0 - 1e-9)
     if not patch.any():
@@ -201,7 +197,7 @@ def _contact_record(scenario, limit, st, params):
     try:
         t_obstacle = baiocchi.contact_time(
             scenario, patch, t_lo=0.0, t_hi=scenario.t_max,
-            tol_t=dt, params=params, stencil=st)
+            tol_t=dt, stencil=st)
     except ConfigError as exc:
         return {"t_mesa": t_mesa, "t_obstacle": None,
                 "note": f"bracketing failed: {exc}"}
@@ -294,8 +290,15 @@ def cmd_diagnose(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is bad configuration: exit 1 with a JSON record."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mesahs",
         description="Hele-Shaw mushy-region laboratory: enthalpy sweep route "
                     "and obstacle-slice route with cross-validation.")
@@ -307,8 +310,6 @@ def build_parser():
         p.add_argument("--out", required=True, help="output directory")
         if jobs:
             p.add_argument("--jobs", type=int, default=1, help="parallel jobs")
-        p.add_argument("--tol", type=float, default=1e-10,
-                       help="solver tolerance")
 
     p = sub.add_parser("stefan", help="run one diffusivity")
     common(p, jobs=False)
@@ -356,9 +357,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         _emit_error("config", exc)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -32,8 +32,13 @@ FLUID = 0
 SLOT = 1
 FARFIELD = 2
 
-#: extra FLUID cells that must separate activity (and the slot) from the band
+#: FLUID cells that must separate activity from the band; the slot keeps
+#: ``band_cells + BAND_CLEARANCE`` FLUID cells from it
 BAND_CLEARANCE = 2
+
+#: most boundary samples a slot may take, checked before any is allocated;
+#: far above the few thousand of any scenario in the package
+MAX_BOUNDARY_SAMPLES = 10 ** 6
 
 
 def _as_float_array(x, shape_hint=None):
@@ -172,17 +177,24 @@ def _sample_balls(centers, radii, spacing):
                          else 4 * np.pi * radii * radii / spacing ** 2)
     if not np.all(np.isfinite(counts)):
         raise ConfigError("slot radius too large: sample count not finite")
-    for c, r, count in zip(centers, radii, counts):
+    counts = np.maximum(counts, 8 if n == 2 else 32)
+    _check_sample_count(counts.sum())
+    for c, r, count in zip(centers, radii, counts.astype(int)):
         if n == 2:
-            count = max(8, int(count))
             ang = 2 * np.pi * np.arange(count) / count
             nu = np.stack([np.cos(ang), np.sin(ang)], axis=1)
         else:
-            count = max(32, int(count))
             nu = _fibonacci_sphere(count)
         pts.append(c + r * nu)
         nrm.append(nu)
     return np.concatenate(pts), np.concatenate(nrm)
+
+
+def _check_sample_count(count):
+    if not count <= MAX_BOUNDARY_SAMPLES:
+        raise ConfigError(
+            f"slot too large: {count:.3g} boundary samples exceed the bound "
+            f"of {MAX_BOUNDARY_SAMPLES:,}")
 
 
 def _fibonacci_sphere(count):
@@ -242,18 +254,21 @@ def _sample_rounded_polygon(vertices, rounding, spacing):
     tangents = edges / lengths[:, None]
     # CCW polygon: outward normal is the tangent rotated by -90 degrees
     out = np.stack([tangents[:, 1], -tangents[:, 0]], axis=1)
-    for i in range(m):
-        count = max(2, int(np.ceil(lengths[i] / spacing)))
+    # corner arc i, at the end vertex of edge i, turns from normal i to i+1
+    a0 = np.arctan2(out[:, 1], out[:, 0])
+    sweeps = (np.roll(a0, -1) - a0) % (2 * np.pi)
+    with np.errstate(over="ignore"):
+        edge_counts = np.maximum(2, np.ceil(lengths / spacing))
+        arc_counts = np.maximum(1, np.ceil(sweeps * rounding / spacing))
+    _check_sample_count(edge_counts.sum() + arc_counts.sum())
+    edge_counts, arc_counts = edge_counts.astype(int), arc_counts.astype(int)
+    for i, count in enumerate(edge_counts):
         t = (np.arange(count) + 0.5) / count
         seg = vertices[i] + t[:, None] * edges[i]
         pts.append(seg + rounding * out[i])
         nrm.append(np.repeat(out[i][None, :], count, axis=0))
-        # corner arc at the end vertex of edge i, between normals i and i+1
-        a0 = np.arctan2(out[i][1], out[i][0])
-        a1 = np.arctan2(out[(i + 1) % m][1], out[(i + 1) % m][0])
-        sweep = (a1 - a0) % (2 * np.pi)
-        count = max(1, int(np.ceil(sweep * rounding / spacing)))
-        ang = a0 + sweep * (np.arange(count) + 0.5) / count
+        count = arc_counts[i]
+        ang = a0[i] + sweeps[i] * (np.arange(count) + 0.5) / count
         nu = np.stack([np.cos(ang), np.sin(ang)], axis=1)
         pts.append(vertices[(i + 1) % m] + rounding * nu)
         nrm.append(nu)
@@ -356,10 +371,13 @@ def build_grid(geometry, h, margin, band_cells=2, required_radius=None):
     """Classify a symmetric box around the slot into SLOT/FLUID/FARFIELD.
 
     ``margin`` is the distance from the slot's bounding ball to the box edge.
-    If ``required_radius`` is given (a propagation-envelope radius measured
-    from the slot's bounding center), the box must contain that ball with
-    ``band_cells + BAND_CLEARANCE`` cells to spare, otherwise an
-    :class:`EnvelopeError` reports the margin that would suffice.
+    The slot must keep ``band_cells + BAND_CLEARANCE`` FLUID cells from the
+    band, else :class:`ConfigError`; activity later keeps only
+    ``BAND_CLEARANCE`` (``Grid.near_band``).  If ``required_radius`` is
+    given (a propagation-envelope radius measured from the slot's bounding
+    center), the box must contain that ball with ``band_cells +
+    BAND_CLEARANCE`` cells to spare, otherwise an :class:`EnvelopeError`
+    reports the margin that would suffice.
     """
     h = float(h)
     if not 0 < h < np.inf:
@@ -395,7 +413,7 @@ def build_grid(geometry, h, margin, band_cells=2, required_radius=None):
         raise ConfigError("slot reaches the farfield band; increase margin")
     if not np.any(mask == SLOT):
         raise ConfigError("grid too coarse: no cell center falls inside the slot")
-    # the slot grown by band_cells + BAND_CLEARANCE cells must miss the band
+    # band_cells + BAND_CLEARANCE FLUID cells between the band and the slot
     if np.any(_frame(shape, 2 * band_cells + BAND_CLEARANCE) & (mask == SLOT)):
         raise ConfigError("slot too close to the farfield band; increase margin")
     return Grid(h=h, lo=lo, shape=shape, mask=mask, band_cells=band_cells)
@@ -423,8 +441,6 @@ class Scenario:
     t_max: float
     m_list: tuple
     lambda_bound: float = 1.0
-    name: str = ""
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         g = self.grid
@@ -534,8 +550,7 @@ def load_scenario(path):
         return Scenario(geometry=geometry, grid=grid, u_init=u, p_samples=p,
                         t_max=float(spec["t_max"]),
                         m_list=tuple(spec["m_list"]),
-                        lambda_bound=float(spec.get("lambda", 1.0)),
-                        name=path.stem)
+                        lambda_bound=float(spec.get("lambda", 1.0)))
     except KeyError as exc:
         raise ConfigError(f"scenario file missing key {exc}") from exc
     except (AttributeError, IndexError, OSError, OverflowError, TypeError,

@@ -73,7 +73,7 @@ class MesaLimit:
                                                        self.grid)
 
 
-def sweep(scenario, snapshot_times, dt=None, params=None, jobs=1):
+def sweep(scenario, snapshot_times, dt=None, jobs=1):
     """Run every diffusivity in the scenario and form the limit fields.
 
     Requires at least three strictly increasing m values and at least one
@@ -91,7 +91,7 @@ def sweep(scenario, snapshot_times, dt=None, params=None, jobs=1):
         raise ConfigError("the sweep needs at least one snapshot time")
     snapshot_times, dt = stefan._check_times(scenario, snapshot_times, dt)
     level = functools.partial(_run_level, scenario, snapshot_times, dt,
-                              params, build_stencil(scenario))
+                              build_stencil(scenario))
     if jobs <= 1:
         return _fold(scenario, dt, map(level, m_list))
     # spawned workers start from a fresh import: no state forked mid-run
@@ -99,10 +99,10 @@ def sweep(scenario, snapshot_times, dt=None, params=None, jobs=1):
         return _fold(scenario, dt, pool.map(level, m_list))
 
 
-def _run_level(scenario, snapshot_times, dt, params, stencil, m):
+def _run_level(scenario, snapshot_times, dt, stencil, m):
     """One level of the sweep; only the last level keeps its enthalpy."""
-    return stefan.run(scenario, m, snapshot_times, dt=dt, params=params,
-                      stencil=stencil, keep_u=m == scenario.m_list[-1])
+    return stefan.run(scenario, m, snapshot_times, dt=dt, stencil=stencil,
+                      keep_u=m == scenario.m_list[-1])
 
 
 def _fold(scenario, dt, results):

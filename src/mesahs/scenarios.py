@@ -22,13 +22,12 @@ def _margin_for(rho_fit, envelope_radius, h, band_cells=2, slack_cells=2):
 
 
 def _scenario(geometry, h, envelope_radius, u_breakpoints, p, t_max, m_list,
-              lam, name, band_cells=2):
+              lam):
     if geometry.sample_spacing > h:
         geometry = geometry.resampled(h / 2)
     _, rho_fit = geometry.bounding_center_radius()
-    margin = _margin_for(rho_fit, envelope_radius, h, band_cells)
-    grid = build_grid(geometry, h, margin, band_cells=band_cells,
-                      required_radius=envelope_radius)
+    margin = _margin_for(rho_fit, envelope_radius, h)
+    grid = build_grid(geometry, h, margin, required_radius=envelope_radius)
     if u_breakpoints is None:
         u = np.zeros(grid.shape)
     else:
@@ -36,7 +35,7 @@ def _scenario(geometry, h, envelope_radius, u_breakpoints, p, t_max, m_list,
     p_samples = np.full(geometry.boundary_samples.shape[0], float(p))
     return Scenario(geometry=geometry, grid=grid, u_init=u,
                     p_samples=p_samples, t_max=t_max, m_list=tuple(m_list),
-                    lambda_bound=lam, name=name)
+                    lambda_bound=lam)
 
 
 def radial_scenario(h=1 / 64, lam=0.0, patch_radius=2.6, p=1.0, t_max=0.5,
@@ -57,8 +56,7 @@ def radial_scenario(h=1 / 64, lam=0.0, patch_radius=2.6, p=1.0, t_max=0.5,
         rho = 1.0
         breakpoints = None
     envelope = 2.0 * rho + p * t_max / rho
-    return _scenario(geometry, h, envelope, breakpoints, p, t_max, m_list,
-                     lam=lam, name=f"radial-lam{lam:g}-{n}d")
+    return _scenario(geometry, h, envelope, breakpoints, p, t_max, m_list, lam)
 
 
 def sandwich_scenario(h=1 / 64, k=1.0, t_max=0.2, m_list=(256, 512, 1024)):
@@ -72,8 +70,7 @@ def sandwich_scenario(h=1 / 64, k=1.0, t_max=0.2, m_list=(256, 512, 1024)):
     envelope = 2.0 + k * t_max
     breakpoints = [(0.0, 0.0), (1.0 - 1e-9, 0.0), (1.0, 1.0), (2.0, 1.0),
                    (2.0 + 1e-9, 0.0)]
-    return _scenario(geometry, h, envelope, breakpoints, k, t_max, m_list,
-                     lam=1.0, name="sandwich")
+    return _scenario(geometry, h, envelope, breakpoints, k, t_max, m_list, 1.0)
 
 
 def annulus_scenario(h=1 / 32, eps_patch=0.0, ramp=0.1, t_max=3.2,
@@ -93,9 +90,7 @@ def annulus_scenario(h=1 / 32, eps_patch=0.0, ramp=0.1, t_max=3.2,
                    (5.0 + ramp, 0.0)]
     rho = max(1.0, (5.0 + ramp) / 2.0)
     envelope = 2.0 * rho + p * t_max / rho
-    scenario = _scenario(geometry, h, envelope, breakpoints, p, t_max, m_list,
-                         lam=1.0, name="annulus-jump")
-    return scenario
+    return _scenario(geometry, h, envelope, breakpoints, p, t_max, m_list, 1.0)
 
 
 def annulus_patch_mask(scenario, tol=1e-9):
@@ -112,5 +107,4 @@ def two_slot_scenario(h=1 / 16, p=1.0, t_max=0.2, m_list=(16, 64, 256),
         [(-c, 0.0), (c, 0.0)], [radius, radius], sample_spacing=h / 2)
     _, rho_fit = geometry.bounding_center_radius()
     envelope = 2.0 * rho_fit + p * t_max / rho_fit
-    return _scenario(geometry, h, envelope, None, p, t_max, m_list,
-                     lam=0.0, name="two-slot")
+    return _scenario(geometry, h, envelope, None, p, t_max, m_list, 0.0)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, EnvelopeError, SolverError
-from .stencil import SolveParams, build_stencil
+from .stencil import build_stencil
 
 #: per-step slack allowed on cellwise time-monotonicity of u
 MONOTONE_STEP_TOL = 1e-8
@@ -113,18 +113,15 @@ class RunResult:
 class _StepWorkspace:
     """Mutable state threaded through the steps of one run."""
 
-    def __init__(self, scenario, m, params, stencil):
+    def __init__(self, scenario, m, stencil):
         grid = scenario.grid
         self.scenario = scenario
         self.st = stencil
         self.m = float(m)
-        self.params = params
         self.u = np.where(grid.fluid | grid.farfield, scenario.u_init, 0.0)
         self.theta = np.zeros(grid.shape)
         self.theta_prev = None
         self.dt_prev = None
-        self.max_sweeps = params.max_sweeps or max(
-            2000, int(50 * np.sqrt(grid.fluid.sum())))
 
 
 def _advance(ws, dt):
@@ -150,7 +147,7 @@ def _advance(ws, dt):
     window = st.window_box(st.window_source(theta > 0, u_old), pad=2)
     residual, sweeps, box = st.solve(
         theta, 1.0 / m + dt * st.diag, (u_old - 1.0) + dt * st.slot_load,
-        window, coupling=dt, tol=ws.params.tol, max_sweeps=ws.max_sweeps)
+        window, coupling=dt)
 
     nb = st.neighbor_sum(theta, box)
     u_new_box = np.where(
@@ -179,8 +176,7 @@ def _advance(ws, dt):
     return influx, residual, sweeps, math.prod(s.stop - s.start for s in box)
 
 
-def run(scenario, m, snapshot_times, dt=None, params=None, stencil=None,
-        keep_u=True):
+def run(scenario, m, snapshot_times, dt=None, stencil=None, keep_u=True):
     """March the m-problem through ``snapshot_times`` and collect fields.
 
     ``m`` must be positive and finite, and snapshot times sorted within
@@ -190,13 +186,12 @@ def run(scenario, m, snapshot_times, dt=None, params=None, stencil=None,
     run aborts if temperature ever reaches the farfield clearance.  Returns
     a :class:`RunResult`.
     """
-    params = params or SolveParams()
     m = _diffusivity(m)
     snapshot_times, dt = _check_times(scenario, snapshot_times, dt)
 
     st = stencil if stencil is not None else build_stencil(scenario)
     grid = scenario.grid
-    ws = _StepWorkspace(scenario, m, params, st)
+    ws = _StepWorkspace(scenario, m, st)
 
     first_theta = np.full(grid.shape, np.inf)
     first_unit = np.where(grid.fluid & (scenario.u_init >= 1.0), 0.0, np.inf)

@@ -57,20 +57,17 @@ def _box_neighbor_sum(values, box):
     return out
 
 
-@dataclass
-class SolveParams:
-    """Controls for one complementarity solve.
+#: the complementarity tolerance of every solve: the limit is unique, so both
+#: routes meet one residual.  ``stefan.MONOTONE_STEP_TOL`` and
+#: ``mesa.MONOTONE_SWEEP_TOL`` are calibrated to it
+SOLVE_TOL = 1e-10
 
-    Both routes hand them to :meth:`FaceStencil.solve`; ``max_sweeps=None``
-    lets each route pick its own budget from the grid size.
-    """
 
-    tol: float = 1e-10              # max complementarity residual
-    max_sweeps: int | None = None
-
-    def __post_init__(self):
-        if not 0 < self.tol < np.inf:
-            raise ConfigError("tol must be positive and finite")
+def _sweep_budget(grid):
+    """Sweeps one solve may spend over all its kernel calls.  The shape term
+    covers the annulus contact stall; the cell-count term is larger in 3D."""
+    return max(2000, int(50 * np.sqrt(np.count_nonzero(grid.fluid))),
+               200 * max(grid.shape))
 
 
 @dataclass
@@ -156,26 +153,27 @@ class FaceStencil:
                     return True
         return False
 
-    def solve(self, values, diag, rhs, box, coupling, tol, max_sweeps):
+    def solve(self, values, diag, rhs, box, coupling):
         """Projected SOR from ``box``, grown by 4 cells while flux leaks out.
 
         Solves diag*v - coupling*sum(nb)/h^2 = rhs, v >= 0 in place, with
-        ``values`` zero outside the box; one ``max_sweeps`` budget covers
-        every kernel call.  Returns (residual, sweeps, final box).  Raises
+        ``values`` zero outside the box; one sweep budget covers every
+        kernel call.  Returns (residual, sweeps, final box).  Raises
         :class:`SolverError`, with the residual history of every call,
-        unless residual <= tol (never true of a NaN).
+        unless residual <= ``SOLVE_TOL`` (never true of a NaN).
         """
+        budget = _sweep_budget(self.grid)
         history, sweeps = [], 0
         while True:
             res, used, hist = projected_sor(
                 values, diag, rhs, box, self.grid.fluid, coupling=coupling,
-                tol=tol, max_sweeps=max_sweeps - sweeps, h=self.h)
+                tol=SOLVE_TOL, max_sweeps=budget - sweeps, h=self.h)
             sweeps += used
             history += hist
-            if not res <= tol:
+            if not res <= SOLVE_TOL:
                 raise SolverError(
-                    f"projected SOR did not reach tol={tol:g} within "
-                    f"{max_sweeps} sweeps on box "
+                    f"projected SOR did not reach tol={SOLVE_TOL:g} within "
+                    f"{budget} sweeps on box "
                     f"{[(s.start, s.stop) for s in box]} (last residual "
                     f"{res:.3e})", residual_history=history)
             if not self.box_leaks(values, box):

@@ -10,7 +10,7 @@ import mesahs.stencil
 from mesahs import baiocchi, scenarios
 from mesahs.errors import ConfigError, EnvelopeError, SolverError
 from mesahs.mesa import MONOTONE_SWEEP_TOL
-from mesahs.stencil import FaceStencil, SolveParams, build_stencil
+from mesahs.stencil import SOLVE_TOL, FaceStencil, build_stencil
 
 from conftest import mini_annulus_scenario
 
@@ -181,11 +181,11 @@ class TestSolveSlice:
         assert err.value.residual_history[-1][0] == 0
 
     def test_nonconvergence_names_the_time(self, radial_coarse,
-                                           radial_coarse_stencil):
+                                           radial_coarse_stencil, monkeypatch):
+        monkeypatch.setattr(mesahs.stencil, "_sweep_budget", lambda grid: 3)
         with pytest.raises(SolverError,
                            match=r"^obstacle slice at t=0\.2: ") as err:
             baiocchi.solve_slice(radial_coarse, 0.2,
-                                 SolveParams(max_sweeps=3),
                                  stencil=radial_coarse_stencil)
         assert err.value.residual_history[-1][0] == 3
 
@@ -269,7 +269,7 @@ class TestSliceWindow:
         assert len(calls) > 1
         assert not st.box_leaks(sl.w, calls[-1][1])
         rep = baiocchi.complementarity_report(sc, sl, stencil=st)
-        assert rep["max_comp"] <= SolveParams().tol
+        assert rep["max_comp"] <= SOLVE_TOL
         _full_box(monkeypatch, st)
         ref = baiocchi.solve_slice(sc, 0.5, warm=seed, stencil=st)
         assert np.abs(sl.w - ref.w).max() <= MONOTONE_SWEEP_TOL

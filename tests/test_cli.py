@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -9,8 +10,10 @@ import numpy as np
 import pytest
 
 import mesahs
+import mesahs.stencil
 from mesahs import baiocchi, snapshots, stefan
 from mesahs.cli import main
+from mesahs.stencil import SOLVE_TOL
 
 
 def write_scenario(tmp_path, name="radial.json", h=1 / 12, margin=2.2,
@@ -50,7 +53,6 @@ class TestObstacleCommand:
         R = baiocchi.radial_fb_radius(0.25)
         assert abs(float(values["fb_r_median"]) - R) <= 2 / 12
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["solver_tol"] == 1e-10
         assert manifest["scenario_sha256"]
         w, meta = snapshots.load_raster(out / "obstacle_W_0000.json")
         assert meta["t"] == 0.25
@@ -118,11 +120,11 @@ class TestStefanCommand:
         # one diffusivity runs in one process: no --jobs, no manifest key
         scenario = write_scenario(tmp_path, p=0.0, m_list=(8, 16))
         out = tmp_path / "run"
-        with pytest.raises(SystemExit) as exc:
-            main(["stefan", str(scenario), "--m", "16", "--snapshots", "0.1",
-                  "--jobs", "1", "--out", str(out)])
-        assert exc.value.code == 2
-        assert "--jobs" in capsys.readouterr().err
+        code = main(["stefan", str(scenario), "--m", "16", "--snapshots",
+                     "0.1", "--jobs", "1", "--out", str(out)])
+        record = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert (code, record["error"]) == (1, "config")
+        assert "--jobs" in record["message"]
         assert main(["stefan", str(scenario), "--m", "16",
                      "--snapshots", "0.1", "--out", str(out)]) == 0
         assert "jobs" not in json.loads((out / "manifest.json").read_text())
@@ -266,11 +268,41 @@ class TestExitCodes:
         assert main(["obstacle", str(bad), "--times", "0.1",
                      "--out", str(tmp_path / "x")]) == 1
 
-    def test_solver_error(self, tmp_path):
+    def test_solver_error(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(mesahs.stencil, "SOLVE_TOL", 1e-30)
         scenario = write_scenario(tmp_path)
         code = main(["obstacle", str(scenario), "--times", "0.25",
-                     "--out", str(tmp_path / "x"), "--tol", "1e-30"])
+                     "--out", str(tmp_path / "x")])
         assert code == 2
+
+    @pytest.mark.parametrize("args", [
+        ["stefan", "--m", "16"],
+        ["obstacle"],
+        ["stefan", "--m", "16", "--snapshots", "0.1", "--jobs", "2"],
+        ["obstacle", "--times", "0.1", "--tol", "1e-12"],
+        ["mesa", "--snapshots", "0.1", "--tol", "1e-12"],
+        ["obstacle", "--times", "0.1", "--jobs", "x"],
+        ["barriers", "--n", "4"],
+        ["frobnicate"],
+    ], ids=" ".join)
+    def test_usage_error_is_config_error(self, tmp_path, capsys, args):
+        # a missing argument, an unknown or deleted flag, a bad int or an
+        # unknown command exits 1 with the JSON record, like bad input
+        scenario = write_scenario(tmp_path)
+        if args[0] not in ("barriers", "frobnicate"):
+            args = [args[0], str(scenario), *args[1:]]
+        code = main([*args, "--out", str(tmp_path / "x")])
+        record = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert (code, record["error"]) == (1, "config")
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("args", [["--help"], ["--version"],
+                                      ["obstacle", "--help"]], ids=" ".join)
+    def test_help_and_version_exit_0(self, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
 
     @pytest.mark.parametrize("mutate", [
         pytest.param(lambda s: s.update(dimension="two"), id="dimension-word"),
@@ -353,8 +385,6 @@ class TestExitCodes:
         ["stefan", "--m", "nan", "--snapshots", "0.1"],
         ["stefan", "--m", "16", "--snapshots", "nan"],
         ["stefan", "--m", "16", "--snapshots", "0.1", "--dt", "nan"],
-        ["obstacle", "--times", "0.1", "--tol", "nan"],
-        ["obstacle", "--times", "0.1", "--tol", "inf"],
         ["obstacle", "--times", "nan"],
         ["obstacle", "--times", "inf"],
         ["mesa", "--m-list", "8,nan,32", "--snapshots", "0.1"],
@@ -425,7 +455,55 @@ def _child_env():
     return {**os.environ, "PYTHONPATH": path}
 
 
+class TestSolverTolerance:
+    @pytest.mark.parametrize("args", [
+        ["stefan", "--m", "16", "--snapshots", "0.05"],
+        ["mesa", "--snapshots", "0.05"],
+        ["obstacle", "--times", "0.05"],
+        ["compare", "--times", "0.05"],
+    ], ids=lambda args: args[0])
+    def test_manifest_records_the_one_tolerance(self, tmp_path, args):
+        scenario = write_scenario(tmp_path)
+        out = tmp_path / "run"
+        assert main([args[0], str(scenario), *args[1:],
+                     "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["solver_tol"] == SOLVE_TOL == 1e-10
+
+
+def _cap_address_space():
+    limit = 2 * 1024 ** 3
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
 class TestEntryPoint:
+    @pytest.mark.parametrize("slot", [
+        pytest.param({"centers": [[0.0, 0.0]], "radii": [1e12]},
+                     id="ball-2d"),
+        pytest.param({"kind": "polygon-with-rounded-corners",
+                      "centers": [[0.0, 0.0], [1e12, 0.0], [0.0, 1e12]],
+                      "rounding": 0.1}, id="polygon"),
+    ])
+    def test_huge_slot_exits_1_in_a_capped_process(self, tmp_path, slot):
+        # the boundary sample count is bounded before anything is
+        # allocated; in a 2 GiB address space the samples of these slots
+        # (hundreds of TiB) would end in MemoryError, exit 4
+        path = write_scenario(tmp_path)
+        spec = json.loads(path.read_text())
+        spec["slot"] = slot
+        path.write_text(json.dumps(spec))
+        env = {**_child_env(), "OPENBLAS_NUM_THREADS": "1",
+               "OMP_NUM_THREADS": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "mesahs.cli", "obstacle", str(path),
+             "--times", "0.1", "--out", str(tmp_path / "x")],
+            capture_output=True, text=True, env=env, timeout=120,
+            preexec_fn=_cap_address_space)
+        record = json.loads(proc.stderr.splitlines()[-1])
+        assert (proc.returncode, record["error"]) == (1, "config")
+        assert "boundary samples exceed" in record["message"]
+
+
     def test_version_via_console_script(self):
         proc = subprocess.run([sys.executable, "-m", "mesahs.cli",
                                "--version"], capture_output=True, text=True,

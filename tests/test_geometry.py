@@ -13,9 +13,10 @@ from scipy import ndimage
 
 from mesahs import barriers, scenarios
 from mesahs.errors import ConfigError, EnvelopeError
-from mesahs.geometry import (BAND_CLEARANCE, FARFIELD, FLUID, SLOT, Grid,
-                             Scenario, SlotGeometry, build_grid,
-                             load_scenario, radial_u_init)
+from mesahs.geometry import (BAND_CLEARANCE, FARFIELD, FLUID,
+                             MAX_BOUNDARY_SAMPLES, SLOT, Grid, Scenario,
+                             SlotGeometry, build_grid, load_scenario,
+                             radial_u_init)
 
 
 #: a polygon slot that is valid with any positive, finite rounding
@@ -83,6 +84,32 @@ class TestSlotGeometry:
     def test_non_finite_ball_rejected(self, center, radius):
         with pytest.raises(ConfigError, match="finite"):
             SlotGeometry.ball(center, radius)
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: SlotGeometry.ball((0.0, 0.0), 1e12),
+                     id="ball-2d-1e12"),
+        pytest.param(lambda: SlotGeometry.ball((0.0, 0.0), 1e100),
+                     id="ball-2d-1e100"),
+        pytest.param(lambda: SlotGeometry.ball((0.0, 0.0, 0.0), 1e6),
+                     id="ball-3d-1e6"),
+        pytest.param(lambda: SlotGeometry.rounded_polygon(
+            [(0, 0), (1e12, 0), (0, 1e12)], 0.1), id="polygon-1e12"),
+        pytest.param(lambda: SlotGeometry.rounded_polygon(
+            _SQUARE, 1e12), id="polygon-huge-rounding"),
+    ])
+    def test_huge_slot_rejected_before_sampling(self, make):
+        # petabytes of samples: the count is checked before any allocation
+        with pytest.raises(ConfigError, match="boundary samples exceed"):
+            make()
+
+    def test_sample_bound_is_exact(self):
+        # ceil(2*pi*r) samples at unit spacing: r = 159154.9 needs 10**6 of
+        # them, r = 159155 one more
+        assert MAX_BOUNDARY_SAMPLES == 10 ** 6
+        geom = SlotGeometry.ball((0.0, 0.0), 159154.9, sample_spacing=1.0)
+        assert geom.boundary_samples.shape[0] == MAX_BOUNDARY_SAMPLES
+        with pytest.raises(ConfigError, match="boundary samples exceed"):
+            SlotGeometry.ball((0.0, 0.0), 159155.0, sample_spacing=1.0)
 
     def test_nonconvex_polygon_rejected(self):
         vertices = [(0, 0), (2, 0), (1, 0.2), (0, 2)]

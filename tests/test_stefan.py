@@ -9,11 +9,12 @@ from hypothesis import strategies as hst
 from scipy import ndimage
 
 import mesahs.stefan as stefan
+import mesahs.stencil
 from mesahs import barriers, scenarios
 from mesahs.errors import ConfigError, EnvelopeError, SolverError
 from mesahs.mesa import MONOTONE_SWEEP_TOL
 from mesahs.stefan import temperature
-from mesahs.stencil import FaceStencil, SolveParams, build_stencil
+from mesahs.stencil import SOLVE_TOL, FaceStencil, build_stencil
 
 from conftest import mini_annulus_scenario
 
@@ -176,21 +177,22 @@ class TestRun:
         with pytest.raises(ConfigError):
             stefan.run(sc, 32, snapshot_times=[0.2, 0.1], stencil=st)
 
-    def test_nonconvergence_raises_with_history(self, small):
+    def test_nonconvergence_raises_with_history(self, small, monkeypatch):
         sc, st = small
-        params = SolveParams(max_sweeps=2)
+        monkeypatch.setattr(mesahs.stencil, "_sweep_budget", lambda grid: 2)
         with pytest.raises(SolverError) as err:
-            stefan.run(sc, 32, snapshot_times=[0.05], params=params, stencil=st)
+            stefan.run(sc, 32, snapshot_times=[0.05], stencil=st)
         assert err.value.residual_history
 
-    def test_nonconvergence_names_m_step_and_time(self, small):
+    def test_nonconvergence_names_m_step_and_time(self, small, monkeypatch):
         # within 36 sweeps the short first step, to t = 0.001, converges
         # and the second, to t = 0.011, does not
         sc, st = small
+        monkeypatch.setattr(mesahs.stencil, "_sweep_budget", lambda grid: 36)
         with pytest.raises(SolverError,
                            match=r"^m=32, step 2 to t=0\.011: ") as err:
             stefan.run(sc, 32, snapshot_times=[0.001, 0.05], dt=0.01,
-                       params=SolveParams(max_sweeps=36), stencil=st)
+                       stencil=st)
         assert err.value.residual_history[-1][0] == 36
 
     def test_envelope_abort_on_tight_domain(self):
@@ -244,17 +246,15 @@ class TestBaiocchiIdentity:
         # equation residual, which the kernel holds within tol
         sc = mini_annulus if annulus else radial_coarse
         st = build_stencil(sc)
-        params = SolveParams()
         result = stefan.run(sc, 2.0 ** log2_m, sorted(times),
-                            dt=dt_over_h * sc.grid.h, params=params,
-                            stencil=st)
+                            dt=dt_over_h * sc.grid.h, stencil=st)
         fluid = sc.grid.fluid
         interior = st.interior
         for t, u, w in zip(result.times, result.u_fields, result.w_integrals):
             a_w = st.diag * w
             a_w[interior] -= st.neighbor_sum(w, interior)
             gap = np.abs(u - sc.u_init + a_w - t * st.slot_load)[fluid].max()
-            assert gap <= result.steps * params.tol + 1e-12
+            assert gap <= result.steps * SOLVE_TOL + 1e-12
 
 
 class TestThreeDimensions:

@@ -14,9 +14,10 @@ from mesahs.baiocchi import solve_slice
 from mesahs.errors import SolverError
 from mesahs.mesa import MONOTONE_SWEEP_TOL
 from mesahs.scenarios import radial_scenario
-from mesahs.stencil import (_PINNED_LOAD, FaceStencil, _box_neighbor_sum,
-                            _shifted, _sublattice_plan, active_width_cells,
-                            build_stencil, omega_for_width, projected_sor)
+from mesahs.stencil import (_PINNED_LOAD, SOLVE_TOL, FaceStencil,
+                            _box_neighbor_sum, _shifted, _sublattice_plan,
+                            _sweep_budget, active_width_cells, build_stencil,
+                            omega_for_width, projected_sor)
 
 
 @pytest.fixture(scope="module")
@@ -504,6 +505,27 @@ def _flooding_step(sc, st):
     return 1.0 / m + dt * st.diag, (sc.u_init - 1.0) + dt * st.slot_load, dt
 
 
+class TestSweepBudget:
+    @settings(max_examples=60, deadline=None)
+    @given(hst.lists(hst.integers(3, 80), min_size=2, max_size=3),
+           hst.integers(0, 2 ** 32 - 1), hst.floats(0.0, 1.0))
+    def test_one_rule_covers_both_old_rules(self, shape, seed, share):
+        # the old step budget counted FLUID cells, the old slice budget
+        # the longest side; the one budget is at least either
+        fluid = np.random.default_rng(seed).random(shape) < share
+        budget = _sweep_budget(SimpleNamespace(fluid=fluid,
+                                               shape=tuple(shape)))
+        assert budget >= max(2000, int(50 * np.sqrt(fluid.sum())))
+        assert budget >= 200 * max(shape)
+
+    def test_benchmark_grids(self):
+        # the old slice budget on every 2-D benchmark grid
+        for side in (174, 334, 422):
+            fluid = np.ones((side, side), dtype=bool)
+            grid = SimpleNamespace(fluid=fluid, shape=fluid.shape)
+            assert _sweep_budget(grid) == 200 * side
+
+
 class TestSolveDriver:
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
@@ -526,33 +548,31 @@ class TestSolveDriver:
         diag, rhs, coupling = _flooding_step(sc, st)
         small = st.window_box(sc.grid.slot, pad=1)
         theta = np.zeros(sc.grid.shape)
-        res, sweeps, box = st.solve(theta, diag, rhs, small, coupling,
-                                    tol=1e-10, max_sweeps=10 ** 6)
+        res, sweeps, box = st.solve(theta, diag, rhs, small, coupling)
         assert len(kernel_calls) > 1 and box != small
         assert not st.box_leaks(theta, box)
-        assert res <= 1e-10
+        assert res <= SOLVE_TOL
         assert sweeps == sum(used for used, _ in kernel_calls)
         ref = np.zeros(sc.grid.shape)
-        st.solve(ref, diag, rhs, st.interior, coupling, tol=1e-10,
-                 max_sweeps=10 ** 6)
+        st.solve(ref, diag, rhs, st.interior, coupling)
         assert np.abs(theta - ref).max() <= MONOTONE_SWEEP_TOL
 
     def test_one_budget_covers_every_regrowth(self, mini_annulus,
-                                              kernel_calls):
-        # a budget one sweep past every call but the last of an unbounded
+                                              kernel_calls, monkeypatch):
+        # a budget one sweep past every call but the last of a converging
         # solve runs out after the regrowths, in that last call
         sc = mini_annulus
         st = build_stencil(sc)
         diag, rhs, coupling = _flooding_step(sc, st)
         small = st.window_box(sc.grid.slot, pad=1)
-        st.solve(np.zeros(sc.grid.shape), diag, rhs, small, coupling,
-                 tol=1e-10, max_sweeps=10 ** 6)
+        st.solve(np.zeros(sc.grid.shape), diag, rhs, small, coupling)
         assert len(kernel_calls) > 1
         budget = sum(used for used, _ in kernel_calls[:-1]) + 1
         kernel_calls.clear()
+        monkeypatch.setattr(mesahs.stencil, "_sweep_budget",
+                            lambda grid: budget)
         with pytest.raises(SolverError, match="on box") as err:
-            st.solve(np.zeros(sc.grid.shape), diag, rhs, small, coupling,
-                     tol=1e-10, max_sweeps=budget)
+            st.solve(np.zeros(sc.grid.shape), diag, rhs, small, coupling)
         assert len(kernel_calls) > 1
         assert sum(used for used, _ in kernel_calls) <= budget
         assert err.value.residual_history == [
