@@ -32,6 +32,9 @@ from .stencil import _box_residual, build_stencil
 #: and 2,510 sweeps, and pad 8 regrows never
 SLICE_WINDOW_PAD = 8
 
+#: the radial oracle's bracket gives up beyond this radius
+ORACLE_R_MAX = 1e3
+
 
 @dataclass
 class BaiocchiPotential:
@@ -204,7 +207,7 @@ def radial_fb_equation(R, n=2, lam=0.0):
     return (1.0 - lam) * core
 
 
-def radial_fb_radius(t, n=2, lam=0.0, r_max=1e3):
+def radial_fb_radius(t, n=2, lam=0.0):
     """Free-boundary radius for slot B_1, p = 1, u_init = lam, by bracketing."""
     if not (0 <= lam < 1):
         raise ConfigError("radial oracle needs lam in [0, 1)")
@@ -217,8 +220,8 @@ def radial_fb_radius(t, n=2, lam=0.0, r_max=1e3):
     hi = 2.0
     while f(hi) < 0:
         hi *= 2.0
-        if hi > r_max:
-            raise ConfigError("radial oracle bracket exceeded r_max")
+        if hi > ORACLE_R_MAX:
+            raise ConfigError("radial oracle bracket exceeded ORACLE_R_MAX")
     return float(optimize.brentq(f, 1.0 + 1e-14, hi, xtol=1e-13))
 
 

@@ -32,6 +32,12 @@ __all__ = [
 ]
 
 
+#: nodes of the certifying scan: log alpha up to the max, uniform beta
+_SCAN_ALPHA, _SCAN_BETA, _SCAN_ALPHA_MAX = 200, 50, 1e6
+#: nodes of the scan that bounds the correction's time derivative
+_M_SCAN_ALPHA, _M_SCAN_BETA, _M_SCAN_R = 20, 40, 60
+
+
 def _check_params(n, alpha, beta):
     if n not in (2, 3):
         raise ConfigError("annulus profiles support n in {2, 3} only")
@@ -111,15 +117,15 @@ class SlopeBounds:
     pad: float
 
 
-def derivative_bounds(n, n_alpha=200, n_beta=50, alpha_max=1e6):
+def derivative_bounds(n):
     """Scan the (alpha, beta) strip and certify the outer-slope bands.
 
-    The scan covers a log grid in alpha up to ``alpha_max`` plus the exact
-    limiting slopes, and pads the extrema by the largest variation between
-    adjacent scan nodes.  Any sign violation anywhere in the scan is an error.
+    The scan covers a log grid in alpha up to 1e6 plus the exact limiting
+    slopes, and pads the extrema by the largest variation between adjacent
+    scan nodes.  Any sign violation anywhere in the scan is an error.
     """
-    alphas = np.logspace(0.0, np.log10(alpha_max), n_alpha)
-    betas = np.linspace(0.0, 1.0, n_beta)
+    alphas = np.logspace(0.0, np.log10(_SCAN_ALPHA_MAX), _SCAN_ALPHA)
+    betas = np.linspace(0.0, 1.0, _SCAN_BETA)
     A, B = np.meshgrid(alphas, betas, indexing="ij")
     du = annulus_harmonic_outer_slope(n, A, B)
     dv = annulus_poisson_outer_slope(n, A, B)
@@ -139,7 +145,7 @@ def derivative_bounds(n, n_alpha=200, n_beta=50, alpha_max=1e6):
     if gamma2 <= 0 or gamma3 <= 0:
         raise ConfigError("slope band collapsed after padding; refine the scan")
     return SlopeBounds(n=n, gamma1=gamma1, gamma2=gamma2, gamma3=gamma3,
-                       gamma4=gamma4, scan_alpha=n_alpha, scan_beta=n_beta,
+                       gamma4=gamma4, scan_alpha=_SCAN_ALPHA, scan_beta=_SCAN_BETA,
                        pad=float(pad))
 
 
@@ -261,7 +267,7 @@ def subsolution_speed(n, k, eps, bounds=None):
                        m_min=float(m_min), bounds=bounds)
 
 
-def _required_diffusivity(n, eps, ell, bounds, n_alpha=20, n_beta=40, n_r=60):
+def _required_diffusivity(n, eps, ell, bounds):
     """Smallest m with sup |profile time derivative| <= interior source.
 
     The scaled time derivative m * w_t = ell * k * d/dbeta [harmonic +
@@ -271,10 +277,10 @@ def _required_diffusivity(n, eps, ell, bounds, n_alpha=20, n_beta=40, n_r=60):
         return np.inf
     db = 1e-5
     worst = 0.0
-    for alpha in np.logspace(0, 3, n_alpha):
-        for beta in np.linspace(db, 1 - db, n_beta):
+    for alpha in np.logspace(0, 3, _M_SCAN_ALPHA):
+        for beta in np.linspace(db, 1 - db, _M_SCAN_BETA):
             outer = 1 + alpha + beta - db
-            r = np.linspace(alpha + 1e-9, outer, n_r)
+            r = np.linspace(alpha + 1e-9, outer, _M_SCAN_R)
             def combo(b):
                 return (annulus_harmonic(r, n, alpha, b)
                         + eps / (2 * n) * annulus_poisson(r, n, alpha, b))

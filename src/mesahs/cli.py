@@ -66,12 +66,9 @@ def _dump_run(out_dir, result, scenario, tag):
                                   result.u_fields[i], header)
         snapshots.dump_raster(out_dir, f"{tag}_theta_{i:04d}",
                               result.theta_fields[i], header)
-    snapshots.write_csv(out_dir / f"{tag}_flux.csv",
-                        ["step", "t", "influx", "cumulative"],
-                        result.ledger.rows)
     snapshots.write_csv(out_dir / f"{tag}_steps.csv",
-                        ["step", "t", "sweeps", "residual", "box_cells"],
-                        result.step_log)
+                        ["step", "t", "influx", "cumulative", "sweeps",
+                         "residual", "box_cells"], result.step_log)
 
 
 def cmd_stefan(args):

@@ -254,9 +254,11 @@ def _sample_rounded_polygon(vertices, rounding, spacing):
     tangents = edges / lengths[:, None]
     # CCW polygon: outward normal is the tangent rotated by -90 degrees
     out = np.stack([tangents[:, 1], -tangents[:, 0]], axis=1)
-    # corner arc i, at the end vertex of edge i, turns from normal i to i+1
+    # corner arc i, at the end vertex of edge i, turns from normal i to i+1;
+    # a turn above pi bends inward within _is_convex's tolerance: no arc
     a0 = np.arctan2(out[:, 1], out[:, 0])
     sweeps = (np.roll(a0, -1) - a0) % (2 * np.pi)
+    sweeps[sweeps > np.pi] = 0.0
     with np.errstate(over="ignore"):
         edge_counts = np.maximum(2, np.ceil(lengths / spacing))
         arc_counts = np.maximum(1, np.ceil(sweeps * rounding / spacing))

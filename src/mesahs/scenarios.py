@@ -13,18 +13,19 @@ from .geometry import (BAND_CLEARANCE, Scenario, SlotGeometry, build_grid,
                        radial_u_init)
 
 DEFAULT_M_LIST = (16, 32, 64, 128, 256, 512, 1024)
+#: cells from the envelope to the box edge: band 2, clearance, slack 2
+_MARGIN_CELLS = 2 + BAND_CLEARANCE + 2
+#: how far below its plateau an initial enthalpy still counts as the patch
+_PATCH_TOL = 1e-9
 
 
-def _margin_for(rho_fit, envelope_radius, h, band_cells=2, slack_cells=2):
-    cells = band_cells + BAND_CLEARANCE + slack_cells
-    margin = envelope_radius + cells * h - rho_fit
+def _margin_for(rho_fit, envelope_radius, h):
+    margin = envelope_radius + _MARGIN_CELLS * h - rho_fit
     return float(np.ceil(margin / h) * h)
 
 
 def _scenario(geometry, h, envelope_radius, u_breakpoints, p, t_max, m_list,
               lam):
-    if geometry.sample_spacing > h:
-        geometry = geometry.resampled(h / 2)
     _, rho_fit = geometry.bounding_center_radius()
     margin = _margin_for(rho_fit, envelope_radius, h)
     grid = build_grid(geometry, h, margin, required_radius=envelope_radius)
@@ -93,10 +94,10 @@ def annulus_scenario(h=1 / 32, eps_patch=0.0, ramp=0.1, t_max=3.2,
     return _scenario(geometry, h, envelope, breakpoints, p, t_max, m_list, 1.0)
 
 
-def annulus_patch_mask(scenario, tol=1e-9):
+def annulus_patch_mask(scenario):
     """Cells of the saturated patch (initial enthalpy at its max plateau)."""
     top = float(scenario.u_init.max())
-    return scenario.grid.fluid & (scenario.u_init >= top - tol)
+    return scenario.grid.fluid & (scenario.u_init >= top - _PATCH_TOL)
 
 
 def two_slot_scenario(h=1 / 16, p=1.0, t_max=0.2, m_list=(16, 64, 256),

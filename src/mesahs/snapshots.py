@@ -1,7 +1,7 @@
 """Raster dumps, CSV reports, and run manifests.
 
 Numeric rasters are little-endian float64 in C (row-major) order next to a
-JSON header carrying {t, m, h, shape}; ledgers and reports are plain CSV so
+JSON header carrying {t, m, h, shape}; step logs and reports are plain CSV so
 external tools can plot them without this package.
 """
 

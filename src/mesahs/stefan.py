@@ -13,14 +13,14 @@ the converged answer.
 
 The free-boundary condition is implicit in the conservative form and never
 imposed separately.  A step is conservative by construction: the total
-enthalpy gain equals the slot influx recorded in the flux ledger, up to the
+enthalpy gain equals the slot influx recorded in the step log, up to the
 sweep tolerance.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,20 +70,6 @@ def default_dt(scenario):
 
 
 @dataclass
-class FluxLedger:
-    """Per-step slot influx record: rows of (step, t, influx, cumulative)."""
-
-    rows: list = field(default_factory=list)
-
-    def add(self, step, t, influx):
-        total = self.total() + influx
-        self.rows.append((step, t, influx, total))
-
-    def total(self):
-        return self.rows[-1][3] if self.rows else 0.0
-
-
-@dataclass
 class RunResult:
     """Snapshots and diagnostics of one enthalpy run.
 
@@ -93,7 +79,9 @@ class RunResult:
     the discrete Baiocchi transform of the run: the steps telescope to
     u^n - u_init = -A_h W^n + t_n * slot_load on FLUID, up to the solver
     tolerance per step, for any dt.  ``step_log`` holds one row per step:
-    (step, t, sweeps, final residual, cells of the final solve box).
+    (step, t, slot influx, cumulative influx, sweeps, final residual, cells
+    of the final solve box); ``mass_error`` is the gap between the total
+    enthalpy gain and the last cumulative influx.
     """
 
     m: float
@@ -102,12 +90,14 @@ class RunResult:
     u_fields: list
     theta_fields: list
     w_integrals: list       # backward-Euler sums of dt * temperature
-    ledger: FluxLedger
     first_theta_time: np.ndarray
     first_unit_time: np.ndarray
     mass_error: float
-    steps: int
     step_log: list
+
+    @property
+    def steps(self):
+        return len(self.step_log)
 
 
 class _StepWorkspace:
@@ -196,22 +186,10 @@ def run(scenario, m, snapshot_times, dt=None, stencil=None, keep_u=True):
     first_theta = np.full(grid.shape, np.inf)
     first_unit = np.where(grid.fluid & (scenario.u_init >= 1.0), 0.0, np.inf)
     w_accum = np.zeros(grid.shape)
-    ledger = FluxLedger()
-    result = RunResult(m=m, dt=dt, times=[], u_fields=[],
-                       theta_fields=[], w_integrals=[], ledger=ledger,
-                       first_theta_time=first_theta,
-                       first_unit_time=first_unit, mass_error=np.nan, steps=0,
-                       step_log=[])
-
-    def take_snapshot(t):
-        result.times.append(t)
-        if keep_u:
-            result.u_fields.append(ws.u.copy())
-        result.theta_fields.append(ws.theta.copy())
-        result.w_integrals.append(w_accum.copy())
+    times, u_fields, theta_fields, w_integrals, step_log = [], [], [], [], []
+    cumulative = 0.0
 
     t = 0.0
-    step_index = 0
     u_prev_snap = ws.u.copy()
     for target in snapshot_times:
         # a step within 1e-13 of the target is stretched to land on it; a
@@ -221,30 +199,35 @@ def run(scenario, m, snapshot_times, dt=None, stencil=None, keep_u=True):
             last = target - t <= dt + 1e-13
             dt_step = target - t if last else dt
             t_end = target if last else t + dt_step
-            step_index += 1
+            step = len(step_log) + 1
             try:
                 influx, residual, sweeps, cells = _advance(ws, dt_step)
             except SolverError as exc:
-                raise exc.at(f"m={m:g}, step {step_index} to "
-                             f"t={t_end:g}") from exc
+                raise exc.at(f"m={m:g}, step {step} to t={t_end:g}") from exc
             t = t_end
-            ledger.add(step_index, t, influx)
-            result.step_log.append((step_index, t, sweeps, residual, cells))
+            cumulative += influx
+            step_log.append((step, t, influx, cumulative, sweeps, residual,
+                             cells))
             w_accum += dt_step * ws.theta
             newly = (ws.theta > 0.0) & ~np.isfinite(first_theta)
             first_theta[newly] = t
             newly = grid.fluid & (ws.u >= 1.0 - 1e-12) & ~np.isfinite(first_unit)
             first_unit[newly] = t
-        take_snapshot(t)
+        times.append(t)
+        if keep_u:
+            u_fields.append(ws.u.copy())
+        theta_fields.append(ws.theta.copy())
+        w_integrals.append(w_accum.copy())
         gap = float((u_prev_snap - ws.u)[grid.fluid].max())
         if gap > MONOTONE_STEP_TOL:
             raise SolverError(f"u not monotone between snapshots (drop {gap:.2e})")
         u_prev_snap = ws.u.copy()
 
     gain = float((ws.u - scenario.u_init)[grid.fluid].sum()) * grid.cell_volume
-    result.mass_error = abs(gain - ledger.total())
-    result.steps = step_index
-    return result
+    return RunResult(m=m, dt=dt, times=times, u_fields=u_fields,
+                     theta_fields=theta_fields, w_integrals=w_integrals,
+                     first_theta_time=first_theta, first_unit_time=first_unit,
+                     mass_error=abs(gain - cumulative), step_log=step_log)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,11 @@ from .errors import ConfigError, SolverError
 
 #: slot-face interpolation distances are clamped away from zero for stability
 MIN_FACE_FRACTION = 0.05
+#: bisection steps that locate a slot-face crossing, to 2**-40 of a cell
+_CROSSING_BISECTIONS = 40
+#: point-sample pairs per block of the nearest-sample search: its memory
+#: stays bounded whatever the slot's size
+_NEAREST_SEARCH_PAIRS = 2 ** 18
 
 
 def _shifted(mask, axis, step):
@@ -221,11 +226,11 @@ def build_stencil(scenario):
                        slot_load=slot_load)
 
 
-def _crossing_fraction(geom, outside_pts, inside_pts, iters=40):
+def _crossing_fraction(geom, outside_pts, inside_pts):
     """Fraction along (outside -> inside) where the slot boundary is crossed."""
     lo = np.zeros(outside_pts.shape[0])
     hi = np.ones(outside_pts.shape[0])
-    for _ in range(iters):
+    for _ in range(_CROSSING_BISECTIONS):
         mid = 0.5 * (lo + hi)
         pts = outside_pts + mid[:, None] * (inside_pts - outside_pts)
         is_in = geom.signed_distance(pts) < 0
@@ -234,9 +239,10 @@ def _crossing_fraction(geom, outside_pts, inside_pts, iters=40):
     return 0.5 * (lo + hi)
 
 
-def _nearest_sample_values(geom, p_samples, points, chunk=4096):
+def _nearest_sample_values(geom, p_samples, points):
     values = np.empty(points.shape[0])
     samples = geom.boundary_samples
+    chunk = max(1, _NEAREST_SEARCH_PAIRS // samples.shape[0])
     for start in range(0, points.shape[0], chunk):
         block = points[start:start + chunk]
         d2 = ((block[:, None, :] - samples[None, :, :]) ** 2).sum(axis=2)

@@ -1,0 +1,76 @@
+"""What the benchmark's tracer binds in the package, checked on a tiny run.
+
+``perfbench/tracer.py`` wraps the layer functions from outside and reads
+their arguments and results: ``projected_sor``'s ``tol``, ``box`` and
+``fluid`` and its 3-tuple, ``stefan._advance``'s sweep count at index 2,
+``stefan.run``'s ``steps`` and ``mass_error``, and ``solve_slice``'s
+``warm``, ``sweeps`` and ``residual``.  A change that breaks one of them
+fails only inside the benchmark, so this runs the tracer in a subprocess on
+an h = 1/8 scenario.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from tracer import Tracer, install, summarise
+
+tracer = Tracer("contract")
+root = tracer.open("process", "process")
+install(tracer)
+from mesahs import baiocchi, scenarios, stefan
+
+sc = scenarios.radial_scenario(h=1 / 8, t_max=0.2, m_list=(8, 16, 32))
+res = stefan.run(sc, 16, [0.1, 0.2])
+cold = baiocchi.solve_slice(sc, 0.1)
+warm = baiocchi.solve_slice(sc, 0.2, warm=cold)
+tracer.close(root)
+print(json.dumps({
+    "metrics": summarise([tracer.spans]),
+    "step_log": res.step_log, "mass_error": res.mass_error,
+    "slice_sweeps": [cold.sweeps, warm.sweeps],
+    "spans": [[s[3], s[6]] for s in tracer.spans],
+}, default=lambda x: x.item()))
+"""
+
+
+def _traced_run():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(ROOT / "perfbench")], cwd=ROOT,
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_tracer_binds_and_counts_the_step_log():
+    out = _traced_run()
+    metrics, log = out["metrics"], out["step_log"]
+    assert len(log) > 0
+    assert metrics["stefan.steps"] == len(log)
+    assert metrics["stefan.sweeps"] == sum(row[4] for row in log)
+    assert metrics["stefan.sweeps_per_step_max"] == max(row[4] for row in log)
+    assert metrics["stefan.mass_error_max"] == out["mass_error"]
+    assert metrics["baiocchi.slices"] == 2
+    assert metrics["baiocchi.sweeps_per_slice"] == sum(out["slice_sweeps"]) / 2
+    # every hook ran and filled its attributes; no wrapped call raised
+    attrs = {}
+    for name, span_attrs in out["spans"]:
+        assert "error" not in span_attrs, name
+        attrs.setdefault(name, []).append(span_attrs)
+    assert len(attrs["_advance"]) == len(log)
+    assert [a["sweeps"] for a in attrs["_advance"]] == [r[4] for r in log]
+    assert all({"sweeps", "residual", "converged", "fluid_cells",
+                "box_cells"} <= set(a) for a in attrs["projected_sor"])
+    assert [a["warm"] for a in attrs["solve_slice"]] == [False, True]
+    assert attrs["run"] == [{"steps": len(log),
+                             "mass_error": out["mass_error"]}]

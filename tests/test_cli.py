@@ -80,9 +80,11 @@ class TestStefanCommand:
         u0, _ = snapshots.load_raster(out / "stefan_m16_u_0000.json")
         u2, _ = snapshots.load_raster(out / "stefan_m16_u_0002.json")
         assert np.array_equal(u0, u2)
-        flux = (out / "stefan_m16_flux.csv").read_text().strip().splitlines()
-        if len(flux) > 1:
-            assert all(float(r.split(",")[2]) == 0.0 for r in flux[1:])
+        assert not (out / "stefan_m16_flux.csv").exists()
+        log = (out / "stefan_m16_steps.csv").read_text().strip().splitlines()
+        assert len(log) > 1
+        assert all(float(r.split(",")[2]) == 0.0 for r in log[1:])
+        assert all(float(r.split(",")[3]) == 0.0 for r in log[1:])
 
 
     def test_step_record_counts_every_sweep(self, tmp_path, monkeypatch):
@@ -107,13 +109,16 @@ class TestStefanCommand:
         assert "stefan_m16_steps.csv" in manifest["output_hashes"]
         assert records[0] == records[1]
         lines = records[0].decode().split()
-        assert lines[0] == "step,t,sweeps,residual,box_cells"
+        assert lines[0] == ("step,t,influx,cumulative,sweeps,residual,"
+                            "box_cells")
         rows = [line.split(",") for line in lines[1:]]
         assert [int(r[0]) for r in rows] == list(range(1, manifest["steps"] + 1))
         assert float(rows[-1][1]) == 0.2
-        assert 2 * sum(int(r[2]) for r in rows) == sum(used)
-        assert all(0 <= float(r[3]) <= 1e-10 for r in rows)
-        assert all(int(r[4]) > 0 for r in rows)
+        assert all(float(r[2]) > 0 for r in rows)
+        assert all(float(b[3]) > float(a[3]) for a, b in zip(rows, rows[1:]))
+        assert 2 * sum(int(r[4]) for r in rows) == sum(used)
+        assert all(0 <= float(r[5]) <= 1e-10 for r in rows)
+        assert all(int(r[6]) > 0 for r in rows)
 
 
     def test_jobs_flag_is_gone(self, tmp_path, capsys):

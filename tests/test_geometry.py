@@ -111,6 +111,14 @@ class TestSlotGeometry:
         with pytest.raises(ConfigError, match="boundary samples exceed"):
             SlotGeometry.ball((0.0, 0.0), 159155.0, sample_spacing=1.0)
 
+    @pytest.mark.parametrize("bend", (1e-14, 0.0, -1e-14))
+    def test_near_straight_vertex_adds_no_arc(self, bend):
+        # an inward bend within the convexity tolerance is a straight vertex,
+        # not a corner arc of nearly 2*pi (125 more samples)
+        geom = SlotGeometry.rounded_polygon(
+            [[0, 0], [1, bend], [2, 0], [1, 1]], 0.2, sample_spacing=0.01)
+        assert geom.boundary_samples.shape[0] == 613
+
     def test_nonconvex_polygon_rejected(self):
         vertices = [(0, 0), (2, 0), (1, 0.2), (0, 2)]
         with pytest.raises(ConfigError):

@@ -55,7 +55,7 @@ class TestNoEvolution:
         fl = sc.grid.fluid
         for u in res.u_fields:
             assert np.array_equal(u[fl], sc.u_init[fl])
-        assert res.ledger.total() == 0.0
+        assert [row[2:4] for row in res.step_log] == [(0.0, 0.0)] * res.steps
 
     def test_zero_pressure_with_saturated_patch(self):
         sc = p_zero_scenario()
@@ -80,7 +80,7 @@ class TestSingleStep:
         sc, st = small
         res = one_step(sc, sc.u_init, 32.0, 0.01, st)
         assert res.steps == 1
-        influx = res.ledger.rows[0][2]
+        influx = res.step_log[0][2]
         gain = (float((res.u_fields[-1] - sc.u_init)[sc.grid.fluid].sum())
                 * sc.grid.cell_volume)
         assert gain == pytest.approx(influx, abs=1e-10 * sc.grid.fluid.sum())
@@ -144,6 +144,21 @@ class TestRun:
         res = stefan.run(sc, 64, snapshot_times=[0.2], stencil=st)
         budget = 1e-10 * sc.grid.fluid.sum() * res.steps
         assert res.mass_error <= budget
+
+    def test_mass_error_reads_the_step_log(self, small):
+        # the cumulative column is the running sum of the influx column, in
+        # step order, and mass_error is its gap to the total gain, bit for bit
+        sc, st = small
+        res = stefan.run(sc, 32, snapshot_times=[0.05, 0.1], stencil=st)
+        assert res.steps == len(res.step_log) > 5
+        assert [row[0] for row in res.step_log] == list(range(1, res.steps + 1))
+        cumulative = 0.0
+        for row in res.step_log:
+            cumulative += row[2]
+            assert row[3] == cumulative
+        gain = (float((res.u_fields[-1] - sc.u_init)[sc.grid.fluid].sum())
+                * sc.grid.cell_volume)
+        assert res.mass_error == abs(gain - res.step_log[-1][3])
 
     def test_positivity_set_inside_envelope_support(self, small):
         sc, st = small

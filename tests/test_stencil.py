@@ -13,10 +13,12 @@ import mesahs.stencil
 from mesahs.baiocchi import solve_slice
 from mesahs.errors import SolverError
 from mesahs.mesa import MONOTONE_SWEEP_TOL
+from mesahs.geometry import Scenario, SlotGeometry, build_grid
 from mesahs.scenarios import radial_scenario
 from mesahs.stencil import (_PINNED_LOAD, SOLVE_TOL, FaceStencil,
-                            _box_neighbor_sum, _shifted, _sublattice_plan,
-                            _sweep_budget, active_width_cells, build_stencil,
+                            _box_neighbor_sum, _nearest_sample_values,
+                            _shifted, _sublattice_plan, _sweep_budget,
+                            active_width_cells, build_stencil,
                             omega_for_width, projected_sor)
 
 
@@ -89,6 +91,13 @@ def _window_case(draw):
     return st, mask, draw(hst.integers(1, 4)), values, box
 
 
+def _all_at_once_nearest(geom, p_samples, points):
+    """The nearest-sample search over every point in one block."""
+    samples = geom.boundary_samples
+    d2 = ((points[:, None, :] - samples[None, :, :]) ** 2).sum(axis=2)
+    return p_samples[np.argmin(d2, axis=1)]
+
+
 class TestStencilGeometry:
     def test_neighbor_sum_matches_manual(self, tiny):
         sc, st = tiny
@@ -139,6 +148,42 @@ class TestStencilGeometry:
                         s = (-qb - np.sqrt(qb * qb - 4 * qa * qc)) / (2 * qa)
                     expected[i, j] += 1.0 / (h * max(s, 0.05) * h)
         assert np.allclose(st.slot_coef, expected, rtol=1e-6)
+
+    @pytest.mark.parametrize("pairs", (1, 700, 2 ** 18))
+    @pytest.mark.parametrize("n", (2, 3))
+    def test_blocked_nearest_search_matches_one_block(self, monkeypatch,
+                                                      pairs, n):
+        # any block size picks the same sample as the all-at-once search,
+        # ties included: the probes hold every sample and every midpoint
+        geom = SlotGeometry.ball((0.25,) * n, 1.0, sample_spacing=0.1)
+        samples = geom.boundary_samples
+        rng = np.random.default_rng(n)
+        p_samples = rng.random(samples.shape[0])
+        points = np.concatenate([
+            samples, 0.5 * (samples[:-1] + samples[1:]),
+            rng.uniform(-1.5, 2.0, (300, n))])
+        monkeypatch.setattr(mesahs.stencil, "_NEAREST_SEARCH_PAIRS", pairs)
+        got = _nearest_sample_values(geom, p_samples, points)
+        want = _all_at_once_nearest(geom, p_samples, points)
+        assert got.tobytes() == want.tobytes()
+
+    def test_nearest_search_memory_is_bounded(self):
+        # 31,416 samples around a 222^2 grid of 0.39 MB arrays: all slot
+        # faces of one direction in a single block would need about 150 MB;
+        # the bounded blocks peak near 9.4 MB
+        geom = SlotGeometry.ball((0.0, 0.0), 100.0)
+        grid = build_grid(geom, 1.0, 10.0)
+        count = geom.boundary_samples.shape[0]
+        sc = Scenario(geometry=geom, grid=grid, u_init=np.zeros(grid.shape),
+                      p_samples=np.linspace(0.0, 1.0, count), t_max=1.0,
+                      m_list=(8,))
+        tracemalloc.start()
+        try:
+            build_stencil(sc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6
 
     @settings(max_examples=200, deadline=None)
     @given(_window_case())
