@@ -18,13 +18,15 @@ boundary radius R(t) solves a scalar equation solved by bracketing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, EnvelopeError, SolverError
 from .fbdiag import active_mask_from, boundary_faces
-from .stencil import _box_residual, build_stencil
+from .stencil import (_box_residual, _nearest_index, _shifted,
+                      build_stencil)
 
 #: cells a warm-started slice's window reaches beyond its source.  A
 #: narrower pad regrows more often: on the radial h = 1/64 ten-slice chain,
@@ -85,7 +87,7 @@ def solve_slice(scenario, t, warm=None, stencil=None):
                             pad=SLICE_WINDOW_PAD)
 
     try:
-        residual, sweeps, _ = st.solve(
+        residual, sweeps, *_ = st.solve(
             w, st.diag, _slice_rhs(scenario, st, t), box, coupling=1.0)
     except SolverError as exc:
         raise exc.at(f"obstacle slice at t={t:g}") from exc
@@ -185,10 +187,27 @@ def hausdorff_cells(mask_a, mask_b):
         return 0.0
     if not mask_a.any() or not mask_b.any():
         return float("inf")
-    from scipy import ndimage   # deferred: no solve path loads scipy
-    d_to_b = ndimage.distance_transform_edt(~mask_b)
-    d_to_a = ndimage.distance_transform_edt(~mask_a)
-    return float(max(d_to_b[mask_a].max(), d_to_a[mask_b].max()))
+    return math.sqrt(max(_farthest_sq_distance(mask_a, mask_b),
+                         _farthest_sq_distance(mask_b, mask_a)))
+
+
+def _farthest_sq_distance(mask_a, mask_b):
+    """Largest squared distance from a cell of A to its nearest cell of B.
+
+    The nearest cell of B to a cell outside B has a face neighbor outside B
+    (one step from it towards that cell would be nearer), so only those
+    edge cells of B are searched.  Distances are exact integers.
+    """
+    outside = np.argwhere(mask_a & ~mask_b)
+    if outside.shape[0] == 0:
+        return 0
+    inner = mask_b.copy()
+    for axis in range(mask_b.ndim):
+        for step in (-1, 1):
+            inner &= _shifted(mask_b, axis, step)
+    edge = np.argwhere(mask_b & ~inner)
+    nearest = edge[_nearest_index(outside, edge)]
+    return int(((outside - nearest) ** 2).sum(axis=1).max())
 
 
 # ---------------------------------------------------------------------------

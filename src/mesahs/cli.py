@@ -68,7 +68,8 @@ def _dump_run(out_dir, result, scenario, tag):
                               result.theta_fields[i], header)
     snapshots.write_csv(out_dir / f"{tag}_steps.csv",
                         ["step", "t", "influx", "cumulative", "sweeps",
-                         "residual", "box_cells"], result.step_log)
+                         "residual", "box_cells", "checks", "regrowths"],
+                        result.step_log)
 
 
 def cmd_stefan(args):

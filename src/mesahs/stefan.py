@@ -12,9 +12,10 @@ and re-solved if flux ever reaches its edge, so restriction never changes
 the converged answer.
 
 The free-boundary condition is implicit in the conservative form and never
-imposed separately.  A step is conservative by construction: the total
-enthalpy gain equals the slot influx recorded in the step log, up to the
-sweep tolerance.
+imposed separately.  A step is conservative by construction: the enthalpy
+update is dt times the net face flux of the solved temperature, so the
+total enthalpy gain equals the slot influx recorded in the step log up to
+rounding.
 """
 
 from __future__ import annotations
@@ -77,11 +78,12 @@ class RunResult:
     entry of ``times``; ``u_fields`` is empty when the run drops enthalpy.
     ``w_integrals`` holds the backward-Euler sums W^n = sum_k dt_k theta^k,
     the discrete Baiocchi transform of the run: the steps telescope to
-    u^n - u_init = -A_h W^n + t_n * slot_load on FLUID, up to the solver
-    tolerance per step, for any dt.  ``step_log`` holds one row per step:
+    u^n - u_init = -A_h W^n + t_n * slot_load on FLUID, up to rounding, for
+    any dt.  ``step_log`` holds one row per step:
     (step, t, slot influx, cumulative influx, sweeps, final residual, cells
-    of the final solve box); ``mass_error`` is the gap between the total
-    enthalpy gain and the last cumulative influx.
+    of the final solve box, residual checks, box regrowths); ``mass_error``
+    is the gap between the total enthalpy gain and the last cumulative
+    influx.
     """
 
     m: float
@@ -103,7 +105,7 @@ class RunResult:
 class _StepWorkspace:
     """Mutable state threaded through the steps of one run."""
 
-    def __init__(self, scenario, m, stencil):
+    def __init__(self, scenario, m, stencil, dt):
         grid = scenario.grid
         self.scenario = scenario
         self.st = stencil
@@ -112,18 +114,24 @@ class _StepWorkspace:
         self.theta = np.zeros(grid.shape)
         self.theta_prev = None
         self.dt_prev = None
+        # the step operator's diagonal for the run's dt; the shortened steps
+        # that land on a snapshot time build their own
+        self.dt = dt
+        self.step_diag = 1.0 / self.m + dt * stencil.diag
 
 
 def _advance(ws, dt):
     """One conservative implicit step.
 
     Returns the step's slot influx, the solver's final residual, its sweep
-    count and the cell count of the final solve box.
+    count, its residual checks, its box regrowths and the final solve box.
+    The temperature is zero outside that box, and ``ws.u`` changes only
+    inside it.
     """
     st = ws.st
-    fluid = ws.scenario.grid.fluid
+    grid = ws.scenario.grid
     m = ws.m
-    u_old = ws.u
+    u = ws.u
     theta = ws.theta
     theta_old = theta.copy()
     if ws.theta_prev is not None and ws.dt_prev:
@@ -134,36 +142,37 @@ def _advance(ws, dt):
 
     # flux may not cross the window edge, else the frozen update outside
     # the box would be wrong: the solve grows the box until none does
-    window = st.window_box(st.window_source(theta > 0, u_old), pad=2)
-    residual, sweeps, box = st.solve(
-        theta, 1.0 / m + dt * st.diag, (u_old - 1.0) + dt * st.slot_load,
-        window, coupling=dt)
+    window = st.window_box(st.window_source(theta > 0, u), pad=2)
+    diag = ws.step_diag if dt == ws.dt else 1.0 / m + dt * st.diag
+    residual, sweeps, box, checks, regrowths = st.solve(
+        theta, diag, (u - 1.0) + dt * st.slot_load, window, coupling=dt)
 
+    fluid = grid.fluid[box]
+    theta_box = theta[box]
+    u_box = u[box]
     nb = st.neighbor_sum(theta, box)
-    u_new_box = np.where(
-        theta[box] > 0.0,
-        1.0 + theta[box] / m,
-        u_old[box] + dt * (nb + st.slot_load[box]))
-    u = u_old.copy()
-    np.copyto(u[box], u_new_box, where=fluid[box])
+    # the conservative update: the gain is dt times the net face flux, so the
+    # steps telescope to the discrete Baiocchi identity up to rounding; on
+    # diffusive cells it equals 1 + theta/m up to the step's equation
+    # residual, which may exceed tol where 0 < theta <= tol
+    u_new = u_box + dt * (nb + st.slot_load[box] - st.diag[box] * theta_box)
 
-    drop = float((u_old - u)[fluid].max())
+    # cells outside the box keep their enthalpy: they drop by 0
+    drop = float(np.max(u_box - u_new, where=fluid, initial=0.0))
     if drop > MONOTONE_STEP_TOL:
         raise SolverError(
             f"enthalpy decreased by {drop:.3e} in one step; "
             "monotone structure violated")
 
-    if bool((theta[ws.scenario.grid.near_band] > 0.0).any()):
+    if bool((theta_box[grid.near_band[box]] > 0.0).any()):
         raise EnvelopeError(
             "temperature reached the farfield clearance; the truncated domain "
             "is too small for this horizon (enlarge the grid margin)")
 
-    influx = st.slot_influx(theta) * dt
-    ws.u = u
+    np.copyto(u_box, u_new, where=fluid)
     ws.theta_prev = theta_old
     ws.dt_prev = dt
-    ws.theta = theta
-    return influx, residual, sweeps, math.prod(s.stop - s.start for s in box)
+    return st.slot_influx(theta) * dt, residual, sweeps, checks, regrowths, box
 
 
 def run(scenario, m, snapshot_times, dt=None, stencil=None, keep_u=True):
@@ -181,7 +190,7 @@ def run(scenario, m, snapshot_times, dt=None, stencil=None, keep_u=True):
 
     st = stencil if stencil is not None else build_stencil(scenario)
     grid = scenario.grid
-    ws = _StepWorkspace(scenario, m, st)
+    ws = _StepWorkspace(scenario, m, st, dt)
 
     first_theta = np.full(grid.shape, np.inf)
     first_unit = np.where(grid.fluid & (scenario.u_init >= 1.0), 0.0, np.inf)
@@ -201,18 +210,23 @@ def run(scenario, m, snapshot_times, dt=None, stencil=None, keep_u=True):
             t_end = target if last else t + dt_step
             step = len(step_log) + 1
             try:
-                influx, residual, sweeps, cells = _advance(ws, dt_step)
+                influx, residual, sweeps, checks, regrowths, box = _advance(
+                    ws, dt_step)
             except SolverError as exc:
                 raise exc.at(f"m={m:g}, step {step} to t={t_end:g}") from exc
             t = t_end
             cumulative += influx
             step_log.append((step, t, influx, cumulative, sweeps, residual,
-                             cells))
-            w_accum += dt_step * ws.theta
-            newly = (ws.theta > 0.0) & ~np.isfinite(first_theta)
-            first_theta[newly] = t
-            newly = grid.fluid & (ws.u >= 1.0 - 1e-12) & ~np.isfinite(first_unit)
-            first_unit[newly] = t
+                             math.prod(s.stop - s.start for s in box),
+                             checks, regrowths))
+            # the step changed theta and u inside its box only
+            theta = ws.theta[box]
+            w_accum[box] += dt_step * theta
+            first = first_theta[box]
+            first[(theta > 0.0) & ~np.isfinite(first)] = t
+            first = first_unit[box]
+            first[grid.fluid[box] & (ws.u[box] >= 1.0 - 1e-12)
+                  & ~np.isfinite(first)] = t
         times.append(t)
         if keep_u:
             u_fields.append(ws.u.copy())

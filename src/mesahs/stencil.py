@@ -15,6 +15,7 @@ masking.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -101,6 +102,11 @@ class FaceStencil:
         """
         return _box_neighbor_sum(values, box) / (self.h * self.h)
 
+    @functools.cached_property
+    def _slot_box(self):
+        """A box that holds every FLUID cell with a slot face."""
+        return self.window_box(self.slot_coef > 0, 0) or self.interior
+
     def slot_influx(self, values, load_scale=1.0):
         """Net flux through slot faces into the fluid, per unit time.
 
@@ -108,8 +114,10 @@ class FaceStencil:
         sum over slot faces of h^(n-1) * (scale*p_f - v_i)/d_f.
         """
         g = self.grid
-        contrib = load_scale * self.slot_load - self.slot_coef * values
-        return float(contrib[g.fluid].sum()) * g.cell_volume
+        box = self._slot_box
+        contrib = (load_scale * self.slot_load[box]
+                   - self.slot_coef[box] * values[box])
+        return float(contrib[g.fluid[box]].sum()) * g.cell_volume
 
     def window_source(self, positive, u):
         """Mask that a solve window must cover before its pad.
@@ -163,12 +171,13 @@ class FaceStencil:
 
         Solves diag*v - coupling*sum(nb)/h^2 = rhs, v >= 0 in place, with
         ``values`` zero outside the box; one sweep budget covers every
-        kernel call.  Returns (residual, sweeps, final box).  Raises
-        :class:`SolverError`, with the residual history of every call,
-        unless residual <= ``SOLVE_TOL`` (never true of a NaN).
+        kernel call.  Returns (residual, sweeps, final box, residual checks
+        of every call, regrowths).  Raises :class:`SolverError`, with the
+        residual history of every call, unless residual <= ``SOLVE_TOL``
+        (never true of a NaN).
         """
         budget = _sweep_budget(self.grid)
-        history, sweeps = [], 0
+        history, sweeps, regrowths = [], 0, 0
         while True:
             res, used, hist = projected_sor(
                 values, diag, rhs, box, self.grid.fluid, coupling=coupling,
@@ -182,8 +191,9 @@ class FaceStencil:
                     f"{[(s.start, s.stop) for s in box]} (last residual "
                     f"{res:.3e})", residual_history=history)
             if not self.box_leaks(values, box):
-                return res, sweeps, box
+                return res, sweeps, box, len(history), regrowths
             box = self.grow_box(box, 4)
+            regrowths += 1
 
 
 def build_stencil(scenario):
@@ -239,15 +249,23 @@ def _crossing_fraction(geom, outside_pts, inside_pts):
     return 0.5 * (lo + hi)
 
 
-def _nearest_sample_values(geom, p_samples, points):
-    values = np.empty(points.shape[0])
-    samples = geom.boundary_samples
+def _nearest_index(points, samples):
+    """Index of the sample nearest to each point, the first of any tie.
+
+    Points are searched in blocks of at most ``_NEAREST_SEARCH_PAIRS``
+    point-sample pairs, so memory stays bounded whatever the sample count.
+    """
+    index = np.empty(points.shape[0], dtype=np.intp)
     chunk = max(1, _NEAREST_SEARCH_PAIRS // samples.shape[0])
     for start in range(0, points.shape[0], chunk):
         block = points[start:start + chunk]
         d2 = ((block[:, None, :] - samples[None, :, :]) ** 2).sum(axis=2)
-        values[start:start + chunk] = p_samples[np.argmin(d2, axis=1)]
-    return values
+        index[start:start + chunk] = np.argmin(d2, axis=1)
+    return index
+
+
+def _nearest_sample_values(geom, p_samples, points):
+    return p_samples[_nearest_index(points, geom.boundary_samples)]
 
 
 def omega_for_width(width):
@@ -285,6 +303,10 @@ def active_width_cells(active):
 
 #: load assigned to non-fluid cells so the projected update pins them at zero
 _PINNED_LOAD = -1e30
+#: fewest and most sweeps between two residual checks; the geometric
+#: schedule grows from the fewest to the most
+_MIN_CHECK_GAP = 2
+_MAX_CHECK_GAP = 30
 
 
 def _box_residual(values, diag, rhs, box, fluid, coupling, h):
@@ -352,21 +374,27 @@ def projected_sor(values, diag, rhs, box, fluid, coupling, tol, max_sweeps,
     complementarity residual min(equation residual, v) <= tol over FLUID
     cells of the box; it is checked at most ``max_sweeps`` sweeps in, so no
     more sweeps than that are run, and the first non-finite residual ends the
-    solve.  Returns (residual, sweeps, history).  :meth:`FaceStencil.solve`
-    is the one caller in the package, and the one place where a residual
-    above tol, or a NaN, becomes a :class:`SolverError`.
+    solve.  Checks come at sweeps 0 and 4, then where :func:`_check_gap`
+    places them.  Returns (residual, sweeps, history).
+    :meth:`FaceStencil.solve` is the one caller in the package, and the one
+    place where a residual above tol, or a NaN, becomes a
+    :class:`SolverError`.
 
     For the length of one call the box and its halo live in 2^n parity
     sub-lattices of one common padded shape (see :func:`_sublattice_plan`).
     There each target's box cells and its 2n face neighbors are equal-length
-    contiguous flat ranges, so one update is 10 ufunc calls on 1-D ranges.
-    A range also crosses off-box entries (row ends, the halo and the
-    padding); those never change during a call, so they are saved once and
-    restored after every update, and their ``dv`` is 1 so the discarded
-    values stay finite.  Each box cell gets the floating-point operations
-    of a strided sweep in the same order, so the result is bit-identical to
-    it.  ``values`` is written back before every residual check, and the
-    kernel returns only at a check.
+    contiguous flat ranges.  Each target holds the fused coefficients
+    a = omega*coupling/(h^2*diag) and b = omega*rhs/diag (the pinned load
+    on non-FLUID cells), recomputed from ``diag`` and ``rhs`` whenever omega
+    changes, so one update is sum(nb)*a + b + (1 - omega)*v, projected on
+    v >= 0: 9 ufunc calls on 1-D ranges in 2-D, none a division.  A range
+    also crosses off-box entries (row ends, the halo and the padding); those
+    never change during a call, so they are saved once and restored after
+    every update, and their a and b are 0 so the discarded values stay
+    finite.  The strided reference in the tests does the same floating-point
+    operations in the same order on every box cell, and the result is
+    bit-identical to it.  ``values`` is written back before every residual
+    check, and the kernel returns only at a check.
     """
     n = values.ndim
     ext, targets = _sublattice_plan(box, n)
@@ -386,6 +414,7 @@ def projected_sor(values, diag, rhs, box, fluid, coupling, tol, max_sweeps,
         subs[q] = np.zeros(shape)
         subs[q][tuple(slice(0, k) for k in sub.shape)] = sub
     by_color = ([], [])
+    coefficients = []
     write_back = []
     for color, parity, cells, neighbors in targets:
         counts = [c.stop - c.start for c in cells]
@@ -396,19 +425,19 @@ def projected_sor(values, diag, rhs, box, fluid, coupling, tol, max_sweeps,
         # range; ``inbox`` views the box cells in them
         rows = (counts[0],) + shape[1:]
         inbox = (slice(None),) + tuple(slice(0, c) for c in counts[1:])
-        dv = np.ones(rows)
-        dv[inbox] = lattice(diag, parity)[cells]
-        rv = np.zeros(rows)
-        rv[inbox] = _PINNED_LOAD
-        np.copyto(rv[inbox], lattice(rhs, parity)[cells],
-                  where=lattice(fluid, parity)[cells])
+        av = np.zeros(rows)
+        bv = np.zeros(rows)
+        coefficients.append((av[inbox], bv[inbox],
+                             lattice(diag, parity)[cells],
+                             lattice(rhs, parity)[cells],
+                             lattice(fluid, parity)[cells]))
         off_box = np.ones(rows, dtype=bool)
         off_box[inbox] = False
         off = np.flatnonzero(off_box.reshape(-1)[:length])
         nbs = [subs[q].reshape(-1)[offset(nb):offset(nb) + length]
                for q, nb in neighbors]
-        by_color[color].append((tv, dv.reshape(-1)[:length],
-                                rv.reshape(-1)[:length], nbs, off, tv[off]))
+        by_color[color].append((tv, av.reshape(-1)[:length],
+                                bv.reshape(-1)[:length], nbs, off, tv[off]))
         write_back.append((lattice(values, parity)[cells],
                            subs[parity][cells]))
     size = max(len(tv) for group in by_color for tv, *_ in group)
@@ -416,7 +445,8 @@ def projected_sor(values, diag, rhs, box, fluid, coupling, tol, max_sweeps,
 
     history = []
     sweeps = 0
-    check_gap = 2
+    geometric = _MIN_CHECK_GAP
+    omega = None
     while True:
         for out, block in write_back:
             out[...] = block
@@ -424,14 +454,40 @@ def projected_sor(values, diag, rhs, box, fluid, coupling, tol, max_sweeps,
         history.append((sweeps, res))
         if res <= tol or sweeps >= max_sweeps or not np.isfinite(res):
             return res, sweeps, history
-        omega = omega_for_width(active_width_cells(box_view > 0))
-        check_gap = min(int(check_gap * 1.5) + 1, 30)
-        check_at = min(sweeps + check_gap, max_sweeps)
-        _sweep_ranges(by_color, inv_h2, omega, check_at - sweeps, size)
+        tuned = omega_for_width(active_width_cells(box_view > 0))
+        if tuned != omega:
+            omega = tuned
+            for a, b, d, r, f in coefficients:
+                # computed afresh, never rescaled: rescaling compounds rounding
+                np.divide(omega * inv_h2, d, out=a)
+                b[...] = _PINNED_LOAD
+                np.copyto(b, r, where=f)
+                b *= omega
+                b /= d
+        geometric = min(int(geometric * 1.5) + 1, _MAX_CHECK_GAP)
+        check_at = min(sweeps + _check_gap(history, tol, geometric),
+                       max_sweeps)
+        _sweep_ranges(by_color, omega, check_at - sweeps, size)
         sweeps = check_at
 
 
-def _sweep_ranges(by_color, inv_h2, omega, count, size):
+def _check_gap(history, tol, geometric):
+    """Sweeps from the last residual check in ``history`` to the next one.
+
+    From the third check on, while the last two residuals are finite,
+    positive and falling and tol > 0, the next check goes where their rate
+    predicts tol is met, within [``_MIN_CHECK_GAP``, ``_MAX_CHECK_GAP``].
+    Otherwise it is the ``geometric`` gap.
+    """
+    if len(history) >= 3 and tol > 0:
+        (s0, r0), (s1, r1) = history[-2:]
+        if 0.0 < r1 < r0 < math.inf and tol / r1 > 0.0 and r1 / r0 < 1.0:
+            due = math.log(tol / r1) * (s1 - s0) / math.log(r1 / r0)
+            return min(max(_MIN_CHECK_GAP, math.ceil(due)), _MAX_CHECK_GAP)
+    return geometric
+
+
+def _sweep_ranges(by_color, omega, count, size):
     """``count`` red-black sweeps over the flat ranges of :func:`projected_sor`.
 
     The update buffer lives only here: the residual check between two calls
@@ -440,17 +496,15 @@ def _sweep_ranges(by_color, inv_h2, omega, count, size):
     scratch = np.empty(size)
     for _ in range(count):
         for group in by_color:
-            for tv, dv, rv, nbs, off, kept in group:
-                # (rv + inv_h2*sum(nb)) / dv * omega + (1 - omega) * tv, with
-                # the additions commuted only, which IEEE keeps exact
+            for tv, av, bv, nbs, off, kept in group:
+                # sum(nb)*a + b + (1 - omega)*v, the neighbours summed in
+                # the order of the residual
                 cand = scratch[:tv.size]
                 np.add(nbs[0], nbs[1], out=cand)
                 for other in nbs[2:]:
                     cand += other
-                cand *= inv_h2
-                cand += rv
-                cand /= dv
-                cand *= omega
+                cand *= av
+                cand += bv
                 tv *= 1.0 - omega
                 tv += cand
                 np.maximum(tv, 0.0, out=tv)

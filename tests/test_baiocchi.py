@@ -2,9 +2,12 @@
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import mesahs.stencil
 from mesahs import baiocchi, scenarios
@@ -386,7 +389,39 @@ class TestContactTime:
                                   stencil=radial_coarse_stencil)
 
 
+def _edt_hausdorff(mask_a, mask_b):
+    """The Hausdorff distance from scipy's exact distance transform."""
+    from scipy import ndimage
+    d_to_b = ndimage.distance_transform_edt(~mask_b)
+    d_to_a = ndimage.distance_transform_edt(~mask_a)
+    return float(max(d_to_b[mask_a].max(), d_to_a[mask_b].max()))
+
+
+@hst.composite
+def _mask_pair(draw):
+    """Two non-empty random 1-3D masks of one shape."""
+    n = draw(hst.integers(1, 3))
+    shape = tuple(draw(hst.lists(hst.integers(1, (40, 14, 7)[n - 1]),
+                                 min_size=n, max_size=n)))
+    rng = np.random.default_rng(draw(hst.integers(0, 2 ** 32 - 1)))
+    masks = []
+    for _ in range(2):
+        mask = rng.random(shape) < draw(hst.sampled_from((0.02, 0.3, 0.9)))
+        mask[tuple(rng.integers(0, size) for size in shape)] = True
+        masks.append(mask)
+    return masks
+
+
 class TestHausdorff:
+    @settings(max_examples=300, deadline=None)
+    @given(_mask_pair(), hst.sampled_from((1, 5, 2 ** 18)))
+    def test_matches_exact_distance_transform(self, masks, pairs):
+        # the edge-cell search gives scipy's exact EDT distance bit for bit,
+        # whatever the block size of the nearest-cell search
+        with mock.patch.object(mesahs.stencil, "_NEAREST_SEARCH_PAIRS", pairs):
+            got = baiocchi.hausdorff_cells(*masks)
+        assert got == _edt_hausdorff(*masks)
+
     def test_identical_masks(self):
         m = np.zeros((10, 10), dtype=bool)
         m[3:6, 3:6] = True

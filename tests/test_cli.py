@@ -95,9 +95,11 @@ class TestStefanCommand:
         def counted(*args, **kwargs):
             result = kernel(*args, **kwargs)
             used.append(result[1])
+            checks.append(len(result[2]))
             return result
 
         monkeypatch.setattr(mesahs.stencil, "projected_sor", counted)
+        checks = []
         records = []
         for sub in ("a", "b"):
             out = tmp_path / sub
@@ -110,7 +112,7 @@ class TestStefanCommand:
         assert records[0] == records[1]
         lines = records[0].decode().split()
         assert lines[0] == ("step,t,influx,cumulative,sweeps,residual,"
-                            "box_cells")
+                            "box_cells,checks,regrowths")
         rows = [line.split(",") for line in lines[1:]]
         assert [int(r[0]) for r in rows] == list(range(1, manifest["steps"] + 1))
         assert float(rows[-1][1]) == 0.2
@@ -119,6 +121,9 @@ class TestStefanCommand:
         assert 2 * sum(int(r[4]) for r in rows) == sum(used)
         assert all(0 <= float(r[5]) <= 1e-10 for r in rows)
         assert all(int(r[6]) > 0 for r in rows)
+        # checks of every kernel call; each regrowth adds one call
+        assert 2 * sum(int(r[7]) for r in rows) == sum(checks)
+        assert 2 * sum(1 + int(r[8]) for r in rows) == len(checks)
 
 
     def test_jobs_flag_is_gone(self, tmp_path, capsys):
@@ -537,3 +542,21 @@ class TestEntryPoint:
         lines = proc.stdout.splitlines()
         assert (lines[0], lines[-1]) == ("[]", "[]")
         assert (diag / "fb_points.json").exists()
+
+    def test_compare_leaves_scipy_unloaded(self, tmp_path):
+        # both routes, the cross-validation and its Hausdorff distances run
+        # on numpy alone
+        scenario = write_scenario(tmp_path, h=1 / 8, margin=2.0, t_max=0.2)
+        out = tmp_path / "cmp"
+        probe = "\n".join([
+            "import sys",
+            "from mesahs.cli import main",
+            f"assert main(['compare', {str(scenario)!r}, '--times',",
+            f"             '0.1,0.2', '--out', {str(out)!r}]) == 0",
+            "print(sorted(m for m in sys.modules",
+            "             if m.split('.')[0] == 'scipy'))"])
+        proc = subprocess.run([sys.executable, "-c", probe],
+                              capture_output=True, text=True, env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+        assert (out / "compare.csv").exists()

@@ -14,7 +14,7 @@ from mesahs import barriers, scenarios
 from mesahs.errors import ConfigError, EnvelopeError, SolverError
 from mesahs.mesa import MONOTONE_SWEEP_TOL
 from mesahs.stefan import temperature
-from mesahs.stencil import SOLVE_TOL, FaceStencil, build_stencil
+from mesahs.stencil import FaceStencil, build_stencil
 
 from conftest import mini_annulus_scenario
 
@@ -257,8 +257,11 @@ class TestBaiocchiIdentity:
                                               mini_annulus, annulus, log2_m,
                                               dt_over_h, times):
         # backward Euler telescopes: u^n - u_init = -A_h W^n + t_n*slot_load
-        # on FLUID for W^n = sum dt_k theta^k; each step adds at most its
-        # equation residual, which the kernel holds within tol
+        # on FLUID for W^n = sum dt_k theta^k; each step's enthalpy update is
+        # dt times the net face flux of its temperature, so it adds rounding
+        # only: a few ulps of dt*diag*theta, below 1e-12 on these grids (the
+        # constitutive update 1 + theta/m added its equation residual, which
+        # exceeds tol on cells with 0 < theta <= tol)
         sc = mini_annulus if annulus else radial_coarse
         st = build_stencil(sc)
         result = stefan.run(sc, 2.0 ** log2_m, sorted(times),
@@ -269,7 +272,7 @@ class TestBaiocchiIdentity:
             a_w = st.diag * w
             a_w[interior] -= st.neighbor_sum(w, interior)
             gap = np.abs(u - sc.u_init + a_w - t * st.slot_load)[fluid].max()
-            assert gap <= result.steps * SOLVE_TOL + 1e-12
+            assert gap <= (result.steps + 1) * 1e-12
 
 
 class TestThreeDimensions:
