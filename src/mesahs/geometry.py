@@ -54,22 +54,20 @@ def _as_float_array(x, shape_hint=None):
 
 @dataclass(frozen=True)
 class SlotGeometry:
-    """The injection slot D with sampled boundary and outward normals.
+    """The injection slot D with its sampled boundary.
 
     ``kind`` is one of ``ball``, ``union-of-balls``,
     ``polygon-with-rounded-corners`` (2D, convex).  ``centers`` holds ball
     centers or polygon vertices, ``radii`` the ball radii or the single
     corner-rounding radius.  ``boundary_samples`` are ordered points on the
-    slot boundary with unit outward ``normals``; their spacing must not
-    exceed the grid spacing (checked at scenario construction, use
-    :meth:`resampled` to refine).
+    slot boundary; their spacing must not exceed the grid spacing (checked
+    at scenario construction).
     """
 
     kind: str
     centers: np.ndarray
     radii: np.ndarray
     boundary_samples: np.ndarray
-    normals: np.ndarray
     sample_spacing: float
 
     # -- constructors -------------------------------------------------------
@@ -96,9 +94,9 @@ class SlotGeometry:
                 gap = np.linalg.norm(centers[i] - centers[j])
                 if gap <= radii[i] + radii[j]:
                     raise ConfigError("slot balls must be pairwise disjoint")
-        pts, nrm = _sample_balls(centers, radii, sample_spacing)
+        pts = _sample_balls(centers, radii, sample_spacing)
         kind = "ball" if len(radii) == 1 else "union-of-balls"
-        return cls(kind, centers, radii, pts, nrm, sample_spacing)
+        return cls(kind, centers, radii, pts, sample_spacing)
 
     @classmethod
     def rounded_polygon(cls, vertices, rounding, sample_spacing=0.02):
@@ -123,17 +121,9 @@ class SlotGeometry:
             vertices = vertices[::-1]
         if not _is_convex(vertices):
             raise ConfigError("only convex polygons are supported")
-        pts, nrm = _sample_rounded_polygon(vertices, rounding, sample_spacing)
+        pts = _sample_rounded_polygon(vertices, rounding, sample_spacing)
         return cls("polygon-with-rounded-corners", vertices,
-                   np.array([rounding]), pts, nrm, sample_spacing)
-
-    def resampled(self, sample_spacing):
-        """Same slot with boundary samples at a new (finer) spacing."""
-        if self.kind in ("ball", "union-of-balls"):
-            return SlotGeometry.union_of_balls(self.centers, self.radii,
-                                               sample_spacing)
-        return SlotGeometry.rounded_polygon(self.centers, float(self.radii[0]),
-                                            sample_spacing)
+                   np.array([rounding]), pts, sample_spacing)
 
     # -- queries ------------------------------------------------------------
 
@@ -170,7 +160,7 @@ class SlotGeometry:
 
 
 def _sample_balls(centers, radii, spacing):
-    pts, nrm = [], []
+    pts = []
     n = centers.shape[1]
     with np.errstate(over="ignore"):
         counts = np.ceil(2 * np.pi * radii / spacing if n == 2
@@ -186,8 +176,7 @@ def _sample_balls(centers, radii, spacing):
         else:
             nu = _fibonacci_sphere(count)
         pts.append(c + r * nu)
-        nrm.append(nu)
-    return np.concatenate(pts), np.concatenate(nrm)
+    return np.concatenate(pts)
 
 
 def _check_sample_count(count):
@@ -247,7 +236,7 @@ def _polygon_contains(points, vertices):
 
 
 def _sample_rounded_polygon(vertices, rounding, spacing):
-    pts, nrm = [], []
+    pts = []
     m = len(vertices)
     edges = np.roll(vertices, -1, axis=0) - vertices
     lengths = np.linalg.norm(edges, axis=1)
@@ -268,13 +257,11 @@ def _sample_rounded_polygon(vertices, rounding, spacing):
         t = (np.arange(count) + 0.5) / count
         seg = vertices[i] + t[:, None] * edges[i]
         pts.append(seg + rounding * out[i])
-        nrm.append(np.repeat(out[i][None, :], count, axis=0))
         count = arc_counts[i]
         ang = a0[i] + sweeps[i] * (np.arange(count) + 0.5) / count
         nu = np.stack([np.cos(ang), np.sin(ang)], axis=1)
         pts.append(vertices[(i + 1) % m] + rounding * nu)
-        nrm.append(nu)
-    return np.concatenate(pts), np.concatenate(nrm)
+    return np.concatenate(pts)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +456,8 @@ class Scenario:
                 "m_list must be positive, finite and strictly increasing")
         if self.geometry.sample_spacing > g.h + 1e-12:
             raise ConfigError(
-                "boundary sample spacing exceeds grid spacing; resample the slot")
+                "boundary sample spacing exceeds grid spacing; sample the "
+                "slot at a spacing of at most h")
         u.setflags(write=False)
         p.setflags(write=False)
         object.__setattr__(self, "u_init", u)
@@ -521,13 +509,13 @@ def radial_u_init(grid, geometry, breakpoints):
 # scenario files
 # ---------------------------------------------------------------------------
 
-def _geometry_from_dict(d):
+def _geometry_from_dict(d, spacing):
     kind = d.get("kind")
     centers = d["centers"]
     if kind == "polygon-with-rounded-corners" or (
             kind is None and "rounding" in d):
-        return SlotGeometry.rounded_polygon(centers, d["rounding"])
-    return SlotGeometry.union_of_balls(centers, d["radii"])
+        return SlotGeometry.rounded_polygon(centers, d["rounding"], spacing)
+    return SlotGeometry.union_of_balls(centers, d["radii"], spacing)
 
 
 def load_scenario(path):
@@ -539,12 +527,12 @@ def load_scenario(path):
         raise ConfigError(f"cannot read scenario file {path}: {exc}") from exc
     try:
         n = int(spec["dimension"])
-        geometry = _geometry_from_dict(spec["slot"])
+        h = float(spec["grid"]["h"])
+        # the default boundary spacing, or h/2 on grids finer than it
+        geometry = _geometry_from_dict(spec["slot"],
+                                       h / 2 if 0 < h < 0.02 else 0.02)
         if geometry.n != n:
             raise ConfigError("slot dimension does not match 'dimension'")
-        h = float(spec["grid"]["h"])
-        if 0 < h < geometry.sample_spacing:
-            geometry = geometry.resampled(h / 2)
         grid = build_grid(geometry, h, float(spec["grid"]["margin"]),
                           band_cells=int(spec["grid"].get("band_cells", 2)))
         u = _u_init_from_dict(spec["u_init"], grid, geometry, path.parent)

@@ -5,11 +5,13 @@ the temperature m*(u - 1)_+, which carries Dirichlet data p across the slot
 boundary.  Each backward-Euler step is a complementarity problem in the
 temperature: a cell is either frozen (u < 1, temperature 0) or diffusive
 (temperature m*(u - 1)), and the operator (1/m + dt * A) with the face-flux
-Laplacian A is a symmetric M-matrix.  Steps are solved by projected
-red-black over-relaxation restricted to a window around the active set plus
-every cell that could activate within the step; the window is re-expanded
-and re-solved if flux ever reaches its edge, so restriction never changes
-the converged answer.
+Laplacian A is a symmetric M-matrix, so the step's solution is unique and
+the solve starts from the last step's temperature: the start changes the
+sweep count, never the answer.  Steps are solved by projected red-black
+over-relaxation restricted to a window around the active set plus every
+cell that could activate within the step; the window is re-expanded and
+re-solved if flux ever reaches its edge, so restriction never changes the
+converged answer.
 
 The free-boundary condition is implicit in the conservative form and never
 imposed separately.  A step is conservative by construction: the enthalpy
@@ -102,48 +104,21 @@ class RunResult:
         return len(self.step_log)
 
 
-class _StepWorkspace:
-    """Mutable state threaded through the steps of one run."""
+def _advance(st, u, theta, diag, dt):
+    """One conservative implicit step of length ``dt`` from (u, theta).
 
-    def __init__(self, scenario, m, stencil, dt):
-        grid = scenario.grid
-        self.scenario = scenario
-        self.st = stencil
-        self.m = float(m)
-        self.u = np.where(grid.fluid | grid.farfield, scenario.u_init, 0.0)
-        self.theta = np.zeros(grid.shape)
-        self.theta_prev = None
-        self.dt_prev = None
-        # the step operator's diagonal for the run's dt; the shortened steps
-        # that land on a snapshot time build their own
-        self.dt = dt
-        self.step_diag = 1.0 / self.m + dt * stencil.diag
-
-
-def _advance(ws, dt):
-    """One conservative implicit step.
-
-    Returns the step's slot influx, the solver's final residual, its sweep
-    count, its residual checks, its box regrowths and the final solve box.
-    The temperature is zero outside that box, and ``ws.u`` changes only
-    inside it.
+    ``diag`` is the step operator's diagonal 1/m + dt * A_diag.  The step
+    solves for the new temperature starting from ``theta``: the solution is
+    unique, so that start affects only the sweep count.  ``theta`` and ``u``
+    are updated in place.  Returns the step's slot influx, the solver's
+    final residual, its sweep count, its residual checks, its box regrowths
+    and the final solve box.  The temperature is zero outside that box, and
+    ``u`` changes only inside it.
     """
-    st = ws.st
-    grid = ws.scenario.grid
-    m = ws.m
-    u = ws.u
-    theta = ws.theta
-    theta_old = theta.copy()
-    if ws.theta_prev is not None and ws.dt_prev:
-        # linear time extrapolation cuts the warm-start residual; the solve
-        # target is unique, so the starting point only affects sweep count
-        np.maximum(theta + (dt / ws.dt_prev) * (theta - ws.theta_prev),
-                   0.0, out=theta)
-
+    grid = st.grid
     # flux may not cross the window edge, else the frozen update outside
     # the box would be wrong: the solve grows the box until none does
     window = st.window_box(st.window_source(theta > 0, u), pad=2)
-    diag = ws.step_diag if dt == ws.dt else 1.0 / m + dt * st.diag
     residual, sweeps, box, checks, regrowths = st.solve(
         theta, diag, (u - 1.0) + dt * st.slot_load, window, coupling=dt)
 
@@ -170,8 +145,6 @@ def _advance(ws, dt):
             "is too small for this horizon (enlarge the grid margin)")
 
     np.copyto(u_box, u_new, where=fluid)
-    ws.theta_prev = theta_old
-    ws.dt_prev = dt
     return st.slot_influx(theta) * dt, residual, sweeps, checks, regrowths, box
 
 
@@ -190,7 +163,11 @@ def run(scenario, m, snapshot_times, dt=None, stencil=None, keep_u=True):
 
     st = stencil if stencil is not None else build_stencil(scenario)
     grid = scenario.grid
-    ws = _StepWorkspace(scenario, m, st, dt)
+    u = np.where(grid.fluid | grid.farfield, scenario.u_init, 0.0)
+    theta = np.zeros(grid.shape)
+    # the step operator's diagonal for the run's dt; the shortened steps
+    # that land on a snapshot time build their own
+    step_diag = 1.0 / m + dt * st.diag
 
     first_theta = np.full(grid.shape, np.inf)
     first_unit = np.where(grid.fluid & (scenario.u_init >= 1.0), 0.0, np.inf)
@@ -199,7 +176,7 @@ def run(scenario, m, snapshot_times, dt=None, stencil=None, keep_u=True):
     cumulative = 0.0
 
     t = 0.0
-    u_prev_snap = ws.u.copy()
+    u_prev_snap = u.copy()
     for target in snapshot_times:
         # a step within 1e-13 of the target is stretched to land on it; a
         # target within 1e-13 of the time reached is recorded at that time,
@@ -209,9 +186,10 @@ def run(scenario, m, snapshot_times, dt=None, stencil=None, keep_u=True):
             dt_step = target - t if last else dt
             t_end = target if last else t + dt_step
             step = len(step_log) + 1
+            diag = step_diag if dt_step == dt else 1.0 / m + dt_step * st.diag
             try:
                 influx, residual, sweeps, checks, regrowths, box = _advance(
-                    ws, dt_step)
+                    st, u, theta, diag, dt_step)
             except SolverError as exc:
                 raise exc.at(f"m={m:g}, step {step} to t={t_end:g}") from exc
             t = t_end
@@ -220,24 +198,24 @@ def run(scenario, m, snapshot_times, dt=None, stencil=None, keep_u=True):
                              math.prod(s.stop - s.start for s in box),
                              checks, regrowths))
             # the step changed theta and u inside its box only
-            theta = ws.theta[box]
-            w_accum[box] += dt_step * theta
+            theta_box = theta[box]
+            w_accum[box] += dt_step * theta_box
             first = first_theta[box]
-            first[(theta > 0.0) & ~np.isfinite(first)] = t
+            first[(theta_box > 0.0) & ~np.isfinite(first)] = t
             first = first_unit[box]
-            first[grid.fluid[box] & (ws.u[box] >= 1.0 - 1e-12)
+            first[grid.fluid[box] & (u[box] >= 1.0 - 1e-12)
                   & ~np.isfinite(first)] = t
         times.append(t)
         if keep_u:
-            u_fields.append(ws.u.copy())
-        theta_fields.append(ws.theta.copy())
+            u_fields.append(u.copy())
+        theta_fields.append(theta.copy())
         w_integrals.append(w_accum.copy())
-        gap = float((u_prev_snap - ws.u)[grid.fluid].max())
+        gap = float((u_prev_snap - u)[grid.fluid].max())
         if gap > MONOTONE_STEP_TOL:
             raise SolverError(f"u not monotone between snapshots (drop {gap:.2e})")
-        u_prev_snap = ws.u.copy()
+        u_prev_snap = u.copy()
 
-    gain = float((ws.u - scenario.u_init)[grid.fluid].sum()) * grid.cell_volume
+    gain = float((u - scenario.u_init)[grid.fluid].sum()) * grid.cell_volume
     return RunResult(m=m, dt=dt, times=times, u_fields=u_fields,
                      theta_fields=theta_fields, w_integrals=w_integrals,
                      first_theta_time=first_theta, first_unit_time=first_unit,

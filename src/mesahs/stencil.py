@@ -363,7 +363,7 @@ def _sublattice_plan(box, n):
 
 
 def projected_sor(values, diag, rhs, box, fluid, coupling, tol, max_sweeps,
-                  h=1.0):
+                  h):
     """Red-black projected SOR for  diag*v - coupling*sum(nb)/h^2 = rhs, v >= 0.
 
     ``values`` is updated in place and must be exactly zero outside FLUID;

@@ -14,7 +14,7 @@ from mesahs import barriers, scenarios
 from mesahs.errors import ConfigError, EnvelopeError, SolverError
 from mesahs.mesa import MONOTONE_SWEEP_TOL
 from mesahs.stefan import temperature
-from mesahs.stencil import FaceStencil, build_stencil
+from mesahs.stencil import SOLVE_TOL, FaceStencil, build_stencil
 
 from conftest import mini_annulus_scenario
 
@@ -117,6 +117,27 @@ class TestSingleStep:
             r1 = one_step(sc, u1, 64.0, 0.005, st).u_fields[-1]
             r2 = one_step(sc, u2, 64.0, 0.005, st).u_fields[-1]
             assert np.all(r1[grid.fluid] <= r2[grid.fluid] + 1e-8)
+
+
+def test_step_solution_does_not_depend_on_its_start(radial_coarse,
+                                                   radial_coarse_stencil):
+    # (1/m + dt*A) is an M-matrix, so each step's complementarity problem
+    # has one solution and the starting temperature changes only the sweep
+    # count; two solves within tol of it differ by at most 2*m*tol, since
+    # the inverse has infinity norm at most m
+    sc, st = radial_coarse, radial_coarse_stencil
+    m = 64.0
+    mid = stefan.run(sc, m, [0.15], stencil=st)
+    dt = mid.dt
+    diag = 1.0 / m + dt * st.diag
+    thetas = []
+    for start in (mid.theta_fields[-1], np.zeros(sc.grid.shape)):
+        theta = start.copy()
+        out = stefan._advance(st, mid.u_fields[-1].copy(), theta, diag, dt)
+        assert out[2] > 0
+        thetas.append(theta)
+    assert thetas[0].max() > 0.0
+    assert np.abs(thetas[0] - thetas[1]).max() <= 2 * m * SOLVE_TOL
 
 
 class TestRun:
