@@ -9,7 +9,8 @@ against to locate topology events.
 The solver is projected red-black SOR on the face-flux discretization; the
 operator is a symmetric M-matrix, so projected SOR converges for any
 relaxation factor in (0, 2).  The factor is re-tuned during the iteration to
-the measured width of the active set.
+the measured width of the active set.  W vanishes outside a compact wet
+region, so every slice, cold or warm, sweeps a window that regrows on leaks.
 
 The radial oracle used in tests and reports lives here too: for a unit-ball
 slot, constant data p and constant initial enthalpy lam < 1, the free
@@ -28,10 +29,10 @@ from .fbdiag import active_mask_from, boundary_faces
 from .stencil import (_box_residual, _nearest_index, _shifted,
                       build_stencil)
 
-#: cells a warm-started slice's window reaches beyond its source.  A
-#: narrower pad regrows more often: on the radial h = 1/64 ten-slice chain,
-#: pad 4 cost 5 more kernel calls and 645 more sweeps, pad 2 cost 11 calls
-#: and 2,510 sweeps, and pad 8 regrows never
+#: cells a slice's first window reaches beyond its source.  A narrower pad
+#: regrows more often: on the radial h = 1/64 ten-slice warm chain, pad 4
+#: cost 5 more kernel calls and 645 more sweeps, pad 2 cost 11 calls and
+#: 2,510 sweeps, and pad 8 regrows never
 SLICE_WINDOW_PAD = 8
 
 #: the radial oracle's bracket gives up beyond this radius
@@ -61,15 +62,14 @@ def solve_slice(scenario, t, warm=None, stencil=None):
     residual included, and :class:`EnvelopeError` if the active set reaches
     the farfield clearance.
 
-    A cold solve sweeps the whole interior box.  A solve warm-started from
-    ``warm`` sweeps a window instead: the slot, the support of the warm W
-    and the FLUID cells near saturation, padded by ``SLICE_WINDOW_PAD``
-    cells and grown while flux leaks across its edge.  W stays zero outside
-    the box, where the load -(1 - u_init) is nonpositive, so once the box
-    does not leak every cell outside it already satisfies complementarity:
-    the window changes which cells are swept, not the converged W.  The
-    near-saturated cells put a saturated patch that the flow is about to
-    reach inside the first window.
+    The solve starts from zero, or from ``warm``'s W, and sweeps the window
+    of :meth:`FaceStencil.solve`: the slot, the support of that start and
+    the FLUID cells near saturation (a patch the flow is about to reach),
+    padded by ``SLICE_WINDOW_PAD`` cells and grown while flux leaks across
+    its edge.  W stays zero outside the box, where the load -(1 - u_init)
+    is nonpositive, so once the box does not leak every cell outside it
+    already satisfies complementarity: the window changes which cells are
+    swept, not the converged W.
     """
     if not 0 <= t < np.inf:
         raise ConfigError("slice time must be nonnegative and finite")
@@ -80,15 +80,12 @@ def solve_slice(scenario, t, warm=None, stencil=None):
     if t == 0.0:
         return BaiocchiPotential(t=0.0, w=w, active_mask=np.zeros(grid.shape, bool),
                                  residual=0.0, sweeps=0)
-    box = st.interior
     if warm is not None:
         np.copyto(w, warm.w, where=grid.fluid)
-        box = st.window_box(st.window_source(w > 0, scenario.u_init),
-                            pad=SLICE_WINDOW_PAD)
-
     try:
         residual, sweeps, *_ = st.solve(
-            w, st.diag, _slice_rhs(scenario, st, t), box, coupling=1.0)
+            w, st.diag, _slice_rhs(scenario, st, t), coupling=1.0,
+            u=scenario.u_init, pad=SLICE_WINDOW_PAD)
     except SolverError as exc:
         raise exc.at(f"obstacle slice at t={t:g}") from exc
 

@@ -52,7 +52,7 @@ def _base_manifest(args, scenario, scenario_path, extras):
                  "counts": scenario.grid.counts()},
     }
     if "jobs" in args:
-        manifest["jobs"] = max(1, args.jobs)
+        manifest["jobs"] = args.jobs
     manifest.update(extras)
     return manifest
 
@@ -127,10 +127,9 @@ def cmd_obstacle(args):
     st = build_stencil(scenario)
     out = Path(args.out)
     rows = []
-    warm = None
+    sl = None
     for i, t in enumerate(sorted(times)):
-        sl = baiocchi.solve_slice(scenario, t, warm=warm, stencil=st)
-        warm = sl
+        sl = baiocchi.solve_slice(scenario, t, warm=sl, stencil=st)
         snapshots.dump_raster(out, f"obstacle_W_{i:04d}", sl.w,
                               {"t": t, "m": None, "h": scenario.grid.h})
         balance = baiocchi.mass_balance_check(scenario, sl, stencil=st)
@@ -155,12 +154,10 @@ def cmd_compare(args):
     times = sorted(_parse_times(args.times))
     scenario, limit = _run_sweep(args, scenario, times)
     st = build_stencil(scenario)
-    slices = []
-    warm = None
+    slices, sl = [], None
     for t in times:
-        sl = baiocchi.solve_slice(scenario, t, warm=warm, stencil=st)
+        sl = baiocchi.solve_slice(scenario, t, warm=sl, stencil=st)
         slices.append(sl)
-        warm = sl
     rows = baiocchi.cross_validate(limit, slices, scenario)
 
     contact = _contact_record(scenario, limit, st)
@@ -295,6 +292,12 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+def _positive_int(text):
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
 def build_parser():
     parser = _Parser(
         prog="mesahs",
@@ -307,7 +310,8 @@ def build_parser():
         p.add_argument("scenario", help="scenario JSON file")
         p.add_argument("--out", required=True, help="output directory")
         if jobs:
-            p.add_argument("--jobs", type=int, default=1, help="parallel jobs")
+            p.add_argument("--jobs", type=_positive_int, default=1,
+                           help="parallel jobs")
 
     p = sub.add_parser("stefan", help="run one diffusivity")
     common(p, jobs=False)
@@ -349,7 +353,7 @@ def build_parser():
                    help='"auto" or "x,y;x,y;..."')
     p.add_argument("--radii", default=None, help="comma-separated scan radii")
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.set_defaults(func=cmd_diagnose)
     return parser
 

@@ -9,6 +9,13 @@ converge, and a run that outgrew its truncated domain.
 class MesaHSError(Exception):
     """Base class for all package errors."""
 
+    def at(self, where):
+        """The same failure, with its message prefixed by where it happened.
+
+        Subclasses take their attributes as keyword arguments.
+        """
+        return type(self)(f"{where}: {self}", **vars(self))
+
 
 class ConfigError(MesaHSError):
     """Invalid scenario, geometry, or parameter data."""
@@ -23,10 +30,6 @@ class SolverError(MesaHSError):
     def __init__(self, message, residual_history=None):
         super().__init__(message)
         self.residual_history = list(residual_history or [])
-
-    def at(self, where):
-        """The same failure, with its message prefixed by where it happened."""
-        return SolverError(f"{where}: {self}", self.residual_history)
 
 
 class EnvelopeError(MesaHSError):

@@ -511,6 +511,9 @@ def radial_u_init(grid, geometry, breakpoints):
 
 def _geometry_from_dict(d, spacing):
     kind = d.get("kind")
+    if kind not in (None, "ball", "union-of-balls",
+                    "polygon-with-rounded-corners"):
+        raise ConfigError(f"unknown slot kind {kind!r}")
     centers = d["centers"]
     if kind == "polygon-with-rounded-corners" or (
             kind is None and "rounding" in d):

@@ -7,11 +7,9 @@ temperature: a cell is either frozen (u < 1, temperature 0) or diffusive
 (temperature m*(u - 1)), and the operator (1/m + dt * A) with the face-flux
 Laplacian A is a symmetric M-matrix, so the step's solution is unique and
 the solve starts from the last step's temperature: the start changes the
-sweep count, never the answer.  Steps are solved by projected red-black
-over-relaxation restricted to a window around the active set plus every
-cell that could activate within the step; the window is re-expanded and
-re-solved if flux ever reaches its edge, so restriction never changes the
-converged answer.
+sweep count, never the answer.  :meth:`FaceStencil.solve` sweeps a window
+around the cells that can be active within the step, regrown while flux
+reaches its edge, so the window never changes the converged answer.
 
 The free-boundary condition is implicit in the conservative form and never
 imposed separately.  A step is conservative by construction: the enthalpy
@@ -32,6 +30,8 @@ from .stencil import build_stencil
 
 #: per-step slack allowed on cellwise time-monotonicity of u
 MONOTONE_STEP_TOL = 1e-8
+#: enthalpy from which a cell counts as saturated in ``first_unit_time``
+UNIT_CUT = 1.0 - 1e-12
 
 
 def _diffusivity(m):
@@ -118,9 +118,8 @@ def _advance(st, u, theta, diag, dt):
     grid = st.grid
     # flux may not cross the window edge, else the frozen update outside
     # the box would be wrong: the solve grows the box until none does
-    window = st.window_box(st.window_source(theta > 0, u), pad=2)
     residual, sweeps, box, checks, regrowths = st.solve(
-        theta, diag, (u - 1.0) + dt * st.slot_load, window, coupling=dt)
+        theta, diag, (u - 1.0) + dt * st.slot_load, coupling=dt, u=u, pad=2)
 
     fluid = grid.fluid[box]
     theta_box = theta[box]
@@ -170,7 +169,7 @@ def run(scenario, m, snapshot_times, dt=None, stencil=None, keep_u=True):
     step_diag = 1.0 / m + dt * st.diag
 
     first_theta = np.full(grid.shape, np.inf)
-    first_unit = np.where(grid.fluid & (scenario.u_init >= 1.0), 0.0, np.inf)
+    first_unit = np.where(grid.fluid & (u >= UNIT_CUT), 0.0, np.inf)
     w_accum = np.zeros(grid.shape)
     times, u_fields, theta_fields, w_integrals, step_log = [], [], [], [], []
     cumulative = 0.0
@@ -190,7 +189,7 @@ def run(scenario, m, snapshot_times, dt=None, stencil=None, keep_u=True):
             try:
                 influx, residual, sweeps, checks, regrowths, box = _advance(
                     st, u, theta, diag, dt_step)
-            except SolverError as exc:
+            except (SolverError, EnvelopeError) as exc:
                 raise exc.at(f"m={m:g}, step {step} to t={t_end:g}") from exc
             t = t_end
             cumulative += influx
@@ -203,7 +202,7 @@ def run(scenario, m, snapshot_times, dt=None, stencil=None, keep_u=True):
             first = first_theta[box]
             first[(theta_box > 0.0) & ~np.isfinite(first)] = t
             first = first_unit[box]
-            first[grid.fluid[box] & (u[box] >= 1.0 - 1e-12)
+            first[grid.fluid[box] & (u[box] >= UNIT_CUT)
                   & ~np.isfinite(first)] = t
         times.append(t)
         if keep_u:

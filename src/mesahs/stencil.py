@@ -119,17 +119,6 @@ class FaceStencil:
                    - self.slot_coef[box] * values[box])
         return float(contrib[g.fluid[box]].sum()) * g.cell_volume
 
-    def window_source(self, positive, u):
-        """Mask that a solve window must cover before its pad.
-
-        It holds the slot, the ``positive`` cells and every FLUID cell whose
-        enthalpy ``u`` lies within one cell width (clamped to [1e-3, 0.5])
-        of saturation: the cells that can turn active first.
-        """
-        g = self.grid
-        slack = min(0.5, max(g.h, 1e-3))
-        return g.slot | positive | (g.fluid & (u >= 1.0 - slack))
-
     def window_box(self, source_mask, pad):
         """Bounding box of a mask grown by ``pad`` cells; None if empty."""
         if not source_mask.any():
@@ -166,21 +155,27 @@ class FaceStencil:
                     return True
         return False
 
-    def solve(self, values, diag, rhs, box, coupling):
-        """Projected SOR from ``box``, grown by 4 cells while flux leaks out.
+    def solve(self, values, diag, rhs, coupling, u, pad):
+        """Projected SOR on a window, grown by 4 cells while flux leaks out.
 
-        Solves diag*v - coupling*sum(nb)/h^2 = rhs, v >= 0 in place, with
-        ``values`` zero outside the box; one sweep budget covers every
-        kernel call.  Returns (residual, sweeps, final box, residual checks
-        of every call, regrowths).  Raises :class:`SolverError`, with the
+        Solves diag*v - coupling*sum(nb)/h^2 = rhs, v >= 0 in place, from
+        ``values`` >= 0.  The first box holds the slot, the positive
+        ``values`` and the FLUID cells that can turn active first, those
+        within one cell width (clamped to [1e-3, 0.5]) of saturation in
+        ``u``, grown by ``pad`` cells.  One sweep budget covers every kernel
+        call.  Returns (residual, sweeps, final box, residual checks of
+        every call, regrowths).  Raises :class:`SolverError`, with the
         residual history of every call, unless residual <= ``SOLVE_TOL``
         (never true of a NaN).
         """
-        budget = _sweep_budget(self.grid)
+        g = self.grid
+        near = g.fluid & (u >= 1.0 - min(0.5, max(g.h, 1e-3)))
+        box = self.window_box(g.slot | (values > 0) | near, pad)
+        budget = _sweep_budget(g)
         history, sweeps, regrowths = [], 0, 0
         while True:
             res, used, hist = projected_sor(
-                values, diag, rhs, box, self.grid.fluid, coupling=coupling,
+                values, diag, rhs, box, g.fluid, coupling=coupling,
                 tol=SOLVE_TOL, max_sweeps=budget - sweeps, h=self.h)
             sweeps += used
             history += hist
@@ -315,8 +310,7 @@ def _box_residual(values, diag, rhs, box, fluid, coupling, h):
     Also returns the max complementarity residual |min(residual, v)| over
     the FLUID cells of the box: the number the kernel compares with tol.
     """
-    # the box spans the whole grid on obstacle slices, so every temporary
-    # is a grid-sized array: scale and reuse the neighbor sum in place
+    # every temporary is box-sized: scale and reuse the neighbor sum in place
     nb = _box_neighbor_sum(values, box)
     nb *= coupling / (h * h)
     pde = diag[box] * values[box] - nb - rhs[box]

@@ -46,26 +46,36 @@ def _box_cells(box):
     return math.prod(s.stop - s.start for s in box)
 
 
-def _warm_chain(sc, st, full_box):
-    """W of each chain slice and the kernel calls of the whole chain."""
+def _chain(sc, st, starts=None):
+    """Slices of the chain and the kernel calls of each.
+
+    Each slice is warm-started from the one before it.  Given ``starts``,
+    a chain of slices, every slice is instead solved on the interior box,
+    the first cold and each later one from the slice of ``starts`` before
+    it: the reference.
+    """
+    slices, calls = [], []
     with pytest.MonkeyPatch.context() as mp:
-        if full_box:
+        if starts is not None:
             _full_box(mp, st)
-        calls = _record_kernel_calls(mp)
-        ws, warm = [], None
-        for t in CHAIN_TIMES:
-            warm = baiocchi.solve_slice(sc, t, warm=warm, stencil=st)
-            ws.append(warm.w)
-    return ws, calls
+        recorded = _record_kernel_calls(mp)
+        for k, t in enumerate(CHAIN_TIMES):
+            warm = slices[-1] if slices else None
+            if starts is not None:
+                warm = starts[k - 1] if k else None
+            slices.append(baiocchi.solve_slice(sc, t, warm=warm, stencil=st))
+            calls.append(recorded[:])
+            recorded.clear()
+    return slices, calls
 
 
 @pytest.fixture(scope="module")
 def radial32_chains():
     sc = scenarios.radial_scenario(h=1 / 32, t_max=0.5)
     st = build_stencil(sc)
-    return {"scenario": sc, "stencil": st,
-            "windowed": _warm_chain(sc, st, full_box=False),
-            "reference": _warm_chain(sc, st, full_box=True)}
+    windowed = _chain(sc, st)
+    return {"scenario": sc, "stencil": st, "windowed": windowed,
+            "reference": _chain(sc, st, starts=windowed[0])}
 
 
 class TestRadialOracle:
@@ -239,28 +249,39 @@ class TestSolveSlice:
 
 
 class TestSliceWindow:
-    # a warm-started slice solves on a window around its warm start, grown
+    # every slice solves on a window around the slot and its start, grown
     # while flux leaks; the reference solves every slice on the interior box
 
     def test_chain_matches_reference_on_smaller_boxes(self, radial32_chains):
-        ws, calls = radial32_chains["windowed"]
-        ref_ws, ref_calls = radial32_chains["reference"]
-        for w, ref in zip(ws, ref_ws):
-            assert np.array_equal(w, ref)
-        assert [used for used, _ in calls] == [used for used, _ in ref_calls]
+        slices, calls = radial32_chains["windowed"]
+        ref_slices, ref_calls = radial32_chains["reference"]
         interior = _box_cells(radial32_chains["stencil"].interior)
-        # the first slice is cold, every later one starts from a window
-        assert _box_cells(calls[0][1]) == interior
-        assert all(_box_cells(box) < interior for _, box in calls[1:])
+        assert all(_box_cells(box) < interior
+                   for slice_calls in calls for _, box in slice_calls)
+        # the cold first slice regrows from its window to the reference
+        assert len(calls[0]) > 1
+        assert not radial32_chains["stencil"].box_leaks(slices[0].w,
+                                                        calls[0][-1][1])
+        assert (np.abs(slices[0].w - ref_slices[0].w).max()
+                <= MONOTONE_SWEEP_TOL)
+        # every warm slice solves the reference's problem: same sweeps,
+        # same bits
+        for sl, ref, slice_calls, ref_slice_calls in zip(
+                slices[1:], ref_slices[1:], calls[1:], ref_calls[1:]):
+            assert np.array_equal(sl.w, ref.w)
+            assert ([used for used, _ in slice_calls]
+                    == [used for used, _ in ref_slice_calls])
 
     def test_chain_work_stays_windowed(self, radial32_chains):
-        # box cells x sweeps over the chain's kernel calls: 24.3 M against
-        # 45.9 M on the interior box, so a silent fallback to the whole box
+        # box cells x sweeps over the chain's kernel calls: 21.2 M against
+        # 42.8 M on the interior box, so a silent fallback to the whole box
         # fails here, with no wall-clock noise
         _, calls = radial32_chains["windowed"]
         _, ref_calls = radial32_chains["reference"]
-        work = sum(used * _box_cells(box) for used, box in calls)
-        full = sum(used * _box_cells(box) for used, box in ref_calls)
+        work = sum(used * _box_cells(box)
+                   for slice_calls in calls for used, box in slice_calls)
+        full = sum(used * _box_cells(box)
+                   for slice_calls in ref_calls for used, box in slice_calls)
         assert work <= 0.7 * full
 
     def test_far_behind_warm_start_regrows_to_the_reference(

@@ -6,14 +6,18 @@ their arguments and results: ``projected_sor``'s ``tol``, ``box`` and
 ``stefan.run``'s ``steps`` and ``mass_error``, and ``solve_slice``'s
 ``warm``, ``sweeps`` and ``residual``.  A change that breaks one of them
 fails only inside the benchmark, so this runs the tracer in a subprocess on
-an h = 1/8 scenario.
+an h = 1/8 scenario.  The command lines ``perfbench/run.py`` passes to
+the CLI are checked against the CLI's parser too.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from mesahs.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -74,3 +78,22 @@ def test_tracer_binds_and_counts_the_step_log():
     assert [a["warm"] for a in attrs["solve_slice"]] == [False, True]
     assert attrs["run"] == [{"steps": len(log),
                              "mass_error": out["mass_error"]}]
+
+
+def test_benchmark_command_lines_parse(monkeypatch):
+    # a flag the benchmark passes that the CLI drops or tightens would fail
+    # only inside the benchmark run
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", ROOT / "perfbench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, bench)
+    spec.loader.exec_module(bench)
+    commands = [args for workload in bench.WORKLOADS.values()
+                for mode, args in workload.processes("scenario.json", "out")
+                if mode == "cli"]
+    assert {args[0] for args in commands} == {"compare", "obstacle",
+                                              "diagnose"}
+    parser = build_parser()
+    for args in commands:
+        parser.parse_args(args)

@@ -292,6 +292,7 @@ class TestExitCodes:
         ["obstacle", "--times", "0.1", "--tol", "1e-12"],
         ["mesa", "--snapshots", "0.1", "--tol", "1e-12"],
         ["obstacle", "--times", "0.1", "--jobs", "x"],
+        ["obstacle", "--times", "0.1", "--jobs", "0"],
         ["barriers", "--n", "4"],
         ["frobnicate"],
     ], ids=" ".join)
@@ -329,6 +330,8 @@ class TestExitCodes:
         pytest.param(lambda s: s["slot"].update(centers=[[0.0, 0.0], [3.0]],
                                                 radii=[1.0, 1.0]),
                      id="ragged-centers"),
+        pytest.param(lambda s: s["slot"].update(kind="square"),
+                     id="unknown-slot-kind"),
         pytest.param(lambda s: s.update(p={"kind": "samples",
                                            "values": "abc"}),
                      id="p-samples-word"),

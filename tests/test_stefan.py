@@ -242,7 +242,7 @@ class TestRun:
                       u_init=np.zeros(grid.shape),
                       p_samples=np.full(geom.boundary_samples.shape[0], 4.0),
                       t_max=2.0, m_list=(8, 16, 32))
-        with pytest.raises(EnvelopeError):
+        with pytest.raises(EnvelopeError, match=r"^m=32, step \d+ to t="):
             stefan.run(sc, 32, snapshot_times=[2.0])
 
 
@@ -323,6 +323,16 @@ class TestPatchContact:
         # the whole patch turns diffusive within a step of first contact
         assert t_first.max() - t_first.min() <= res.dt + 1e-12
         # patch enthalpy stays exactly 1 until contact
+        assert np.all(res.first_unit_time[patch] == 0.0)
+
+    def test_patch_within_the_unit_cut_is_saturated_at_zero(self):
+        # a cell that starts within 1e-12 below 1 counts as saturated from
+        # t = 0, as it would after any step
+        sc = mini_annulus_scenario(h=1 / 16)
+        patch = sc.grid.fluid & (sc.u_init >= 1.0)
+        u_init = np.where(patch, 1.0 - 5e-13, sc.u_init)
+        sc = dataclasses.replace(sc, u_init=u_init)
+        res = stefan.run(sc, 256, snapshot_times=[0.05])
         assert np.all(res.first_unit_time[patch] == 0.0)
 
 

@@ -646,22 +646,28 @@ class TestSolveDriver:
         return calls
 
     def test_regrowth_reaches_interior_solution(self, mini_annulus,
-                                                kernel_calls):
+                                                kernel_calls, monkeypatch):
         sc = mini_annulus
         st = build_stencil(sc)
         diag, rhs, coupling = _flooding_step(sc, st)
+        # with no cell near saturation the first box is the slot's, padded
+        # by one cell
+        cold = np.zeros(sc.grid.shape)
         small = st.window_box(sc.grid.slot, pad=1)
         theta = np.zeros(sc.grid.shape)
         res, sweeps, box, checks, regrowths = st.solve(theta, diag, rhs,
-                                                       small, coupling)
+                                                       coupling, cold, 1)
         assert len(kernel_calls) > 1 and box != small
         assert not st.box_leaks(theta, box)
         assert res <= SOLVE_TOL
         assert sweeps == sum(used for used, _ in kernel_calls)
         assert checks == sum(len(history) for _, history in kernel_calls)
         assert regrowths == len(kernel_calls) - 1
+        interior = st.interior
+        monkeypatch.setattr(FaceStencil, "window_box",
+                            lambda self, source_mask, pad: interior)
         ref = np.zeros(sc.grid.shape)
-        st.solve(ref, diag, rhs, st.interior, coupling)
+        st.solve(ref, diag, rhs, coupling, cold, 1)
         assert np.abs(theta - ref).max() <= MONOTONE_SWEEP_TOL
 
     def test_one_budget_covers_every_regrowth(self, mini_annulus,
@@ -671,15 +677,15 @@ class TestSolveDriver:
         sc = mini_annulus
         st = build_stencil(sc)
         diag, rhs, coupling = _flooding_step(sc, st)
-        small = st.window_box(sc.grid.slot, pad=1)
-        st.solve(np.zeros(sc.grid.shape), diag, rhs, small, coupling)
+        cold = np.zeros(sc.grid.shape)
+        st.solve(np.zeros(sc.grid.shape), diag, rhs, coupling, cold, 1)
         assert len(kernel_calls) > 1
         budget = sum(used for used, _ in kernel_calls[:-1]) + 1
         kernel_calls.clear()
         monkeypatch.setattr(mesahs.stencil, "_sweep_budget",
                             lambda grid: budget)
         with pytest.raises(SolverError, match="on box") as err:
-            st.solve(np.zeros(sc.grid.shape), diag, rhs, small, coupling)
+            st.solve(np.zeros(sc.grid.shape), diag, rhs, coupling, cold, 1)
         assert len(kernel_calls) > 1
         assert sum(used for used, _ in kernel_calls) <= budget
         assert err.value.residual_history == [
