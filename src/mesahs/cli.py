@@ -111,7 +111,8 @@ def cmd_mesa(args):
         snapshots.dump_raster(out, f"mesa_uinf_{i:04d}", u_inf, header)
         q_counts.append(int(limit.q_masks[i].sum()))
     manifest = _base_manifest(args, scenario, args.scenario, {
-        "m_list": list(scenario.m_list), "snapshot_times": snapshot_times,
+        "m_list": list(scenario.m_list), "dt": limit.dt,
+        "snapshot_times": snapshot_times,
         "tail_gap": [float(g) for g in limit.tail_gap],
         "q_cell_counts": q_counts, "solver_tol": SOLVE_TOL,
     })
@@ -168,7 +169,7 @@ def cmd_compare(args):
                         ["t", "supgap_W", "supgap_rel", "hausdorff_cells",
                          "contact_flags"], csv_rows)
     manifest = _base_manifest(args, scenario, args.scenario, {
-        "times": times, "m_list": list(scenario.m_list),
+        "times": times, "m_list": list(scenario.m_list), "dt": limit.dt,
         "solver_tol": SOLVE_TOL, "cross_validation": rows,
         "contact": contact,
     })
@@ -305,6 +306,8 @@ def build_parser():
                     "and obstacle-slice route with cross-validation.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    dt_help = ("enthalpy step length (default: h / max(max pressure datum, "
+               "1), stefan.default_dt)")
 
     def common(p, jobs=True):
         p.add_argument("scenario", help="scenario JSON file")
@@ -316,14 +319,14 @@ def build_parser():
     p = sub.add_parser("stefan", help="run one diffusivity")
     common(p, jobs=False)
     p.add_argument("--m", type=float, required=True)
-    p.add_argument("--dt", type=float, default=None)
+    p.add_argument("--dt", type=float, default=None, help=dt_help)
     p.add_argument("--snapshots", required=True, help="comma-separated times")
     p.set_defaults(func=cmd_stefan)
 
     p = sub.add_parser("mesa", help="run the diffusivity sweep")
     common(p)
     p.add_argument("--m-list", default=None, help="override scenario m_list")
-    p.add_argument("--dt", type=float, default=None)
+    p.add_argument("--dt", type=float, default=None, help=dt_help)
     p.add_argument("--snapshots", required=True)
     p.set_defaults(func=cmd_mesa)
 
@@ -335,7 +338,7 @@ def build_parser():
     p = sub.add_parser("compare", help="both routes plus cross-validation")
     common(p)
     p.add_argument("--m-list", default=None)
-    p.add_argument("--dt", type=float, default=None)
+    p.add_argument("--dt", type=float, default=None, help=dt_help)
     p.add_argument("--times", required=True)
     p.set_defaults(func=cmd_compare)
 

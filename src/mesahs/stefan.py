@@ -63,13 +63,17 @@ def _check_times(scenario, snapshot_times, dt):
 
 
 def default_dt(scenario):
-    """Step so the free boundary moves at most about a quarter cell.
+    """Default step h / max(max_datum, 1): about one cell of front motion.
 
-    The front speed is bounded by the sup of the pressure data; for p == 0
-    there is no evolution and any step works.
+    In the mesa limit the backward-Euler sum W^n solves the obstacle
+    problem at t_n for any dt, so the sweep route's accuracy is bounded by
+    the O(1/m) route gap, not by the step length.  The front speed is
+    bounded by the sup of the pressure data, so a step moves the front about
+    one cell, and the time functions resolve to one step; for p == 0 there
+    is no evolution and any step works.
     """
     m_datum = scenario.max_datum
-    return 0.25 * scenario.grid.h / max(m_datum, 1.0)
+    return scenario.grid.h / max(m_datum, 1.0)
 
 
 @dataclass

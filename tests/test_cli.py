@@ -13,6 +13,7 @@ import mesahs
 import mesahs.stencil
 from mesahs import baiocchi, snapshots, stefan
 from mesahs.cli import main
+from mesahs.geometry import load_scenario
 from mesahs.stencil import SOLVE_TOL
 
 
@@ -197,6 +198,8 @@ class TestCompareCommand:
         contact = manifest["contact"]
         assert contact is not None
         assert contact["gap"] <= contact["tol"]
+        # tol follows dt; the gap also stays within h / 2 in absolute terms
+        assert contact["gap"] <= (1 / 12) / 2
         assert (out / "compare.csv").exists()
         worst = max(r["supgap_rel"] for r in manifest["cross_validation"])
         assert worst <= 0.08
@@ -482,6 +485,21 @@ class TestSolverTolerance:
                      "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["solver_tol"] == SOLVE_TOL == 1e-10
+
+
+class TestStepLength:
+    @pytest.mark.parametrize("args", [
+        ["stefan", "--m", "16", "--snapshots", "0.05"],
+        ["mesa", "--snapshots", "0.05"],
+        ["compare", "--times", "0.05"],
+    ], ids=lambda args: args[0])
+    def test_manifest_records_the_default_dt(self, tmp_path, args):
+        scenario = write_scenario(tmp_path)
+        out = tmp_path / "run"
+        assert main([args[0], str(scenario), *args[1:],
+                     "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["dt"] == stefan.default_dt(load_scenario(scenario))
 
 
 def _cap_address_space():

@@ -5,9 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mesahs import baiocchi, mesa, scenarios
+from mesahs import baiocchi, mesa, scenarios, stefan
 from mesahs.errors import ConfigError, SolverError
 from mesahs.mesa import MONOTONE_SWEEP_TOL
+from mesahs.stencil import build_stencil
 
 from conftest import mini_annulus_scenario
 
@@ -122,6 +123,37 @@ class TestRouteGap:
         for coarse, fine in zip(gaps, gaps[1:]):
             assert 3.5 <= coarse / fine <= 4.5
         assert abs(gap(1024, h) / gaps[-1] - 1.0) < 0.1
+
+    @pytest.mark.parametrize("case", ["radial", "mini-annulus", "sandwich",
+                                      "two-slot"])
+    def test_default_dt_keeps_the_gap_of_quarter_cell_steps(self, case):
+        # the default step is chosen by the route gap: at no snapshot and no
+        # m may it let the gap grow past that of quarter-cell steps
+        sc, times = {
+            "radial": (scenarios.radial_scenario(h=1 / 16, t_max=0.5),
+                       [0.1, 0.25, 0.5]),
+            "mini-annulus": (mini_annulus_scenario(h=1 / 16), [0.1, 0.2, 0.3]),
+            "sandwich": (scenarios.sandwich_scenario(h=1 / 16, t_max=0.2),
+                         [0.05, 0.1, 0.2]),
+            "two-slot": (scenarios.two_slot_scenario(h=1 / 16, t_max=0.2),
+                         [0.05, 0.1, 0.2]),
+        }[case]
+        st = build_stencil(sc)
+        slices, sl = [], None
+        for t in times:
+            sl = baiocchi.solve_slice(sc, t, warm=sl, stencil=st)
+            slices.append(sl)
+        fluid = sc.grid.fluid
+
+        def gaps(m, dt):
+            res = stefan.run(sc, m, times, dt=dt, stencil=st)
+            return [np.abs(w - s.w)[fluid].max() / s.max_w()
+                    for w, s in zip(res.w_integrals, slices)]
+
+        assert stefan.default_dt(sc) == sc.grid.h
+        for m in (16, 1024):
+            for quarter, default in zip(gaps(m, sc.grid.h / 4), gaps(m, None)):
+                assert default <= 1.1 * quarter
 
 
 class TestTimeFunctions:

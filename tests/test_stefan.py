@@ -168,9 +168,11 @@ class TestRun:
 
     def test_mass_error_reads_the_step_log(self, small):
         # the cumulative column is the running sum of the influx column, in
-        # step order, and mass_error is its gap to the total gain, bit for bit
+        # step order, and mass_error is its gap to the total gain, bit for
+        # bit; quarter-cell steps give the log more than a handful of rows
         sc, st = small
-        res = stefan.run(sc, 32, snapshot_times=[0.05, 0.1], stencil=st)
+        res = stefan.run(sc, 32, snapshot_times=[0.05, 0.1],
+                         dt=sc.grid.h / 4, stencil=st)
         assert res.steps == len(res.step_log) > 5
         assert [row[0] for row in res.step_log] == list(range(1, res.steps + 1))
         cumulative = 0.0
@@ -313,8 +315,9 @@ class TestThreeDimensions:
 
 class TestPatchContact:
     def test_patch_holds_then_floods(self):
+        # quarter-cell steps, so contact (t = 0.125) comes more than 5 in
         sc = mini_annulus_scenario(h=1 / 16)
-        res = stefan.run(sc, 256, snapshot_times=[0.3])
+        res = stefan.run(sc, 256, snapshot_times=[0.3], dt=sc.grid.h / 4)
         patch = sc.grid.fluid & (sc.u_init >= 1.0)
         t_first = res.first_theta_time[patch]
         assert np.all(np.isfinite(t_first))
