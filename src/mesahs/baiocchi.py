@@ -64,10 +64,11 @@ def solve_slice(scenario, t, warm=None, stencil=None):
 
     The solve starts from zero, or from ``warm``'s W, and sweeps the window
     of :meth:`FaceStencil.solve`: the slot, the support of that start and
-    the FLUID cells near saturation (a patch the flow is about to reach),
-    padded by ``SLICE_WINDOW_PAD`` cells and grown while flux leaks across
-    its edge.  W stays zero outside the box, where the load -(1 - u_init)
-    is nonpositive, so once the box does not leak every cell outside it
+    the FLUID cells whose load is within one cell width of zero (a patch
+    near saturation that the flow is about to reach), padded by
+    ``SLICE_WINDOW_PAD`` cells and grown while flux leaks across its edge.
+    W stays zero outside the box, where the load -(1 - u_init) is
+    nonpositive, so once the box does not leak every cell outside it
     already satisfies complementarity: the window changes which cells are
     swept, not the converged W.
     """
@@ -85,7 +86,7 @@ def solve_slice(scenario, t, warm=None, stencil=None):
     try:
         residual, sweeps, *_ = st.solve(
             w, st.diag, _slice_rhs(scenario, st, t), coupling=1.0,
-            u=scenario.u_init, pad=SLICE_WINDOW_PAD)
+            pad=SLICE_WINDOW_PAD)
     except SolverError as exc:
         raise exc.at(f"obstacle slice at t={t:g}") from exc
 

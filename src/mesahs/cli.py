@@ -309,15 +309,16 @@ def build_parser():
     dt_help = ("enthalpy step length (default: h / max(max pressure datum, "
                "1), stefan.default_dt)")
 
-    def common(p, jobs=True):
+    serial_jobs = "runs serially; the value is only recorded in the manifest"
+
+    def common(p, jobs="parallel jobs"):
         p.add_argument("scenario", help="scenario JSON file")
         p.add_argument("--out", required=True, help="output directory")
         if jobs:
-            p.add_argument("--jobs", type=_positive_int, default=1,
-                           help="parallel jobs")
+            p.add_argument("--jobs", type=_positive_int, default=1, help=jobs)
 
     p = sub.add_parser("stefan", help="run one diffusivity")
-    common(p, jobs=False)
+    common(p, jobs=None)
     p.add_argument("--m", type=float, required=True)
     p.add_argument("--dt", type=float, default=None, help=dt_help)
     p.add_argument("--snapshots", required=True, help="comma-separated times")
@@ -331,7 +332,7 @@ def build_parser():
     p.set_defaults(func=cmd_mesa)
 
     p = sub.add_parser("obstacle", help="solve obstacle slices")
-    common(p)
+    common(p, jobs=serial_jobs)
     p.add_argument("--times", required=True)
     p.set_defaults(func=cmd_obstacle)
 
@@ -356,7 +357,7 @@ def build_parser():
                    help='"auto" or "x,y;x,y;..."')
     p.add_argument("--radii", default=None, help="comma-separated scan radii")
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=_positive_int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1, help=serial_jobs)
     p.set_defaults(func=cmd_diagnose)
     return parser
 

@@ -40,7 +40,6 @@ class RegionSeries:
     weighted_measures: list   # per time: integral of (1 - u_init) over the mask
     measures: list            # per time: plain Lebesgue measure of the mask
     grid: object
-    u_init: np.ndarray
 
     def index_of(self, t):
         i = _time_index(self.times, t)
@@ -128,8 +127,7 @@ def extract_regions(fields, scenario, times=None):
         if np.any(a & ~b):
             raise ConfigError("region series is not nested in time")
     return RegionSeries(times=resolved_times, masks=masks, fb_points=fb,
-                        weighted_measures=wmeas, measures=meas, grid=grid,
-                        u_init=scenario.u_init)
+                        weighted_measures=wmeas, measures=meas, grid=grid)
 
 
 def component_count(mask):

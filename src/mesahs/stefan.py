@@ -108,12 +108,13 @@ class RunResult:
         return len(self.step_log)
 
 
-def _advance(st, u, theta, diag, dt):
+def _advance(st, u, theta, m, dt):
     """One conservative implicit step of length ``dt`` from (u, theta).
 
-    ``diag`` is the step operator's diagonal 1/m + dt * A_diag.  The step
-    solves for the new temperature starting from ``theta``: the solution is
-    unique, so that start affects only the sweep count.  ``theta`` and ``u``
+    The step solves (1/m + dt * A) theta = (u - 1) + dt * slot load,
+    theta >= 0, starting from ``theta``: the solution is unique, so that
+    start affects only the sweep count.  The first window holds the FLUID
+    cells whose load is within one cell width of zero.  ``theta`` and ``u``
     are updated in place.  Returns the step's slot influx, the solver's
     final residual, its sweep count, its residual checks, its box regrowths
     and the final solve box.  The temperature is zero outside that box, and
@@ -123,7 +124,8 @@ def _advance(st, u, theta, diag, dt):
     # flux may not cross the window edge, else the frozen update outside
     # the box would be wrong: the solve grows the box until none does
     residual, sweeps, box, checks, regrowths = st.solve(
-        theta, diag, (u - 1.0) + dt * st.slot_load, coupling=dt, u=u, pad=2)
+        theta, 1.0 / m + dt * st.diag, (u - 1.0) + dt * st.slot_load,
+        coupling=dt, pad=2)
 
     fluid = grid.fluid[box]
     theta_box = theta[box]
@@ -168,9 +170,6 @@ def run(scenario, m, snapshot_times, dt=None, stencil=None, keep_u=True):
     grid = scenario.grid
     u = np.where(grid.fluid | grid.farfield, scenario.u_init, 0.0)
     theta = np.zeros(grid.shape)
-    # the step operator's diagonal for the run's dt; the shortened steps
-    # that land on a snapshot time build their own
-    step_diag = 1.0 / m + dt * st.diag
 
     first_theta = np.full(grid.shape, np.inf)
     first_unit = np.where(grid.fluid & (u >= UNIT_CUT), 0.0, np.inf)
@@ -189,10 +188,9 @@ def run(scenario, m, snapshot_times, dt=None, stencil=None, keep_u=True):
             dt_step = target - t if last else dt
             t_end = target if last else t + dt_step
             step = len(step_log) + 1
-            diag = step_diag if dt_step == dt else 1.0 / m + dt_step * st.diag
             try:
                 influx, residual, sweeps, checks, regrowths, box = _advance(
-                    st, u, theta, diag, dt_step)
+                    st, u, theta, m, dt_step)
             except (SolverError, EnvelopeError) as exc:
                 raise exc.at(f"m={m:g}, step {step} to t={t_end:g}") from exc
             t = t_end

@@ -155,21 +155,21 @@ class FaceStencil:
                     return True
         return False
 
-    def solve(self, values, diag, rhs, coupling, u, pad):
+    def solve(self, values, diag, rhs, coupling, pad):
         """Projected SOR on a window, grown by 4 cells while flux leaks out.
 
         Solves diag*v - coupling*sum(nb)/h^2 = rhs, v >= 0 in place, from
         ``values`` >= 0.  The first box holds the slot, the positive
         ``values`` and the FLUID cells that can turn active first, those
-        within one cell width (clamped to [1e-3, 0.5]) of saturation in
-        ``u``, grown by ``pad`` cells.  One sweep budget covers every kernel
+        whose load is within one cell width (clamped to [1e-3, 0.5]) of
+        zero, grown by ``pad`` cells.  One sweep budget covers every kernel
         call.  Returns (residual, sweeps, final box, residual checks of
         every call, regrowths).  Raises :class:`SolverError`, with the
         residual history of every call, unless residual <= ``SOLVE_TOL``
         (never true of a NaN).
         """
         g = self.grid
-        near = g.fluid & (u >= 1.0 - min(0.5, max(g.h, 1e-3)))
+        near = g.fluid & (rhs >= -min(0.5, max(g.h, 1e-3)))
         box = self.window_box(g.slot | (values > 0) | near, pad)
         budget = _sweep_budget(g)
         history, sweeps, regrowths = [], 0, 0

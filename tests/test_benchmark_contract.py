@@ -66,6 +66,7 @@ def test_tracer_binds_and_counts_the_step_log():
     assert metrics["stefan.mass_error_max"] == out["mass_error"]
     assert metrics["baiocchi.slices"] == 2
     assert metrics["baiocchi.sweeps_per_slice"] == sum(out["slice_sweeps"]) / 2
+    assert metrics["stencil.unconverged"] == 0
     # every hook ran and filled its attributes; no wrapped call raised
     attrs = {}
     for name, span_attrs in out["spans"]:

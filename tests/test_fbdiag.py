@@ -120,7 +120,7 @@ class TestClassifyPoint:
         return RegionSeries(times=[t], masks=[mask],
                             fb_points=[boundary_faces(mask, scenario.grid)],
                             weighted_measures=[0.0], measures=[0.0],
-                            grid=scenario.grid, u_init=scenario.u_init)
+                            grid=scenario.grid)
 
     def test_half_plane_is_regular_for_every_threshold(self, radial_coarse):
         grid = radial_coarse.grid

@@ -1,5 +1,6 @@
 """Face stencil and the projected SOR kernel against a dense-solve oracle."""
 
+import dataclasses
 import functools
 import math
 import tracemalloc
@@ -13,7 +14,7 @@ from scipy import ndimage
 
 import mesahs.stencil
 from mesahs import stefan
-from mesahs.baiocchi import solve_slice
+from mesahs.baiocchi import SLICE_WINDOW_PAD, solve_slice
 from mesahs.errors import SolverError
 from mesahs.mesa import MONOTONE_SWEEP_TOL
 from mesahs.geometry import Scenario, SlotGeometry, build_grid
@@ -568,8 +569,9 @@ class TestProjectedSorKernel:
 def _flooding_step(sc, st):
     """One m = 256, dt = 0.3 enthalpy step from u_init: (diag, rhs, coupling).
 
-    The step floods the patch, so its temperature spreads far beyond a
-    window around the slot.
+    On the empty radial scenario the load is near zero only on slot-face
+    cells, so the first window is the slot's, while the step's temperature
+    spreads far beyond it.
     """
     m, dt = 256.0, 0.3
     return 1.0 / m + dt * st.diag, (sc.u_init - 1.0) + dt * st.slot_load, dt
@@ -645,18 +647,17 @@ class TestSolveDriver:
         monkeypatch.setattr(mesahs.stencil, "projected_sor", recorded)
         return calls
 
-    def test_regrowth_reaches_interior_solution(self, mini_annulus,
+    def test_regrowth_reaches_interior_solution(self, radial_coarse,
+                                                radial_coarse_stencil,
                                                 kernel_calls, monkeypatch):
-        sc = mini_annulus
-        st = build_stencil(sc)
+        sc, st = radial_coarse, radial_coarse_stencil
         diag, rhs, coupling = _flooding_step(sc, st)
-        # with no cell near saturation the first box is the slot's, padded
-        # by one cell
-        cold = np.zeros(sc.grid.shape)
+        # with no load near zero beyond the slot the first box is the
+        # slot's, padded by one cell
         small = st.window_box(sc.grid.slot, pad=1)
         theta = np.zeros(sc.grid.shape)
         res, sweeps, box, checks, regrowths = st.solve(theta, diag, rhs,
-                                                       coupling, cold, 1)
+                                                       coupling, 1)
         assert len(kernel_calls) > 1 and box != small
         assert not st.box_leaks(theta, box)
         assert res <= SOLVE_TOL
@@ -667,29 +668,96 @@ class TestSolveDriver:
         monkeypatch.setattr(FaceStencil, "window_box",
                             lambda self, source_mask, pad: interior)
         ref = np.zeros(sc.grid.shape)
-        st.solve(ref, diag, rhs, coupling, cold, 1)
+        st.solve(ref, diag, rhs, coupling, 1)
         assert np.abs(theta - ref).max() <= MONOTONE_SWEEP_TOL
 
-    def test_one_budget_covers_every_regrowth(self, mini_annulus,
+    def test_one_budget_covers_every_regrowth(self, radial_coarse,
+                                              radial_coarse_stencil,
                                               kernel_calls, monkeypatch):
         # a budget one sweep past every call but the last of a converging
         # solve runs out after the regrowths, in that last call
-        sc = mini_annulus
-        st = build_stencil(sc)
+        sc, st = radial_coarse, radial_coarse_stencil
         diag, rhs, coupling = _flooding_step(sc, st)
-        cold = np.zeros(sc.grid.shape)
-        st.solve(np.zeros(sc.grid.shape), diag, rhs, coupling, cold, 1)
+        st.solve(np.zeros(sc.grid.shape), diag, rhs, coupling, 1)
         assert len(kernel_calls) > 1
         budget = sum(used for used, _ in kernel_calls[:-1]) + 1
         kernel_calls.clear()
         monkeypatch.setattr(mesahs.stencil, "_sweep_budget",
                             lambda grid: budget)
         with pytest.raises(SolverError, match="on box") as err:
-            st.solve(np.zeros(sc.grid.shape), diag, rhs, coupling, cold, 1)
+            st.solve(np.zeros(sc.grid.shape), diag, rhs, coupling, 1)
         assert len(kernel_calls) > 1
         assert sum(used for used, _ in kernel_calls) <= budget
         assert err.value.residual_history == [
             check for _, history in kernel_calls for check in history]
+
+
+class TestWindowRule:
+    # the first window holds the FLUID cells whose load is within one cell
+    # width of zero; on random data, with a saturated patch or without and
+    # cold or warm, a positive load ends positive and the regrown window
+    # gives the interior-box answer.  At p = 0 the window is the slot's
+    @staticmethod
+    def _windowed_and_full(st, solve):
+        """``solve()`` on the first window and regrown, then on the interior
+        box; with the kernel boxes of the windowed solve."""
+        boxes = []
+        kernel = mesahs.stencil.projected_sor
+
+        def recorded(*args, **kwargs):
+            boxes.append(args[3])
+            return kernel(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mesahs.stencil, "projected_sor", recorded)
+            windowed = solve()
+        with pytest.MonkeyPatch.context() as mp:
+            interior = st.interior
+            mp.setattr(FaceStencil, "window_box",
+                       lambda self, source_mask, pad: interior)
+            full = solve()
+        return windowed, full, boxes
+
+    @settings(max_examples=30, deadline=None)
+    @given(p=hst.floats(0.0, 1.0, exclude_min=True), t=hst.floats(0.01, 0.3),
+           patch=hst.booleans(), warm=hst.booleans(),
+           m=hst.sampled_from((16.0, 256.0)))
+    @example(p=0.0, t=0.3, patch=False, warm=False, m=256.0)
+    @example(p=0.0, t=0.3, patch=True, warm=True, m=256.0)
+    def test_positive_load_ends_positive_and_window_is_exact(
+            self, radial_coarse, mini_annulus, p, t, patch, warm, m):
+        base = mini_annulus if patch else radial_coarse
+        sc = dataclasses.replace(base,
+                                 p_samples=np.full_like(base.p_samples, p))
+        st = build_stencil(sc)
+        grid = sc.grid
+        u = np.where(grid.fluid | grid.farfield, sc.u_init, 0.0)
+        slice_start = solve_slice(sc, t / 2, stencil=st) if warm else None
+        step_start = np.zeros(grid.shape)
+        if warm:
+            stefan._advance(st, u.copy(), step_start, m, t / 2)
+
+        def step():
+            theta = step_start.copy()
+            stefan._advance(st, u.copy(), theta, m, t)
+            return theta
+
+        cases = (
+            (lambda: solve_slice(sc, t, warm=slice_start, stencil=st).w,
+             st.slot_load * t - (1.0 - sc.u_init)),
+            (step, (u - 1.0) + t * st.slot_load))
+        for solve, load in cases:
+            windowed, full, boxes = self._windowed_and_full(st, solve)
+            assert np.all(windowed[grid.fluid & (load > SOLVE_TOL)] > 0)
+            assert np.abs(windowed - full).max() <= MONOTONE_SWEEP_TOL
+            if p == 0.0 and not patch:
+                # no load is positive, none near zero: nothing flows and
+                # one kernel call sweeps the slot's window
+                assert not windowed.any()
+                slot_window = st.window_box(grid.slot, SLICE_WINDOW_PAD)
+                assert len(boxes) == 1 and all(
+                    s.start <= b.start and b.stop <= s.stop
+                    for b, s in zip(boxes[0], slot_window))
 
 
 # ---------------------------------------------------------------------------
