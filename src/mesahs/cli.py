@@ -240,9 +240,15 @@ def cmd_diagnose(args):
     for json_path in sorted(run_dir.glob("*_W_*.json")) or \
             sorted(run_dir.glob("*_V_*.json")) or \
             sorted(run_dir.glob("*_theta_*.json")):
-        arr, meta = snapshots.load_raster(json_path)
+        try:
+            arr, meta = snapshots.load_raster(json_path)
+            times.append(float(meta["t"]))
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"cannot read raster {json_path}: {exc}") from exc
+        if arr.shape != scenario.grid.shape:
+            raise ConfigError(f"raster {json_path} has shape {list(arr.shape)}"
+                              f", the scenario grid {list(scenario.grid.shape)}")
         fields.append(arr)
-        times.append(meta["t"])
     if not fields:
         raise ConfigError(f"no field rasters found in {run_dir}")
     series = fbdiag.extract_regions(fields, scenario, times=times)
@@ -263,8 +269,12 @@ def cmd_diagnose(args):
         step = max(1, pts.shape[0] // 8)
         points = pts[::step][:8]
     else:
-        points = [tuple(float(v) for v in chunk.split(","))
-                  for chunk in args.points.split(";")]
+        try:
+            points = [tuple(float(v) for v in chunk.split(","))
+                      for chunk in args.points.split(";")]
+        except ValueError as exc:
+            raise ConfigError(f"cannot parse point list {args.points!r}") \
+                from exc
     reports = []
     for p in points:
         rep = fbdiag.classify_point(series, p, t_last, radii)

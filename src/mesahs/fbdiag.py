@@ -183,7 +183,12 @@ def classify_point(series, point, t, r_list, delta_reg=DEFAULT_DELTA_REG,
     idx = series.index_of(t)
     mask = series.masks[idx]
     point = np.asarray(point, dtype=float)
+    if point.shape != (grid.n,) or not np.all(np.isfinite(point)):
+        raise ConfigError(f"a point needs {grid.n} finite coordinates, got "
+                          f"{point.tolist()}")
     r_list = sorted(float(r) for r in r_list)
+    if not all(0 < r < np.inf for r in r_list):
+        raise ConfigError(f"scan radii must be finite and positive: {r_list}")
     if len(r_list) < 3:
         raise ConfigError("need at least 3 scan radii")
     if min(r_list) < 4 * grid.h - 1e-12:

@@ -12,9 +12,7 @@ the grid by thresholding the last-level enthalpy at 1 - h.
 from __future__ import annotations
 
 import functools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -94,6 +92,9 @@ def sweep(scenario, snapshot_times, dt=None, jobs=1):
                               build_stencil(scenario))
     if jobs <= 1:
         return _fold(scenario, dt, map(level, m_list))
+    # deferred: a serial sweep never loads the process pool
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
     # spawned workers start from a fresh import: no state forked mid-run
     with ProcessPoolExecutor(jobs, mp_context=get_context("spawn")) as pool:
         return _fold(scenario, dt, pool.map(level, m_list))

@@ -16,7 +16,6 @@ masking.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -318,44 +317,6 @@ def _box_residual(values, diag, rhs, box, fluid, coupling, h):
     return pde, float(np.max(comp, where=fluid[box], initial=0.0))
 
 
-def _sublattice_plan(box, n):
-    """Red-black decomposition of a box into its 2^n parity sub-lattices.
-
-    The box is grown by its one-cell halo into ``ext``; sub-lattice ``q`` (a
-    parity tuple) holds the cells ``ext.start + q + 2k``, and the kernel
-    stores every sub-lattice at the origin of one common padded shape.
-    Returns ``(ext, targets)``; each target is ``(color, parity, cells,
-    neighbors)``: ``color`` is the global cell parity, so updates are
-    bit-identical regardless of the window; ``cells`` is the unit-stride
-    slice of the sub-lattice that lies inside the box; and ``neighbors``
-    gives, for each axis and step (-1, +1) in that order, the
-    opposite-parity sub-lattice and the unit-stride slice of it that holds
-    those face neighbors.  Every slice of a target has the same extents, so
-    in the common shape they all start one fixed flat offset apart.
-    """
-    ext = tuple(slice(s.start - 1, s.stop + 1) for s in box)
-    lengths = [s.stop - s.start for s in box]
-    targets = []
-    for parity in itertools.product((0, 1), repeat=n):
-        # box cells sit at ext offsets 1..length; this parity's first one is
-        # sub-lattice index 1 - p
-        counts = [(length - p) // 2 + p for length, p in zip(lengths, parity)]
-        if any(c == 0 for c in counts):
-            continue
-        cells = tuple(slice(1 - p, 1 - p + c) for p, c in zip(parity, counts))
-        neighbors = []
-        for axis in range(n):
-            q = tuple(1 - p if a == axis else p for a, p in enumerate(parity))
-            for step in (-1, 1):
-                shift = (parity[axis] + step - q[axis]) // 2
-                neighbors.append((q, tuple(
-                    slice(c.start + shift, c.stop + shift) if a == axis else c
-                    for a, c in enumerate(cells))))
-        color = (sum(parity) + sum(s.start for s in ext)) % 2
-        targets.append((color, parity, cells, neighbors))
-    return ext, targets
-
-
 def projected_sor(values, diag, rhs, box, fluid, coupling, tol, max_sweeps,
                   h):
     """Red-black projected SOR for  diag*v - coupling*sum(nb)/h^2 = rhs, v >= 0.
@@ -374,67 +335,62 @@ def projected_sor(values, diag, rhs, box, fluid, coupling, tol, max_sweeps,
     place where a residual above tol, or a NaN, becomes a
     :class:`SolverError`.
 
-    For the length of one call the box and its halo live in 2^n parity
-    sub-lattices of one common padded shape (see :func:`_sublattice_plan`).
-    There each target's box cells and its 2n face neighbors are equal-length
-    contiguous flat ranges.  Each target holds the fused coefficients
-    a = omega*coupling/(h^2*diag) and b = omega*rhs/diag (the pinned load
-    on non-FLUID cells), recomputed from ``diag`` and ``rhs`` whenever omega
-    changes, so one update is sum(nb)*a + b + (1 - omega)*v, projected on
-    v >= 0: 9 ufunc calls on 1-D ranges in 2-D, none a division.  A range
-    also crosses off-box entries (row ends, the halo and the padding); those
-    never change during a call, so they are saved once and restored after
-    every update, and their a and b are 0 so the discarded values stay
-    finite.  The strided reference in the tests does the same floating-point
+    For the length of one call the box and its one-cell halo live in a
+    flat layout whose extents past the first axis are rounded up to odd.
+    Every stride is then odd, so a cell's colour is the parity of its flat
+    index, and the layout splits into one contiguous array per colour: the
+    face neighbour at flat step s (+-stride) of colour-c entry q is entry
+    q + (s + 2c - 1)/2 of the other colour.  Each colour sweeps one target
+    range against 2n neighbour ranges at fixed offsets, the globally even
+    colour first, and holds the fused coefficients a =
+    omega*coupling/(h^2*diag) and b = omega*rhs/diag (the pinned load off
+    FLUID), recomputed whenever omega changes.  One update is
+    sum(nb)*a + b + (1 - omega)*v, projected on v >= 0: 9 ufunc calls in
+    2-D, none a division, and a sweep is two updates.  A range also crosses
+    off-box entries (row ends, the halo and the padding); those never
+    change during a call, so they are saved once and restored after every
+    update, and their a and b are 0 so the discarded values stay finite.
+    The strided reference in the tests does the same floating-point
     operations in the same order on every box cell, and the result is
-    bit-identical to it.  ``values`` is written back before every residual
-    check, and the kernel returns only at a check.
+    bit-identical to it.  ``values`` is written back, by interleaving the
+    two colours, before every residual check, and the kernel returns only
+    at a check.
     """
-    n = values.ndim
-    ext, targets = _sublattice_plan(box, n)
-    inv_h2 = coupling / (h * h)
-    shape = tuple((s.stop - s.start + 1) // 2 for s in ext)
-    strides = [math.prod(shape[a + 1:]) for a in range(n)]
+    ext = tuple(slice(s.start - 1, s.stop + 1) for s in box)
+    extents = [s.stop - s.start for s in ext]
+    shape = tuple(extents[:1] + [e | 1 for e in extents[1:]])
+    strides = [math.prod(shape[a + 1:]) for a in range(len(shape))]
+    inner = tuple(slice(0, e) for e in extents)
+    boxed = tuple(slice(1, e - 1) for e in extents)
 
-    def lattice(array, parity):
-        return array[ext][tuple(slice(p, None, 2) for p in parity)]
+    def layout(array, fill, where=True):
+        """``array`` on the halo-grown box, in the flat layout."""
+        flat = np.full(shape, fill)
+        np.copyto(flat[inner], array[ext], where=where)
+        return flat.reshape(-1)
 
-    def offset(cells):
-        return sum(c.start * s for c, s in zip(cells, strides))
-
-    subs = {}
-    for q in itertools.product((0, 1), repeat=n):
-        sub = lattice(values, q)
-        subs[q] = np.zeros(shape)
-        subs[q][tuple(slice(0, k) for k in sub.shape)] = sub
-    by_color = ([], [])
-    coefficients = []
-    write_back = []
-    for color, parity, cells, neighbors in targets:
-        counts = [c.stop - c.start for c in cells]
-        length = sum((c - 1) * s for c, s in zip(counts, strides)) + 1
-        start = offset(cells)
-        tv = subs[parity].reshape(-1)[start:start + length]
-        # per-target arrays hold whole rows of the common shape, cut to the
-        # range; ``inbox`` views the box cells in them
-        rows = (counts[0],) + shape[1:]
-        inbox = (slice(None),) + tuple(slice(0, c) for c in counts[1:])
-        av = np.zeros(rows)
-        bv = np.zeros(rows)
-        coefficients.append((av[inbox], bv[inbox],
-                             lattice(diag, parity)[cells],
-                             lattice(rhs, parity)[cells],
-                             lattice(fluid, parity)[cells]))
-        off_box = np.ones(rows, dtype=bool)
-        off_box[inbox] = False
-        off = np.flatnonzero(off_box.reshape(-1)[:length])
-        nbs = [subs[q].reshape(-1)[offset(nb):offset(nb) + length]
-               for q, nb in neighbors]
-        by_color[color].append((tv, av.reshape(-1)[:length],
-                                bv.reshape(-1)[:length], nbs, off, tv[off]))
-        write_back.append((lattice(values, parity)[cells],
-                           subs[parity][cells]))
-    size = max(len(tv) for group in by_color for tv, *_ in group)
+    flat = layout(values, 0.0)
+    colours = (flat[0::2].copy(), flat[1::2].copy())
+    del flat
+    inbox = np.zeros(shape, dtype=bool)
+    inbox[boxed] = True
+    # flat indices of the first and the last box cell
+    first = sum(strides)
+    last = sum((e - 2) * s for e, s in zip(extents, strides))
+    even = sum(s.start for s in ext) % 2
+    targets = []
+    for c in (even, 1 - even):
+        span = slice((first - c + 1) // 2, (last - c) // 2 + 1)
+        tv = colours[c][span]
+        if tv.size == 0:
+            continue
+        nbs = [colours[1 - c][span.start + o:span.stop + o]
+               for o in ((step * s + 2 * c - 1) // 2
+                         for s in strides for step in (-1, 1))]
+        off = np.flatnonzero(~inbox.reshape(-1)[c::2][span])
+        targets.append((c, span, tv, np.zeros(tv.size), np.zeros(tv.size),
+                        nbs, off, tv[off]))
+    del inbox
     box_view = values[box]
 
     history = []
@@ -442,8 +398,10 @@ def projected_sor(values, diag, rhs, box, fluid, coupling, tol, max_sweeps,
     geometric = _MIN_CHECK_GAP
     omega = None
     while True:
-        for out, block in write_back:
-            out[...] = block
+        flat = np.empty(math.prod(shape))
+        flat[0::2], flat[1::2] = colours
+        box_view[...] = flat.reshape(shape)[boxed]
+        del flat
         res = _box_residual(values, diag, rhs, box, fluid, coupling, h)[1]
         history.append((sweeps, res))
         if res <= tol or sweeps >= max_sweeps or not np.isfinite(res):
@@ -451,17 +409,24 @@ def projected_sor(values, diag, rhs, box, fluid, coupling, tol, max_sweeps,
         tuned = omega_for_width(active_width_cells(box_view > 0))
         if tuned != omega:
             omega = tuned
-            for a, b, d, r, f in coefficients:
-                # computed afresh, never rescaled: rescaling compounds rounding
-                np.divide(omega * inv_h2, d, out=a)
-                b[...] = _PINNED_LOAD
-                np.copyto(b, r, where=f)
+            # computed afresh, never rescaled: rescaling compounds rounding;
+            # the pinned load and diag are staged one at a time
+            flat = layout(rhs, _PINNED_LOAD, where=fluid[ext])
+            for c, span, _, _, b, *_ in targets:
+                b[...] = flat[c::2][span]
+            del flat
+            flat = layout(diag, 1.0)
+            for c, span, _, a, b, _, off, _ in targets:
+                a[...] = flat[c::2][span]
                 b *= omega
-                b /= d
+                b /= a
+                np.divide(omega * (coupling / (h * h)), a, out=a)
+                a[off] = b[off] = 0.0
+            del flat
         geometric = min(int(geometric * 1.5) + 1, _MAX_CHECK_GAP)
         check_at = min(sweeps + _check_gap(history, tol, geometric),
                        max_sweeps)
-        _sweep_ranges(by_color, omega, check_at - sweeps, size)
+        _sweep_ranges(targets, omega, check_at - sweeps)
         sweeps = check_at
 
 
@@ -481,25 +446,24 @@ def _check_gap(history, tol, geometric):
     return geometric
 
 
-def _sweep_ranges(by_color, omega, count, size):
-    """``count`` red-black sweeps over the flat ranges of :func:`projected_sor`.
+def _sweep_ranges(targets, omega, count):
+    """``count`` red-black sweeps over the colour ranges of :func:`projected_sor`.
 
     The update buffer lives only here: the residual check between two calls
     sets the kernel's memory peak.
     """
-    scratch = np.empty(size)
+    scratch = np.empty(max(t[2].size for t in targets))
     for _ in range(count):
-        for group in by_color:
-            for tv, av, bv, nbs, off, kept in group:
-                # sum(nb)*a + b + (1 - omega)*v, the neighbours summed in
-                # the order of the residual
-                cand = scratch[:tv.size]
-                np.add(nbs[0], nbs[1], out=cand)
-                for other in nbs[2:]:
-                    cand += other
-                cand *= av
-                cand += bv
-                tv *= 1.0 - omega
-                tv += cand
-                np.maximum(tv, 0.0, out=tv)
-                tv[off] = kept
+        for _, _, tv, av, bv, nbs, off, kept in targets:
+            # sum(nb)*a + b + (1 - omega)*v, the neighbours summed in the
+            # order of the residual
+            cand = scratch[:tv.size]
+            np.add(nbs[0], nbs[1], out=cand)
+            for other in nbs[2:]:
+                cand += other
+            cand *= av
+            cand += bv
+            tv *= 1.0 - omega
+            tv += cand
+            np.maximum(tv, 0.0, out=tv)
+            tv[off] = kept

@@ -3,6 +3,7 @@
 import json
 import os
 import resource
+import shutil
 import subprocess
 import sys
 
@@ -422,6 +423,42 @@ class TestExitCodes:
         record = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert (code, record["error"]) == (1, "config")
 
+    @pytest.fixture(scope="class")
+    def obstacle_run(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("obstacle")
+        scenario = write_scenario(tmp, h=1 / 16, margin=2.0, t_max=0.25)
+        assert main(["obstacle", str(scenario), "--times", "0.1,0.25",
+                     "--out", str(tmp / "run")]) == 0
+        return scenario, tmp / "run"
+
+    @pytest.mark.parametrize("args,damage", [
+        (["--points", "1,2,3"], None),
+        (["--points", "1"], None),
+        (["--points", "a,b"], None),
+        (["--points", "nan,nan"], None),
+        (["--radii", "nan,0.5,0.6"], None),
+        ([], "coarser scenario"),
+        ([], "truncated raster"),
+    ], ids=["3 coordinates", "1 coordinate", "letters", "NaN point",
+            "NaN radius", "coarser scenario", "truncated raster"])
+    def test_bad_diagnose_input_is_config_error(self, tmp_path, capsys,
+                                                obstacle_run, args, damage):
+        # a point that is not 2 finite numbers, a NaN radius, rasters of
+        # another grid and a short raster file each exit 1 with the record
+        scenario, run_dir = obstacle_run
+        run = tmp_path / "run"
+        shutil.copytree(run_dir, run)
+        if damage == "coarser scenario":
+            scenario = write_scenario(tmp_path, h=1 / 12, margin=2.0,
+                                      t_max=0.25)
+        elif damage == "truncated raster":
+            raster = sorted(run.glob("*.bin"))[0]
+            raster.write_bytes(raster.read_bytes()[:-8])
+        code = main(["diagnose", str(run), str(scenario), *args,
+                     "--out", str(tmp_path / "x")])
+        record = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert (code, record["error"]) == (1, "config")
+
     def test_envelope_error(self, tmp_path):
         scenario = write_scenario(tmp_path, margin=1.0, p=4.0, t_max=2.0,
                                   m_list=(8, 16))
@@ -566,16 +603,17 @@ class TestEntryPoint:
 
     def test_compare_leaves_scipy_unloaded(self, tmp_path):
         # both routes, the cross-validation and its Hausdorff distances run
-        # on numpy alone
+        # on numpy alone, and a serial sweep never loads the process pool
         scenario = write_scenario(tmp_path, h=1 / 8, margin=2.0, t_max=0.2)
         out = tmp_path / "cmp"
         probe = "\n".join([
             "import sys",
             "from mesahs.cli import main",
             f"assert main(['compare', {str(scenario)!r}, '--times',",
-            f"             '0.1,0.2', '--out', {str(out)!r}]) == 0",
+            f"             '0.1,0.2', '--jobs', '1', '--out', {str(out)!r}])"
+            " == 0",
             "print(sorted(m for m in sys.modules",
-            "             if m.split('.')[0] == 'scipy'))"])
+            "             if m.split('.')[0] in ('scipy', 'multiprocessing')))"])
         proc = subprocess.run([sys.executable, "-c", probe],
                               capture_output=True, text=True, env=_child_env())
         assert proc.returncode == 0, proc.stderr

@@ -21,7 +21,7 @@ from mesahs.geometry import Scenario, SlotGeometry, build_grid
 from mesahs.scenarios import radial_scenario
 from mesahs.stencil import (_PINNED_LOAD, SOLVE_TOL, FaceStencil,
                             _box_neighbor_sum, _nearest_sample_values,
-                            _shifted, _sublattice_plan, _sweep_budget,
+                            _shifted, _sweep_budget,
                             active_width_cells, build_stencil,
                             omega_for_width, projected_sor)
 
@@ -520,8 +520,15 @@ class TestProjectedSorKernel:
     @example(_edge_case((10, 10), (slice(1, 5), slice(1, 8))))
     @example(_edge_case((9, 10), (slice(2, 6), slice(3, 8))))
     @example(_edge_case((8, 7, 9), (slice(1, 6), slice(1, 5), slice(2, 8))))
+    # even halo-grown extents past the first axis, so every row of the
+    # layout ends in a padding entry; then odd ones, which need none
+    @example(_edge_case((9, 10), (slice(2, 6), slice(3, 7))))
+    @example(_edge_case((8, 8, 9), (slice(1, 5), slice(2, 6), slice(3, 7))))
+    @example(_edge_case((9, 10), (slice(2, 7), slice(3, 8))))
+    @example(_edge_case((8, 9, 9), (slice(1, 6), slice(2, 7), slice(1, 4))))
+    @example(_edge_case((11,), (slice(2, 9),)))
     def test_kernel_matches_strided_reference(self, case):
-        # the sub-lattice kernel must reproduce the strided sweep bit for bit:
+        # the two-colour kernel must reproduce the strided sweep bit for bit:
         # values everywhere, sweeps, residual history and final residual
         values, kwargs = case
         want = values.copy()
@@ -536,9 +543,9 @@ class TestProjectedSorKernel:
     @settings(max_examples=150, deadline=None)
     @given(_padded_case())
     def test_kernel_ignores_non_fluid_padding(self, case):
-        # sub-lattice colours are global parities, so a box grown by
-        # non-FLUID cells must give the same bits: values everywhere,
-        # sweeps, residual history and final residual
+        # colours are global parities, so a box grown by non-FLUID cells
+        # must give the same bits: values everywhere, sweeps, residual
+        # history and final residual
         values, kwargs, big = case
         padded = values.copy()
         want = projected_sor(values, **kwargs)
@@ -552,9 +559,8 @@ class TestProjectedSorKernel:
     def test_slice_memory_stays_pinned(self, radial_coarse,
                                        radial_coarse_stencil):
         # peak traced allocation of one obstacle slice, in grid arrays: the
-        # contiguous sub-lattices, the per-target diag and pinned load copies
-        # and the residual check.  Pinned at the measured 9.38 rounded up;
-        # the strided kernel measured 7.62 here
+        # two colour arrays, their a and b coefficients and the residual
+        # check.  Pinned at the measured 5.60 rounded up
         sc, st = radial_coarse, radial_coarse_stencil
         solve_slice(sc, 0.2, stencil=st)
         tracemalloc.start()
@@ -563,7 +569,7 @@ class TestProjectedSorKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / (sc.grid.fluid.size * 8) <= 9.4
+        assert peak / (sc.grid.fluid.size * 8) <= 5.7
 
 
 def _flooding_step(sc, st):
@@ -806,43 +812,3 @@ class TestGridPrimitives:
             for step in (-1, 1):
                 ref = ref + _pad_shift(values, axis, step)
         assert np.array_equal(_box_neighbor_sum(values, box), ref[box])
-
-    @settings(max_examples=60, deadline=None)
-    @given(_array_and_box())
-    @example((np.zeros((6, 7)), (slice(1, 5), slice(2, 6))))
-    @example((np.zeros((6, 7)), (slice(2, 5), slice(1, 4))))
-    @example((np.zeros((5, 3, 4)), (slice(1, 4), slice(1, 2), slice(2, 3))))
-    def test_sublattice_plan_partitions_box_by_global_parity(self, array_box):
-        values, box = array_box
-        n = values.ndim
-        ext, targets = _sublattice_plan(box, n)
-        assert ext == tuple(slice(s.start - 1, s.stop + 1) for s in box)
-        coords = np.indices(values.shape)[(slice(None),) + ext]
-
-        def cells_of(parity, cells):
-            """Grid coordinates, shape (n, ...), of a slice of a sub-lattice."""
-            lattice = coords[(slice(None),)
-                             + tuple(slice(p, None, 2) for p in parity)]
-            assert all(c.step in (None, 1) and 0 <= c.start <= c.stop <= size
-                       for c, size in zip(cells, lattice.shape[1:]))
-            return lattice[(slice(None),) + cells]
-
-        hits = np.zeros(values.shape, dtype=int)
-        for color, parity, cells, neighbors in targets:
-            where = cells_of(parity, cells)
-            assert where[0].size > 0
-            np.add.at(hits, tuple(where), 1)
-            assert np.all(where.sum(axis=0) % 2 == color)
-            steps = [(axis, step) for axis in range(n) for step in (-1, 1)]
-            assert len(neighbors) == len(steps)
-            for (axis, step), (q, nb) in zip(steps, neighbors):
-                got = cells_of(q, nb)
-                assert got.shape == where.shape
-                assert np.all(got.sum(axis=0) % 2 == 1 - color)
-                want = where.copy()
-                want[axis] += step
-                assert np.array_equal(got, want)
-        inside = np.zeros(values.shape, dtype=bool)
-        inside[box] = True
-        assert np.all(hits[inside] == 1)
-        assert np.all(hits[~inside] == 0)
