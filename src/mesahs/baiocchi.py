@@ -41,13 +41,18 @@ ORACLE_R_MAX = 1e3
 
 @dataclass
 class BaiocchiPotential:
-    """Converged slice: W, its active mask, and the residual achieved."""
+    """Converged slice: W, its active mask, and the residual achieved.
+
+    ``sweeps`` includes the coarse corrections, which ``corrections``
+    counts, in fine-sweep equivalents.
+    """
 
     t: float
     w: np.ndarray
     active_mask: np.ndarray
     residual: float
     sweeps: int
+    corrections: int = 0
 
     def max_w(self):
         return float(self.w.max())
@@ -84,9 +89,8 @@ def solve_slice(scenario, t, warm=None, stencil=None):
     if warm is not None:
         np.copyto(w, warm.w, where=grid.fluid)
     try:
-        residual, sweeps, *_ = st.solve(
-            w, st.diag, _slice_rhs(scenario, st, t), coupling=1.0,
-            pad=SLICE_WINDOW_PAD)
+        record = st.solve(w, st.diag, _slice_rhs(scenario, st, t),
+                          coupling=1.0, pad=SLICE_WINDOW_PAD)
     except SolverError as exc:
         raise exc.at(f"obstacle slice at t={t:g}") from exc
 
@@ -96,7 +100,8 @@ def solve_slice(scenario, t, warm=None, stencil=None):
             f"active set reached the farfield clearance at t={t:g}; "
             "enlarge the grid margin")
     return BaiocchiPotential(t=float(t), w=w, active_mask=active,
-                             residual=residual, sweeps=sweeps)
+                             residual=record.residual, sweeps=record.sweeps,
+                             corrections=record.corrections)
 
 
 def _slice_rhs(scenario, st, t):

@@ -68,7 +68,8 @@ def _dump_run(out_dir, result, scenario, tag):
                               result.theta_fields[i], header)
     snapshots.write_csv(out_dir / f"{tag}_steps.csv",
                         ["step", "t", "influx", "cumulative", "sweeps",
-                         "residual", "box_cells", "checks", "regrowths"],
+                         "residual", "box_cells", "checks", "regrowths",
+                         "corrections"],
                         result.step_log)
 
 
@@ -137,10 +138,11 @@ def cmd_obstacle(args):
         center, _ = scenario.geometry.bounding_center_radius()
         radius = baiocchi.fb_radius_stats(sl.active_mask, scenario.grid, center)
         rows.append([t, sl.residual, sl.sweeps, balance["discrepancy"],
-                     radius[0], radius[1], radius[2]])
+                     radius[0], radius[1], radius[2], sl.corrections])
     snapshots.write_csv(out / "obstacle_report.csv",
                         ["t", "residual", "sweeps", "mass_discrepancy",
-                         "fb_r_min", "fb_r_median", "fb_r_max"], rows)
+                         "fb_r_min", "fb_r_median", "fb_r_max",
+                         "corrections"], rows)
     manifest = _base_manifest(args, scenario, args.scenario, {
         "times": sorted(times), "solver_tol": SOLVE_TOL,
         "report": "obstacle_report.csv",

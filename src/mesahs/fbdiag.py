@@ -177,7 +177,10 @@ def classify_point(series, point, t, r_list, delta_reg=DEFAULT_DELTA_REG,
     shrinks (up to cell quantization).  Cusp-suspect: the minimum diameter of
     the inactive set inside the ball, relative to the radius, strictly
     decreases across the scan.  The verdict is deterministic given the
-    thresholds; raw ratios are always reported.
+    thresholds; raw ratios are always reported.  Radii whose ball reaches
+    the farfield band are dropped, and a point left with fewer than 3 is
+    unresolved, with a note.  A point off the grid raises
+    :class:`ConfigError`.
     """
     grid = series.grid
     idx = series.index_of(t)
@@ -193,6 +196,10 @@ def classify_point(series, point, t, r_list, delta_reg=DEFAULT_DELTA_REG,
         raise ConfigError("need at least 3 scan radii")
     if min(r_list) < 4 * grid.h - 1e-12:
         raise ConfigError("scan radii must be at least 4 grid cells")
+    hi = grid.lo + np.asarray(grid.shape) * grid.h
+    if np.any(point < grid.lo) or np.any(point > hi):
+        raise ConfigError(f"point {point.tolist()} lies outside the grid "
+                          f"[{grid.lo.tolist()}, {hi.tolist()}]")
 
     notes = []
     slot_pts = grid.cell_centers(np.argwhere(grid.slot))
@@ -206,9 +213,16 @@ def classify_point(series, point, t, r_list, delta_reg=DEFAULT_DELTA_REG,
     r_grid = grid.radius_from(point)
     half = max(r_list)
     if np.any((r_grid <= half) & grid.farfield):
-        r_list = [r for r in r_list
-                  if not np.any((r_grid <= r) & grid.farfield)]
-        notes.append("scan trimmed at the farfield band")
+        kept = [r for r in r_list
+                if not np.any((r_grid <= r) & grid.farfield)]
+        notes.append(f"scan trimmed at the farfield band: {len(kept)} of "
+                     f"{len(r_list)} radii left")
+        r_list = kept
+        if len(r_list) < 3:
+            return FBPointReport(point=point, t=t, radii=r_list,
+                                 density_ratios=[], md_ratios=[],
+                                 classification="unresolved",
+                                 delta_reg=delta_reg, notes=notes)
 
     ratios, md_ratios = [], []
     for r in r_list:

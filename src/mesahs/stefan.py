@@ -87,9 +87,9 @@ class RunResult:
     u^n - u_init = -A_h W^n + t_n * slot_load on FLUID, up to rounding, for
     any dt.  ``step_log`` holds one row per step:
     (step, t, slot influx, cumulative influx, sweeps, final residual, cells
-    of the final solve box, residual checks, box regrowths); ``mass_error``
-    is the gap between the total enthalpy gain and the last cumulative
-    influx.
+    of the final solve box, residual checks, box regrowths, coarse
+    corrections); ``mass_error`` is the gap between the total enthalpy gain
+    and the last cumulative influx.
     """
 
     m: float
@@ -116,17 +116,18 @@ def _advance(st, u, theta, m, dt):
     start affects only the sweep count.  The first window holds the FLUID
     cells whose load is within one cell width of zero.  ``theta`` and ``u``
     are updated in place.  Returns the step's slot influx, the solver's
-    final residual, its sweep count, its residual checks, its box regrowths
-    and the final solve box.  The temperature is zero outside that box, and
-    ``u`` changes only inside it.
+    final residual and sweep count, and its whole
+    :class:`~mesahs.stencil.SolveRecord`.  The temperature is zero outside
+    the record's box, and ``u`` changes only inside it.
     """
     grid = st.grid
     # flux may not cross the window edge, else the frozen update outside
     # the box would be wrong: the solve grows the box until none does
-    residual, sweeps, box, checks, regrowths = st.solve(
+    record = st.solve(
         theta, 1.0 / m + dt * st.diag, (u - 1.0) + dt * st.slot_load,
         coupling=dt, pad=2)
 
+    box = record.box
     fluid = grid.fluid[box]
     theta_box = theta[box]
     u_box = u[box]
@@ -150,7 +151,7 @@ def _advance(st, u, theta, m, dt):
             "is too small for this horizon (enlarge the grid margin)")
 
     np.copyto(u_box, u_new, where=fluid)
-    return st.slot_influx(theta) * dt, residual, sweeps, checks, regrowths, box
+    return st.slot_influx(theta) * dt, record.residual, record.sweeps, record
 
 
 def run(scenario, m, snapshot_times, dt=None, stencil=None, keep_u=True):
@@ -189,15 +190,17 @@ def run(scenario, m, snapshot_times, dt=None, stencil=None, keep_u=True):
             t_end = target if last else t + dt_step
             step = len(step_log) + 1
             try:
-                influx, residual, sweeps, checks, regrowths, box = _advance(
+                influx, residual, sweeps, record = _advance(
                     st, u, theta, m, dt_step)
             except (SolverError, EnvelopeError) as exc:
                 raise exc.at(f"m={m:g}, step {step} to t={t_end:g}") from exc
             t = t_end
             cumulative += influx
+            box = record.box
             step_log.append((step, t, influx, cumulative, sweeps, residual,
                              math.prod(s.stop - s.start for s in box),
-                             checks, regrowths))
+                             record.checks, record.regrowths,
+                             record.corrections))
             # the step changed theta and u inside its box only
             theta_box = theta[box]
             w_accum[box] += dt_step * theta_box

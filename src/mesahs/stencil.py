@@ -75,6 +75,23 @@ def _sweep_budget(grid):
                200 * max(grid.shape))
 
 
+@dataclass(frozen=True)
+class SolveRecord:
+    """What one :meth:`FaceStencil.solve` did.
+
+    ``sweeps`` counts SOR sweeps and coarse corrections, each correction
+    as its cost in fine-sweep equivalents; ``checks`` counts the residual
+    checks of every kernel call and ``box`` is the final window.
+    """
+
+    residual: float
+    sweeps: int
+    box: tuple
+    checks: int
+    regrowths: int
+    corrections: int
+
+
 @dataclass
 class FaceStencil:
     """Per-cell coefficients for the face-flux Laplacian on one scenario."""
@@ -162,22 +179,23 @@ class FaceStencil:
         ``values`` and the FLUID cells that can turn active first, those
         whose load is within one cell width (clamped to [1e-3, 0.5]) of
         zero, grown by ``pad`` cells.  One sweep budget covers every kernel
-        call.  Returns (residual, sweeps, final box, residual checks of
-        every call, regrowths).  Raises :class:`SolverError`, with the
-        residual history of every call, unless residual <= ``SOLVE_TOL``
-        (never true of a NaN).
+        call.  Returns a :class:`SolveRecord`.  Raises
+        :class:`SolverError`, with the residual history of every call,
+        unless residual <= ``SOLVE_TOL`` (never true of a NaN).
         """
         g = self.grid
         near = g.fluid & (rhs >= -min(0.5, max(g.h, 1e-3)))
         box = self.window_box(g.slot | (values > 0) | near, pad)
         budget = _sweep_budget(g)
-        history, sweeps, regrowths = [], 0, 0
+        history, sweeps, regrowths, corrections = [], 0, 0, 0
         while True:
             res, used, hist = projected_sor(
                 values, diag, rhs, box, g.fluid, coupling=coupling,
                 tol=SOLVE_TOL, max_sweeps=budget - sweeps, h=self.h)
             sweeps += used
             history += hist
+            # a plain list of checks, as a reference kernel returns, ran none
+            corrections += getattr(hist, "corrections", 0)
             if not res <= SOLVE_TOL:
                 raise SolverError(
                     f"projected SOR did not reach tol={SOLVE_TOL:g} within "
@@ -185,7 +203,9 @@ class FaceStencil:
                     f"{[(s.start, s.stop) for s in box]} (last residual "
                     f"{res:.3e})", residual_history=history)
             if not self.box_leaks(values, box):
-                return res, sweeps, box, len(history), regrowths
+                return SolveRecord(residual=res, sweeps=sweeps, box=box,
+                                   checks=len(history), regrowths=regrowths,
+                                   corrections=corrections)
             box = self.grow_box(box, 4)
             regrowths += 1
 
@@ -330,10 +350,20 @@ def projected_sor(values, diag, rhs, box, fluid, coupling, tol, max_sweeps,
     cells of the box; it is checked at most ``max_sweeps`` sweeps in, so no
     more sweeps than that are run, and the first non-finite residual ends the
     solve.  Checks come at sweeps 0 and 4, then where :func:`_check_gap`
-    places them.  Returns (residual, sweeps, history).
-    :meth:`FaceStencil.solve` is the one caller in the package, and the one
-    place where a residual above tol, or a NaN, becomes a
-    :class:`SolverError`.
+    places them.  Returns (residual, sweeps, history), the history a list
+    of (sweeps, residual) checks whose ``corrections`` attribute counts the
+    coarse corrections.  :meth:`FaceStencil.solve` is the one caller in the
+    package, and the one place where a residual above tol, or a NaN,
+    becomes a :class:`SolverError`.
+
+    From the first check at which :func:`_engages` finds SOR too slow for
+    the box, every check that does not end the call applies one truncated
+    coarse correction (:class:`mesahs.coarse.Correction`) to the checked
+    values, and the next check comes ``_SMOOTHING_SWEEPS`` sweeps later
+    with omega held.  A correction counts as :func:`_correction_cost`
+    sweeps, in ``sweeps`` and against ``max_sweeps``, and runs only when
+    it and the smoothing sweeps fit.  A call that never engages runs the
+    plain SOR path below.
 
     For the length of one call the box and its one-cell halo live in a
     flat layout whose extents past the first axis are rounded up to odd.
@@ -393,20 +423,46 @@ def projected_sor(values, diag, rhs, box, fluid, coupling, tol, max_sweeps,
     del inbox
     box_view = values[box]
 
-    history = []
+    history = _History()
     sweeps = 0
     geometric = _MIN_CHECK_GAP
     omega = None
+    cost = _correction_cost(box_view.size)
+    correction = None
+    engaged = corrected = False
     while True:
         flat = np.empty(math.prod(shape))
         flat[0::2], flat[1::2] = colours
         box_view[...] = flat.reshape(shape)[boxed]
         del flat
-        res = _box_residual(values, diag, rhs, box, fluid, coupling, h)[1]
+        pde, res = _box_residual(values, diag, rhs, box, fluid, coupling, h)
         history.append((sweeps, res))
         if res <= tol or sweeps >= max_sweeps or not np.isfinite(res):
             return res, sweeps, history
-        tuned = omega_for_width(active_width_cells(box_view > 0))
+        engaged = engaged or _engages(history, cost)
+        corrected = engaged and sweeps + cost + _SMOOTHING_SWEEPS <= max_sweeps
+        if corrected:
+            if correction is None:
+                # deferred: calls that never correct never load it
+                from .coarse import Correction
+                correction = Correction(box_view.shape)
+            correction.stage(box_view, pde, fluid[box], diag[box],
+                             coupling / (h * h))
+        del pde
+        if corrected:
+            if correction.apply(box_view):
+                flat = np.empty(math.prod(shape))
+                flat[0::2], flat[1::2] = colours
+                flat.reshape(shape)[boxed] = box_view
+                for c, colour in enumerate(colours):
+                    colour[...] = flat[c::2]
+                del flat
+            sweeps += cost
+            history.corrections += 1
+        # once corrections run, the sweeps between them only smooth: they
+        # keep the factor of the last plain check
+        tuned = (omega if corrected and omega
+                 else omega_for_width(active_width_cells(box_view > 0)))
         if tuned != omega:
             omega = tuned
             # computed afresh, never rescaled: rescaling compounds rounding;
@@ -424,10 +480,20 @@ def projected_sor(values, diag, rhs, box, fluid, coupling, tol, max_sweeps,
                 a[off] = b[off] = 0.0
             del flat
         geometric = min(int(geometric * 1.5) + 1, _MAX_CHECK_GAP)
-        check_at = min(sweeps + _check_gap(history, tol, geometric),
-                       max_sweeps)
+        gap = (_SMOOTHING_SWEEPS if corrected
+               else _check_gap(history, tol, geometric))
+        check_at = min(sweeps + gap, max_sweeps)
         _sweep_ranges(targets, omega, check_at - sweeps)
         sweeps = check_at
+
+
+class _History(list):
+    """The residual checks of one kernel call, as (sweeps, residual) pairs.
+
+    ``corrections`` counts the coarse corrections that ran at them.
+    """
+
+    corrections = 0
 
 
 def _check_gap(history, tol, geometric):
@@ -467,3 +533,50 @@ def _sweep_ranges(targets, omega, count):
             tv += cand
             np.maximum(tv, 0.0, out=tv)
             tv[off] = kept
+
+
+# ---------------------------------------------------------------------------
+# where the truncated coarse correction (mesahs.coarse) runs
+# ---------------------------------------------------------------------------
+
+#: decades of residual one correction and its smoothing sweeps buy (1.2 to
+#: 1.4 on the saturated annulus), and the SOR sweeps that smooth after a
+#: correction before the next check
+_CORRECTION_DECADES = 1.4
+_SMOOTHING_SWEEPS = 6
+#: the cost model of :func:`_correction_cost`: per cell, a correction
+#: costs ``_CORRECTION_SWEEPS`` sweeps, and each call of either carries a
+#: fixed overhead worth this many cells
+_CORRECTION_SWEEPS = 30
+_CORRECTION_OVERHEAD = 11000
+_SWEEP_OVERHEAD = 5000
+
+
+def _engages(history, cost):
+    """Whether coarse corrections pay from this check on.
+
+    They do where SOR's sweeps per decade of residual, times the decades
+    one correction buys, exceed a correction's ``cost`` in sweeps.  The
+    rate is measured over the last two check intervals, not one: the
+    max-norm residual of one interval can stall or jump.  False before the
+    third check, or unless both residuals are finite and positive and the
+    later one is smaller.
+    """
+    if len(history) < 3:
+        return False
+    (s0, r0), (s1, r1) = history[-3], history[-1]
+    if not 0.0 < r1 < r0 < math.inf:
+        return False
+    return (s1 - s0) / math.log10(r0 / r1) * _CORRECTION_DECADES > cost
+
+
+def _correction_cost(cells):
+    """One correction on a box of ``cells`` cells, in fine-sweep equivalents.
+
+    Deterministic, so counts and hashes repeat.  Fitted to wall times on a
+    2-core Xeon with numpy 2.4: about 30 sweeps on the 336^2 annulus box,
+    40 on a 120^2 box and 55 on a 50^2 box, where numpy's per-call overhead
+    dominates both.
+    """
+    return math.ceil(_CORRECTION_SWEEPS * (cells + _CORRECTION_OVERHEAD)
+                     / (cells + _SWEEP_OVERHEAD))

@@ -99,20 +99,31 @@ def annulus_jump():
     scenario = scenarios.annulus_scenario(h=1 / 32)
     patch = scenarios.annulus_patch_mask(scenario)
     st = build_stencil(scenario)
-    t_star = baiocchi.contact_time(scenario, patch, t_lo=2.0, t_hi=3.2,
-                                   tol_t=2e-3, stencil=st)
-    delta, dt_v = 0.01, 0.01
-    pre = baiocchi.solve_slice(scenario, t_star - delta, stencil=st)
-    pre2 = baiocchi.solve_slice(scenario, t_star - delta + dt_v, warm=pre,
-                                stencil=st)
-    post = baiocchi.solve_slice(scenario, t_star + delta, warm=pre, stencil=st)
-    post2 = baiocchi.solve_slice(scenario, t_star + delta + dt_v, warm=post,
-                                 stencil=st)
+    solves = []
+    solve_slice = baiocchi.solve_slice
+
+    def recorded(*args, **kwargs):
+        solves.append(solve_slice(*args, **kwargs))
+        return solves[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        # every slice solve, the bisection's included
+        mp.setattr(baiocchi, "solve_slice", recorded)
+        t_star = baiocchi.contact_time(scenario, patch, t_lo=2.0, t_hi=3.2,
+                                       tol_t=2e-3, stencil=st)
+        delta, dt_v = 0.01, 0.01
+        pre = baiocchi.solve_slice(scenario, t_star - delta, stencil=st)
+        pre2 = baiocchi.solve_slice(scenario, t_star - delta + dt_v,
+                                    warm=pre, stencil=st)
+        post = baiocchi.solve_slice(scenario, t_star + delta, warm=pre,
+                                    stencil=st)
+        post2 = baiocchi.solve_slice(scenario, t_star + delta + dt_v,
+                                     warm=post, stencil=st)
     return {"scenario": scenario, "patch": patch, "t_star": t_star,
             "pre": pre, "post": post,
             "v_pre": baiocchi.recover_pressure(pre, pre2),
             "v_post": baiocchi.recover_pressure(post, post2),
-            "delta": delta}
+            "delta": delta, "solves": solves}
 
 
 @pytest.fixture(scope="session")

@@ -52,6 +52,7 @@ class TestObstacleCommand:
         rows = (out / "obstacle_report.csv").read_text().strip().splitlines()
         header = rows[0].split(",")
         values = dict(zip(header, rows[1].split(",")))
+        assert header[-1] == "corrections"
         R = baiocchi.radial_fb_radius(0.25)
         assert abs(float(values["fb_r_median"]) - R) <= 2 / 12
         manifest = json.loads((out / "manifest.json").read_text())
@@ -98,10 +99,11 @@ class TestStefanCommand:
             result = kernel(*args, **kwargs)
             used.append(result[1])
             checks.append(len(result[2]))
+            corrections.append(result[2].corrections)
             return result
 
         monkeypatch.setattr(mesahs.stencil, "projected_sor", counted)
-        checks = []
+        checks, corrections = [], []
         records = []
         for sub in ("a", "b"):
             out = tmp_path / sub
@@ -114,7 +116,7 @@ class TestStefanCommand:
         assert records[0] == records[1]
         lines = records[0].decode().split()
         assert lines[0] == ("step,t,influx,cumulative,sweeps,residual,"
-                            "box_cells,checks,regrowths")
+                            "box_cells,checks,regrowths,corrections")
         rows = [line.split(",") for line in lines[1:]]
         assert [int(r[0]) for r in rows] == list(range(1, manifest["steps"] + 1))
         assert float(rows[-1][1]) == 0.2
@@ -126,6 +128,7 @@ class TestStefanCommand:
         # checks of every kernel call; each regrowth adds one call
         assert 2 * sum(int(r[7]) for r in rows) == sum(checks)
         assert 2 * sum(1 + int(r[8]) for r in rows) == len(checks)
+        assert 2 * sum(int(r[9]) for r in rows) == sum(corrections)
 
 
     def test_jobs_flag_is_gone(self, tmp_path, capsys):
@@ -437,10 +440,12 @@ class TestExitCodes:
         (["--points", "a,b"], None),
         (["--points", "nan,nan"], None),
         (["--radii", "nan,0.5,0.6"], None),
+        (["--points", "100,100"], None),
         ([], "coarser scenario"),
         ([], "truncated raster"),
     ], ids=["3 coordinates", "1 coordinate", "letters", "NaN point",
-            "NaN radius", "coarser scenario", "truncated raster"])
+            "NaN radius", "point off the grid", "coarser scenario",
+            "truncated raster"])
     def test_bad_diagnose_input_is_config_error(self, tmp_path, capsys,
                                                 obstacle_run, args, damage):
         # a point that is not 2 finite numbers, a NaN radius, rasters of
@@ -458,6 +463,21 @@ class TestExitCodes:
                      "--out", str(tmp_path / "x")])
         record = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert (code, record["error"]) == (1, "config")
+
+    def test_radii_past_the_band_are_unresolved(self, tmp_path,
+                                                obstacle_run):
+        # every scan ball of radius 3 or more reaches the farfield band, so
+        # no radius survives the trim and no point can be classified
+        scenario, run_dir = obstacle_run
+        out = tmp_path / "diag"
+        assert main(["diagnose", str(run_dir), str(scenario),
+                     "--radii", "3,4,5", "--out", str(out)]) == 0
+        reports = json.loads((out / "fb_points.json").read_text())
+        assert reports
+        for report in reports:
+            assert report["classification"] == "unresolved"
+            assert report["radii"] == []
+            assert any("farfield" in note for note in report["notes"])
 
     def test_envelope_error(self, tmp_path):
         scenario = write_scenario(tmp_path, margin=1.0, p=4.0, t_max=2.0,

@@ -129,7 +129,9 @@ class TestClassifyPoint:
         series = self._series_from_mask(radial_coarse, mask)
         h = grid.h
         point = (2.0, 0.5 * h)
-        r_list = [4 * h, 8 * h, 16 * h]
+        # the largest ball that stays off the farfield band: a 16h ball
+        # reaches it, and a scan left with 2 radii is unresolved
+        r_list = [4 * h, 6 * h, 8 * h]
         for delta in (h / min(r_list), 0.1, 0.5):
             rep = fbdiag.classify_point(series, point, 0.1, r_list,
                                         delta_reg=delta)
@@ -173,6 +175,23 @@ class TestClassifyPoint:
                                     [0.3, 0.6, 1.2])
         assert rep.classification == "unresolved"
         assert any("exclusion" in n for n in rep.notes)
+
+    @pytest.mark.parametrize("radii", [[3.0, 4.0, 5.0], [0.5, 0.6, 1e300]])
+    def test_too_few_radii_left_after_the_trim(self, radial_series, radii):
+        # radii whose balls reach the farfield band are dropped; with fewer
+        # than 3 left there is no scan to classify on
+        pts = radial_series.fb_points[-1]
+        pick = pts[np.argmin(np.abs(pts[:, 1]))]
+        rep = fbdiag.classify_point(radial_series, pick, 0.3, radii)
+        assert rep.classification == "unresolved"
+        assert len(rep.radii) < 3
+        assert rep.density_ratios == rep.md_ratios == []
+        assert any("farfield" in note for note in rep.notes)
+
+    def test_point_off_the_grid_is_config_error(self, radial_series):
+        with pytest.raises(ConfigError, match="outside the grid"):
+            fbdiag.classify_point(radial_series, (100.0, 100.0), 0.3,
+                                  [0.3, 0.4, 0.5])
 
     def test_scan_requirements(self, radial_coarse, radial_series):
         h = radial_coarse.grid.h

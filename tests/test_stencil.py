@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 from scipy import ndimage
 
+import mesahs.coarse
 import mesahs.stencil
 from mesahs import stefan
 from mesahs.baiocchi import SLICE_WINDOW_PAD, solve_slice
@@ -617,6 +618,108 @@ class TestCheckSchedule:
         assert placed <= 0.9 * geometric
 
 
+def _energy_change(before, after, pde, fluid, diag, kappa):
+    """E(after) - E(before) for E = v.Av/2 - rhs.v, from the residual
+    pde = A before - rhs on the box: d.pde + d.Ad/2 with d = after - before,
+    which is zero outside the box."""
+    d = np.where(fluid, after - before, 0.0)
+    padded = np.pad(d, 1)
+    nb = _box_neighbor_sum(padded, tuple(slice(1, e + 1) for e in d.shape))
+    first = float((d * np.where(fluid, pde, 0.0)).sum())
+    return first + 0.5 * float((d * (diag * d - kappa * nb)).sum()), first
+
+
+class TestCoarseCorrection:
+    # with the engage rule forced on, every check of every kernel call runs
+    # a correction: the solve must still meet the tolerance, stay >= 0 and
+    # match the SOR-only solve, and no correction may raise the energy
+
+    @staticmethod
+    def _solve(solve, corrections):
+        """``solve()`` with a correction at every check, and the energy
+        change and first-order term of each correction in ``corrections``;
+        then ``solve()`` with none.  Returns both results."""
+        cls = mesahs.coarse.Correction
+        stage, apply = cls.stage, cls.apply
+        staged = []
+
+        def staging(self, v, pde, fluid, diag, kappa):
+            staged.append((v.copy(), pde.copy(), fluid, diag, kappa))
+            return stage(self, v, pde, fluid, diag, kappa)
+
+        def applying(self, v):
+            changed = apply(self, v)
+            before, pde, fluid, diag, kappa = staged.pop()
+            corrections.append(_energy_change(before, v, pde, fluid, diag,
+                                              kappa))
+            return changed
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mesahs.stencil, "_engages", lambda history, cost: True)
+            mp.setattr(cls, "stage", staging)
+            mp.setattr(cls, "apply", applying)
+            corrected = solve()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mesahs.stencil, "_engages",
+                       lambda history, cost: False)
+            plain = solve()
+        return corrected, plain
+
+    @staticmethod
+    def _check(corrected, plain, corrections):
+        assert corrected.residual <= SOLVE_TOL
+        # a solve that sweeps at all corrects at its first check
+        assert corrected.corrections == len(corrections)
+        assert (len(corrections) > 0) == (plain.sweeps > 0)
+        assert plain.corrections == 0
+        assert corrected.w.min() >= 0.0
+        assert np.abs(corrected.w - plain.w).max() <= MONOTONE_SWEEP_TOL
+        for change, first in corrections:
+            assert change <= 1e-9 * abs(first)
+
+    @settings(max_examples=25, deadline=None)
+    @given(p=hst.floats(0.0, 1.0, exclude_min=True), t=hst.floats(0.02, 0.3),
+           patch=hst.booleans(), warm=hst.booleans())
+    def test_forced_corrections_keep_the_solution(self, radial_coarse,
+                                                  mini_annulus, p, t, patch,
+                                                  warm):
+        base = mini_annulus if patch else radial_coarse
+        sc = dataclasses.replace(base,
+                                 p_samples=np.full_like(base.p_samples, p))
+        st = build_stencil(sc)
+        start = solve_slice(sc, t / 2, stencil=st) if warm else None
+        corrections = []
+        corrected, plain = self._solve(
+            lambda: solve_slice(sc, t, warm=start, stencil=st), corrections)
+        self._check(corrected, plain, corrections)
+
+    def test_forced_corrections_in_3d(self):
+        sc = radial_scenario(n=3, h=1 / 8, t_max=0.2, m_list=(8, 16, 32))
+        st = build_stencil(sc)
+        corrections = []
+        corrected, plain = self._solve(
+            lambda: solve_slice(sc, 0.2, stencil=st), corrections)
+        self._check(corrected, plain, corrections)
+
+    def test_compare_level_never_corrects(self):
+        # the engage rule on the compare scenario: at h = 1/32 SOR needs
+        # 13-17 sweeps per decade on its 70-124-cell boxes, too few for a
+        # correction to pay
+        sc = radial_scenario(h=1 / 32, t_max=0.5)
+        res = stefan.run(sc, 1024, [round(0.05 * k, 10) for k in range(1, 11)],
+                         keep_u=False)
+        assert res.steps > 0
+        assert sum(row[9] for row in res.step_log) == 0
+
+    def test_annulus_contact_corrects_every_solve(self, annulus_jump):
+        # the saturated annulus at h = 1/32 needs 37-70 SOR sweeps per
+        # decade, so every solve of its contact bisection corrects
+        solves = annulus_jump["solves"]
+        assert len(solves) > 4
+        assert all(sl.corrections > 0 for sl in solves)
+        assert all(sl.residual <= SOLVE_TOL for sl in solves)
+
+
 class TestSweepBudget:
     @settings(max_examples=60, deadline=None)
     @given(hst.lists(hst.integers(3, 80), min_size=2, max_size=3),
@@ -662,14 +765,16 @@ class TestSolveDriver:
         # slot's, padded by one cell
         small = st.window_box(sc.grid.slot, pad=1)
         theta = np.zeros(sc.grid.shape)
-        res, sweeps, box, checks, regrowths = st.solve(theta, diag, rhs,
-                                                       coupling, 1)
-        assert len(kernel_calls) > 1 and box != small
-        assert not st.box_leaks(theta, box)
-        assert res <= SOLVE_TOL
-        assert sweeps == sum(used for used, _ in kernel_calls)
-        assert checks == sum(len(history) for _, history in kernel_calls)
-        assert regrowths == len(kernel_calls) - 1
+        record = st.solve(theta, diag, rhs, coupling, 1)
+        assert len(kernel_calls) > 1 and record.box != small
+        assert not st.box_leaks(theta, record.box)
+        assert record.residual <= SOLVE_TOL
+        assert record.sweeps == sum(used for used, _ in kernel_calls)
+        assert record.checks == sum(len(history)
+                                    for _, history in kernel_calls)
+        assert record.regrowths == len(kernel_calls) - 1
+        assert record.corrections == sum(history.corrections
+                                         for _, history in kernel_calls)
         interior = st.interior
         monkeypatch.setattr(FaceStencil, "window_box",
                             lambda self, source_mask, pad: interior)
