@@ -271,10 +271,13 @@ def fb_radius_stats(active_mask, grid, center):
 def contact_time(scenario, patch_mask, t_lo, t_hi, tol_t, stencil=None):
     """Bisect for the first slice time whose active set meets ``patch_mask``.
 
-    Requires the patch inactive at ``t_lo`` and active at ``t_hi``.  Solves
-    are warm-started from the lower bracket, which approaches the answer
-    monotonically from below.
+    Requires ``tol_t`` > 0, ``t_lo`` < ``t_hi``, the patch inactive at
+    ``t_lo`` and active at ``t_hi``.  Solves are warm-started from the
+    lower bracket, which approaches the answer monotonically from below.
+    Bisection ends early once the bracket is two adjacent doubles.
     """
+    if not (tol_t > 0 and t_lo < t_hi):
+        raise ConfigError("contact_time needs tol_t > 0 and t_lo < t_hi")
     st = stencil if stencil is not None else build_stencil(scenario)
     lo_slice = solve_slice(scenario, t_lo, stencil=st)
     hi_active = solve_slice(scenario, t_hi, stencil=st)
@@ -283,12 +286,13 @@ def contact_time(scenario, patch_mask, t_lo, t_hi, tol_t, stencil=None):
     if not np.any(hi_active.active_mask & patch_mask):
         raise ConfigError("patch not active at t_hi")
     lo, hi = t_lo, t_hi
-    while hi - lo > tol_t:
-        mid = 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    while hi - lo > tol_t and lo < mid < hi:
         sl = solve_slice(scenario, mid, warm=lo_slice, stencil=st)
         if np.any(sl.active_mask & patch_mask):
             hi = mid
         else:
             lo = mid
             lo_slice = sl
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return mid

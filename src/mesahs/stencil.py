@@ -175,10 +175,11 @@ class FaceStencil:
         """Projected SOR on a window, grown by 4 cells while flux leaks out.
 
         Solves diag*v - coupling*sum(nb)/h^2 = rhs, v >= 0 in place, from
-        ``values`` >= 0.  The first box holds the slot, the positive
-        ``values`` and the FLUID cells that can turn active first, those
-        whose load is within one cell width (clamped to [1e-3, 0.5]) of
-        zero, grown by ``pad`` cells.  One sweep budget covers every kernel
+        ``values`` >= 0 and zero off FLUID.  The first box holds the slot,
+        the positive ``values`` and the FLUID cells that can turn active
+        first, those whose load is within one cell width (clamped to [1e-3,
+        0.5]) of zero, grown by ``pad`` cells, so every box meets the zero
+        rule of :func:`projected_sor`.  One sweep budget covers every kernel
         call.  Returns a :class:`SolveRecord`.  Raises
         :class:`SolverError`, with the residual history of every call,
         unless residual <= ``SOLVE_TOL`` (never true of a NaN).
@@ -315,8 +316,6 @@ def active_width_cells(active):
 # projected SOR kernel
 # ---------------------------------------------------------------------------
 
-#: load assigned to non-fluid cells so the projected update pins them at zero
-_PINNED_LOAD = -1e30
 #: fewest and most sweeps between two residual checks; the geometric
 #: schedule grows from the fewest to the most
 _MIN_CHECK_GAP = 2
@@ -341,20 +340,22 @@ def projected_sor(values, diag, rhs, box, fluid, coupling, tol, max_sweeps,
                   h):
     """Red-black projected SOR for  diag*v - coupling*sum(nb)/h^2 = rhs, v >= 0.
 
-    ``values`` is updated in place and must be exactly zero outside FLUID;
-    ``rhs`` is read on FLUID cells only, and non-fluid cells stay pinned at
-    zero.  The relaxation factor is re-tuned at every residual check to the
-    measured active-set width (the obstacle pins everything beyond the free
-    boundary, so that width controls the slowest mode).  Convergence is max
-    complementarity residual min(equation residual, v) <= tol over FLUID
-    cells of the box; it is checked at most ``max_sweeps`` sweeps in, so no
-    more sweeps than that are run, and the first non-finite residual ends the
-    solve.  Checks come at sweeps 0 and 4, then where :func:`_check_gap`
-    places them.  Returns (residual, sweeps, history), the history a list
-    of (sweeps, residual) checks whose ``corrections`` attribute counts the
-    coarse corrections.  :meth:`FaceStencil.solve` is the one caller in the
-    package, and the one place where a residual above tol, or a NaN,
-    becomes a :class:`SolverError`.
+    The zero rule: ``values`` must be >= 0 on the box and exactly zero
+    outside it and on every non-FLUID cell, so v = 0 around the box is the
+    problem's Dirichlet condition, and ``rhs`` and ``diag`` are read on the
+    box's FLUID cells only.  ``values`` is updated in place and keeps the
+    rule.  :meth:`FaceStencil.solve`, the one caller in the package, builds
+    its boxes so, and it is the one place where a residual above tol, or a
+    NaN, becomes a :class:`SolverError`.  The relaxation factor is re-tuned
+    at every residual check to the measured active-set width (the obstacle
+    pins everything beyond the free boundary, so that width controls the
+    slowest mode).  Convergence is max complementarity residual
+    min(equation residual, v) <= tol over FLUID cells of the box; it is
+    checked at most ``max_sweeps`` sweeps in, so no more sweeps than that
+    are run, and the first non-finite residual ends the solve.  Checks come
+    at sweeps 0 and 4, then where :func:`_check_gap` places them.  Returns
+    (residual, sweeps, history), the history a list of (sweeps, residual)
+    checks whose ``corrections`` attribute counts the coarse corrections.
 
     From the first check at which :func:`_engages` finds SOR too slow for
     the box, every check that does not end the call applies one truncated
@@ -373,18 +374,17 @@ def projected_sor(values, diag, rhs, box, fluid, coupling, tol, max_sweeps,
     q + (s + 2c - 1)/2 of the other colour.  Each colour sweeps one target
     range against 2n neighbour ranges at fixed offsets, the globally even
     colour first, and holds the fused coefficients a =
-    omega*coupling/(h^2*diag) and b = omega*rhs/diag (the pinned load off
-    FLUID), recomputed whenever omega changes.  One update is
-    sum(nb)*a + b + (1 - omega)*v, projected on v >= 0: 9 ufunc calls in
-    2-D, none a division, and a sweep is two updates.  A range also crosses
-    off-box entries (row ends, the halo and the padding); those never
-    change during a call, so they are saved once and restored after every
-    update, and their a and b are 0 so the discarded values stay finite.
-    The strided reference in the tests does the same floating-point
-    operations in the same order on every box cell, and the result is
-    bit-identical to it.  ``values`` is written back, by interleaving the
-    two colours, before every residual check, and the kernel returns only
-    at a check.
+    omega*coupling/(h^2*diag) and b = omega*rhs/diag, recomputed whenever
+    omega changes.  One update is sum(nb)*a + b + (1 - omega)*v, projected
+    on v >= 0: 9 ufunc calls in 2-D, none a division, and a sweep is two
+    updates.  The other entries a range crosses (non-FLUID box cells, the
+    halo, row-end padding) are laid out with rhs = 0 and diag = inf, so
+    their a = b = 0 and each update leaves them at +0.0.  The strided
+    reference in the tests does the same floating-point operations in the
+    same order on every box cell, and the result is bit-identical to it.
+    ``values`` is written back, by interleaving the two colours, before
+    every residual check, and the kernel returns only at a check; a
+    corrected box is split into the colours as at the call's start.
     """
     ext = tuple(slice(s.start - 1, s.stop + 1) for s in box)
     extents = [s.stop - s.start for s in ext]
@@ -399,11 +399,10 @@ def projected_sor(values, diag, rhs, box, fluid, coupling, tol, max_sweeps,
         np.copyto(flat[inner], array[ext], where=where)
         return flat.reshape(-1)
 
-    flat = layout(values, 0.0)
-    colours = (flat[0::2].copy(), flat[1::2].copy())
-    del flat
-    inbox = np.zeros(shape, dtype=bool)
-    inbox[boxed] = True
+    colours = tuple(layout(values, 0.0)[c::2].copy() for c in (0, 1))
+    # the FLUID cells of the box, the only entries the sweeps move
+    live = np.zeros(extents, dtype=bool)
+    live[boxed] = fluid[box]
     # flat indices of the first and the last box cell
     first = sum(strides)
     last = sum((e - 2) * s for e, s in zip(extents, strides))
@@ -417,10 +416,8 @@ def projected_sor(values, diag, rhs, box, fluid, coupling, tol, max_sweeps,
         nbs = [colours[1 - c][span.start + o:span.stop + o]
                for o in ((step * s + 2 * c - 1) // 2
                          for s in strides for step in (-1, 1))]
-        off = np.flatnonzero(~inbox.reshape(-1)[c::2][span])
         targets.append((c, span, tv, np.zeros(tv.size), np.zeros(tv.size),
-                        nbs, off, tv[off]))
-    del inbox
+                        nbs))
     box_view = values[box]
 
     history = _History()
@@ -451,12 +448,9 @@ def projected_sor(values, diag, rhs, box, fluid, coupling, tol, max_sweeps,
         del pde
         if corrected:
             if correction.apply(box_view):
-                flat = np.empty(math.prod(shape))
-                flat[0::2], flat[1::2] = colours
-                flat.reshape(shape)[boxed] = box_view
+                # split as at the start, the zero rule holding
                 for c, colour in enumerate(colours):
-                    colour[...] = flat[c::2]
-                del flat
+                    colour[...] = layout(values, 0.0)[c::2]
             sweeps += cost
             history.corrections += 1
         # once corrections run, the sweeps between them only smooth: they
@@ -466,18 +460,17 @@ def projected_sor(values, diag, rhs, box, fluid, coupling, tol, max_sweeps,
         if tuned != omega:
             omega = tuned
             # computed afresh, never rescaled: rescaling compounds rounding;
-            # the pinned load and diag are staged one at a time
-            flat = layout(rhs, _PINNED_LOAD, where=fluid[ext])
-            for c, span, _, _, b, *_ in targets:
+            # rhs and diag are staged one at a time
+            flat = layout(rhs, 0.0, where=live)
+            for c, span, _, _, b, _ in targets:
                 b[...] = flat[c::2][span]
             del flat
-            flat = layout(diag, 1.0)
-            for c, span, _, a, b, _, off, _ in targets:
+            flat = layout(diag, np.inf, where=live)
+            for c, span, _, a, b, _ in targets:
                 a[...] = flat[c::2][span]
                 b *= omega
                 b /= a
                 np.divide(omega * (coupling / (h * h)), a, out=a)
-                a[off] = b[off] = 0.0
             del flat
         geometric = min(int(geometric * 1.5) + 1, _MAX_CHECK_GAP)
         gap = (_SMOOTHING_SWEEPS if corrected
@@ -520,7 +513,7 @@ def _sweep_ranges(targets, omega, count):
     """
     scratch = np.empty(max(t[2].size for t in targets))
     for _ in range(count):
-        for _, _, tv, av, bv, nbs, off, kept in targets:
+        for _, _, tv, av, bv, nbs in targets:
             # sum(nb)*a + b + (1 - omega)*v, the neighbours summed in the
             # order of the residual
             cand = scratch[:tv.size]
@@ -532,7 +525,6 @@ def _sweep_ranges(targets, omega, count):
             tv *= 1.0 - omega
             tv += cand
             np.maximum(tv, 0.0, out=tv)
-            tv[off] = kept
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +552,9 @@ def _engages(history, cost):
     rate is measured over the last two check intervals, not one: the
     max-norm residual of one interval can stall or jump.  False before the
     third check, or unless both residuals are finite and positive and the
-    later one is smaller.
+    later one is smaller.  On the annulus, engaging from the first, second
+    or third check, 2-30 CG steps per correction and other correction
+    settings were all measured no faster (ROADMAP item 4 has the counts).
     """
     if len(history) < 3:
         return False

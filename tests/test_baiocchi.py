@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -408,6 +409,41 @@ class TestContactTime:
         with pytest.raises(ConfigError):
             baiocchi.contact_time(radial_coarse, patch, 0.05, 0.25, 1e-3,
                                   stencil=radial_coarse_stencil)
+
+    @pytest.mark.parametrize("t_lo, t_hi, tol_t", [
+        (0.001, 0.3, 0.0), (0.001, 0.3, -1e-3), (0.001, 0.3, math.nan),
+        (0.3, 0.3, 1e-3), (0.3, 0.001, 1e-3), (math.nan, 0.3, 1e-3)])
+    def test_bad_bracket_or_tolerance_solves_nothing(self, monkeypatch, t_lo,
+                                                     t_hi, tol_t):
+        # a NaN tolerance used to return the bracket's midpoint unbisected,
+        # and a zero one never ended
+        solves = []
+        monkeypatch.setattr(baiocchi, "solve_slice",
+                            lambda *args, **kwargs: solves.append(args))
+        with pytest.raises(ConfigError, match="tol_t > 0 and t_lo < t_hi"):
+            baiocchi.contact_time(None, np.ones((3, 3), dtype=bool), t_lo,
+                                  t_hi, tol_t, stencil=object())
+        assert solves == []
+
+    def test_bisection_ends_at_adjacent_doubles(self, monkeypatch):
+        # a tolerance below the spacing of doubles at t* must still end: the
+        # bracket stops shrinking once its ends are adjacent
+        t_star = 0.1505
+        patch = np.ones((3, 3), dtype=bool)
+        solves = []
+
+        def solve_slice(scenario, t, warm=None, stencil=None):
+            solves.append(t)
+            if len(solves) > 200:
+                raise AssertionError("bisection did not end")
+            return SimpleNamespace(active_mask=np.full(patch.shape,
+                                                       t >= t_star))
+
+        monkeypatch.setattr(baiocchi, "solve_slice", solve_slice)
+        t = baiocchi.contact_time(None, patch, 0.001, 0.3, 1e-300,
+                                  stencil=object())
+        assert np.nextafter(t_star, 0.0) <= t <= t_star
+        assert len(solves) < 70
 
 
 def _edt_hausdorff(mask_a, mask_b):

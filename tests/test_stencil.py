@@ -5,6 +5,7 @@ import functools
 import math
 import tracemalloc
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from mesahs.errors import SolverError
 from mesahs.mesa import MONOTONE_SWEEP_TOL
 from mesahs.geometry import Scenario, SlotGeometry, build_grid
 from mesahs.scenarios import radial_scenario
-from mesahs.stencil import (_PINNED_LOAD, SOLVE_TOL, FaceStencil,
+from mesahs.stencil import (SOLVE_TOL, FaceStencil,
                             _box_neighbor_sum, _nearest_sample_values,
                             _shifted, _sweep_budget,
                             active_width_cells, build_stencil,
@@ -268,13 +269,14 @@ def _strided_projected_sor(values, diag, rhs, box, fluid, coupling, tol,
     """Red-black projected SOR on strided views of the whole array.
 
     The update is sum(nb)*a + b + (1 - omega)*v with a = omega*coupling /
-    (h^2*diag) and b = omega*rhs/diag, recomputed whenever omega changes.
-    ``geometric_only`` keeps every check on the geometric schedule.
+    (h^2*diag) and b = omega*rhs/diag on FLUID cells and a = b = 0 off
+    them, recomputed whenever omega changes.  ``values`` must be zero off
+    FLUID, and the update keeps it so.  ``geometric_only`` keeps every check
+    on the geometric schedule.
     """
     inv_h2 = coupling / (h * h)
-    rhs = np.where(fluid, rhs, _PINNED_LOAD)
-    views = [(color, values[target], diag[target], rhs[target],
-              [values[nb] for nb in neighbors])
+    views = [(color, values[target], fluid[target], diag[target],
+              rhs[target], [values[nb] for nb in neighbors])
              for color, target, neighbors in _strided_plan(box, values.ndim)]
     history = []
     sweeps = 0
@@ -290,14 +292,15 @@ def _strided_projected_sor(values, diag, rhs, box, fluid, coupling, tol,
             tuned = omega_for_width(_shifted_active_width(values[box] > 0))
             if tuned != omega:
                 omega = tuned
-                coefs = [((omega * inv_h2) / dv, (rv * omega) / dv)
-                         for _, _, dv, rv, _ in views]
+                coefs = [(np.where(fv, (omega * inv_h2) / dv, 0.0),
+                          np.where(fv, (rv * omega) / dv, 0.0))
+                         for _, _, fv, dv, rv, _ in views]
             geometric = min(int(geometric * 1.5) + 1, 30)
             gap = (geometric if geometric_only
                    else _strided_check_gap(history, tol, geometric))
             check_at = min(sweeps + gap, max_sweeps)
         for want in (0, 1):
-            for (color, tv, _, _, nbs), (a, b) in zip(views, coefs):
+            for (color, tv, _, _, _, nbs), (a, b) in zip(views, coefs):
                 if color != want:
                     continue
                 nb = nbs[0].copy()
@@ -314,12 +317,20 @@ def _bits(x):
     return np.float64(x).tobytes()
 
 
+def _outside_zeroed(values, box):
+    """``values`` with every entry outside ``box`` set to zero."""
+    out = np.zeros_like(values)
+    out[box] = values[box]
+    return out
+
+
 @hst.composite
 def _sor_case(draw):
     """A random 1-3D complementarity problem on a random box.
 
     The diagonal dominates the coupling as in the real operators; the load
-    is arbitrary off FLUID, infinities and NaN included.
+    is arbitrary off FLUID, infinities and NaN included.  The start values
+    are zero outside the box, as the kernel requires.
     """
     n = draw(hst.integers(1, 3))
     shape = tuple(draw(hst.lists(hst.integers(3, (13, 11, 7)[n - 1]),
@@ -339,9 +350,11 @@ def _sor_case(draw):
     scale = rng.uniform(-1.0, 1.0)
     rhs = rng.uniform(-1.0, 1.0, shape) + scale
     rhs[~fluid] = draw(hst.floats())
+    box = tuple(box)
     values = np.where(fluid & (rng.random(shape) < 0.5),
                       rng.exponential(1.0, shape), 0.0)
-    return values, dict(diag=diag, rhs=rhs, box=tuple(box), fluid=fluid,
+    values = _outside_zeroed(values, box)
+    return values, dict(diag=diag, rhs=rhs, box=box, fluid=fluid,
                         coupling=coupling, tol=draw(hst.sampled_from(
                             (1e-12, 1e-6, 1e-2))),
                         max_sweeps=draw(hst.sampled_from((1, 7, 50))), h=h)
@@ -385,23 +398,25 @@ def _nan_load_case():
     fluid[0] = fluid[:, -1] = False
     rhs = np.full(shape, 0.5)
     rhs[4, 5] = np.nan
-    values = np.where(fluid, 0.25, 0.0)
-    return values, dict(diag=np.full(shape, 4.5), rhs=rhs,
-                        box=(slice(1, 8), slice(2, 9)), fluid=fluid,
-                        coupling=1.0, tol=1e-10, max_sweeps=50, h=1.0)
+    box = (slice(1, 8), slice(2, 9))
+    values = _outside_zeroed(np.where(fluid, 0.25, 0.0), box)
+    return values, dict(diag=np.full(shape, 4.5), rhs=rhs, box=box,
+                        fluid=fluid, coupling=1.0, tol=1e-10, max_sweeps=50,
+                        h=1.0)
 
 
 def _edge_case(shape, box):
     """A problem whose every interior cell is FLUID, solved on ``box``.
 
-    Every FLUID cell starts nonzero, the cells just outside the box
-    included: the kernel's flat ranges cross some of them and must leave
-    them as they were.
+    Every box cell starts nonzero; the FLUID cells just outside the box
+    start at zero, and the kernel's flat ranges cross some of them: they
+    must stay zero.
     """
     rng = np.random.default_rng(len(shape) + sum(s.start for s in box))
     fluid = np.zeros(shape, dtype=bool)
     fluid[tuple(slice(1, size - 1) for size in shape)] = True
-    values = np.where(fluid, rng.exponential(1.0, shape), 0.0)
+    values = _outside_zeroed(np.where(fluid, rng.exponential(1.0, shape),
+                                      0.0), box)
     return values, dict(diag=2 * len(shape) * rng.uniform(1.0, 1.5, shape),
                         rhs=rng.uniform(-1.0, 1.0, shape), box=box,
                         fluid=fluid, coupling=1.0, tol=1e-12, max_sweeps=50,
@@ -719,6 +734,21 @@ class TestCoarseCorrection:
         assert all(sl.corrections > 0 for sl in solves)
         assert all(sl.residual <= SOLVE_TOL for sl in solves)
 
+    def test_pre_contact_patch_dust_stays_below_the_cut(self, annulus_jump):
+        # before contact, corrections leave W of 1e-27 to 2e-13 on the free
+        # zero-load patch cells, where SOR alone leaves exact zeros at
+        # t* - 0.01; that dust must stay far below the relative cut of 1e-8
+        # with which contact_time tells a wet patch from a dry one.  The
+        # slice at t* itself is left out: the patch is wetting there (W of
+        # 1.7e-8, as with SOR alone), just under the cut
+        patch = annulus_jump["patch"]
+        dry = [sl for sl in annulus_jump["solves"]
+               if sl.t < annulus_jump["t_star"]
+               and not np.any(sl.active_mask & patch)]
+        assert len(dry) >= 6
+        for sl in dry:
+            assert sl.w[patch].max() <= 1e-12 * sl.w.max()
+
 
 class TestSweepBudget:
     @settings(max_examples=60, deadline=None)
@@ -869,6 +899,43 @@ class TestWindowRule:
                 assert len(boxes) == 1 and all(
                     s.start <= b.start and b.stop <= s.stop
                     for b, s in zip(boxes[0], slot_window))
+
+
+class TestZeroRule:
+    # the kernel's precondition holds by construction: after every
+    # FaceStencil.solve the field is exactly zero outside the record's box
+    # and on every non-FLUID cell, and the box does not leak
+    @settings(max_examples=40, deadline=None)
+    @given(p=hst.floats(0.0, 1.0, exclude_min=True), t=hst.floats(0.01, 0.3),
+           share=hst.floats(0.1, 0.9), patch=hst.booleans(),
+           m=hst.sampled_from((16.0, 256.0)))
+    def test_field_is_zero_outside_the_box(self, radial_coarse, mini_annulus,
+                                           p, t, share, patch, m):
+        base = mini_annulus if patch else radial_coarse
+        sc = dataclasses.replace(base,
+                                 p_samples=np.full_like(base.p_samples, p))
+        st = build_stencil(sc)
+        grid = sc.grid
+        solves = []
+        solve = st.solve
+
+        def recorded(values, *args, **kwargs):
+            record = solve(values, *args, **kwargs)
+            solves.append((values.copy(), record))
+            return record
+
+        with mock.patch.object(st, "solve", recorded):
+            # a cold slice, a warm one from it, and one enthalpy step
+            start = solve_slice(sc, share * t, stencil=st)
+            solve_slice(sc, t, warm=start, stencil=st)
+            u = np.where(grid.fluid | grid.farfield, sc.u_init, 0.0)
+            stefan._advance(st, u, np.zeros(grid.shape), m, t)
+        assert len(solves) == 3
+        for values, record in solves:
+            off_box = np.ones(grid.shape, dtype=bool)
+            off_box[record.box] = False
+            assert np.all(values[off_box | ~grid.fluid] == 0.0)
+            assert not st.box_leaks(values, record.box)
 
 
 # ---------------------------------------------------------------------------
