@@ -10,7 +10,8 @@ The solver is projected red-black SOR on the face-flux discretization; the
 operator is a symmetric M-matrix, so projected SOR converges for any
 relaxation factor in (0, 2).  The factor is re-tuned during the iteration to
 the measured width of the active set.  W vanishes outside a compact wet
-region, so every slice, cold or warm, sweeps a window that regrows on leaks.
+region, so every slice, cold or warm, sweeps a window that regrows until
+the complementarity residual on it and its one-cell ring meets tol.
 
 The radial oracle used in tests and reports lives here too: for a unit-ball
 slot, constant data p and constant initial enthalpy lam < 1, the free
@@ -30,9 +31,9 @@ from .stencil import (_box_residual, _nearest_index, _shifted,
                       build_stencil)
 
 #: cells a slice's first window reaches beyond its source.  A narrower pad
-#: regrows more often: on the radial h = 1/64 ten-slice warm chain, pad 4
-#: cost 5 more kernel calls and 645 more sweeps, pad 2 cost 11 calls and
-#: 2,510 sweeps, and pad 8 regrows never
+#: regrows more often: on the radial h = 1/64 ten-slice warm chain, pad 8
+#: takes 13 kernel calls and 3,107 sweeps, pad 4 17 and 3,899, and pad 2
+#: 24 and 5,750
 SLICE_WINDOW_PAD = 8
 
 #: the radial oracle's bracket gives up beyond this radius
@@ -71,11 +72,12 @@ def solve_slice(scenario, t, warm=None, stencil=None):
     of :meth:`FaceStencil.solve`: the slot, the support of that start and
     the FLUID cells whose load is within one cell width of zero (a patch
     near saturation that the flow is about to reach), padded by
-    ``SLICE_WINDOW_PAD`` cells and grown while flux leaks across its edge.
-    W stays zero outside the box, where the load -(1 - u_init) is
-    nonpositive, so once the box does not leak every cell outside it
-    already satisfies complementarity: the window changes which cells are
-    swept, not the converged W.
+    ``SLICE_WINDOW_PAD`` cells and grown by 4 cells until the
+    complementarity residual on it and its one-cell ring is within tol.
+    W stays zero outside the box, and beyond the first window the load
+    -(1 - u_init) is negative, so every cell beyond the ring already
+    satisfies complementarity: the window changes which cells are swept,
+    not the converged W, and ``residual`` is the whole grid's.
     """
     if not 0 <= t < np.inf:
         raise ConfigError("slice time must be nonnegative and finite")

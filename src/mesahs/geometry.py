@@ -40,6 +40,10 @@ BAND_CLEARANCE = 2
 #: far above the few thousand of any scenario in the package
 MAX_BOUNDARY_SAMPLES = 10 ** 6
 
+#: most cells a grid may hold, checked before any grid array is allocated;
+#: far above the 1,294^2 (about 1.7 M) cells of the finest grid in use
+MAX_GRID_CELLS = 2 ** 24
+
 
 def _as_float_array(x, shape_hint=None):
     a = np.asarray(x, dtype=float)
@@ -360,6 +364,8 @@ def build_grid(geometry, h, margin, band_cells=2, required_radius=None):
     """Classify a symmetric box around the slot into SLOT/FLUID/FARFIELD.
 
     ``margin`` is the distance from the slot's bounding ball to the box edge.
+    A box of more than ``MAX_GRID_CELLS`` cells is a :class:`ConfigError`,
+    raised before any array is allocated.
     The slot must keep ``band_cells + BAND_CLEARANCE`` FLUID cells from the
     band, else :class:`ConfigError`; activity later keeps only
     ``BAND_CLEARANCE`` (``Grid.near_band``).  If ``required_radius`` is
@@ -376,7 +382,12 @@ def build_grid(geometry, h, margin, band_cells=2, required_radius=None):
     if band_cells < 2:
         raise ConfigError("farfield band must be at least 2 cells wide")
     center, rho = geometry.bounding_center_radius()
-    half_cells = int(np.ceil((rho + margin) / h))
+    half_cells = np.ceil((rho + margin) / h)
+    cells = (2.0 * half_cells) ** geometry.n
+    if not cells <= MAX_GRID_CELLS:
+        raise ConfigError(f"grid too large: {cells:.3g} cells exceed the "
+                          f"bound of {MAX_GRID_CELLS:,}")
+    half_cells = int(half_cells)
     half = half_cells * h
     if required_radius is not None:
         usable = half - (band_cells + BAND_CLEARANCE) * h

@@ -8,8 +8,9 @@ temperature: a cell is either frozen (u < 1, temperature 0) or diffusive
 Laplacian A is a symmetric M-matrix, so the step's solution is unique and
 the solve starts from the last step's temperature: the start changes the
 sweep count, never the answer.  :meth:`FaceStencil.solve` sweeps a window
-around the cells that can be active within the step, regrown while flux
-reaches its edge, so the window never changes the converged answer.
+around the cells that can be active within the step, regrown until the
+complementarity residual on it and its one-cell ring meets tol, so the
+window never changes the converged answer.
 
 The free-boundary condition is implicit in the conservative form and never
 imposed separately.  A step is conservative by construction: the enthalpy
@@ -87,9 +88,9 @@ class RunResult:
     u^n - u_init = -A_h W^n + t_n * slot_load on FLUID, up to rounding, for
     any dt.  ``step_log`` holds one row per step:
     (step, t, slot influx, cumulative influx, sweeps, final residual, cells
-    of the final solve box, residual checks, box regrowths, coarse
-    corrections); ``mass_error`` is the gap between the total enthalpy gain
-    and the last cumulative influx.
+    of the solve's box, its last window and ring, residual checks, box
+    regrowths, coarse corrections); ``mass_error`` is the gap between the
+    total enthalpy gain and the last cumulative influx.
     """
 
     m: float
@@ -121,8 +122,9 @@ def _advance(st, u, theta, m, dt):
     the record's box, and ``u`` changes only inside it.
     """
     grid = st.grid
-    # flux may not cross the window edge, else the frozen update outside
-    # the box would be wrong: the solve grows the box until none does
+    # the record's box is the window and its one-cell ring: the update
+    # below credits the ring with the flux out of the window, and beyond
+    # the ring no flux moves
     record = st.solve(
         theta, 1.0 / m + dt * st.diag, (u - 1.0) + dt * st.slot_load,
         coupling=dt, pad=2)

@@ -69,19 +69,18 @@ SOLVE_TOL = 1e-10
 
 
 def _sweep_budget(grid):
-    """Sweeps one solve may spend over all its kernel calls.  The shape term
-    covers the annulus contact stall; the cell-count term is larger in 3D."""
-    return max(2000, int(50 * np.sqrt(np.count_nonzero(grid.fluid))),
-               200 * max(grid.shape))
+    """Sweeps one solve may spend over all its kernel calls."""
+    return max(2000, int(50 * np.sqrt(np.count_nonzero(grid.fluid))))
 
 
 @dataclass(frozen=True)
 class SolveRecord:
     """What one :meth:`FaceStencil.solve` did.
 
-    ``sweeps`` counts SOR sweeps and coarse corrections, each correction
-    as its cost in fine-sweep equivalents; ``checks`` counts the residual
-    checks of every kernel call and ``box`` is the final window.
+    ``sweeps`` counts SOR sweeps and coarse corrections at their cost in
+    fine-sweep equivalents, ``checks`` the residual checks of every kernel
+    call.  ``box``, the last window and its one-cell ring, holds every cell
+    the solve may change; ``residual`` over it is the whole interior's.
     """
 
     residual: float
@@ -151,38 +150,22 @@ class FaceStencil:
                            min(size - 1, s.stop + cells))
                      for s, size in zip(box, self.grid.shape))
 
-    def box_leaks(self, values, box):
-        """Whether a positive face cell of the box borders FLUID outside it.
-
-        Cells in the grid's one-cell clearance do not count.  With ``values``
-        >= 0 and zero outside the box this is exactly whether flux crosses the
-        box edge into FLUID.
-        """
-        fluid = self.grid.fluid
-        for axis, (s, size) in enumerate(zip(box, self.grid.shape)):
-            for inner, outer in ((s.start, s.start - 1), (s.stop - 1, s.stop)):
-                if not 1 <= outer < size - 1:
-                    continue
-                face = list(box)
-                face[axis] = inner
-                out = list(box)
-                out[axis] = outer
-                if np.any((values[tuple(face)] > 0) & fluid[tuple(out)]):
-                    return True
-        return False
-
     def solve(self, values, diag, rhs, coupling, pad):
-        """Projected SOR on a window, grown by 4 cells while flux leaks out.
+        """Projected SOR on a window, grown by 4 cells until its ring holds.
 
         Solves diag*v - coupling*sum(nb)/h^2 = rhs, v >= 0 in place, from
         ``values`` >= 0 and zero off FLUID.  The first box holds the slot,
         the positive ``values`` and the FLUID cells that can turn active
         first, those whose load is within one cell width (clamped to [1e-3,
         0.5]) of zero, grown by ``pad`` cells, so every box meets the zero
-        rule of :func:`projected_sor`.  One sweep budget covers every kernel
-        call.  Returns a :class:`SolveRecord`.  Raises
-        :class:`SolverError`, with the residual history of every call,
-        unless residual <= ``SOLVE_TOL`` (never true of a NaN).
+        rule of :func:`projected_sor`.  A converged box ends the solve when
+        the complementarity residual on it and its one-cell ring is within
+        ``SOLVE_TOL``: beyond the ring a FLUID cell has negative load and
+        zero neighbours, so residual 0, and the solution is unique.  One
+        sweep budget covers every kernel call.  Returns a
+        :class:`SolveRecord`.  Raises :class:`SolverError`, with the
+        residual history of every call, unless residual <= ``SOLVE_TOL``
+        (never true of a NaN).
         """
         g = self.grid
         near = g.fluid & (rhs >= -min(0.5, max(g.h, 1e-3)))
@@ -203,8 +186,11 @@ class FaceStencil:
                     f"{budget} sweeps on box "
                     f"{[(s.start, s.stop) for s in box]} (last residual "
                     f"{res:.3e})", residual_history=history)
-            if not self.box_leaks(values, box):
-                return SolveRecord(residual=res, sweeps=sweeps, box=box,
+            ring = self.grow_box(box, 1)
+            _, res = _box_residual(values, diag, rhs, ring, g.fluid,
+                                   coupling, self.h)
+            if res <= SOLVE_TOL:
+                return SolveRecord(residual=res, sweeps=sweeps, box=ring,
                                    checks=len(history), regrowths=regrowths,
                                    corrections=corrections)
             box = self.grow_box(box, 4)
@@ -245,7 +231,6 @@ def build_stencil(scenario):
     bad = fluid & (interior_count + (slot_coef > 0) == 0)
     if bad.any():
         raise ConfigError("isolated fluid cell without any usable face")
-    diag = np.where(fluid, diag, 1.0)   # unit diagonal off-fluid: avoids 0/0
 
     return FaceStencil(grid=grid, diag=diag, slot_coef=slot_coef,
                        slot_load=slot_load)

@@ -251,18 +251,25 @@ class TestSolveSlice:
 
 class TestSliceWindow:
     # every slice solves on a window around the slot and its start, grown
-    # while flux leaks; the reference solves every slice on the interior box
+    # until its ring meets tol; the reference solves every slice on the
+    # interior box
 
     def test_chain_matches_reference_on_smaller_boxes(self, radial32_chains):
         slices, calls = radial32_chains["windowed"]
         ref_slices, ref_calls = radial32_chains["reference"]
-        interior = _box_cells(radial32_chains["stencil"].interior)
+        sc, st = radial32_chains["scenario"], radial32_chains["stencil"]
+        # bit identity below needs SOR alone: boxes that corrected would
+        # aggregate different blocks and agree only within tol
+        assert all(sl.corrections == 0 for sl in slices + ref_slices)
+        interior = _box_cells(st.interior)
         assert all(_box_cells(box) < interior
                    for slice_calls in calls for _, box in slice_calls)
-        # the cold first slice regrows from its window to the reference
-        assert len(calls[0]) > 1
-        assert not radial32_chains["stencil"].box_leaks(slices[0].w,
-                                                        calls[0][-1][1])
+        # the cold first slice ends in its first window, with the sweeps of
+        # the reference, and its residual is the whole interior's
+        assert len(calls[0]) == 1
+        assert calls[0][0][0] == ref_calls[0][0][0] == 71
+        assert (baiocchi.complementarity_report(sc, slices[0], stencil=st)
+                ["max_comp"] == slices[0].residual)
         assert (np.abs(slices[0].w - ref_slices[0].w).max()
                 <= MONOTONE_SWEEP_TOL)
         # every warm slice solves the reference's problem: same sweeps,
@@ -292,9 +299,8 @@ class TestSliceWindow:
         calls = _record_kernel_calls(monkeypatch)
         sl = baiocchi.solve_slice(sc, 0.5, warm=seed, stencil=st)
         assert len(calls) > 1
-        assert not st.box_leaks(sl.w, calls[-1][1])
         rep = baiocchi.complementarity_report(sc, sl, stencil=st)
-        assert rep["max_comp"] <= SOLVE_TOL
+        assert rep["max_comp"] == sl.residual <= SOLVE_TOL
         _full_box(monkeypatch, st)
         ref = baiocchi.solve_slice(sc, 0.5, warm=seed, stencil=st)
         assert np.abs(sl.w - ref.w).max() <= MONOTONE_SWEEP_TOL

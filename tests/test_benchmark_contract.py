@@ -6,8 +6,10 @@ their arguments and results: ``projected_sor``'s ``tol``, ``box`` and
 ``stefan.run``'s ``steps`` and ``mass_error``, and ``solve_slice``'s
 ``warm``, ``sweeps`` and ``residual``.  A change that breaks one of them
 fails only inside the benchmark, so this runs the tracer in a subprocess on
-an h = 1/8 scenario.  The command lines ``perfbench/run.py`` passes to
-the CLI are checked against the CLI's parser too.
+an h = 1/8 scenario.  Its regrowth count, kernel calls beyond the first per
+step, must equal the regrowths of the package's own step log.  The command
+lines ``perfbench/run.py`` passes to the CLI are checked against the CLI's
+parser too.
 """
 
 import importlib.util
@@ -33,12 +35,15 @@ from mesahs import baiocchi, scenarios, stefan
 
 sc = scenarios.radial_scenario(h=1 / 8, t_max=0.2, m_list=(8, 16, 32))
 res = stefan.run(sc, 16, [0.1, 0.2])
+# one step of 0.2 outgrows its first window
+long = stefan.run(sc, 16, [0.2], dt=0.2)
 cold = baiocchi.solve_slice(sc, 0.1)
 warm = baiocchi.solve_slice(sc, 0.2, warm=cold)
 tracer.close(root)
 print(json.dumps({
     "metrics": summarise([tracer.spans]),
-    "step_log": res.step_log, "mass_error": res.mass_error,
+    "step_logs": [res.step_log, long.step_log],
+    "mass_errors": [res.mass_error, long.mass_error],
     "slice_sweeps": [cold.sweeps, warm.sweeps],
     "spans": [[s[3], s[6]] for s in tracer.spans],
 }, default=lambda x: x.item()))
@@ -58,12 +63,16 @@ def _traced_run():
 
 def test_tracer_binds_and_counts_the_step_log():
     out = _traced_run()
-    metrics, log = out["metrics"], out["step_log"]
+    metrics, logs = out["metrics"], out["step_logs"]
+    log = [row for run_log in logs for row in run_log]
     assert len(log) > 0
     assert metrics["stefan.steps"] == len(log)
     assert metrics["stefan.sweeps"] == sum(row[4] for row in log)
     assert metrics["stefan.sweeps_per_step_max"] == max(row[4] for row in log)
-    assert metrics["stefan.mass_error_max"] == out["mass_error"]
+    assert metrics["stefan.mass_error_max"] == max(out["mass_errors"])
+    regrowths = sum(row[8] for row in log)
+    assert metrics["stefan.regrowths"] == regrowths >= 1
+    assert metrics["stefan.sor_calls"] == len(log) + regrowths
     assert metrics["baiocchi.slices"] == 2
     assert metrics["baiocchi.sweeps_per_slice"] == sum(out["slice_sweeps"]) / 2
     assert metrics["stencil.unconverged"] == 0
@@ -77,8 +86,9 @@ def test_tracer_binds_and_counts_the_step_log():
     assert all({"sweeps", "residual", "converged", "fluid_cells",
                 "box_cells"} <= set(a) for a in attrs["projected_sor"])
     assert [a["warm"] for a in attrs["solve_slice"]] == [False, True]
-    assert attrs["run"] == [{"steps": len(log),
-                             "mass_error": out["mass_error"]}]
+    assert attrs["run"] == [{"steps": len(run_log), "mass_error": error}
+                            for run_log, error in zip(logs,
+                                                      out["mass_errors"])]
 
 
 def test_benchmark_command_lines_parse(monkeypatch):

@@ -564,6 +564,19 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
+def _capped_obstacle_run(tmp_path, path):
+    """``mesahs obstacle`` on ``path`` in a 2 GiB address space: its exit
+    code and the JSON record it ends with."""
+    env = {**_child_env(), "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "mesahs.cli", "obstacle", str(path),
+         "--times", "0.1", "--out", str(tmp_path / "x")],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=_cap_address_space)
+    return proc.returncode, json.loads(proc.stderr.splitlines()[-1])
+
+
 class TestEntryPoint:
     @pytest.mark.parametrize("slot", [
         pytest.param({"centers": [[0.0, 0.0]], "radii": [1e12]},
@@ -580,17 +593,18 @@ class TestEntryPoint:
         spec = json.loads(path.read_text())
         spec["slot"] = slot
         path.write_text(json.dumps(spec))
-        env = {**_child_env(), "OPENBLAS_NUM_THREADS": "1",
-               "OMP_NUM_THREADS": "1"}
-        proc = subprocess.run(
-            [sys.executable, "-m", "mesahs.cli", "obstacle", str(path),
-             "--times", "0.1", "--out", str(tmp_path / "x")],
-            capture_output=True, text=True, env=env, timeout=120,
-            preexec_fn=_cap_address_space)
-        record = json.loads(proc.stderr.splitlines()[-1])
-        assert (proc.returncode, record["error"]) == (1, "config")
+        code, record = _capped_obstacle_run(tmp_path, path)
+        assert (code, record["error"]) == (1, "config")
         assert "boundary samples exceed" in record["message"]
 
+
+    def test_huge_grid_exits_1_in_a_capped_process(self, tmp_path):
+        # a margin of 1e6 at h = 0.1 asks for 4e14 cells; the count is
+        # bounded before any grid array is allocated
+        path = write_scenario(tmp_path, h=0.1, margin=1e6)
+        code, record = _capped_obstacle_run(tmp_path, path)
+        assert (code, record["error"]) == (1, "config")
+        assert "4e+14 cells exceed" in record["message"]
 
     def test_version_via_console_script(self):
         proc = subprocess.run([sys.executable, "-m", "mesahs.cli",

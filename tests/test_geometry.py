@@ -14,9 +14,9 @@ from scipy import ndimage
 from mesahs import barriers, scenarios
 from mesahs.errors import ConfigError, EnvelopeError
 from mesahs.geometry import (BAND_CLEARANCE, FARFIELD, FLUID,
-                             MAX_BOUNDARY_SAMPLES, SLOT, Grid, Scenario,
-                             SlotGeometry, build_grid, load_scenario,
-                             radial_u_init)
+                             MAX_BOUNDARY_SAMPLES, MAX_GRID_CELLS, SLOT,
+                             Grid, Scenario, SlotGeometry, build_grid,
+                             load_scenario, radial_u_init)
 
 
 #: a polygon slot that is valid with any positive, finite rounding
@@ -238,6 +238,16 @@ class TestBuildGrid:
                        required_radius=need)
         build_grid(radial_coarse.geometry, h=1 / 16, margin=need + 0.5,
                    required_radius=need)
+
+    @pytest.mark.parametrize("n, h, margin", [
+        (2, 0.1, 1e6), (2, 1e-300, 1e10), (3, 0.01, 3.0)])
+    def test_huge_grid_rejected_before_allocation(self, n, h, margin):
+        # 4e14 cells, more than a double can count, and 5.1e8 cells in 3-D:
+        # the count is checked before any grid array exists
+        geom = SlotGeometry.ball((0.0,) * n, 1.0)
+        with pytest.raises(ConfigError, match=r"cells exceed the bound of "
+                           f"{MAX_GRID_CELLS:,}"):
+            build_grid(geom, h, margin)
 
     def test_fluid_cells_have_all_neighbors(self):
         geom = SlotGeometry.ball((0.0, 0.0), 1.0, sample_spacing=0.05)

@@ -248,7 +248,7 @@ class TestRun:
 
 class TestWindowIndependence:
     # dt=None steps at the default length, with no regrowth; one step of
-    # 0.3 floods the patch and leaks out of its first window
+    # 0.3 floods the patch and outgrows its first window
     @pytest.mark.parametrize("dt", [None, 0.3])
     def test_full_box_run_matches_windowed_run(self, mini_annulus,
                                                monkeypatch, dt):

@@ -20,9 +20,10 @@ from mesahs.baiocchi import SLICE_WINDOW_PAD, solve_slice
 from mesahs.errors import SolverError
 from mesahs.mesa import MONOTONE_SWEEP_TOL
 from mesahs.geometry import Scenario, SlotGeometry, build_grid
-from mesahs.scenarios import radial_scenario
+from mesahs.scenarios import annulus_scenario, radial_scenario
 from mesahs.stencil import (SOLVE_TOL, FaceStencil,
-                            _box_neighbor_sum, _nearest_sample_values,
+                            _box_neighbor_sum, _box_residual,
+                            _nearest_sample_values,
                             _shifted, _sweep_budget,
                             active_width_cells, build_stencil,
                             omega_for_width, projected_sor)
@@ -35,7 +36,7 @@ def tiny():
 
 
 # ---------------------------------------------------------------------------
-# window bookkeeping against the binary-dilation and ring/gain reference
+# window bookkeeping against the binary-dilation reference
 # ---------------------------------------------------------------------------
 
 def _dilation_window_box(mask, pad):
@@ -49,21 +50,6 @@ def _dilation_window_box(mask, pad):
         idx = np.nonzero(dilated.any(axis=other))[0]
         box.append(slice(max(1, idx[0]), min(size - 1, idx[-1] + 1)))
     return tuple(box)
-
-
-def _ring_gain_leaks(st, values, box):
-    """Positive neighbor sum on a FLUID cell of the one-cell shell of the box."""
-    shape = values.shape
-    grown = st.grow_box(box, 1)
-    ring = np.zeros(shape, dtype=bool)
-    ring[grown] = True
-    ring[box] = False
-    ring &= st.grid.fluid
-    if not ring.any():
-        return False
-    gain = np.zeros(shape)
-    gain[grown] = _box_neighbor_sum(values, grown)
-    return float(gain[ring].max()) > 0.0
 
 
 def _shifted_active_width(active):
@@ -83,18 +69,13 @@ def _window_case(draw):
     shape = tuple(draw(hst.lists(hst.integers(3, 12), min_size=1, max_size=3)))
     rng = np.random.default_rng(draw(hst.integers(0, 2 ** 32 - 1)))
     mask = rng.random(shape) < draw(hst.sampled_from((0.0, 0.01, 0.05, 0.3)))
-    fluid = rng.random(shape) < draw(hst.sampled_from((0.2, 0.7, 1.0)))
     box = []
     for n in shape:
         start = draw(hst.integers(1, n - 2))
         box.append(slice(start, draw(hst.integers(start + 1, n - 1))))
-    box = tuple(box)
-    values = np.zeros(shape)
-    positive = rng.random(shape) < draw(hst.sampled_from((0.05, 0.3, 1.0)))
-    values[box] = np.where(positive & fluid, rng.random(shape), 0.0)[box]
-    grid = SimpleNamespace(shape=shape, n=len(shape), fluid=fluid)
+    grid = SimpleNamespace(shape=shape, n=len(shape))
     st = FaceStencil(grid=grid, diag=None, slot_coef=None, slot_load=None)
-    return st, mask, draw(hst.integers(1, 4)), values, box
+    return st, mask, draw(hst.integers(1, 4)), tuple(box)
 
 
 def _all_at_once_nearest(geom, p_samples, points):
@@ -194,9 +175,12 @@ class TestStencilGeometry:
     @settings(max_examples=200, deadline=None)
     @given(_window_case())
     def test_window_box_and_ring(self, case):
-        st, mask, pad, values, box = case
+        st, mask, pad, box = case
         assert st.window_box(mask, pad) == _dilation_window_box(mask, pad)
-        assert st.box_leaks(values, box) == _ring_gain_leaks(st, values, box)
+        # the ring a solve checks: the box dilated by one cell
+        inside = np.zeros(mask.shape, dtype=bool)
+        inside[box] = True
+        assert st.grow_box(box, 1) == _dilation_window_box(inside, 1)
 
     def test_active_width_annulus(self):
         mask = np.zeros((64, 64), dtype=bool)
@@ -292,8 +276,11 @@ def _strided_projected_sor(values, diag, rhs, box, fluid, coupling, tol,
             tuned = omega_for_width(_shifted_active_width(values[box] > 0))
             if tuned != omega:
                 omega = tuned
-                coefs = [(np.where(fv, (omega * inv_h2) / dv, 0.0),
-                          np.where(fv, (rv * omega) / dv, 0.0))
+                # diag is read on FLUID cells only, as in the kernel
+                coefs = [(np.divide(omega * inv_h2, dv, where=fv,
+                                    out=np.zeros(dv.shape)),
+                          np.divide(rv * omega, dv, where=fv,
+                                    out=np.zeros(dv.shape)))
                          for _, _, fv, dv, rv, _ in views]
             geometric = min(int(geometric * 1.5) + 1, 30)
             gap = (geometric if geometric_only
@@ -754,21 +741,24 @@ class TestSweepBudget:
     @settings(max_examples=60, deadline=None)
     @given(hst.lists(hst.integers(3, 80), min_size=2, max_size=3),
            hst.integers(0, 2 ** 32 - 1), hst.floats(0.0, 1.0))
-    def test_one_rule_covers_both_old_rules(self, shape, seed, share):
-        # the old step budget counted FLUID cells, the old slice budget
-        # the longest side; the one budget is at least either
+    def test_budget_counts_fluid_cells_only(self, shape, seed, share):
+        # 50 sweeps per square root of the FLUID cell count, at least 2000;
+        # a wider grid with the same FLUID cells gets the same budget
         fluid = np.random.default_rng(seed).random(shape) < share
         budget = _sweep_budget(SimpleNamespace(fluid=fluid,
                                                shape=tuple(shape)))
-        assert budget >= max(2000, int(50 * np.sqrt(fluid.sum())))
-        assert budget >= 200 * max(shape)
+        assert budget == max(2000, int(50 * math.sqrt(fluid.sum())))
+        wide = np.pad(fluid, 40)
+        assert _sweep_budget(SimpleNamespace(fluid=wide,
+                                             shape=wide.shape)) == budget
 
     def test_benchmark_grids(self):
-        # the old slice budget on every 2-D benchmark grid
-        for side in (174, 334, 422):
-            fluid = np.ones((side, side), dtype=bool)
-            grid = SimpleNamespace(fluid=fluid, shape=fluid.shape)
-            assert _sweep_budget(grid) == 200 * side
+        # the benchmark's 174^2, 334^2 and 422^2 grids; their largest
+        # single solves take 202, 527 and 489 sweeps
+        grids = (radial_scenario(h=1 / 32, t_max=0.5).grid,
+                 radial_scenario(h=1 / 64, t_max=0.5).grid,
+                 annulus_scenario(h=1 / 32).grid)
+        assert [_sweep_budget(g) for g in grids] == [8011, 15492, 20706]
 
 
 class TestSolveDriver:
@@ -797,8 +787,10 @@ class TestSolveDriver:
         theta = np.zeros(sc.grid.shape)
         record = st.solve(theta, diag, rhs, coupling, 1)
         assert len(kernel_calls) > 1 and record.box != small
-        assert not st.box_leaks(theta, record.box)
-        assert record.residual <= SOLVE_TOL
+        # the record's residual is the whole interior's, bit for bit
+        _, residual = _box_residual(theta, diag, rhs, st.interior,
+                                    sc.grid.fluid, coupling, sc.grid.h)
+        assert record.residual == residual <= SOLVE_TOL
         assert record.sweeps == sum(used for used, _ in kernel_calls)
         assert record.checks == sum(len(history)
                                     for _, history in kernel_calls)
@@ -904,7 +896,8 @@ class TestWindowRule:
 class TestZeroRule:
     # the kernel's precondition holds by construction: after every
     # FaceStencil.solve the field is exactly zero outside the record's box
-    # and on every non-FLUID cell, and the box does not leak
+    # and on every non-FLUID cell, and the window is exact: the record's
+    # residual is the whole interior's, bit for bit
     @settings(max_examples=40, deadline=None)
     @given(p=hst.floats(0.0, 1.0, exclude_min=True), t=hst.floats(0.01, 0.3),
            share=hst.floats(0.1, 0.9), patch=hst.booleans(),
@@ -919,9 +912,9 @@ class TestZeroRule:
         solves = []
         solve = st.solve
 
-        def recorded(values, *args, **kwargs):
-            record = solve(values, *args, **kwargs)
-            solves.append((values.copy(), record))
+        def recorded(values, diag, rhs, coupling, pad):
+            record = solve(values, diag, rhs, coupling, pad)
+            solves.append((values.copy(), diag, rhs, coupling, record))
             return record
 
         with mock.patch.object(st, "solve", recorded):
@@ -931,11 +924,13 @@ class TestZeroRule:
             u = np.where(grid.fluid | grid.farfield, sc.u_init, 0.0)
             stefan._advance(st, u, np.zeros(grid.shape), m, t)
         assert len(solves) == 3
-        for values, record in solves:
+        for values, diag, rhs, coupling, record in solves:
             off_box = np.ones(grid.shape, dtype=bool)
             off_box[record.box] = False
             assert np.all(values[off_box | ~grid.fluid] == 0.0)
-            assert not st.box_leaks(values, record.box)
+            _, residual = _box_residual(values, diag, rhs, st.interior,
+                                        grid.fluid, coupling, grid.h)
+            assert record.residual == residual <= SOLVE_TOL
 
 
 # ---------------------------------------------------------------------------
