@@ -30,10 +30,12 @@ from .fbdiag import active_mask_from, boundary_faces
 from .stencil import (_box_residual, _nearest_index, _shifted,
                       build_stencil)
 
-#: cells a slice's first window reaches beyond its source.  A narrower pad
-#: regrows more often: on the radial h = 1/64 ten-slice warm chain, pad 8
-#: takes 13 kernel calls and 3,107 sweeps, pad 4 17 and 3,899, and pad 2
-#: 24 and 5,750
+#: cells a slice's first window reaches beyond its source; a leaking window
+#: regrows by twice this.  On the radial h = 1/64 ten-slice warm chain, pad
+#: 4 takes 15 kernel calls, 3,601 sweeps and 110.4 M traced cell updates,
+#: pad 6 12, 3,063 and 102.3 M, pad 8 11, 2,892 and 103.4 M, and pad 12 11,
+#: 2,849 and 113.7 M.  Pads 4 and 6 also raise the h = 1/32 chain's sweeps
+#: per slice from 145 to about 151
 SLICE_WINDOW_PAD = 8
 
 #: the radial oracle's bracket gives up beyond this radius
@@ -72,7 +74,7 @@ def solve_slice(scenario, t, warm=None, stencil=None):
     of :meth:`FaceStencil.solve`: the slot, the support of that start and
     the FLUID cells whose load is within one cell width of zero (a patch
     near saturation that the flow is about to reach), padded by
-    ``SLICE_WINDOW_PAD`` cells and grown by 4 cells until the
+    ``SLICE_WINDOW_PAD`` cells and grown by twice that until the
     complementarity residual on it and its one-cell ring is within tol.
     W stays zero outside the box, and beyond the first window the load
     -(1 - u_init) is negative, so every cell beyond the ring already

@@ -33,6 +33,10 @@ from .stencil import build_stencil
 MONOTONE_STEP_TOL = 1e-8
 #: enthalpy from which a cell counts as saturated in ``first_unit_time``
 UNIT_CUT = 1.0 - 1e-12
+#: most steps one run may take, far above any run in the package (the finest
+#: on the refinement ladder, dt = h/16 at h = 1/128 to t = 0.5, takes 1,024):
+#: a dt so small that t + dt rounds to t would otherwise never end
+MAX_STEPS = 2 ** 20
 
 
 def _diffusivity(m):
@@ -58,8 +62,12 @@ def _check_times(scenario, snapshot_times, dt):
     if any(b < a for a, b in zip(snapshot_times, snapshot_times[1:])):
         raise ConfigError("snapshot times must be sorted")
     dt = float(dt) if dt is not None else default_dt(scenario)
-    if not dt > 0:
-        raise ConfigError("dt must be positive")
+    if not 0 < dt < np.inf:
+        raise ConfigError("dt must be positive and finite")
+    steps = max(snapshot_times, default=0.0) / dt
+    if not steps <= MAX_STEPS:
+        raise ConfigError(f"dt={dt:g} takes {steps:.3g} steps, more than "
+                          f"the bound of {MAX_STEPS:,}")
     return snapshot_times, dt
 
 
@@ -124,7 +132,8 @@ def _advance(st, u, theta, m, dt):
     grid = st.grid
     # the record's box is the window and its one-cell ring: the update
     # below credits the ring with the flux out of the window, and beyond
-    # the ring no flux moves
+    # the ring no flux moves.  Pad 2: the default step moves the front about
+    # one cell, and a leaking window regrows by 2 * pad = 4 cells
     record = st.solve(
         theta, 1.0 / m + dt * st.diag, (u - 1.0) + dt * st.slot_load,
         coupling=dt, pad=2)
@@ -262,7 +271,7 @@ def weak_form_residual(times, u_arrays, theta_arrays, grid, phi_t, phi_lap):
     (0, t_end) the pairing of (phi_t, u) plus (lap phi, theta) telescopes to
     boundary terms that all vanish, so the sum decays like O(h + dt).
     """
-    coords = np.meshgrid(*grid.axes(), indexing="ij", sparse=True)
+    coords = grid.center_arrays()
     fluid = grid.fluid
     total = 0.0
     for k in range(1, len(times)):

@@ -119,8 +119,12 @@ class FaceStencil:
 
     @functools.cached_property
     def _slot_box(self):
-        """A box that holds every FLUID cell with a slot face."""
-        return self.window_box(self.slot_coef > 0, 0) or self.interior
+        """A box that holds every FLUID cell with a slot face.
+
+        Never empty: the grid keeps FLUID cells between the slot and the
+        farfield band, so the slot's outermost cell has a FLUID neighbour.
+        """
+        return self.window_box(self.slot_coef > 0, 0)
 
     def slot_influx(self, values, load_scale=1.0):
         """Net flux through slot faces into the fluid, per unit time.
@@ -151,22 +155,28 @@ class FaceStencil:
                      for s, size in zip(box, self.grid.shape))
 
     def solve(self, values, diag, rhs, coupling, pad):
-        """Projected SOR on a window, grown by 4 cells until its ring holds.
+        """Projected SOR on a window grown by 2*pad cells until its ring holds.
 
         Solves diag*v - coupling*sum(nb)/h^2 = rhs, v >= 0 in place, from
         ``values`` >= 0 and zero off FLUID.  The first box holds the slot,
         the positive ``values`` and the FLUID cells that can turn active
         first, those whose load is within one cell width (clamped to [1e-3,
         0.5]) of zero, grown by ``pad`` cells, so every box meets the zero
-        rule of :func:`projected_sor`.  A converged box ends the solve when
+        rule of :func:`projected_sor`.  ``pad`` is the caller's estimate of
+        the front's travel in cells.  A converged box ends the solve when
         the complementarity residual on it and its one-cell ring is within
         ``SOLVE_TOL``: beyond the ring a FLUID cell has negative load and
-        zero neighbours, so residual 0, and the solution is unique.  One
-        sweep budget covers every kernel call.  Returns a
-        :class:`SolveRecord`.  Raises :class:`SolverError`, with the
-        residual history of every call, unless residual <= ``SOLVE_TOL``
-        (never true of a NaN).
+        zero neighbours, so residual 0, and the solution is unique.
+        Otherwise the box grows by ``2 * pad`` cells per side, clipped at
+        the interior, and the kernel sweeps on.  One sweep budget covers
+        every kernel call.  Returns a :class:`SolveRecord`.  Raises
+        :class:`ValueError` if ``pad`` < 1, and :class:`SolverError`, with
+        the residual history of every call, unless residual <=
+        ``SOLVE_TOL`` (never true of a NaN).
         """
+        if not pad >= 1:
+            # a zero step would regrow the same box forever
+            raise ValueError(f"window pad must be at least 1, got {pad}")
         g = self.grid
         near = g.fluid & (rhs >= -min(0.5, max(g.h, 1e-3)))
         box = self.window_box(g.slot | (values > 0) | near, pad)
@@ -178,8 +188,7 @@ class FaceStencil:
                 tol=SOLVE_TOL, max_sweeps=budget - sweeps, h=self.h)
             sweeps += used
             history += hist
-            # a plain list of checks, as a reference kernel returns, ran none
-            corrections += getattr(hist, "corrections", 0)
+            corrections += hist.corrections
             if not res <= SOLVE_TOL:
                 raise SolverError(
                     f"projected SOR did not reach tol={SOLVE_TOL:g} within "
@@ -193,7 +202,7 @@ class FaceStencil:
                 return SolveRecord(residual=res, sweeps=sweeps, box=ring,
                                    checks=len(history), regrowths=regrowths,
                                    corrections=corrections)
-            box = self.grow_box(box, 4)
+            box = self.grow_box(box, 2 * pad)
             regrowths += 1
 
 
@@ -434,8 +443,10 @@ def projected_sor(values, diag, rhs, box, fluid, coupling, tol, max_sweeps,
         if corrected:
             if correction.apply(box_view):
                 # split as at the start, the zero rule holding
+                flat = layout(values, 0.0)
                 for c, colour in enumerate(colours):
-                    colour[...] = layout(values, 0.0)[c::2]
+                    colour[...] = flat[c::2]
+                del flat
             sweeps += cost
             history.corrections += 1
         # once corrections run, the sweeps between them only smooth: they

@@ -305,6 +305,20 @@ class TestSliceWindow:
         ref = baiocchi.solve_slice(sc, 0.5, warm=seed, stencil=st)
         assert np.abs(sl.w - ref.w).max() <= MONOTONE_SWEEP_TOL
 
+    def test_cold_slice_regrows_in_few_calls(self, radial64, monkeypatch):
+        # a leaking window grows by 2 * SLICE_WINDOW_PAD cells: the cold
+        # h = 1/64 slice at t = 0.5 takes 4 kernel calls (13 at 4 cells)
+        sc = radial64
+        st = build_stencil(sc)
+        calls = _record_kernel_calls(monkeypatch)
+        sl = baiocchi.solve_slice(sc, 0.5, stencil=st)
+        assert 1 < len(calls) <= 4
+        rep = baiocchi.complementarity_report(sc, sl, stencil=st)
+        assert rep["max_comp"] == sl.residual <= SOLVE_TOL
+        _full_box(monkeypatch, st)
+        ref = baiocchi.solve_slice(sc, 0.5, stencil=st)
+        assert np.abs(sl.w - ref.w).max() <= MONOTONE_SWEEP_TOL
+
     def test_patch_near_saturation_is_in_the_first_window(self, mini_annulus,
                                                           monkeypatch):
         # warm-started before contact and solved after it: the saturated

@@ -405,6 +405,9 @@ class TestExitCodes:
         ["stefan", "--m", "nan", "--snapshots", "0.1"],
         ["stefan", "--m", "16", "--snapshots", "nan"],
         ["stefan", "--m", "16", "--snapshots", "0.1", "--dt", "nan"],
+        ["stefan", "--m", "16", "--snapshots", "0.1", "--dt", "inf"],
+        ["stefan", "--m", "16", "--snapshots", "0.1", "--dt", "1e-300"],
+        ["mesa", "--snapshots", "0.1", "--dt", "inf"],
         ["obstacle", "--times", "nan"],
         ["obstacle", "--times", "inf"],
         ["mesa", "--m-list", "8,nan,32", "--snapshots", "0.1"],

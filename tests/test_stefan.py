@@ -98,7 +98,9 @@ class TestSingleStep:
 
     def test_dt_validation(self, small):
         sc, st = small
-        for dt in (0.0, -0.01, np.nan):
+        # an infinite dt is no step; at 1e-300, t + dt rounds to t and the
+        # run would never end, so the step-count bound rejects it
+        for dt in (0.0, -0.01, np.nan, np.inf, 1e-300):
             with pytest.raises(ConfigError):
                 stefan.run(sc, 32.0, [0.01], dt=dt, stencil=st)
 

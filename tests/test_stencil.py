@@ -248,6 +248,12 @@ def _strided_check_gap(history, tol, geometric):
     return geometric
 
 
+class _StridedHistory(list):
+    """The reference's (sweeps, residual) checks; it runs no correction."""
+
+    corrections = 0
+
+
 def _strided_projected_sor(values, diag, rhs, box, fluid, coupling, tol,
                            max_sweeps, h=1.0, geometric_only=False):
     """Red-black projected SOR on strided views of the whole array.
@@ -262,7 +268,7 @@ def _strided_projected_sor(values, diag, rhs, box, fluid, coupling, tol,
     views = [(color, values[target], fluid[target], diag[target],
               rhs[target], [values[nb] for nb in neighbors])
              for color, target, neighbors in _strided_plan(box, values.ndim)]
-    history = []
+    history = _StridedHistory()
     sweeps = 0
     check_at = 0
     geometric = 2
@@ -764,13 +770,13 @@ class TestSweepBudget:
 class TestSolveDriver:
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
-        # (sweeps, history) of every kernel call the driver makes
+        # (sweeps, history, box) of every kernel call the driver makes
         calls = []
         kernel = mesahs.stencil.projected_sor
 
         def recorded(*args, **kwargs):
             result = kernel(*args, **kwargs)
-            calls.append((result[1], result[2]))
+            calls.append((result[1], result[2], args[3]))
             return result
 
         monkeypatch.setattr(mesahs.stencil, "projected_sor", recorded)
@@ -791,18 +797,55 @@ class TestSolveDriver:
         _, residual = _box_residual(theta, diag, rhs, st.interior,
                                     sc.grid.fluid, coupling, sc.grid.h)
         assert record.residual == residual <= SOLVE_TOL
-        assert record.sweeps == sum(used for used, _ in kernel_calls)
+        assert record.sweeps == sum(used for used, _, _ in kernel_calls)
         assert record.checks == sum(len(history)
-                                    for _, history in kernel_calls)
+                                    for _, history, _ in kernel_calls)
         assert record.regrowths == len(kernel_calls) - 1
         assert record.corrections == sum(history.corrections
-                                         for _, history in kernel_calls)
+                                         for _, history, _ in kernel_calls)
         interior = st.interior
         monkeypatch.setattr(FaceStencil, "window_box",
                             lambda self, source_mask, pad: interior)
         ref = np.zeros(sc.grid.shape)
         st.solve(ref, diag, rhs, coupling, 1)
         assert np.abs(theta - ref).max() <= MONOTONE_SWEEP_TOL
+
+    @staticmethod
+    def _assert_grows_by_twice_the_pad(st, boxes, pad):
+        # each regrowth widens every side by 2 * pad cells, clipped at the
+        # interior
+        for box, grown in zip(boxes, boxes[1:]):
+            for old, new, edge in zip(box, grown, st.interior):
+                assert new.start == max(edge.start, old.start - 2 * pad)
+                assert new.stop == min(edge.stop, old.stop + 2 * pad)
+
+    def test_regrowth_step_is_twice_the_pad(self, radial_coarse,
+                                            radial_coarse_stencil,
+                                            kernel_calls):
+        # the pad-1 flooding step and a cold pad-8 slice at t = 0.3, which
+        # leaks its first window once
+        sc, st = radial_coarse, radial_coarse_stencil
+        diag, rhs, coupling = _flooding_step(sc, st)
+        st.solve(np.zeros(sc.grid.shape), diag, rhs, coupling, 1)
+        step_boxes = [box for _, _, box in kernel_calls]
+        kernel_calls.clear()
+        solve_slice(sc, 0.3, stencil=st)
+        slice_boxes = [box for _, _, box in kernel_calls]
+        assert len(step_boxes) > 1 and len(slice_boxes) > 1
+        self._assert_grows_by_twice_the_pad(st, step_boxes, 1)
+        self._assert_grows_by_twice_the_pad(st, slice_boxes,
+                                            SLICE_WINDOW_PAD)
+
+    @pytest.mark.parametrize("pad", (0, math.nan))
+    def test_pad_below_one_is_rejected(self, radial_coarse,
+                                       radial_coarse_stencil, kernel_calls,
+                                       pad):
+        # a zero step would regrow the same box forever at 0 sweeps a call
+        sc, st = radial_coarse, radial_coarse_stencil
+        diag, rhs, coupling = _flooding_step(sc, st)
+        with pytest.raises(ValueError, match="pad"):
+            st.solve(np.zeros(sc.grid.shape), diag, rhs, coupling, pad)
+        assert kernel_calls == []
 
     def test_one_budget_covers_every_regrowth(self, radial_coarse,
                                               radial_coarse_stencil,
@@ -813,16 +856,16 @@ class TestSolveDriver:
         diag, rhs, coupling = _flooding_step(sc, st)
         st.solve(np.zeros(sc.grid.shape), diag, rhs, coupling, 1)
         assert len(kernel_calls) > 1
-        budget = sum(used for used, _ in kernel_calls[:-1]) + 1
+        budget = sum(used for used, _, _ in kernel_calls[:-1]) + 1
         kernel_calls.clear()
         monkeypatch.setattr(mesahs.stencil, "_sweep_budget",
                             lambda grid: budget)
         with pytest.raises(SolverError, match="on box") as err:
             st.solve(np.zeros(sc.grid.shape), diag, rhs, coupling, 1)
         assert len(kernel_calls) > 1
-        assert sum(used for used, _ in kernel_calls) <= budget
+        assert sum(used for used, _, _ in kernel_calls) <= budget
         assert err.value.residual_history == [
-            check for _, history in kernel_calls for check in history]
+            check for _, history, _ in kernel_calls for check in history]
 
 
 class TestWindowRule:
