@@ -4,13 +4,14 @@ Where projected SOR converges slowly, :func:`mesahs.stencil.projected_sor`
 applies a :class:`Correction` at its residual checks, after the truncated
 nonsmooth Newton multigrid of Graeser & Kornhuber (2009, J. Comput. Math.
 27).  Cells where v = 0 and the residual is positive are frozen; on the
-others the correction takes a few steps of preconditioned CG on the linear
+others the correction takes a few steps of flexible CG on the linear
 system, with an aggregation K-cycle (Notay 2010, ETNA 37) as the
-preconditioner.  Each coarse level sums the diagonal and the face couplings
-between free cells over 2^n-cell blocks: the Galerkin operator of
-piecewise-constant prolongation.  The step is projected onto v >= 0 and
-scaled by the exact line search of the quadratic energy, so no correction
-raises the energy.
+preconditioner.  One flexible CG routine serves every level: the K-cycle
+changes from step to step, which flexible CG allows.  Each coarse level
+sums the diagonal and the face couplings between free cells over 2^n-cell
+blocks: the Galerkin operator of piecewise-constant prolongation.  The
+step is projected onto v >= 0 and scaled by the exact line search of the
+quadratic energy, so no correction raises the energy.
 
 The linear algebra runs in float32 on flat layouts with a one-cell halo,
 and every reduction is numpy's pairwise sum, never BLAS, so every run gives
@@ -27,14 +28,14 @@ import numpy as np
 #: damping of the Jacobi smoother on every level
 _JACOBI = 2.0 / 3.0
 #: a level of at most this many cells is the coarsest; it is solved by
-#: ``_COARSEST_STEPS`` steps of Jacobi-preconditioned CG
+#: ``_COARSEST_STEPS`` steps of Jacobi-preconditioned flexible CG
 _COARSEST_CELLS = 500
 _COARSEST_STEPS = 5
-#: the first ``_K_LEVELS`` coarse levels take a second K-cycle step when the
-#: first left more than ``_K_RATIO`` of their residual (Notay's t)
+#: the first ``_K_LEVELS`` coarse levels take a second flexible CG step when
+#: the first left more than ``_K_RATIO`` of their residual (Notay's t)
 _K_LEVELS = 1
 _K_RATIO = 0.25
-#: preconditioned CG steps of one correction
+#: flexible CG steps of one correction
 _PCG_STEPS = 3
 
 
@@ -78,19 +79,11 @@ class _Level:
                                    for _ in inner]
         self.names = ()
 
-    def allocate(self, names, parts=False):
-        """Zeroed work vectors ``names``; with ``parts``, the block-sum
-        buffers too: the shapes of a block sum that halves the axes from the
-        last to the first, which a prolongation doubles back in reverse."""
+    def allocate(self, names):
+        """Zeroed work vectors ``names``."""
         for name in names:
             setattr(self, name, np.zeros(self.size, np.float32))
         self.names += names
-        if parts:
-            self.parts = [np.empty(tuple(e // 2 if a >= j else e
-                                         for a, e in enumerate(self.inner)),
-                                   np.float32)
-                          for j in range(1, len(self.inner))]
-            self.names += ("parts",)
 
     def release(self):
         """Drop every work vector."""
@@ -129,31 +122,23 @@ class _Level:
         np.multiply(a, b, out=self.work)
         return float(self.work.sum())
 
-    def restrict(self, x, coarse):
-        """Block sums of ``x`` into ``coarse.rhs``."""
-        src = self.view(x)
-        n = len(self.inner)
-        for axis in reversed(range(n)):
-            dst = (self.parts[axis - 1] if axis else
-                   coarse.view(coarse.rhs)[_block_slice(self.inner)])
-            even, odd = _halves(n, axis)
-            np.add(src[even], src[odd], out=dst)
-            src = dst
-
     def prolong_add(self, coarse, xc, z):
         """z += the coarse vector ``xc`` copied to every cell of its block,
-        on free cells only on the fine level.  Overwrites ``work``."""
+        on free cells only on the fine level.  Doubles one axis at a time,
+        the last into ``work``."""
         src = coarse.view(xc)[_block_slice(self.inner)]
         n = len(self.inner)
-        full = self.work[:math.prod(self.inner)].reshape(self.inner)
         for axis in range(n):
-            dst = self.parts[axis] if axis < n - 1 else full
+            shape = tuple(2 * e if a == axis else e
+                          for a, e in enumerate(src.shape))
+            dst = (self.work[:math.prod(shape)].reshape(shape)
+                   if axis == n - 1 else np.empty(shape, np.float32))
             for half in _halves(n, axis):
                 dst[half] = src
             src = dst
         if self.free is not None:
-            full *= self.view(self.free)
-        self.view(z)[...] += full
+            src *= self.view(self.free)
+        self.view(z)[...] += src
 
 
 def _block_slice(inner):
@@ -169,11 +154,46 @@ def _block_sum(x, axes):
     return x
 
 
+def _fcg(level, res, x, steps, precondition, ratio=None):
+    """x = ``steps`` flexible CG steps, FCG(1), on A x = res from x = 0.
+
+    Each direction is the preconditioned residual ``precondition(res, z)``
+    made A-conjugate to the previous direction, so the preconditioner may
+    change from step to step (Notay 2010, ETNA 37); the step length is
+    p.res / p.Ap.  With ``ratio``, a step after the first runs only while
+    |res| > ratio |res_0|.  ``res`` ends as the residual; ``level.z``,
+    ``level.p``, ``level.q`` and ``level.work`` are overwritten.
+    """
+    z, p, q, work = level.z, level.p, level.q, level.work
+    x.fill(0.0)
+    if ratio is not None:
+        least = ratio * ratio * level.dot(res, res)
+    for step in range(steps):
+        if step and ratio is not None and not level.dot(res, res) > least:
+            break
+        precondition(res, z)
+        if step:
+            np.multiply(p, np.float32(level.dot(z, q) / pq), out=work)
+            np.subtract(z, work, out=p)
+        else:
+            np.copyto(p, z)
+        level.matvec(p, q)
+        pq = level.dot(p, q)
+        if not pq > 0.0:
+            break
+        alpha = np.float32(level.dot(p, res) / pq)
+        np.multiply(p, alpha, out=work)
+        x += work
+        np.multiply(q, alpha, out=work)
+        res -= work
+    return x
+
+
 class Correction:
     """Truncated coarse correction of one projected-SOR box.
 
     Cells where v = 0 and the residual is positive are frozen; on the rest
-    the correction solves the linear system by preconditioned CG, with an
+    the correction solves the linear system by flexible CG, with an
     aggregation K-cycle (Notay 2010, ETNA 37) whose levels sum the diagonal
     and the face couplings of 2^n-cell blocks (the Galerkin operator of
     piecewise-constant prolongation) as preconditioner.  The Newton step is
@@ -213,16 +233,9 @@ class Correction:
 
     def apply(self, v):
         """Correct the staged box values ``v`` in place; whether v changed."""
-        last = len(self.levels) - 1
         for k, level in enumerate(self.levels):
-            if k == 0:
-                names = ("z", "p", "d", "work")
-            elif k == last:
-                names = ("rhs", "c1", "z", "p", "work", "tmp")
-            else:
-                names = (("rhs", "c1", "v1", "rt", "work", "tmp")
-                         + (("c2", "v2") if k <= _K_LEVELS else ()))
-            level.allocate(names, parts=True)
+            level.allocate(("d", "z", "p", "q", "work") if k == 0 else
+                           ("rhs", "c1", "tmp", "z", "p", "q", "work"))
         try:
             return self._step(v)
         finally:
@@ -237,43 +250,12 @@ class Correction:
                   casting="unsafe")
         array *= np.float32(scale)
 
-    @staticmethod
-    def _pcg(level, res, x, steps, precondition):
-        """x = ``steps`` preconditioned CG steps on A x = res from x = 0.
-
-        ``res`` ends as the residual; ``level.z`` holds the preconditioned
-        residual, and A p once p is formed.
-        """
-        z, p, work = level.z, level.p, level.work
-        x.fill(0.0)
-        rz_prev = None
-        for _ in range(steps):
-            precondition(res, z)
-            rz = level.dot(res, z)
-            if rz_prev is None:
-                np.copyto(p, z)
-            else:
-                p *= np.float32(rz / rz_prev)
-                p += z
-            level.matvec(p, z)
-            pz = level.dot(p, z)
-            if not (pz > 0.0 and rz > 0.0):
-                break
-            alpha = np.float32(rz / pz)
-            np.multiply(p, alpha, out=work)
-            x += work
-            z *= alpha
-            res -= z
-            rz_prev = rz
-        return x
-
     def _step(self, v):
         """The CG step on the staged system, projected and line-searched
         into ``v``; whether v changed."""
         fine = self.levels[0]
         res, z, p, d = fine.res, fine.z, fine.p, fine.d
-        self._pcg(fine, res, d, _PCG_STEPS,
-                  lambda r, out: self._cycle(0, r, out))
+        _fcg(fine, res, d, _PCG_STEPS, lambda r, out: self._cycle(0, r, out))
 
         # the step to max(v + d, 0) is max(d, -v); the exact line search of
         # the energy along it needs its curvature and its slope, the
@@ -336,7 +318,8 @@ class Correction:
         level.matvec(z, work)
         np.subtract(r, work, out=work)
         coarse = self.levels[k + 1]
-        level.restrict(work, coarse)
+        coarse.view(coarse.rhs)[_block_slice(level.inner)] = _block_sum(
+            level.view(work), reversed(range(len(level.inner))))
         level.prolong_add(coarse, self._krylov(k + 1), z)
         level.matvec(z, work)
         np.subtract(r, work, out=work)
@@ -345,34 +328,12 @@ class Correction:
         return z
 
     def _krylov(self, k):
-        """One or two flexible CG steps on level k's ``rhs``, from zero."""
+        """Level k's ``rhs`` solved from zero into ``c1`` by flexible CG with
+        the K-cycle (Jacobi alone on the coarsest level): ``_COARSEST_STEPS``
+        steps on the coarsest level, up to two on the first ``_K_LEVELS``,
+        one on the rest."""
         level = self.levels[k]
-        r = level.rhs
-        if k == len(self.levels) - 1:
-            return self._pcg(level, r, level.c1, _COARSEST_STEPS,
-                             lambda res, out: np.multiply(level.inv, res,
-                                                          out=out))
-        c1, v1 = self._cycle(k, r, level.c1), level.v1
-        level.matvec(c1, v1)
-        rho1 = level.dot(c1, v1)
-        if not rho1 > 0.0:
-            c1.fill(0.0)
-            return c1
-        a1 = level.dot(c1, r)
-        rt = level.rt
-        np.multiply(v1, np.float32(a1 / rho1), out=rt)
-        np.subtract(r, rt, out=rt)
-        if k <= _K_LEVELS and (level.dot(rt, rt)
-                               > _K_RATIO ** 2 * level.dot(r, r)):
-            c2, v2 = self._cycle(k, rt, level.c2), level.v2
-            level.matvec(c2, v2)
-            gamma = level.dot(c2, v1)
-            rho2 = level.dot(c2, v2) - gamma * gamma / rho1
-            if rho2 > 0.0:
-                a2 = level.dot(c2, rt)
-                c1 *= np.float32(a1 / rho1 - gamma * a2 / (rho1 * rho2))
-                c2 *= np.float32(a2 / rho2)
-                c1 += c2
-                return c1
-        c1 *= np.float32(a1 / rho1)
-        return c1
+        steps, ratio = ((_COARSEST_STEPS, None) if k == len(self.levels) - 1
+                        else (2, _K_RATIO) if k <= _K_LEVELS else (1, None))
+        return _fcg(level, level.rhs, level.c1, steps,
+                    lambda r, out: self._cycle(k, r, out), ratio)

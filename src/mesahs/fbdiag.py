@@ -262,6 +262,9 @@ def measure_continuity(series, lam):
     """
     if len(series.times) < 2:
         raise ConfigError("need at least 2 times for growth slopes")
+    if not all(s < t for s, t in zip(series.times, series.times[1:])):
+        raise ConfigError("growth slopes need strictly increasing times, got "
+                          f"{series.times}")
     rows = []
     cell = series.grid.cell_volume
     for (s, a), (t, b) in zip(zip(series.times, series.masks),
@@ -282,8 +285,8 @@ def energy_ratio(theta_arrays, times, grid, center, r, R):
     divided by (integral over time of the squared field on B_R); bounded
     uniformly in the diffusivity.  Balls must stay clear of the slot.
     """
-    if R <= r or r <= 0:
-        raise ConfigError("need 0 < r < R")
+    if not 0 < r < R < np.inf:
+        raise ConfigError(f"need 0 < r < R < inf, got r={r}, R={R}")
     r_grid = grid.radius_from(center)
     inner = (r_grid <= r)
     outer = (r_grid <= R)

@@ -314,6 +314,18 @@ class TestExitCodes:
         assert (code, record["error"]) == (1, "config")
         assert not (tmp_path / "x").exists()
 
+    def test_diagnose_of_repeated_times_is_config_error(self, tmp_path,
+                                                         capsys):
+        # a run may repeat a time, but no growth slope spans zero time
+        scenario = write_scenario(tmp_path, h=1 / 16, margin=2.0, t_max=0.25)
+        run_dir = tmp_path / "run"
+        assert main(["obstacle", str(scenario), "--times", "0.1,0.1",
+                     "--out", str(run_dir)]) == 0
+        code = main(["diagnose", str(run_dir), str(scenario),
+                     "--out", str(tmp_path / "diag")])
+        record = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert (code, record["error"]) == (1, "config")
+
     @pytest.mark.parametrize("args", [["--help"], ["--version"],
                                       ["obstacle", "--help"]], ids=" ".join)
     def test_help_and_version_exit_0(self, capsys, args):

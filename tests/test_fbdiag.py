@@ -1,5 +1,7 @@
 """Free-boundary extraction, classification oracles, growth and energy."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -217,6 +219,14 @@ class TestMeasureContinuity:
                                         times=[0.1, 0.2])
         assert fbdiag.measure_continuity(series, 1.0)["vacuous"]
 
+    @pytest.mark.parametrize("times", [[0.1, 0.1], [0.2, 0.1]])
+    def test_times_must_increase(self, radial_coarse, times):
+        mask = np.zeros(radial_coarse.grid.shape, bool)
+        series = fbdiag.extract_regions([mask, mask], radial_coarse,
+                                        times=times)
+        with pytest.raises(ConfigError):
+            fbdiag.measure_continuity(series, 0.0)
+
     def test_radial_growth_slopes_finite(self, radial_series):
         growth = fbdiag.measure_continuity(radial_series, 0.0)
         assert all(np.isfinite(r["slope"]) for r in growth["rows"])
@@ -255,6 +265,11 @@ class TestEnergy:
         with pytest.raises(ConfigError):
             fbdiag.energy_ratio([theta], [0.1], radial_coarse.grid,
                                 center=(1.2, 0.0), r=0.2, R=0.5)
+        # NaN radii are rejected too, not scored as a ratio of 0
+        for r, R in ((math.nan, 0.4), (0.2, math.nan)):
+            with pytest.raises(ConfigError):
+                fbdiag.energy_ratio([theta], [0.1], radial_coarse.grid,
+                                    center=(2.0, 0.0), r=r, R=R)
 
     def test_sweep_ratios_uniform(self):
         from mesahs import mesa

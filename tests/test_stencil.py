@@ -743,6 +743,99 @@ class TestCoarseCorrection:
             assert sl.w[patch].max() <= 1e-12 * sl.w.max()
 
 
+class TestFlexibleCG:
+    # the one Krylov routine of the coarse correction, on the system staged
+    # from a 64 x 60 box: a ring of FLUID cells with v = 0 and a negative
+    # residual, so every FLUID cell is free.  The hierarchy has a fine level,
+    # one K-cycle level and a coarsest level
+
+    @staticmethod
+    def _staged(check):
+        """``check(correction)`` with the work vectors of a correction staged
+        on the box allocated."""
+        shape = (64, 60)
+        i, j = np.indices(shape)
+        r2 = (i - 31.5) ** 2 + (j - 29.5) ** 2
+        fluid = (r2 < 29 ** 2) & (r2 > 6 ** 2)
+        correction = mesahs.coarse.Correction(shape)
+        assert len(correction.levels) == 3
+        v = np.zeros(shape)
+        correction.stage(v, np.full(shape, -1.0), fluid, np.full(shape, 4.0),
+                         1.0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mesahs.coarse.Correction, "_step",
+                       lambda self, v: check(self))
+            return correction.apply(v)
+
+    @staticmethod
+    def _ones(level):
+        """A right-hand side of 1 on the level's cells with a coupling."""
+        return (level.diag > 0.0).astype(np.float32)
+
+    def test_jacobi_steps_solve_the_coarsest_level(self):
+        # as many steps as free cells cut the true residual below 1e-4 of
+        # its start, in float32
+        def check(correction):
+            level = correction.levels[-1]
+            rhs = self._ones(level)
+            np.copyto(level.rhs, rhs)
+            mesahs.coarse._fcg(level, level.rhs, level.c1,
+                               int((rhs > 0).sum()),
+                               lambda r, z: np.multiply(level.inv, r, out=z))
+            res = rhs - level.matvec(level.c1, np.zeros_like(rhs))
+            return np.linalg.norm(res) / np.linalg.norm(rhs)
+
+        assert self._staged(check) < 1e-4
+
+    def test_kcycle_directions_are_conjugate(self):
+        # each direction is A-conjugate to the one before it, to float32
+        # rounding, though the K-cycle changes from step to step
+        def check(correction):
+            fine = correction.levels[0]
+            directions = []
+
+            def precondition(r, z):
+                directions.append(fine.p.copy())
+                correction._cycle(0, r, z)
+
+            mesahs.coarse._fcg(fine, fine.res, fine.d, 4, precondition)
+            directions.append(fine.p.copy())
+            products = [fine.matvec(p, np.zeros_like(p)).astype(float)
+                        for p in directions[1:]]
+            return directions[1:], products
+
+        directions, products = self._staged(check)
+        assert len(directions) == 4
+        for k in range(1, 4):
+            cross = abs(float(directions[k] @ products[k - 1]))
+            scale = math.sqrt(float(directions[k] @ products[k])
+                              * float(directions[k - 1] @ products[k - 1]))
+            assert cross <= 1e-6 * scale
+
+    def test_ratio_one_stops_after_the_first_step(self):
+        # with ratio 1 the second step runs only while the first left more
+        # than the whole residual, so two steps give the bits of one.  The
+        # system's solution is 1 on every cell with a coupling: on a
+        # right-hand side of ones instead the first step raises the residual
+        def check(correction):
+            level = correction.levels[1]
+            rhs = level.matvec(self._ones(level), np.zeros(level.size,
+                                                            np.float32))
+            runs = []
+            for steps, ratio in ((1, None), (2, 1.0), (2, None)):
+                np.copyto(level.rhs, rhs)
+                mesahs.coarse._fcg(
+                    level, level.rhs, level.c1, steps,
+                    lambda r, z: correction._cycle(1, r, z), ratio)
+                runs.append((level.c1.copy(), level.rhs.copy()))
+            return rhs, runs
+
+        rhs, (one, stopped, two) = self._staged(check)
+        assert np.linalg.norm(one[1]) < np.linalg.norm(rhs)
+        assert all(np.array_equal(a, b) for a, b in zip(one, stopped))
+        assert not np.array_equal(one[0], two[0])
+
+
 class TestSweepBudget:
     @settings(max_examples=60, deadline=None)
     @given(hst.lists(hst.integers(3, 80), min_size=2, max_size=3),
