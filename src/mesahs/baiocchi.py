@@ -67,8 +67,8 @@ def solve_slice(scenario, t, warm=None, stencil=None):
     Returns a :class:`BaiocchiPotential` whose every FLUID cell satisfies
     min(-Delta_h W + (1 - u_init) - slot load, W) within ``stencil.SOLVE_TOL``.
     Raises :class:`SolverError`, naming t, on non-convergence, a NaN
-    residual included, and :class:`EnvelopeError` if the active set reaches
-    the farfield clearance.
+    residual included, and :class:`EnvelopeError`, naming t, if the
+    converged W is positive on a farfield clearance cell.
 
     The solve starts from zero, or from ``warm``'s W, and sweeps the window
     of :meth:`FaceStencil.solve`: the slot, the support of that start and
@@ -95,15 +95,10 @@ def solve_slice(scenario, t, warm=None, stencil=None):
     try:
         record = st.solve(w, st.diag, _slice_rhs(scenario, st, t),
                           coupling=1.0, pad=SLICE_WINDOW_PAD)
-    except SolverError as exc:
+    except (SolverError, EnvelopeError) as exc:
         raise exc.at(f"obstacle slice at t={t:g}") from exc
-
-    active = active_mask_from(w, grid)
-    if np.any(active & grid.near_band):
-        raise EnvelopeError(
-            f"active set reached the farfield clearance at t={t:g}; "
-            "enlarge the grid margin")
-    return BaiocchiPotential(t=float(t), w=w, active_mask=active,
+    return BaiocchiPotential(t=float(t), w=w,
+                             active_mask=active_mask_from(w, grid),
                              residual=record.residual, sweeps=record.sweeps,
                              corrections=record.corrections)
 

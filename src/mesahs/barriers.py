@@ -46,13 +46,19 @@ def _check_params(n, alpha, beta):
         raise ConfigError("need alpha >= 1 and beta in [0, 1]")
 
 
-def annulus_harmonic(r, n, alpha, beta):
-    """Harmonic annulus profile: 1 at r=alpha, 0 at r=1+alpha+beta."""
+def _annulus_radii(r, n, alpha, beta):
+    """Validated radii and the outer radius 1+alpha+beta of a profile."""
     _check_params(n, alpha, beta)
     r = np.asarray(r, dtype=float)
     outer = 1.0 + alpha + beta
     if np.any(r < alpha - 1e-12) or np.any(r > outer + 1e-12):
         raise ConfigError("r outside the annulus [alpha, 1+alpha+beta]")
+    return r, outer
+
+
+def annulus_harmonic(r, n, alpha, beta):
+    """Harmonic annulus profile: 1 at r=alpha, 0 at r=1+alpha+beta."""
+    r, outer = _annulus_radii(r, n, alpha, beta)
     if n == 2:
         return np.log(r / outer) / np.log(alpha / outer)
     return (r ** (2 - n) - outer ** (2 - n)) / (alpha ** (2 - n) - outer ** (2 - n))
@@ -60,11 +66,7 @@ def annulus_harmonic(r, n, alpha, beta):
 
 def annulus_poisson(r, n, alpha, beta):
     """Annulus profile with Laplacian 2n, zero on both boundary spheres."""
-    _check_params(n, alpha, beta)
-    r = np.asarray(r, dtype=float)
-    outer = 1.0 + alpha + beta
-    if np.any(r < alpha - 1e-12) or np.any(r > outer + 1e-12):
-        raise ConfigError("r outside the annulus [alpha, 1+alpha+beta]")
+    r, outer = _annulus_radii(r, n, alpha, beta)
     if n == 2:
         return (r ** 2 - alpha ** 2) + (np.log(r / alpha)
                                         * (alpha ** 2 - outer ** 2)

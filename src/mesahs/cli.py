@@ -225,7 +225,9 @@ def cmd_barriers(args):
         "gamma": [bounds.gamma1, bounds.gamma2, bounds.gamma3, bounds.gamma4],
         "scan": {"alpha": bounds.scan_alpha, "beta": bounds.scan_beta,
                  "pad": bounds.pad},
-        "ell_upper": k, "ell_sub": sub.ell_sub, "m_min": sub.m_min,
+        "ell_upper": k, "ell_sub": sub.ell_sub,
+        # null where no finite diffusivity suffices (eps = 0, or overflow)
+        "m_min": sub.m_min if np.isfinite(sub.m_min) else None,
     }
     (out / "barrier_bounds.json").write_text(json.dumps(record, indent=2))
     manifest = {"package_version": __version__, "command": "barriers",

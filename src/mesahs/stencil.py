@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, SolverError
+from .errors import EnvelopeError, SolverError
 
 #: slot-face interpolation distances are clamped away from zero for stability
 MIN_FACE_FRACTION = 0.05
@@ -170,9 +170,11 @@ class FaceStencil:
         Otherwise the box grows by ``2 * pad`` cells per side, clipped at
         the interior, and the kernel sweeps on.  One sweep budget covers
         every kernel call.  Returns a :class:`SolveRecord`.  Raises
-        :class:`ValueError` if ``pad`` < 1, and :class:`SolverError`, with
-        the residual history of every call, unless residual <=
-        ``SOLVE_TOL`` (never true of a NaN).
+        :class:`ValueError` if ``pad`` < 1, :class:`SolverError`, with the
+        residual history of every call, unless residual <= ``SOLVE_TOL``
+        (never true of a NaN), and :class:`EnvelopeError` if the converged
+        field is positive on a farfield clearance cell (``Grid.near_band``):
+        the truncated domain no longer holds the solution.
         """
         if not pad >= 1:
             # a zero step would regrow the same box forever
@@ -199,11 +201,18 @@ class FaceStencil:
             _, res = _box_residual(values, diag, rhs, ring, g.fluid,
                                    coupling, self.h)
             if res <= SOLVE_TOL:
-                return SolveRecord(residual=res, sweeps=sweeps, box=ring,
-                                   checks=len(history), regrowths=regrowths,
-                                   corrections=corrections)
+                break
             box = self.grow_box(box, 2 * pad)
             regrowths += 1
+        # the field is zero off the ring box, so this reads every cell
+        if np.any(values[ring] > 0.0, where=g.near_band[ring]):
+            raise EnvelopeError(
+                "solution reached the farfield clearance; the truncated "
+                "domain is too small for this horizon (enlarge the grid "
+                "margin)")
+        return SolveRecord(residual=res, sweeps=sweeps, box=ring,
+                           checks=len(history), regrowths=regrowths,
+                           corrections=corrections)
 
 
 def build_stencil(scenario):
@@ -237,10 +246,6 @@ def build_stencil(scenario):
             np.add.at(slot_load.ravel(), flat, p_face / (h * d))
 
     diag = interior_count / (h * h) + slot_coef
-    bad = fluid & (interior_count + (slot_coef > 0) == 0)
-    if bad.any():
-        raise ConfigError("isolated fluid cell without any usable face")
-
     return FaceStencil(grid=grid, diag=diag, slot_coef=slot_coef,
                        slot_load=slot_load)
 

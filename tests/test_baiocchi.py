@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from types import SimpleNamespace
 from unittest import mock
 
@@ -211,10 +212,42 @@ class TestSolveSlice:
         below = baiocchi.solve_slice(radial_coarse, 1.0, stencil=st)
         assert not np.any(below.active_mask & radial_coarse.grid.near_band)
         for warm in (None, below):
-            with pytest.raises(EnvelopeError,
-                               match=r"farfield clearance at t=2;"):
+            with pytest.raises(EnvelopeError, match=r"^obstacle slice at "
+                               r"t=2: .*farfield clearance"):
                 baiocchi.solve_slice(radial_coarse, 2.0, warm=warm,
                                      stencil=st)
+
+    def test_first_slice_positive_on_the_clearance_is_envelope_error(
+            self, radial_coarse, radial_coarse_stencil):
+        # bisect for the first t whose converged W is positive on a
+        # clearance cell: the slice just below holds W = 0 on every one of
+        # them, and the slice at that t raises, cold or warm, however small
+        # W is there (the active-set cut 1e-8 * max W once let it pass)
+        sc, st = radial_coarse, radial_coarse_stencil
+
+        def slice_or_error(t, warm):
+            try:
+                return baiocchi.solve_slice(sc, t, warm=warm, stencil=st)
+            except EnvelopeError as exc:
+                return exc
+
+        lo, hi = 0.3, 4.0
+        below = slice_or_error(lo, None)
+        assert isinstance(slice_or_error(hi, below), EnvelopeError)
+        while hi - lo > 1e-9:
+            mid = 0.5 * (lo + hi)
+            found = slice_or_error(mid, below)
+            if isinstance(found, EnvelopeError):
+                hi = mid
+            else:
+                lo, below = mid, found
+        assert not np.any(below.w[sc.grid.near_band] > 0)
+        assert below.max_w() > 1.0
+        for warm in (None, below):
+            with pytest.raises(EnvelopeError, match=(
+                    rf"^obstacle slice at t={re.escape(f'{hi:g}')}: "
+                    r".*farfield clearance")):
+                baiocchi.solve_slice(sc, hi, warm=warm, stencil=st)
 
     def test_negative_time_rejected(self, radial_coarse):
         with pytest.raises(ConfigError):
@@ -429,6 +462,14 @@ class TestContactTime:
         with pytest.raises(ConfigError):
             baiocchi.contact_time(radial_coarse, patch, 0.05, 0.25, 1e-3,
                                   stencil=radial_coarse_stencil)
+
+    def test_patch_active_at_t_lo_is_config_error(self, radial_coarse,
+                                                  radial_coarse_stencil):
+        sc, st = radial_coarse, radial_coarse_stencil
+        patch = baiocchi.solve_slice(sc, 0.1, stencil=st).active_mask
+        assert patch.any()
+        with pytest.raises(ConfigError, match="patch already active at t_lo"):
+            baiocchi.contact_time(sc, patch, 0.1, 0.25, 1e-3, stencil=st)
 
     @pytest.mark.parametrize("t_lo, t_hi, tol_t", [
         (0.001, 0.3, 0.0), (0.001, 0.3, -1e-3), (0.001, 0.3, math.nan),

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import resource
 import shutil
 import subprocess
@@ -230,6 +231,32 @@ class TestCompareCommand:
         assert contact["t_obstacle"] is not None
         assert contact["gap"] <= contact["tol"] == 2 * 0.2
 
+    def test_contact_bracketing_failure_is_recorded(self, tmp_path,
+                                                   monkeypatch):
+        # a contact_time ConfigError is no failure of the run: the record
+        # keeps the sweep route's time and says why the slices have none
+        def no_bracket(*args, **kwargs):
+            raise mesahs.ConfigError("patch not active at t_hi")
+
+        monkeypatch.setattr(baiocchi, "contact_time", no_bracket)
+        scenario = mini_annulus_spec(tmp_path)
+        out = tmp_path / "cmp"
+        code = main(["compare", str(scenario), "--times", "0.2",
+                     "--dt", "0.2", "--out", str(out)])
+        assert code == 0
+        contact = json.loads((out / "manifest.json").read_text())["contact"]
+        assert contact["t_mesa"] > 0
+        assert contact["t_obstacle"] is None
+        assert contact["note"] == "bracketing failed: patch not active at t_hi"
+        assert "gap" not in contact
+
+
+def _strict_json(text):
+    """``json.loads`` that refuses Infinity and NaN, as RFC 8259 does."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
 
 class TestBarriersCommand:
     def test_outputs(self, tmp_path):
@@ -239,6 +266,17 @@ class TestBarriersCommand:
         assert record["ell_sub"] > 0
         assert len(record["gamma"]) == 4
         assert (out / "barrier_profiles.csv").exists()
+
+    @pytest.mark.parametrize("args", [["--eps", "0"], ["--k", "1e308"]],
+                             ids=" ".join)
+    def test_unbounded_m_min_is_null(self, tmp_path, args):
+        # no finite diffusivity suffices: both files stay strict JSON
+        out = tmp_path / "bar"
+        assert main(["barriers", *args, "--out", str(out)]) == 0
+        for name in ("barrier_bounds.json", "manifest.json"):
+            record = _strict_json((out / name).read_text())
+            assert record["m_min"] is None
+            assert record["ell_sub"] > 0
 
 
 class TestDiagnoseCommand:
@@ -277,6 +315,20 @@ class TestDiagnoseCommand:
         assert manifest["max_growth_slope"] is not None
         assert len(manifest["classifications"]) == 2
 
+    def test_stefan_run_reads_theta_rasters(self, tmp_path):
+        # a stefan directory holds u and theta rasters, no W or V: the
+        # regions come from theta, one row per snapshot
+        scenario = write_scenario(tmp_path, h=1 / 10, t_max=0.2)
+        run_dir = tmp_path / "run"
+        assert main(["stefan", str(scenario), "--m", "16",
+                     "--snapshots", "0.1,0.2", "--out", str(run_dir)]) == 0
+        out = tmp_path / "diag"
+        assert main(["diagnose", str(run_dir), str(scenario),
+                     "--out", str(out)]) == 0
+        rows = (out / "regions.csv").read_text().split()
+        assert [float(r.split(",")[0]) for r in rows[1:]] == [0.1, 0.2]
+        assert all(float(r.split(",")[1]) > 0 for r in rows[1:])
+
 
 class TestExitCodes:
     def test_config_error(self, tmp_path):
@@ -284,6 +336,43 @@ class TestExitCodes:
         bad.write_text("{}")
         assert main(["obstacle", str(bad), "--times", "0.1",
                      "--out", str(tmp_path / "x")]) == 1
+
+    @pytest.mark.parametrize("text", [None, "dimension: 2"],
+                             ids=["missing", "not-json"])
+    def test_unreadable_scenario_is_config_error(self, tmp_path, capsys,
+                                                 text):
+        path = tmp_path / "scenario.json"
+        if text is not None:
+            path.write_text(text)
+        code = main(["obstacle", str(path), "--times", "0.1",
+                     "--out", str(tmp_path / "x")])
+        record = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert (code, record["error"]) == (1, "config")
+        assert record["message"].startswith("cannot read scenario file")
+
+    @pytest.mark.parametrize("damage,message", [
+        ("size", "size does not match its shape"),
+        ("shape", "does not match grid"),
+    ])
+    def test_mismatched_raster_is_config_error(self, tmp_path, capsys,
+                                               damage, message):
+        # a raster u_init whose byte count or whose shape is not the grid's
+        path = write_scenario(tmp_path)
+        shape = list(load_scenario(path).grid.shape)
+        cells = shape[0] * shape[1]
+        if damage == "size":
+            cells -= 1
+        else:
+            shape = [1, cells]
+        np.zeros(cells, dtype="<f8").tofile(tmp_path / "u.bin")
+        spec = json.loads(path.read_text())
+        spec["u_init"] = {"kind": "raster", "path": "u.bin", "shape": shape}
+        path.write_text(json.dumps(spec))
+        code = main(["obstacle", str(path), "--times", "0.1",
+                     "--out", str(tmp_path / "x")])
+        record = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert (code, record["error"]) == (1, "config")
+        assert message in record["message"]
 
     def test_solver_error(self, tmp_path, monkeypatch):
         monkeypatch.setattr(mesahs.stencil, "SOLVE_TOL", 1e-30)
@@ -422,6 +511,7 @@ class TestExitCodes:
         ["mesa", "--snapshots", "0.1", "--dt", "inf"],
         ["obstacle", "--times", "nan"],
         ["obstacle", "--times", "inf"],
+        ["obstacle", "--times", "abc"],
         ["mesa", "--m-list", "8,nan,32", "--snapshots", "0.1"],
         ["mesa", "--snapshots", ""],
         ["compare", "--times", ""],
@@ -508,7 +598,8 @@ class TestExitCodes:
                      "--out", str(tmp_path / "x")])
         record = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert (code, record["error"]) == (3, "envelope")
-        assert "farfield clearance at t=2" in record["message"]
+        assert re.match(r"obstacle slice at t=2: .*farfield clearance",
+                        record["message"])
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_huge_ball_is_config_error(self, tmp_path, capsys, n):

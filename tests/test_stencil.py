@@ -20,7 +20,8 @@ from mesahs.baiocchi import SLICE_WINDOW_PAD, solve_slice
 from mesahs.errors import SolverError
 from mesahs.mesa import MONOTONE_SWEEP_TOL
 from mesahs.geometry import Scenario, SlotGeometry, build_grid
-from mesahs.scenarios import annulus_scenario, radial_scenario
+from mesahs.scenarios import (annulus_scenario, radial_scenario,
+                              two_slot_scenario)
 from mesahs.stencil import (SOLVE_TOL, FaceStencil,
                             _box_neighbor_sum, _box_residual,
                             _nearest_sample_values,
@@ -85,7 +86,36 @@ def _all_at_once_nearest(geom, p_samples, points):
     return p_samples[np.argmin(d2, axis=1)]
 
 
+def _rounded_square_scenario(h=1 / 12):
+    geom = SlotGeometry.rounded_polygon(
+        [(-0.6, -0.6), (0.6, -0.6), (0.6, 0.6), (-0.6, 0.6)],
+        rounding=0.3, sample_spacing=h / 2)
+    grid = build_grid(geom, h, margin=1.8)
+    return Scenario(geometry=geom, grid=grid, u_init=np.zeros(grid.shape),
+                    p_samples=np.ones(geom.boundary_samples.shape[0]),
+                    t_max=0.2, m_list=(8, 16, 32))
+
+
 class TestStencilGeometry:
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: radial_scenario(h=1 / 16, t_max=0.3), id="radial"),
+        pytest.param(lambda: radial_scenario(h=1 / 8, t_max=1 / 6, n=3),
+                     id="radial-3d"),
+        pytest.param(lambda: annulus_scenario(h=1 / 16), id="annulus"),
+        pytest.param(lambda: two_slot_scenario(h=1 / 16), id="two-slot"),
+        pytest.param(_rounded_square_scenario, id="rounded-polygon"),
+    ])
+    def test_fluid_diagonal_holds_every_face(self, build):
+        # every FLUID cell has 2n faces, each to a FLUID or FARFIELD cell
+        # (weight 1/h^2) or across the slot (1/(h*d) with d <= h), so no
+        # FLUID cell is ever isolated
+        sc = build()
+        st = build_stencil(sc)
+        grid = sc.grid
+        floor = 2 * grid.n / grid.h ** 2
+        assert np.all(st.diag[grid.fluid] >= floor * (1 - 1e-12))
+        assert np.any(st.diag[grid.fluid] > floor * (1 + 1e-12))
+
     def test_neighbor_sum_matches_manual(self, tiny):
         sc, st = tiny
         rng = np.random.default_rng(7)
