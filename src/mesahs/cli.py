@@ -199,8 +199,9 @@ def _contact_record(scenario, limit, st):
     except ConfigError as exc:
         return {"t_mesa": t_mesa, "t_obstacle": None,
                 "note": f"bracketing failed: {exc}"}
-    return {"t_mesa": t_mesa, "t_obstacle": t_obstacle,
-            "gap": abs(t_mesa - t_obstacle), "tol": 2 * dt}
+    gap, tol = abs(t_mesa - t_obstacle), 2 * dt
+    return {"t_mesa": t_mesa, "t_obstacle": t_obstacle, "gap": gap,
+            "tol": tol, "agree": gap <= tol}
 
 
 def cmd_barriers(args):
@@ -233,7 +234,7 @@ def cmd_barriers(args):
     manifest = {"package_version": __version__, "command": "barriers",
                 **record}
     snapshots.write_manifest(out, manifest)
-    print(f"barriers n={n}: ell in [{sub.ell_sub:.4f}, {k:g}], wrote {out}")
+    print(f"barriers n={n}: ell in [{sub.ell_sub:.4g}, {k:g}], wrote {out}")
     return 0
 
 

@@ -30,8 +30,10 @@ MONOTONE_SWEEP_TOL = 1e-7
 class MesaLimit:
     """Limit data of one sweep: lists hold one array per snapshot time.
 
-    ``dt`` is the step every level ran with; ``w_integrals`` are the last
-    level's W^n, the backward-Euler sums of :class:`stefan.RunResult`.
+    The arrays are the last level's; ``tail_gap`` holds, per snapshot, the
+    largest cellwise temperature gap to the level before it.  ``dt`` is the
+    step every level ran with; ``w_integrals`` are the last level's W^n, the
+    backward-Euler sums of :class:`stefan.RunResult`.
     """
 
     m_list: tuple
@@ -41,20 +43,10 @@ class MesaLimit:
     q_masks: list
     tail_gap: list
     w_integrals: list         # last-level W^n, the discrete Baiocchi transform
-    first_theta: dict         # m -> first time of positive temperature
-    first_unit: dict          # m -> first time of unit enthalpy
-    per_m_theta: dict         # m -> list of snapshot temperature arrays
+    pressure: list            # last-level temperatures: the limiting pressures V
+    t_limit: np.ndarray       # last-level first time of positive temperature
     grid: object
     u_init: np.ndarray
-
-    @property
-    def pressure(self):
-        """Last-level temperatures: the limiting pressures V."""
-        return self.per_m_theta[self.m_list[-1]]
-
-    @property
-    def t_limit(self):
-        return self.first_theta[self.m_list[-1]]
 
     @property
     def u_inf(self):
@@ -107,27 +99,25 @@ def _run_level(scenario, snapshot_times, dt, stencil, m):
 
 
 def _fold(scenario, dt, results):
-    """Reduce the level runs, in m order, to the limit fields."""
-    m_list = scenario.m_list
-    per_m_theta, first_theta, first_unit = {}, {}, {}
-    prev_m = prev_thetas = tail_gap = None
-    for m, result in zip(m_list, results):
+    """Reduce the level runs, in m order, to the limit fields.
+
+    Each level is checked against the one before it and then let go: only
+    the last level, and the gap of the last pair, reach the limit.
+    """
+    prev_m = prev = tail_gap = None
+    for m, result in zip(scenario.m_list, results):
         thetas = result.theta_fields
-        if prev_thetas is not None:
+        if prev is not None:
             worst = max(float((a - b).max())
-                        for a, b in zip(prev_thetas, thetas))
+                        for a, b in zip(prev.theta_fields, thetas))
             if worst > MONOTONE_SWEEP_TOL:
                 raise SolverError(
                     f"temperature not monotone in m between m={prev_m:g} and "
                     f"m={m:g} (violation {worst:.3e}); this indicates a "
                     "discretization fault")
             tail_gap = [float(np.abs(a - b).max())
-                        for a, b in zip(prev_thetas, thetas)]
-        first_theta[m] = result.first_theta_time
-        first_unit[m] = result.first_unit_time
-        per_m_theta[m] = thetas
-        prev_thetas = thetas
-        prev_m = m
+                        for a, b in zip(prev.theta_fields, thetas)]
+        prev_m, prev = m, result
 
     grid = scenario.grid
     u_raw = result.u_fields
@@ -137,10 +127,9 @@ def _fold(scenario, dt, results):
             raise SolverError("plateau region not nested in time")
 
     return MesaLimit(
-        m_list=m_list, dt=dt, times=list(result.times), u_raw=u_raw,
-        q_masks=q_masks, tail_gap=tail_gap,
-        w_integrals=result.w_integrals, first_theta=first_theta,
-        first_unit=first_unit, per_m_theta=per_m_theta,
+        m_list=scenario.m_list, dt=dt, times=list(result.times), u_raw=u_raw,
+        q_masks=q_masks, tail_gap=tail_gap, w_integrals=result.w_integrals,
+        pressure=result.theta_fields, t_limit=result.first_theta_time,
         grid=grid, u_init=scenario.u_init)
 
 

@@ -31,8 +31,6 @@ from .stencil import build_stencil
 
 #: per-step slack allowed on cellwise time-monotonicity of u
 MONOTONE_STEP_TOL = 1e-8
-#: enthalpy from which a cell counts as saturated in ``first_unit_time``
-UNIT_CUT = 1.0 - 1e-12
 #: most steps one run may take, far above any run in the package (the finest
 #: on the refinement ladder, dt = h/16 at h = 1/128 to t = 0.5, takes 1,024):
 #: a dt so small that t + dt rounds to t would otherwise never end
@@ -108,7 +106,6 @@ class RunResult:
     theta_fields: list
     w_integrals: list       # backward-Euler sums of dt * temperature
     first_theta_time: np.ndarray
-    first_unit_time: np.ndarray
     mass_error: float
     step_log: list
 
@@ -179,7 +176,6 @@ def run(scenario, m, snapshot_times, dt=None, stencil=None, keep_u=True):
     theta = np.zeros(grid.shape)
 
     first_theta = np.full(grid.shape, np.inf)
-    first_unit = np.where(grid.fluid & (u >= UNIT_CUT), 0.0, np.inf)
     w_accum = np.zeros(grid.shape)
     times, u_fields, theta_fields, w_integrals, step_log = [], [], [], [], []
     cumulative = 0.0
@@ -212,9 +208,6 @@ def run(scenario, m, snapshot_times, dt=None, stencil=None, keep_u=True):
             w_accum[box] += dt_step * theta_box
             first = first_theta[box]
             first[(theta_box > 0.0) & ~np.isfinite(first)] = t
-            first = first_unit[box]
-            first[grid.fluid[box] & (u[box] >= UNIT_CUT)
-                  & ~np.isfinite(first)] = t
         times.append(t)
         if keep_u:
             u_fields.append(u.copy())
@@ -228,7 +221,7 @@ def run(scenario, m, snapshot_times, dt=None, stencil=None, keep_u=True):
     gain = float((u - scenario.u_init)[grid.fluid].sum()) * grid.cell_volume
     return RunResult(m=m, dt=dt, times=times, u_fields=u_fields,
                      theta_fields=theta_fields, w_integrals=w_integrals,
-                     first_theta_time=first_theta, first_unit_time=first_unit,
+                     first_theta_time=first_theta,
                      mass_error=abs(gain - cumulative), step_log=step_log)
 
 

@@ -195,8 +195,8 @@ class FaceStencil:
                 raise SolverError(
                     f"projected SOR did not reach tol={SOLVE_TOL:g} within "
                     f"{budget} sweeps on box "
-                    f"{[(s.start, s.stop) for s in box]} (last residual "
-                    f"{res:.3e})", residual_history=history)
+                    f"{[(int(s.start), int(s.stop)) for s in box]} "
+                    f"(last residual {res:.3e})", residual_history=history)
             ring = self.grow_box(box, 1)
             _, res = _box_residual(values, diag, rhs, ring, g.fluid,
                                    coupling, self.h)

@@ -31,6 +31,26 @@ def mini_annulus_scenario(h=1 / 16, width=0.08, m_list=(16, 64, 256),
                     t_max=t_max, m_list=m_list, lambda_bound=1.0)
 
 
+def recorded_sweep(scenario, snapshot_times, **kwargs):
+    """``mesa.sweep`` and the level runs it made, as (limit, {m: RunResult}).
+
+    The sweep keeps only its last level; tests that compare levels read the
+    runs recorded here.  Serial sweeps only: a worker process does not see
+    the patch.
+    """
+    runs = {}
+    run = stefan.run
+
+    def recorded(scenario, m, *args, **kw):
+        runs[m] = run(scenario, m, *args, **kw)
+        return runs[m]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stefan, "run", recorded)
+        limit = mesa.sweep(scenario, snapshot_times, **kwargs)
+    return limit, runs
+
+
 @pytest.fixture(scope="session")
 def radial_coarse():
     return scenarios.radial_scenario(h=1 / 16, t_max=0.3, m_list=(16, 64, 256))
@@ -58,11 +78,15 @@ def radial64():
 
 @pytest.fixture(scope="session")
 def radial64_sweep(radial64):
-    """Full diffusivity sweep at h=1/64 with wall time recorded."""
+    """Full diffusivity sweep at h=1/64 with wall time recorded.
+
+    ``thetas`` holds every level's snapshot temperatures, by m.
+    """
     times = [round(0.05 * k, 10) for k in range(1, 11)]
     start = time.time()
-    limit = mesa.sweep(radial64, snapshot_times=times)
-    return {"limit": limit, "seconds": time.time() - start, "times": times}
+    limit, runs = recorded_sweep(radial64, snapshot_times=times)
+    return {"limit": limit, "seconds": time.time() - start, "times": times,
+            "thetas": {m: r.theta_fields for m, r in runs.items()}}
 
 
 @pytest.fixture(scope="session")

@@ -60,6 +60,7 @@ class TestCriterion3MonotoneStructure:
     def test_exact_monotone_structure(self, radial64, radial64_sweep,
                                       radial64_slices):
         limit = radial64_sweep["limit"]
+        thetas = radial64_sweep["thetas"]
         fl = radial64.grid.fluid
         checks = []
 
@@ -68,7 +69,7 @@ class TestCriterion3MonotoneStructure:
             checks.append(float((a - b)[fl].max()) <= 1e-8)
         # m-monotonicity of the temperature, every adjacent pair, every time
         for m_lo, m_hi in zip(limit.m_list, limit.m_list[1:]):
-            for a, b in zip(limit.per_m_theta[m_lo], limit.per_m_theta[m_hi]):
+            for a, b in zip(thetas[m_lo], thetas[m_hi]):
                 checks.append(float((a - b).max()) <= MONOTONE_SWEEP_TOL)
         # nestedness of active sets in t and in m (beyond solver noise)
         for t_lo, t_hi in zip(limit.times, limit.times[1:]):
@@ -78,7 +79,7 @@ class TestCriterion3MonotoneStructure:
         # temperature bounds
         big_m = radial64.max_datum
         for m in limit.m_list:
-            for th in limit.per_m_theta[m]:
+            for th in thetas[m]:
                 checks.append(th.min() >= 0.0 and th.max() <= big_m + 1e-8)
         # obstacle side: W >= 0, nondecreasing and convex in t, diff bound
         s = radial64_slices["slices"]
@@ -217,7 +218,7 @@ class TestCriterion8BarrierSuite:
 class TestCriterion9CaccioppoliUniformity:
     def test_energy_ratio_uniform_in_m(self, radial64, radial64_sweep):
         limit = radial64_sweep["limit"]
-        theta_by_m = {m: limit.per_m_theta[m] for m in (64, 256, 1024)}
+        theta_by_m = {m: radial64_sweep["thetas"][m] for m in (64, 256, 1024)}
         rep = fbdiag.energy_estimate_check(theta_by_m, limit.times,
                                            radial64.grid, center=(1.7, 0.0),
                                            r=0.3, R=0.6)

@@ -203,6 +203,7 @@ class TestCompareCommand:
         contact = manifest["contact"]
         assert contact is not None
         assert contact["gap"] <= contact["tol"]
+        assert contact["agree"] is True
         # tol follows dt; the gap also stays within h / 2 in absolute terms
         assert contact["gap"] <= (1 / 12) / 2
         assert (out / "compare.csv").exists()
@@ -249,6 +250,25 @@ class TestCompareCommand:
         assert contact["t_obstacle"] is None
         assert contact["note"] == "bracketing failed: patch not active at t_hi"
         assert "gap" not in contact
+        assert "agree" not in contact
+
+    def test_contact_disagreement_is_recorded(self, tmp_path, monkeypatch):
+        # one step of dt = 0.2 runs past the contact, so the sweep route's
+        # contact time is 0.2 and tol is 0.4; slices that put contact 3 tol
+        # later disagree, and the record says so without failing the run
+        def late(*args, tol_t, **kwargs):
+            return 0.2 + 3 * (2 * tol_t)
+
+        monkeypatch.setattr(baiocchi, "contact_time", late)
+        scenario = mini_annulus_spec(tmp_path)
+        out = tmp_path / "cmp"
+        code = main(["compare", str(scenario), "--times", "0.2",
+                     "--dt", "0.2", "--out", str(out)])
+        assert code == 0
+        contact = json.loads((out / "manifest.json").read_text())["contact"]
+        assert contact["t_mesa"] == 0.2
+        assert contact["gap"] == pytest.approx(3 * contact["tol"])
+        assert contact["agree"] is False
 
 
 def _strict_json(text):
@@ -277,6 +297,14 @@ class TestBarriersCommand:
             record = _strict_json((out / name).read_text())
             assert record["m_min"] is None
             assert record["ell_sub"] > 0
+
+    def test_huge_k_prints_a_short_line(self, tmp_path, capsys):
+        # the printed bound does not grow with its value
+        out = tmp_path / "bar"
+        assert main(["barriers", "--k", "1e308", "--out", str(out)]) == 0
+        line = capsys.readouterr().out.strip().splitlines()[-1]
+        assert len(line) < 120
+        assert "e+307" in line
 
 
 class TestDiagnoseCommand:

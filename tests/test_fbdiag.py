@@ -10,7 +10,7 @@ from mesahs.errors import ConfigError
 from mesahs.fbdiag import RegionSeries, boundary_faces, min_diameter
 from mesahs.stencil import build_stencil
 
-from conftest import mini_annulus_scenario
+from conftest import mini_annulus_scenario, recorded_sweep
 
 
 class TestMinDiameter:
@@ -272,10 +272,10 @@ class TestEnergy:
                                     center=(2.0, 0.0), r=r, R=R)
 
     def test_sweep_ratios_uniform(self):
-        from mesahs import mesa
         sc = scenarios.radial_scenario(h=1 / 12, t_max=0.3, m_list=(16, 64, 256))
-        lim = mesa.sweep(sc, snapshot_times=[0.1, 0.2, 0.3])
-        rep = fbdiag.energy_estimate_check(lim.per_m_theta, lim.times,
+        lim, runs = recorded_sweep(sc, snapshot_times=[0.1, 0.2, 0.3])
+        theta_by_m = {m: r.theta_fields for m, r in runs.items()}
+        rep = fbdiag.energy_estimate_check(theta_by_m, lim.times,
                                            sc.grid, center=(1.6, 0.0),
                                            r=0.25, R=0.5)
         assert rep["spread"] < 2.0

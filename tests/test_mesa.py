@@ -1,6 +1,7 @@
 """Diffusivity sweep: monotone limits, representation, harmonic pressure."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,13 +11,21 @@ from mesahs.errors import ConfigError, SolverError
 from mesahs.mesa import MONOTONE_SWEEP_TOL
 from mesahs.stencil import build_stencil
 
-from conftest import mini_annulus_scenario
+from conftest import mini_annulus_scenario, recorded_sweep
 
 
 @pytest.fixture(scope="module")
-def coarse_sweep():
+def coarse_levels():
+    """The coarse sweep and every level's snapshot temperatures, by m."""
     sc = scenarios.radial_scenario(h=1 / 12, t_max=0.3, m_list=(16, 64, 256))
-    return sc, mesa.sweep(sc, snapshot_times=[0.1, 0.2, 0.3])
+    lim, runs = recorded_sweep(sc, snapshot_times=[0.1, 0.2, 0.3])
+    return sc, lim, {m: r.theta_fields for m, r in runs.items()}
+
+
+@pytest.fixture(scope="module")
+def coarse_sweep(coarse_levels):
+    sc, lim, _ = coarse_levels
+    return sc, lim
 
 
 class TestSweep:
@@ -26,16 +35,16 @@ class TestSweep:
         with pytest.raises(ConfigError):
             mesa.sweep(sc, snapshot_times=[0.1])
 
-    def test_temperature_monotone_in_m(self, coarse_sweep):
-        sc, lim = coarse_sweep
-        for m_lo, m_hi in zip(lim.m_list, lim.m_list[1:]):
-            for a, b in zip(lim.per_m_theta[m_lo], lim.per_m_theta[m_hi]):
+    def test_temperature_monotone_in_m(self, coarse_levels):
+        sc, _, thetas = coarse_levels
+        for m_lo, m_hi in zip(sc.m_list, sc.m_list[1:]):
+            for a, b in zip(thetas[m_lo], thetas[m_hi]):
                 assert float((a - b).max()) <= MONOTONE_SWEEP_TOL
 
-    def test_active_sets_nested_in_m_and_t(self, coarse_sweep):
-        sc, lim = coarse_sweep
+    def test_active_sets_nested_in_m_and_t(self, coarse_levels):
+        sc, lim, thetas = coarse_levels
         for m_lo, m_hi in zip(lim.m_list, lim.m_list[1:]):
-            for a, b in zip(lim.per_m_theta[m_lo], lim.per_m_theta[m_hi]):
+            for a, b in zip(thetas[m_lo], thetas[m_hi]):
                 cut_a = a > 1e-8 * max(a.max(), 1e-300)
                 cut_b = b > 1e-8 * max(b.max(), 1e-300)
                 # beyond-noise violations only
@@ -85,21 +94,44 @@ class TestSweep:
         assert all(r["supgap_w"] == 0.0 for r in rows)
         assert all(r["hausdorff_cells"] == 0.0 for r in rows)
 
-    def test_doctored_sweep_detected(self, monkeypatch):
-        from mesahs import stefan as stefan_mod
-        sc = scenarios.radial_scenario(h=1 / 10, t_max=0.1, m_list=(8, 16, 32))
-        run = stefan_mod.run
+    @pytest.mark.parametrize("doctored_m, next_m", [(8, 16), (16, 32),
+                                                    (32, 64)],
+                             ids=["first", "middle", "last"])
+    def test_doctored_sweep_detected(self, monkeypatch, doctored_m, next_m):
+        # each adjacent pair is checked, and against the right level: a
+        # doubled level fails only the pair it opens
+        sc = scenarios.radial_scenario(h=1 / 10, t_max=0.1,
+                                       m_list=(8, 16, 32, 64))
+        run = stefan.run
 
         def doctored(scenario, m, *args, **kwargs):
             result = run(scenario, m, *args, **kwargs)
-            if m == 16:
+            if m == doctored_m:
                 # larger than anything the higher level gives
                 result.theta_fields = [2.0 * th for th in result.theta_fields]
             return result
 
-        monkeypatch.setattr(stefan_mod, "run", doctored)
-        with pytest.raises(SolverError, match="monotone in m"):
+        monkeypatch.setattr(stefan, "run", doctored)
+        with pytest.raises(SolverError, match="monotone in m") as err:
             mesa.sweep(sc, snapshot_times=[0.1])
+        assert f"between m={doctored_m} and m={next_m} " in str(err.value)
+
+    def test_keeps_only_the_last_level(self):
+        # the limit holds the last level alone: u, theta and W and a
+        # boolean q mask per snapshot, and t_limit; no array of an earlier
+        # level is kept
+        sc = scenarios.radial_scenario(h=1 / 16, t_max=0.3)
+        times = [0.1, 0.2, 0.3]
+        assert len(sc.m_list) == 7
+        tracemalloc.start()
+        try:
+            lim = mesa.sweep(sc, times)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        grid_array = np.zeros(sc.grid.shape).nbytes
+        assert held <= (4 * len(times) + 4) * grid_array
+        assert len(lim.pressure) == len(times)
 
 
 class TestRouteGap:
@@ -161,14 +193,13 @@ class TestTimeFunctions:
         sc = mini_annulus_scenario(h=1 / 16, m_list=(16, 64, 256))
         lim = mesa.sweep(sc, snapshot_times=[0.3])
         patch = sc.grid.fluid & (sc.u_init >= 1.0)
-        assert np.all(lim.first_unit[256][patch] == 0.0)
-        assert np.all(lim.first_theta[256][patch] > 0.0)
+        assert np.all(lim.t_limit[patch] > 0.0)
 
     def test_crossings_tighten_with_m(self):
         sc = scenarios.radial_scenario(h=1 / 12, t_max=0.3, m_list=(16, 64, 256))
-        lim = mesa.sweep(sc, snapshot_times=[0.3])
-        t16 = lim.first_theta[16]
-        t256 = lim.first_theta[256]
+        lim, runs = recorded_sweep(sc, snapshot_times=[0.3])
+        t16 = runs[16].first_theta_time
+        t256 = runs[256].first_theta_time
         both = np.isfinite(t16) & np.isfinite(t256)
         assert np.all(t256[both] <= t16[both] + lim.times[-1] * 1e-12 + 1e-12)
 

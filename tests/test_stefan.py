@@ -201,15 +201,6 @@ class TestRun:
                 assert not np.any(prev & ~active)
             prev = active
 
-    def test_crossing_times_consistent(self, small):
-        sc, st = small
-        res = stefan.run(sc, 64, snapshot_times=[0.2], stencil=st)
-        seen = np.isfinite(res.first_theta_time) & np.isfinite(res.first_unit_time)
-        fresh = seen & (sc.u_init < 1.0)
-        assert fresh.any()
-        gap = np.abs(res.first_theta_time[fresh] - res.first_unit_time[fresh])
-        assert gap.max() <= res.dt + 1e-12
-
     def test_unsorted_snapshots_rejected(self, small):
         sc, st = small
         with pytest.raises(ConfigError):
@@ -325,18 +316,6 @@ class TestPatchContact:
         assert t_contact > 5 * res.dt
         # the whole patch turns diffusive within a step of first contact
         assert t_first.max() - t_first.min() <= res.dt + 1e-12
-        # patch enthalpy stays exactly 1 until contact
-        assert np.all(res.first_unit_time[patch] == 0.0)
-
-    def test_patch_within_the_unit_cut_is_saturated_at_zero(self):
-        # a cell that starts within 1e-12 below 1 counts as saturated from
-        # t = 0, as it would after any step
-        sc = mini_annulus_scenario(h=1 / 16)
-        patch = sc.grid.fluid & (sc.u_init >= 1.0)
-        u_init = np.where(patch, 1.0 - 5e-13, sc.u_init)
-        sc = dataclasses.replace(sc, u_init=u_init)
-        res = stefan.run(sc, 256, snapshot_times=[0.05])
-        assert np.all(res.first_unit_time[patch] == 0.0)
 
 
 class TestEssentialRange:
