@@ -36,9 +36,12 @@ EXIT_INTERNAL = 4
 
 def _parse_times(text):
     try:
-        return [float(x) for x in text.replace(";", ",").split(",") if x]
+        values = [float(x) for x in text.replace(";", ",").split(",") if x]
     except ValueError as exc:
         raise ConfigError(f"cannot parse time list {text!r}") from exc
+    if not values:
+        raise ConfigError(f"list {text!r} holds no value")
+    return values
 
 
 def _base_manifest(args, scenario, scenario_path, extras):
@@ -93,10 +96,9 @@ def cmd_stefan(args):
 
 def _run_sweep(args, scenario, snapshot_times):
     if args.m_list is not None:
-        m_list = tuple(float(x) for x in _parse_times(args.m_list))
+        m_list = tuple(_parse_times(args.m_list))
         scenario = dataclasses.replace(scenario, m_list=m_list)
-    return scenario, mesa.sweep(scenario, snapshot_times, dt=args.dt,
-                                jobs=args.jobs)
+    return scenario, mesa.sweep(scenario, snapshot_times, dt=args.dt)
 
 
 def cmd_mesa(args):
@@ -266,7 +268,7 @@ def cmd_diagnose(args):
                          "fb_size_estimate"], rows)
 
     h = scenario.grid.h
-    radii = ([float(x) for x in _parse_times(args.radii)] if args.radii
+    radii = (_parse_times(args.radii) if args.radii is not None
              else [4 * h, 8 * h, 16 * h])
     t_last = series.times[-1]
     if args.points == "auto":
@@ -324,16 +326,17 @@ def build_parser():
     dt_help = ("enthalpy step length (default: h / max(max pressure datum, "
                "1), stefan.default_dt)")
 
-    serial_jobs = "runs serially; the value is only recorded in the manifest"
-
-    def common(p, jobs="parallel jobs"):
+    def common(p):
         p.add_argument("scenario", help="scenario JSON file")
         p.add_argument("--out", required=True, help="output directory")
-        if jobs:
-            p.add_argument("--jobs", type=_positive_int, default=1, help=jobs)
+
+    def recorded_jobs(p):
+        p.add_argument("--jobs", type=_positive_int, default=1,
+                       help="runs serially; the value is only recorded in "
+                            "the manifest")
 
     p = sub.add_parser("stefan", help="run one diffusivity")
-    common(p, jobs=None)
+    common(p)
     p.add_argument("--m", type=float, required=True)
     p.add_argument("--dt", type=float, default=None, help=dt_help)
     p.add_argument("--snapshots", required=True, help="comma-separated times")
@@ -347,12 +350,14 @@ def build_parser():
     p.set_defaults(func=cmd_mesa)
 
     p = sub.add_parser("obstacle", help="solve obstacle slices")
-    common(p, jobs=serial_jobs)
+    common(p)
+    recorded_jobs(p)
     p.add_argument("--times", required=True)
     p.set_defaults(func=cmd_obstacle)
 
     p = sub.add_parser("compare", help="both routes plus cross-validation")
     common(p)
+    recorded_jobs(p)
     p.add_argument("--m-list", default=None)
     p.add_argument("--dt", type=float, default=None, help=dt_help)
     p.add_argument("--times", required=True)
@@ -372,7 +377,7 @@ def build_parser():
                    help='"auto" or "x,y;x,y;..."')
     p.add_argument("--radii", default=None, help="comma-separated scan radii")
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=_positive_int, default=1, help=serial_jobs)
+    recorded_jobs(p)
     p.set_defaults(func=cmd_diagnose)
     return parser
 

@@ -313,11 +313,6 @@ class Grid:
         return _read_only(_frame(self.shape, self.band_cells + BAND_CLEARANCE)
                           & self.fluid)
 
-    def __getstate__(self):
-        # a pickled copy recomputes the masks: unpickled arrays are writable
-        return {k: v for k, v in self.__dict__.items()
-                if k not in ("fluid", "slot", "farfield", "near_band")}
-
     def axes(self):
         return [self.lo[i] + (np.arange(self.shape[i]) + 0.5) * self.h
                 for i in range(self.n)]

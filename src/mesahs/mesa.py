@@ -11,7 +11,6 @@ the grid by thresholding the last-level enthalpy at 1 - h.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,16 +62,16 @@ class MesaLimit:
                                                        self.grid)
 
 
-def sweep(scenario, snapshot_times, dt=None, jobs=1):
+def sweep(scenario, snapshot_times, dt=None):
     """Run every diffusivity in the scenario and form the limit fields.
 
     Requires at least three strictly increasing m values and at least one
     snapshot time; the level list, the snapshot times and dt are validated
-    before any level runs.  All runs share the step length and the stencil,
-    so snapshots align cellwise; temperatures are checked to be nondecreasing
-    in m at every snapshot.  With ``jobs > 1`` the levels run in that many
-    worker processes; either way the results are folded one level at a time
-    in m order, so the limit is the same bits.
+    before any level runs.  The levels run in m order and share the step
+    length and the stencil, so snapshots align cellwise.  Each level's
+    temperatures are checked to be nondecreasing in m against the level
+    before it at every snapshot, and then that level is let go: only the
+    last level, and the gap of the last pair, reach the limit.
     """
     m_list = scenario.m_list
     if len(m_list) < 3:
@@ -80,44 +79,24 @@ def sweep(scenario, snapshot_times, dt=None, jobs=1):
     if not snapshot_times:
         raise ConfigError("the sweep needs at least one snapshot time")
     snapshot_times, dt = stefan._check_times(scenario, snapshot_times, dt)
-    level = functools.partial(_run_level, scenario, snapshot_times, dt,
-                              build_stencil(scenario))
-    if jobs <= 1:
-        return _fold(scenario, dt, map(level, m_list))
-    # deferred: a serial sweep never loads the process pool
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
-    # spawned workers start from a fresh import: no state forked mid-run
-    with ProcessPoolExecutor(jobs, mp_context=get_context("spawn")) as pool:
-        return _fold(scenario, dt, pool.map(level, m_list))
-
-
-def _run_level(scenario, snapshot_times, dt, stencil, m):
-    """One level of the sweep; only the last level keeps its enthalpy."""
-    return stefan.run(scenario, m, snapshot_times, dt=dt, stencil=stencil,
-                      keep_u=m == scenario.m_list[-1])
-
-
-def _fold(scenario, dt, results):
-    """Reduce the level runs, in m order, to the limit fields.
-
-    Each level is checked against the one before it and then let go: only
-    the last level, and the gap of the last pair, reach the limit.
-    """
-    prev_m = prev = tail_gap = None
-    for m, result in zip(scenario.m_list, results):
+    st = build_stencil(scenario)
+    prev = tail_gap = None
+    for m in m_list:
+        # only the last level keeps its enthalpy and W^n
+        result = stefan.run(scenario, m, snapshot_times, dt=dt, stencil=st,
+                            keep_fields=m == m_list[-1])
         thetas = result.theta_fields
         if prev is not None:
             worst = max(float((a - b).max())
                         for a, b in zip(prev.theta_fields, thetas))
             if worst > MONOTONE_SWEEP_TOL:
                 raise SolverError(
-                    f"temperature not monotone in m between m={prev_m:g} and "
+                    f"temperature not monotone in m between m={prev.m:g} and "
                     f"m={m:g} (violation {worst:.3e}); this indicates a "
                     "discretization fault")
             tail_gap = [float(np.abs(a - b).max())
                         for a, b in zip(prev.theta_fields, thetas)]
-        prev_m, prev = m, result
+        prev = result
 
     grid = scenario.grid
     u_raw = result.u_fields
@@ -127,7 +106,7 @@ def _fold(scenario, dt, results):
             raise SolverError("plateau region not nested in time")
 
     return MesaLimit(
-        m_list=scenario.m_list, dt=dt, times=list(result.times), u_raw=u_raw,
+        m_list=m_list, dt=dt, times=list(result.times), u_raw=u_raw,
         q_masks=q_masks, tail_gap=tail_gap, w_integrals=result.w_integrals,
         pressure=result.theta_fields, t_limit=result.first_theta_time,
         grid=grid, u_init=scenario.u_init)

@@ -88,7 +88,8 @@ class RunResult:
     """Snapshots and diagnostics of one enthalpy run.
 
     ``u_fields``, ``theta_fields`` and ``w_integrals`` hold one array per
-    entry of ``times``; ``u_fields`` is empty when the run drops enthalpy.
+    entry of ``times``; ``u_fields`` and ``w_integrals`` are empty when the
+    run keeps only its temperatures.
     ``w_integrals`` holds the backward-Euler sums W^n = sum_k dt_k theta^k,
     the discrete Baiocchi transform of the run: the steps telescope to
     u^n - u_init = -A_h W^n + t_n * slot_load on FLUID, up to rounding, for
@@ -157,7 +158,7 @@ def _advance(st, u, theta, m, dt):
     return st.slot_influx(theta) * dt, record.residual, record.sweeps, record
 
 
-def run(scenario, m, snapshot_times, dt=None, stencil=None, keep_u=True):
+def run(scenario, m, snapshot_times, dt=None, stencil=None, keep_fields=True):
     """March the m-problem through ``snapshot_times`` and collect fields.
 
     ``m`` must be positive and finite, and snapshot times sorted within
@@ -209,10 +210,10 @@ def run(scenario, m, snapshot_times, dt=None, stencil=None, keep_u=True):
             first = first_theta[box]
             first[(theta_box > 0.0) & ~np.isfinite(first)] = t
         times.append(t)
-        if keep_u:
+        if keep_fields:
             u_fields.append(u.copy())
+            w_integrals.append(w_accum.copy())
         theta_fields.append(theta.copy())
-        w_integrals.append(w_accum.copy())
         gap = float((u_prev_snap - u)[grid.fluid].max())
         if gap > MONOTONE_STEP_TOL:
             raise SolverError(f"u not monotone between snapshots (drop {gap:.2e})")

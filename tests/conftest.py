@@ -35,8 +35,7 @@ def recorded_sweep(scenario, snapshot_times, **kwargs):
     """``mesa.sweep`` and the level runs it made, as (limit, {m: RunResult}).
 
     The sweep keeps only its last level; tests that compare levels read the
-    runs recorded here.  Serial sweeps only: a worker process does not see
-    the patch.
+    runs recorded here.
     """
     runs = {}
     run = stefan.run
@@ -113,7 +112,7 @@ def radial64_slices(radial64):
 def sandwich_run():
     scenario = scenarios.sandwich_scenario(h=1 / 64, k=1.0, t_max=0.2)
     result = stefan.run(scenario, 1024, snapshot_times=[0.05, 0.1, 0.15, 0.2],
-                        keep_u=False)
+                        keep_fields=False)
     return {"scenario": scenario, "result": result}
 
 

@@ -151,32 +151,20 @@ class TestMesaCommand:
         scenario = write_scenario(tmp_path, h=1 / 10, m_list=(8, 16))
         out = tmp_path / "run"
         code = main(["mesa", str(scenario), "--m-list", "8,16,32",
-                     "--snapshots", "0.1,0.2", "--jobs", "1",
-                     "--out", str(out)])
+                     "--snapshots", "0.1,0.2", "--out", str(out)])
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["m_list"] == [8, 16, 32]
-        assert manifest["jobs"] == 1
+        # the sweep runs in one process: no --jobs, no manifest key
+        assert "jobs" not in manifest
         assert len(manifest["tail_gap"]) == 2
         v, meta = snapshots.load_raster(out / "mesa_V_0001.json")
         assert meta["m"] == 32
         assert v.max() > 0
 
-    def test_parallel_workers_match_serial(self, tmp_path):
-        scenario = write_scenario(tmp_path, h=1 / 10, m_list=(8, 16, 32),
-                                  t_max=0.2)
-        hashes = []
-        for jobs, sub in (("1", "serial"), ("2", "parallel")):
-            out = tmp_path / sub
-            code = main(["mesa", str(scenario), "--snapshots", "0.1,0.2",
-                         "--jobs", jobs, "--out", str(out)])
-            assert code == 0
-            manifest = json.loads((out / "manifest.json").read_text())
-            hashes.append(manifest["output_hashes"])
-        assert hashes[0] == hashes[1]
-
-    def test_bad_level_list_runs_no_level(self, tmp_path, monkeypatch):
-        # the sweep validates its levels before it starts any, workers or not
+    def test_bad_level_list_runs_no_level(self, tmp_path, monkeypatch,
+                                          capsys):
+        # the sweep validates its levels before it starts any
         scenario = write_scenario(tmp_path, h=1 / 10)
         calls = []
 
@@ -186,9 +174,10 @@ class TestMesaCommand:
 
         monkeypatch.setattr(stefan, "run", level_run)
         code = main(["mesa", str(scenario), "--m-list", "16,1024",
-                     "--snapshots", "0.1", "--jobs", "2",
-                     "--out", str(tmp_path / "x")])
-        assert code == 1
+                     "--snapshots", "0.1", "--out", str(tmp_path / "x")])
+        record = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert (code, record["error"]) == (1, "config")
+        assert "at least 3 diffusivity values" in record["message"]
         assert calls == []
 
 
@@ -413,6 +402,7 @@ class TestExitCodes:
         ["stefan", "--m", "16"],
         ["obstacle"],
         ["stefan", "--m", "16", "--snapshots", "0.1", "--jobs", "2"],
+        ["mesa", "--snapshots", "0.1", "--jobs", "2"],
         ["obstacle", "--times", "0.1", "--tol", "1e-12"],
         ["mesa", "--snapshots", "0.1", "--tol", "1e-12"],
         ["obstacle", "--times", "0.1", "--jobs", "x"],
@@ -543,6 +533,9 @@ class TestExitCodes:
         ["mesa", "--m-list", "8,nan,32", "--snapshots", "0.1"],
         ["mesa", "--snapshots", ""],
         ["compare", "--times", ""],
+        ["stefan", "--m", "16", "--snapshots", ""],
+        ["obstacle", "--times", ""],
+        ["obstacle", "--times", ",,,"],
     ], ids=" ".join)
     def test_bad_number_is_config_error(self, tmp_path, capsys, args):
         scenario = write_scenario(tmp_path)
@@ -573,16 +566,18 @@ class TestExitCodes:
         (["--points", "a,b"], None),
         (["--points", "nan,nan"], None),
         (["--radii", "nan,0.5,0.6"], None),
+        (["--radii", ""], None),
         (["--points", "100,100"], None),
         ([], "coarser scenario"),
         ([], "truncated raster"),
     ], ids=["3 coordinates", "1 coordinate", "letters", "NaN point",
-            "NaN radius", "point off the grid", "coarser scenario",
-            "truncated raster"])
+            "NaN radius", "empty radii", "point off the grid",
+            "coarser scenario", "truncated raster"])
     def test_bad_diagnose_input_is_config_error(self, tmp_path, capsys,
                                                 obstacle_run, args, damage):
-        # a point that is not 2 finite numbers, a NaN radius, rasters of
-        # another grid and a short raster file each exit 1 with the record
+        # a point that is not 2 finite numbers, a NaN radius, an empty radius
+        # list, rasters of another grid and a short raster file each exit 1
+        # with the record
         scenario, run_dir = obstacle_run
         run = tmp_path / "run"
         shutil.copytree(run_dir, run)
@@ -771,7 +766,7 @@ class TestEntryPoint:
 
     def test_compare_leaves_scipy_unloaded(self, tmp_path):
         # both routes, the cross-validation and its Hausdorff distances run
-        # on numpy alone, and a serial sweep never loads the process pool
+        # on numpy alone, in one process
         scenario = write_scenario(tmp_path, h=1 / 8, margin=2.0, t_max=0.2)
         out = tmp_path / "cmp"
         probe = "\n".join([
@@ -787,3 +782,5 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
         assert (out / "compare.csv").exists()
+        # compare still takes --jobs and only records it
+        assert json.loads((out / "manifest.json").read_text())["jobs"] == 1

@@ -2,7 +2,6 @@
 
 import copy
 import json
-import pickle
 
 import numpy as np
 import pytest
@@ -173,9 +172,6 @@ class TestBandFrames:
         assert grid.near_band is grid.near_band
         with pytest.raises(ValueError):
             grid.near_band[(0,) * n] = True
-        copy_ = pickle.loads(pickle.dumps(grid))
-        assert np.array_equal(copy_.near_band, reference)
-        assert not copy_.near_band.flags.writeable
 
     @settings(max_examples=300, deadline=None)
     @given(data=hst.data())
@@ -265,9 +261,6 @@ class TestBuildGrid:
             assert np.array_equal(mask, grid.mask == role)
             with pytest.raises(ValueError):
                 mask[0, 0] = not mask[0, 0]
-            # a pickled copy, as sent to a worker process, is read-only too
-            with pytest.raises(ValueError):
-                getattr(pickle.loads(pickle.dumps(grid)), name)[0, 0] = True
 
 
 class TestScenario:

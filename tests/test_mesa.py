@@ -119,18 +119,19 @@ class TestSweep:
     def test_keeps_only_the_last_level(self):
         # the limit holds the last level alone: u, theta and W and a
         # boolean q mask per snapshot, and t_limit; no array of an earlier
-        # level is kept
+        # level is kept, and only the last level copies u and W at all
         sc = scenarios.radial_scenario(h=1 / 16, t_max=0.3)
         times = [0.1, 0.2, 0.3]
         assert len(sc.m_list) == 7
         tracemalloc.start()
         try:
             lim = mesa.sweep(sc, times)
-            held, _ = tracemalloc.get_traced_memory()
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         grid_array = np.zeros(sc.grid.shape).nbytes
         assert held <= (4 * len(times) + 4) * grid_array
+        assert peak <= 27 * grid_array
         assert len(lim.pressure) == len(times)
 
 

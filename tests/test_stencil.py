@@ -745,7 +745,7 @@ class TestCoarseCorrection:
         # correction to pay
         sc = radial_scenario(h=1 / 32, t_max=0.5)
         res = stefan.run(sc, 1024, [round(0.05 * k, 10) for k in range(1, 11)],
-                         keep_u=False)
+                         keep_fields=False)
         assert res.steps > 0
         assert sum(row[9] for row in res.step_log) == 0
 
