@@ -70,10 +70,16 @@ class FBPointReport:
     notes: list = field(default_factory=list)
 
 
+def active_cut(values):
+    """The value a nonnegative field must exceed to be active: a share
+    ``ACTIVE_REL_THRESHOLD`` of its largest value (positive for a zero
+    field)."""
+    return ACTIVE_REL_THRESHOLD * max(float(values.max()), np.finfo(float).tiny)
+
+
 def active_mask_from(values, grid):
     """Active mask of a nonnegative field by a scale-relative cutoff."""
-    cut = ACTIVE_REL_THRESHOLD * max(float(values.max()), np.finfo(float).tiny)
-    return (values > cut) & grid.fluid
+    return (values > active_cut(values)) & grid.fluid
 
 
 def boundary_faces(mask, grid):

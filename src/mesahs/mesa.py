@@ -43,7 +43,7 @@ class MesaLimit:
     tail_gap: list
     w_integrals: list         # last-level W^n, the discrete Baiocchi transform
     pressure: list            # last-level temperatures: the limiting pressures V
-    t_limit: np.ndarray       # last-level first time of positive temperature
+    t_limit: np.ndarray       # last-level first active time: step midpoints
     grid: object
     u_init: np.ndarray
 
@@ -67,10 +67,12 @@ def sweep(scenario, snapshot_times, dt=None):
 
     Requires at least three strictly increasing m values and at least one
     snapshot time; the level list, the snapshot times and dt are validated
-    before any level runs.  The levels run in m order and share the step
-    length and the stencil, so snapshots align cellwise.  Each level's
+    before any level runs.  The levels share the step length and the
+    stencil and march together, each step taken by every level in m order
+    from a Richardson start out of the two levels below it
+    (:func:`stefan._march`), so snapshots align cellwise.  Each level's
     temperatures are checked to be nondecreasing in m against the level
-    before it at every snapshot, and then that level is let go: only the
+    before it at every snapshot, as soon as it has stepped there: only the
     last level, and the gap of the last pair, reach the limit.
     """
     m_list = scenario.m_list
@@ -79,24 +81,20 @@ def sweep(scenario, snapshot_times, dt=None):
     if not snapshot_times:
         raise ConfigError("the sweep needs at least one snapshot time")
     snapshot_times, dt = stefan._check_times(scenario, snapshot_times, dt)
-    st = build_stencil(scenario)
-    prev = tail_gap = None
-    for m in m_list:
-        # only the last level keeps its enthalpy and W^n
-        result = stefan.run(scenario, m, snapshot_times, dt=dt, stencil=st,
-                            keep_fields=m == m_list[-1])
-        thetas = result.theta_fields
-        if prev is not None:
-            worst = max(float((a - b).max())
-                        for a, b in zip(prev.theta_fields, thetas))
-            if worst > MONOTONE_SWEEP_TOL:
-                raise SolverError(
-                    f"temperature not monotone in m between m={prev.m:g} and "
-                    f"m={m:g} (violation {worst:.3e}); this indicates a "
-                    "discretization fault")
-            tail_gap = [float(np.abs(a - b).max())
-                        for a, b in zip(prev.theta_fields, thetas)]
-        prev = result
+    tail_gap = []
+
+    def check(k, below, theta):
+        worst = float((below - theta).max())
+        if worst > MONOTONE_SWEEP_TOL:
+            raise SolverError(
+                f"temperature not monotone in m between m={m_list[k - 1]:g} "
+                f"and m={m_list[k]:g} (violation {worst:.3e}); this "
+                "indicates a discretization fault")
+        if k == len(m_list) - 1:
+            tail_gap.append(float(np.abs(below - theta).max()))
+
+    result = stefan._march(scenario, m_list, snapshot_times, dt,
+                           build_stencil(scenario), check)
 
     grid = scenario.grid
     u_raw = result.u_fields

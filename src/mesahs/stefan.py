@@ -6,11 +6,14 @@ boundary.  Each backward-Euler step is a complementarity problem in the
 temperature: a cell is either frozen (u < 1, temperature 0) or diffusive
 (temperature m*(u - 1)), and the operator (1/m + dt * A) with the face-flux
 Laplacian A is a symmetric M-matrix, so the step's solution is unique and
-the solve starts from the last step's temperature: the start changes the
-sweep count, never the answer.  :meth:`FaceStencil.solve` sweeps a window
-around the cells that can be active within the step, regrown until the
-complementarity residual on it and its one-cell ring meets tol, so the
-window never changes the converged answer.
+the solve may start from any temperature: the start changes the sweep
+count, never the answer.  A run starts each step from the temperature
+rebuilt from its enthalpy; the levels of an m-sweep march together and
+also start from an extrapolation of the levels below them.
+:meth:`FaceStencil.solve` sweeps a window around the cells that can be
+active within the step, regrown until the complementarity residual on it
+and its one-cell ring meets tol, so the window never changes the converged
+answer.
 
 The free-boundary condition is implicit in the conservative form and never
 imposed separately.  A step is conservative by construction: the enthalpy
@@ -27,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, EnvelopeError, SolverError
-from .stencil import build_stencil
+from .fbdiag import active_cut
+from .stencil import SolveRecord, build_stencil
 
 #: per-step slack allowed on cellwise time-monotonicity of u
 MONOTONE_STEP_TOL = 1e-8
@@ -88,8 +92,10 @@ class RunResult:
     """Snapshots and diagnostics of one enthalpy run.
 
     ``u_fields``, ``theta_fields`` and ``w_integrals`` hold one array per
-    entry of ``times``; ``u_fields`` and ``w_integrals`` are empty when the
-    run keeps only its temperatures.
+    entry of ``times``.  ``first_theta_time`` holds, per cell, the midpoint
+    of the step in which the temperature first passed
+    :func:`~mesahs.fbdiag.active_cut` of that step's temperature (inf if
+    it never did).
     ``w_integrals`` holds the backward-Euler sums W^n = sum_k dt_k theta^k,
     the discrete Baiocchi transform of the run: the steps telescope to
     u^n - u_init = -A_h W^n + t_n * slot_load on FLUID, up to rounding, for
@@ -115,6 +121,15 @@ class RunResult:
         return len(self.step_log)
 
 
+@dataclass(frozen=True)
+class StepRecord(SolveRecord):
+    """The step's :class:`~mesahs.stencil.SolveRecord` and ``drop``, its
+    largest enthalpy decrease on a FLUID cell (at most ``MONOTONE_STEP_TOL``).
+    """
+
+    drop: float = 0.0
+
+
 def _advance(st, u, theta, m, dt):
     """One conservative implicit step of length ``dt`` from (u, theta).
 
@@ -123,9 +138,9 @@ def _advance(st, u, theta, m, dt):
     start affects only the sweep count.  The first window holds the FLUID
     cells whose load is within one cell width of zero.  ``theta`` and ``u``
     are updated in place.  Returns the step's slot influx, the solver's
-    final residual and sweep count, and its whole
-    :class:`~mesahs.stencil.SolveRecord`.  The temperature is zero outside
-    the record's box, and ``u`` changes only inside it.
+    final residual and sweep count, and its whole :class:`StepRecord`.  The
+    temperature is zero outside the record's box, and ``u`` changes only
+    inside it.
     """
     grid = st.grid
     # the record's box is the window and its one-cell ring: the update
@@ -155,75 +170,199 @@ def _advance(st, u, theta, m, dt):
             "monotone structure violated")
 
     np.copyto(u_box, u_new, where=fluid)
-    return st.slot_influx(theta) * dt, record.residual, record.sweeps, record
+    return (st.slot_influx(theta) * dt, record.residual, record.sweeps,
+            StepRecord(**vars(record), drop=drop))
 
 
-def run(scenario, m, snapshot_times, dt=None, stencil=None, keep_fields=True):
-    """March the m-problem through ``snapshot_times`` and collect fields.
+@dataclass
+class _Level:
+    """One diffusivity of a march.
 
-    ``m`` must be positive and finite, and snapshot times sorted within
-    [0, t_max]; the step length shrinks to land on each exactly, and a
-    snapshot time within 1e-13 of the time already reached is recorded at
-    that time.  Cellwise time-monotonicity is asserted every step, and the
-    run aborts if temperature ever reaches the farfield clearance.  Returns
-    a :class:`RunResult`.
+    ``u`` is its enthalpy on ``box``, the box its steps have touched;
+    outside it the enthalpy is the initial one.  ``c`` is the Richardson
+    factor of its start, and ``drop`` the sum of its steps' largest
+    enthalpy drops since the last snapshot.
     """
-    m = _diffusivity(m)
-    snapshot_times, dt = _check_times(scenario, snapshot_times, dt)
 
-    st = stencil if stencil is not None else build_stencil(scenario)
+    m: float
+    c: float = 0.0
+    box: tuple = None
+    u: np.ndarray = None
+    drop: float = 0.0
+
+
+def _union(a, b):
+    """Bounding box of two boxes, either of which may be None."""
+    if a is None or b is None:
+        return b if a is None else a
+    return tuple(slice(min(x.start, y.start), max(x.stop, y.stop))
+                 for x, y in zip(a, b))
+
+
+def _swap(u, held, level, scenario):
+    """Move the shared enthalpy buffer ``u`` from ``held`` to ``level``.
+
+    ``held`` takes back its enthalpy on its box, where ``u`` returns to
+    the initial enthalpy; ``level`` lends its own to ``u``.
+    """
+    grid = scenario.grid
+    if held.box is not None:
+        b = held.box
+        held.u = u[b].copy()
+        u[b] = np.where(grid.fluid[b] | grid.farfield[b],
+                        scenario.u_init[b], 0.0)
+    if level.box is not None:
+        u[level.box] = level.u
+        level.u = None
+
+
+def _start(theta, level, u, below=None, below2=None):
+    """Write a level's start on a box into its view ``theta``.
+
+    Off FLUID, and off the level's box, u is at most u_init <= 1, so the
+    rebuilt temperature m * (u - 1)_+ is zero there.  ``below`` and
+    ``below2`` are the temperatures of the levels below, if any.
+    """
+    np.maximum(level.m * (u - 1.0), 0.0, out=theta)
+    if below is not None:
+        if below2 is not None:
+            below = below + level.c * (below - below2)
+        np.maximum(theta, below, out=theta)
+
+
+def _not_monotone(drop):
+    return SolverError(f"u not monotone between snapshots (drop {drop:.2e})")
+
+
+def _march(scenario, m_list, snapshot_times, dt, st, check=None):
+    """Advance the levels ``m_list`` through the same steps, in m order.
+
+    Each step time is reached by every level in turn.  Level k starts its
+    step from the larger of m_k * (u_k - 1)_+, its temperature rebuilt
+    from its enthalpy, and the Richardson guess
+    max(theta_(k-1) + c_k * (theta_(k-1) - theta_(k-2)), 0) of the two
+    levels below it at the same step, with c_k = (m_k - m_(k-1)) /
+    (m_(k-1) - m_(k-2)) * m_(k-2) / m_k: the 1/m law of the temperatures,
+    1/2 when m doubles.  The second level takes theta_1 alone, the first
+    no guess.  Each step's solution is unique, so the start moves only
+    rounding and sweep counts.
+
+    A level keeps only its enthalpy, on the box its steps have touched.
+    One full-grid enthalpy and three temperature buffers (the level being
+    stepped and the two below it) serve every step, and only the last level
+    keeps first times, W^n, a step log and snapshot copies.  Cellwise
+    time-monotonicity of u is asserted at every step and between
+    snapshots: the last level compares its consecutive snapshots, a lower
+    level the sum of its steps' largest drops.  ``check(k, below, theta)``
+    sees the temperatures of levels k - 1 and k >= 1 as soon as level k has
+    stepped onto a snapshot time; a snapshot reached without a step shows it
+    the last pair again.  Returns the last level's :class:`RunResult`.
+    """
     grid = scenario.grid
     u = np.where(grid.fluid | grid.farfield, scenario.u_init, 0.0)
-    theta = np.zeros(grid.shape)
+    levels = [_Level(float(m)) for m in m_list]
+    for k in range(2, len(levels)):
+        m_a, m_b, m_c = (lv.m for lv in levels[k - 2:k + 1])
+        levels[k].c = (m_c - m_b) / (m_b - m_a) * m_a / m_c
+    thetas = [np.zeros(grid.shape) for _ in levels[:3]]
+    wet = [None] * len(thetas)      # the box outside which a buffer is zero
+    held, top = levels[0], levels[-1]   # held: whose enthalpy u holds
 
     first_theta = np.full(grid.shape, np.inf)
     w_accum = np.zeros(grid.shape)
     times, u_fields, theta_fields, w_integrals, step_log = [], [], [], [], []
     cumulative = 0.0
 
-    t = 0.0
-    u_prev_snap = u.copy()
+    t, steps = 0.0, 0
     for target in snapshot_times:
+        stepped = False
         # a step within 1e-13 of the target is stretched to land on it; a
         # target within 1e-13 of the time reached is recorded at that time,
         # so every snapshot time is the sum of the steps taken to reach it
         while t < target - 1e-13:
-            last = target - t <= dt + 1e-13
-            dt_step = target - t if last else dt
-            t_end = target if last else t + dt_step
-            step = len(step_log) + 1
-            try:
-                influx, residual, sweeps, record = _advance(
-                    st, u, theta, m, dt_step)
-            except (SolverError, EnvelopeError) as exc:
-                raise exc.at(f"m={m:g}, step {step} to t={t_end:g}") from exc
+            snap = target - t <= dt + 1e-13
+            dt_step = target - t if snap else dt
+            t_end = target if snap else t + dt_step
+            steps += 1
+            for k, level in enumerate(levels):
+                if level is not held:
+                    _swap(u, held, level, scenario)
+                    held = level
+                theta = thetas[k % 3]
+                if wet[k % 3] is not None:
+                    theta[wet[k % 3]] = 0.0
+                # the guess is zero outside the box of the level below
+                span = _union(level.box, wet[(k - 1) % 3] if k else None)
+                if span is not None:
+                    below = [thetas[(k - j) % 3][span]
+                             for j in range(1, min(k, 2) + 1)]
+                    _start(theta[span], level, u[span], *below)
+                try:
+                    influx, residual, sweeps, record = _advance(
+                        st, u, theta, level.m, dt_step)
+                except (SolverError, EnvelopeError) as exc:
+                    raise exc.at(f"m={level.m:g}, step {steps} to "
+                                 f"t={t_end:g}") from exc
+                level.box = _union(level.box, record.box)
+                wet[k % 3] = box = record.box
+                if level is top:
+                    cumulative += influx
+                    step_log.append((steps, t_end, influx, cumulative, sweeps,
+                                     residual,
+                                     math.prod(s.stop - s.start for s in box),
+                                     record.checks, record.regrowths,
+                                     record.corrections))
+                    # the step changed theta and u inside its box only
+                    theta_box = theta[box]
+                    w_accum[box] += dt_step * theta_box
+                    first = first_theta[box]
+                    first[(theta_box > active_cut(theta_box))
+                          & ~np.isfinite(first)] = 0.5 * (t + t_end)
+                else:
+                    level.drop += record.drop
+                if snap and k and check is not None:
+                    check(k, thetas[(k - 1) % 3], theta)
             t = t_end
-            cumulative += influx
-            box = record.box
-            step_log.append((step, t, influx, cumulative, sweeps, residual,
-                             math.prod(s.stop - s.start for s in box),
-                             record.checks, record.regrowths,
-                             record.corrections))
-            # the step changed theta and u inside its box only
-            theta_box = theta[box]
-            w_accum[box] += dt_step * theta_box
-            first = first_theta[box]
-            first[(theta_box > 0.0) & ~np.isfinite(first)] = t
-        times.append(t)
-        if keep_fields:
-            u_fields.append(u.copy())
-            w_integrals.append(w_accum.copy())
-        theta_fields.append(theta.copy())
-        gap = float((u_prev_snap - u)[grid.fluid].max())
+            stepped = True
+        if not stepped and len(levels) > 1 and check is not None:
+            k = len(levels) - 1
+            check(k, thetas[(k - 1) % 3], thetas[k % 3])
+        for level in levels[:-1]:
+            if level.drop > MONOTONE_STEP_TOL:
+                raise _not_monotone(level.drop).at(f"m={level.m:g}")
+            level.drop = 0.0
+        # on FLUID the initial enthalpy is u_init
+        gap = float(((u_fields[-1] if u_fields else scenario.u_init)
+                     - u)[grid.fluid].max())
         if gap > MONOTONE_STEP_TOL:
-            raise SolverError(f"u not monotone between snapshots (drop {gap:.2e})")
-        u_prev_snap = u.copy()
+            raise _not_monotone(gap).at(f"m={top.m:g}")
+        times.append(t)
+        u_fields.append(u.copy())
+        theta_fields.append(thetas[(len(levels) - 1) % 3].copy())
+        w_integrals.append(w_accum.copy())
 
     gain = float((u - scenario.u_init)[grid.fluid].sum()) * grid.cell_volume
-    return RunResult(m=m, dt=dt, times=times, u_fields=u_fields,
+    return RunResult(m=top.m, dt=dt, times=times, u_fields=u_fields,
                      theta_fields=theta_fields, w_integrals=w_integrals,
                      first_theta_time=first_theta,
                      mass_error=abs(gain - cumulative), step_log=step_log)
+
+
+def run(scenario, m, snapshot_times, dt=None, stencil=None):
+    """March the m-problem through ``snapshot_times`` and collect fields.
+
+    ``m`` must be positive and finite, and snapshot times sorted within
+    [0, t_max]; the step length shrinks to land on each exactly, and a
+    snapshot time within 1e-13 of the time already reached is recorded at
+    that time.  Each step starts from m * (u - 1)_+.  Cellwise
+    time-monotonicity is asserted every step, and the run aborts if
+    temperature ever reaches the farfield clearance.  Returns a
+    :class:`RunResult`.
+    """
+    m = _diffusivity(m)
+    snapshot_times, dt = _check_times(scenario, snapshot_times, dt)
+    st = stencil if stencil is not None else build_stencil(scenario)
+    return _march(scenario, [m], snapshot_times, dt, st)
 
 
 # ---------------------------------------------------------------------------

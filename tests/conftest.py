@@ -6,11 +6,13 @@ fast.
 """
 
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from mesahs import baiocchi, mesa, scenarios, stefan
+from mesahs.fbdiag import active_cut
 from mesahs.geometry import SlotGeometry, Scenario, build_grid, radial_u_init
 from mesahs.stencil import build_stencil
 
@@ -32,20 +34,34 @@ def mini_annulus_scenario(h=1 / 16, width=0.08, m_list=(16, 64, 256),
 
 
 def recorded_sweep(scenario, snapshot_times, **kwargs):
-    """``mesa.sweep`` and the level runs it made, as (limit, {m: RunResult}).
+    """``mesa.sweep`` and what each of its levels did, as (limit, {m: run}).
 
     The sweep keeps only its last level; tests that compare levels read the
-    runs recorded here.
+    records taken here from every level's steps: ``run.theta_fields`` holds
+    the temperature of each step that ends on a snapshot time, and
+    ``run.first_theta_time`` the midpoint of the step in which a cell first
+    passes the step's active cut, as the sweep records for its last level.
     """
     runs = {}
-    run = stefan.run
+    advance = stefan._advance
+    times = [float(t) for t in snapshot_times]
 
-    def recorded(scenario, m, *args, **kw):
-        runs[m] = run(scenario, m, *args, **kw)
-        return runs[m]
+    def recorded(st, u, theta, m, dt):
+        out = advance(st, u, theta, m, dt)
+        run = runs.setdefault(m, SimpleNamespace(
+            t=0.0, theta_fields=[],
+            first_theta_time=np.full(theta.shape, np.inf)))
+        t, run.t = run.t, run.t + dt
+        first = run.first_theta_time
+        first[(theta > active_cut(theta)) & ~np.isfinite(first)] = (
+            0.5 * (t + run.t))
+        i = len(run.theta_fields)
+        if i < len(times) and abs(run.t - times[i]) <= 1e-13:
+            run.theta_fields.append(theta.copy())
+        return out
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(stefan, "run", recorded)
+        mp.setattr(stefan, "_advance", recorded)
         limit = mesa.sweep(scenario, snapshot_times, **kwargs)
     return limit, runs
 
@@ -111,8 +127,7 @@ def radial64_slices(radial64):
 @pytest.fixture(scope="session")
 def sandwich_run():
     scenario = scenarios.sandwich_scenario(h=1 / 64, k=1.0, t_max=0.2)
-    result = stefan.run(scenario, 1024, snapshot_times=[0.05, 0.1, 0.15, 0.2],
-                        keep_fields=False)
+    result = stefan.run(scenario, 1024, snapshot_times=[0.05, 0.1, 0.15, 0.2])
     return {"scenario": scenario, "result": result}
 
 

@@ -168,11 +168,11 @@ class TestMesaCommand:
         scenario = write_scenario(tmp_path, h=1 / 10)
         calls = []
 
-        def level_run(scenario, m, *args, **kwargs):
+        def level_step(st, u, theta, m, dt):
             calls.append(m)
             raise AssertionError("a level ran before validation")
 
-        monkeypatch.setattr(stefan, "run", level_run)
+        monkeypatch.setattr(stefan, "_advance", level_step)
         code = main(["mesa", str(scenario), "--m-list", "16,1024",
                      "--snapshots", "0.1", "--out", str(tmp_path / "x")])
         record = json.loads(capsys.readouterr().err.splitlines()[-1])
@@ -243,10 +243,11 @@ class TestCompareCommand:
 
     def test_contact_disagreement_is_recorded(self, tmp_path, monkeypatch):
         # one step of dt = 0.2 runs past the contact, so the sweep route's
-        # contact time is 0.2 and tol is 0.4; slices that put contact 3 tol
-        # later disagree, and the record says so without failing the run
+        # contact time is that step's midpoint, 0.1, and tol is 0.4; slices
+        # that put contact 3 tol later disagree, and the record says so
+        # without failing the run
         def late(*args, tol_t, **kwargs):
-            return 0.2 + 3 * (2 * tol_t)
+            return 0.1 + 3 * (2 * tol_t)
 
         monkeypatch.setattr(baiocchi, "contact_time", late)
         scenario = mini_annulus_spec(tmp_path)
@@ -255,7 +256,7 @@ class TestCompareCommand:
                      "--dt", "0.2", "--out", str(out)])
         assert code == 0
         contact = json.loads((out / "manifest.json").read_text())["contact"]
-        assert contact["t_mesa"] == 0.2
+        assert contact["t_mesa"] == 0.1
         assert contact["gap"] == pytest.approx(3 * contact["tol"])
         assert contact["agree"] is False
 

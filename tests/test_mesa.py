@@ -6,9 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import mesahs.stencil
 from mesahs import baiocchi, mesa, scenarios, stefan
 from mesahs.errors import ConfigError, SolverError
 from mesahs.mesa import MONOTONE_SWEEP_TOL
+from mesahs.stefan import MONOTONE_STEP_TOL
 from mesahs.stencil import build_stencil
 
 from conftest import mini_annulus_scenario, recorded_sweep
@@ -64,6 +66,16 @@ class TestSweep:
         assert len(lim.tail_gap) == len(lim.times)
         assert all(np.isfinite(g) and g >= 0 for g in lim.tail_gap)
 
+    def test_snapshot_without_a_step_repeats_the_gap(self):
+        # a snapshot within 1e-13 of the time reached takes no step: the
+        # levels stand as they were, and so does the gap of the last pair
+        sc = scenarios.radial_scenario(h=1 / 10, t_max=0.1,
+                                       m_list=(8, 16, 32))
+        lim = mesa.sweep(sc, snapshot_times=[0.0, 0.1, 0.1])
+        assert lim.times == [0.0, 0.1, 0.1]
+        assert lim.tail_gap[0] == 0.0
+        assert lim.tail_gap[1] == lim.tail_gap[2] > 0.0
+
     def test_detachment_at_every_snapshot(self, coarse_sweep):
         sc, lim = coarse_sweep
         for t in lim.times:
@@ -102,19 +114,83 @@ class TestSweep:
         # doubled level fails only the pair it opens
         sc = scenarios.radial_scenario(h=1 / 10, t_max=0.1,
                                        m_list=(8, 16, 32, 64))
-        run = stefan.run
+        advance = stefan._advance
 
-        def doctored(scenario, m, *args, **kwargs):
-            result = run(scenario, m, *args, **kwargs)
+        def doctored(st, u, theta, m, dt):
+            out = advance(st, u, theta, m, dt)
             if m == doctored_m:
                 # larger than anything the higher level gives
-                result.theta_fields = [2.0 * th for th in result.theta_fields]
-            return result
+                theta *= 2.0
+            return out
 
-        monkeypatch.setattr(stefan, "run", doctored)
+        monkeypatch.setattr(stefan, "_advance", doctored)
         with pytest.raises(SolverError, match="monotone in m") as err:
             mesa.sweep(sc, snapshot_times=[0.1])
         assert f"between m={doctored_m} and m={next_m} " in str(err.value)
+
+    @pytest.mark.parametrize("share, raises", [(0.4, False), (0.6, True)])
+    def test_lower_level_drops_add_up_between_snapshots(self, monkeypatch,
+                                                        share, raises):
+        # a lower level keeps no enthalpy snapshot: the largest drops of
+        # its steps, each one within MONOTONE_STEP_TOL, may add up to at
+        # most that tolerance between two snapshots; here two steps of 0.1
+        sc = scenarios.radial_scenario(h=1 / 10, t_max=0.2,
+                                       m_list=(8, 16, 32))
+        advance = stefan._advance
+
+        def dropping(st, u, theta, m, dt):
+            influx, residual, sweeps, record = advance(st, u, theta, m, dt)
+            if m == 16:
+                record = dataclasses.replace(record,
+                                             drop=share * MONOTONE_STEP_TOL)
+            return influx, residual, sweeps, record
+
+        monkeypatch.setattr(stefan, "_advance", dropping)
+        if not raises:
+            mesa.sweep(sc, snapshot_times=[0.2])
+            return
+        with pytest.raises(SolverError, match="m=16: u not monotone "
+                                              "between snapshots"):
+            mesa.sweep(sc, snapshot_times=[0.2])
+
+    @pytest.mark.parametrize("share, raises", [(0.4, False), (0.6, True)])
+    def test_last_level_compares_its_snapshots(self, monkeypatch, share,
+                                               raises):
+        # the last level compares consecutive enthalpy snapshots: lowering
+        # every FLUID cell of each step's box by share * MONOTONE_STEP_TOL
+        # passes every step's own check, and the two steps to t = 0.2 add up
+        sc = scenarios.radial_scenario(h=1 / 10, t_max=0.2,
+                                       m_list=(8, 16, 32))
+        advance = stefan._advance
+
+        def lowering(st, u, theta, m, dt):
+            out = advance(st, u, theta, m, dt)
+            if m == 32:
+                box = out[3].box
+                u[box] -= np.where(st.grid.fluid[box],
+                                   share * MONOTONE_STEP_TOL, 0.0)
+            return out
+
+        monkeypatch.setattr(stefan, "_advance", lowering)
+        if not raises:
+            mesa.sweep(sc, snapshot_times=[0.2])
+            return
+        with pytest.raises(SolverError, match="m=32: u not monotone "
+                                              "between snapshots"):
+            mesa.sweep(sc, snapshot_times=[0.2])
+
+    def test_continuation_changes_no_answer(self, radial_coarse,
+                                            radial_coarse_stencil):
+        # every step's solution is unique, so the levels' Richardson starts
+        # move only rounding: the last level matches a run of its m alone
+        times = [0.1, 0.2, 0.3]
+        lim = mesa.sweep(radial_coarse, times)
+        alone = stefan.run(radial_coarse, radial_coarse.m_list[-1], times,
+                           stencil=radial_coarse_stencil)
+        assert lim.times == alone.times
+        for a, b in zip(lim.w_integrals + lim.pressure,
+                        alone.w_integrals + alone.theta_fields):
+            assert np.abs(a - b).max() <= MONOTONE_SWEEP_TOL
 
     def test_keeps_only_the_last_level(self):
         # the limit holds the last level alone: u, theta and W and a
@@ -195,6 +271,27 @@ class TestTimeFunctions:
         lim = mesa.sweep(sc, snapshot_times=[0.3])
         patch = sc.grid.fluid & (sc.u_init >= 1.0)
         assert np.all(lim.t_limit[patch] > 0.0)
+
+    def test_contact_reading_ignores_solver_dust(self, mini_annulus):
+        # coarse corrections may leave sub-tolerance temperature on the
+        # saturated patch before contact; the first patch time is the
+        # midpoint of the step in which the patch first passes the active
+        # cut, the same with corrections forced on, and within half a step
+        # of the slices' contact time
+        sc = mini_annulus
+        patch = sc.grid.fluid & (sc.u_init >= 1.0)
+        firsts = []
+        for engage in (False, True):
+            with pytest.MonkeyPatch.context() as mp:
+                if engage:
+                    mp.setattr(mesahs.stencil, "_engages",
+                               lambda history, cost: True)
+                lim = mesa.sweep(sc, snapshot_times=[0.1, 0.2, 0.3])
+            firsts.append(float(lim.t_limit[patch].min()))
+        t_contact = baiocchi.contact_time(sc, patch, t_lo=0.0, t_hi=sc.t_max,
+                                          tol_t=lim.dt)
+        assert firsts[0] == firsts[1]
+        assert abs(firsts[0] - t_contact) <= lim.dt / 2
 
     def test_crossings_tighten_with_m(self):
         sc = scenarios.radial_scenario(h=1 / 12, t_max=0.3, m_list=(16, 64, 256))

@@ -744,8 +744,8 @@ class TestCoarseCorrection:
         # 13-17 sweeps per decade on its 70-124-cell boxes, too few for a
         # correction to pay
         sc = radial_scenario(h=1 / 32, t_max=0.5)
-        res = stefan.run(sc, 1024, [round(0.05 * k, 10) for k in range(1, 11)],
-                         keep_fields=False)
+        res = stefan.run(sc, 1024,
+                         [round(0.05 * k, 10) for k in range(1, 11)])
         assert res.steps > 0
         assert sum(row[9] for row in res.step_log) == 0
 
