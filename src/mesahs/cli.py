@@ -64,9 +64,8 @@ def _dump_run(out_dir, result, scenario, tag):
     h = scenario.grid.h
     for i, t in enumerate(result.times):
         header = {"t": t, "m": result.m, "h": h}
-        if result.u_fields:
-            snapshots.dump_raster(out_dir, f"{tag}_u_{i:04d}",
-                                  result.u_fields[i], header)
+        snapshots.dump_raster(out_dir, f"{tag}_u_{i:04d}",
+                              result.u_fields[i], header)
         snapshots.dump_raster(out_dir, f"{tag}_theta_{i:04d}",
                               result.theta_fields[i], header)
     snapshots.write_csv(out_dir / f"{tag}_steps.csv",
@@ -94,11 +93,12 @@ def cmd_stefan(args):
     return 0
 
 
-def _run_sweep(args, scenario, snapshot_times):
+def _run_sweep(args, scenario, snapshot_times, stencil=None):
     if args.m_list is not None:
         m_list = tuple(_parse_times(args.m_list))
         scenario = dataclasses.replace(scenario, m_list=m_list)
-    return scenario, mesa.sweep(scenario, snapshot_times, dt=args.dt)
+    return scenario, mesa.sweep(scenario, snapshot_times, dt=args.dt,
+                                stencil=stencil)
 
 
 def cmd_mesa(args):
@@ -109,8 +109,9 @@ def cmd_mesa(args):
     h = scenario.grid.h
     q_counts = []
     for i, (t, u_inf) in enumerate(zip(limit.times, limit.u_inf)):
-        header = {"t": t, "m": limit.m_list[-1], "h": h}
-        snapshots.dump_raster(out, f"mesa_V_{i:04d}", limit.pressure[i], header)
+        header = {"t": t, "m": limit.m, "h": h}
+        snapshots.dump_raster(out, f"mesa_V_{i:04d}", limit.theta_fields[i],
+                              header)
         snapshots.dump_raster(out, f"mesa_uinf_{i:04d}", u_inf, header)
         q_counts.append(int(limit.q_masks[i].sum()))
     manifest = _base_manifest(args, scenario, args.scenario, {
@@ -118,6 +119,7 @@ def cmd_mesa(args):
         "snapshot_times": snapshot_times,
         "tail_gap": [float(g) for g in limit.tail_gap],
         "q_cell_counts": q_counts, "solver_tol": SOLVE_TOL,
+        "mass_error": limit.mass_error,
     })
     snapshots.write_manifest(out, manifest)
     print(f"mesa sweep m={list(scenario.m_list)}: tail gap "
@@ -157,8 +159,9 @@ def cmd_obstacle(args):
 def cmd_compare(args):
     scenario = load_scenario(args.scenario)
     times = sorted(_parse_times(args.times))
-    scenario, limit = _run_sweep(args, scenario, times)
+    # the levels change no coefficient: the sweep and the slices share it
     st = build_stencil(scenario)
+    scenario, limit = _run_sweep(args, scenario, times, stencil=st)
     slices, sl = [], None
     for t in times:
         sl = baiocchi.solve_slice(scenario, t, warm=sl, stencil=st)
@@ -174,8 +177,8 @@ def cmd_compare(args):
                          "contact_flags"], csv_rows)
     manifest = _base_manifest(args, scenario, args.scenario, {
         "times": times, "m_list": list(scenario.m_list), "dt": limit.dt,
-        "solver_tol": SOLVE_TOL, "cross_validation": rows,
-        "contact": contact,
+        "solver_tol": SOLVE_TOL, "mass_error": limit.mass_error,
+        "cross_validation": rows, "contact": contact,
     })
     snapshots.write_manifest(out, manifest)
     worst = max((r["supgap_rel"] for r in rows), default=0.0)
@@ -188,10 +191,10 @@ def _contact_record(scenario, limit, st):
     patch = scenario.grid.fluid & (scenario.u_init >= 1.0 - 1e-9)
     if not patch.any():
         return None
-    hit = limit.t_limit[patch]
-    if not np.any(np.isfinite(hit)):
+    # first times are step midpoints, or inf where a cell never turned active
+    t_mesa = float(limit.first_theta_time[patch].min())
+    if t_mesa == np.inf:
         return None
-    t_mesa = float(np.nanmin(np.where(np.isfinite(hit), hit, np.nan)))
     dt = limit.dt
     # W vanishes at t = 0, so the patch is inactive there whatever dt is
     try:

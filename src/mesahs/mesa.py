@@ -1,10 +1,11 @@
 """Diffusivity sweep m -> infinity and the structure of its limit.
 
-Temperatures increase cellwise with m, so the sweep checks that monotonicity
-exactly (a violation beyond solver noise indicates a discretization fault),
-takes the last level as the limiting pressure V with the gap to the previous
-level recorded as the committed tail error, and materializes the limit
-enthalpy: 1 on a nondecreasing plateau region Q(t), untouched initial data
+The sweep is :func:`stefan.run` over the scenario's levels: they march
+together, temperatures are checked to increase cellwise with m (a violation
+beyond solver noise indicates a discretization fault), and the last level
+is the limit, its temperatures the limiting pressure V, with the gap to the
+previous level recorded as the committed tail error.  The limit enthalpy is
+1 on a nondecreasing plateau region Q(t) and untouched initial data
 elsewhere.  Q(t) uses the first-crossing convention tau(x) < t, realized on
 the grid by thresholding the last-level enthalpy at 1 - h.
 """
@@ -18,32 +19,22 @@ import numpy as np
 from . import stefan
 from .errors import ConfigError, SolverError
 from .fbdiag import _time_index, active_mask_from
-from .stencil import _box_neighbor_sum, build_stencil
-
-#: cellwise slack for exact monotone structure across the sweep; the sweep
-#: tolerance amplified by operator conditioning and accumulated over steps
-MONOTONE_SWEEP_TOL = 1e-7
+from .stefan import MONOTONE_SWEEP_TOL  # noqa: F401  (re-exported)
+from .stencil import _box_neighbor_sum
 
 
 @dataclass
-class MesaLimit:
-    """Limit data of one sweep: lists hold one array per snapshot time.
+class MesaLimit(stefan.RunResult):
+    """The sweep's last level with the limit read from it.
 
-    The arrays are the last level's; ``tail_gap`` holds, per snapshot, the
-    largest cellwise temperature gap to the level before it.  ``dt`` is the
-    step every level ran with; ``w_integrals`` are the last level's W^n, the
-    backward-Euler sums of :class:`stefan.RunResult`.
+    The fields of :class:`stefan.RunResult` are the last level's: its
+    temperatures ``theta_fields`` are the limiting pressures V, its
+    ``w_integrals`` the discrete Baiocchi transform, and ``tail_gap`` the
+    largest cellwise temperature gap to the level before it.  ``q_masks``
+    holds the plateau region Q per snapshot.
     """
 
-    m_list: tuple
-    dt: float
-    times: list
-    u_raw: list               # raw last-level enthalpy arrays
     q_masks: list
-    tail_gap: list
-    w_integrals: list         # last-level W^n, the discrete Baiocchi transform
-    pressure: list            # last-level temperatures: the limiting pressures V
-    t_limit: np.ndarray       # last-level first active time: step midpoints
     grid: object
     u_init: np.ndarray
 
@@ -58,56 +49,34 @@ class MesaLimit:
 
     def active_mask_at(self, t):
         i = _time_index(self.times, t)
-        return None if i is None else active_mask_from(self.pressure[i],
+        return None if i is None else active_mask_from(self.theta_fields[i],
                                                        self.grid)
 
 
-def sweep(scenario, snapshot_times, dt=None):
+def sweep(scenario, snapshot_times, dt=None, stencil=None):
     """Run every diffusivity in the scenario and form the limit fields.
 
-    Requires at least three strictly increasing m values and at least one
-    snapshot time; the level list, the snapshot times and dt are validated
-    before any level runs.  The levels share the step length and the
-    stencil and march together, each step taken by every level in m order
-    from a Richardson start out of the two levels below it
-    (:func:`stefan._march`), so snapshots align cellwise.  Each level's
-    temperatures are checked to be nondecreasing in m against the level
-    before it at every snapshot, as soon as it has stepped there: only the
-    last level, and the gap of the last pair, reach the limit.
+    Requires at least three levels and at least one snapshot time; the
+    levels, the snapshot times and dt are validated before any level runs.
+    The levels are one :func:`stefan.run` (``stencil`` is passed to it): they
+    share the step length and the stencil, so snapshots align cellwise, and
+    each level is checked to be nondecreasing in m against the level before
+    it at every snapshot.
     """
-    m_list = scenario.m_list
-    if len(m_list) < 3:
+    if len(scenario.m_list) < 3:
         raise ConfigError("the sweep needs at least 3 diffusivity values")
     if not snapshot_times:
         raise ConfigError("the sweep needs at least one snapshot time")
-    snapshot_times, dt = stefan._check_times(scenario, snapshot_times, dt)
-    tail_gap = []
-
-    def check(k, below, theta):
-        worst = float((below - theta).max())
-        if worst > MONOTONE_SWEEP_TOL:
-            raise SolverError(
-                f"temperature not monotone in m between m={m_list[k - 1]:g} "
-                f"and m={m_list[k]:g} (violation {worst:.3e}); this "
-                "indicates a discretization fault")
-        if k == len(m_list) - 1:
-            tail_gap.append(float(np.abs(below - theta).max()))
-
-    result = stefan._march(scenario, m_list, snapshot_times, dt,
-                           build_stencil(scenario), check)
+    result = stefan.run(scenario, scenario.m_list, snapshot_times, dt=dt,
+                        stencil=stencil)
 
     grid = scenario.grid
-    u_raw = result.u_fields
-    q_masks = [grid.fluid & (u >= 1.0 - grid.h) for u in u_raw]
+    q_masks = [grid.fluid & (u >= 1.0 - grid.h) for u in result.u_fields]
     for earlier, later in zip(q_masks, q_masks[1:]):
         if np.any(earlier & ~later):
             raise SolverError("plateau region not nested in time")
-
-    return MesaLimit(
-        m_list=m_list, dt=dt, times=list(result.times), u_raw=u_raw,
-        q_masks=q_masks, tail_gap=tail_gap, w_integrals=result.w_integrals,
-        pressure=result.theta_fields, t_limit=result.first_theta_time,
-        grid=grid, u_init=scenario.u_init)
+    return MesaLimit(**vars(result), q_masks=q_masks, grid=grid,
+                     u_init=scenario.u_init)
 
 
 def representation_check(limit, scenario, tol=None):
@@ -120,10 +89,10 @@ def representation_check(limit, scenario, tol=None):
     """
     tol = tol if tol is not None else 5.0 * scenario.grid.h
     intermediate = [
-        stefan.essential_range_check(u_raw, scenario.u_init, limit.m_list[-1],
-                                     tol, scenario.max_datum,
+        stefan.essential_range_check(u, scenario.u_init, limit.m, tol,
+                                     scenario.max_datum,
                                      scenario.grid)["fraction"]
-        for u_raw in limit.u_raw]
+        for u in limit.u_fields]
     return {"tol": tol, "intermediate_fraction": intermediate}
 
 

@@ -35,6 +35,10 @@ from .stencil import SolveRecord, build_stencil
 
 #: per-step slack allowed on cellwise time-monotonicity of u
 MONOTONE_STEP_TOL = 1e-8
+#: cellwise slack for exact monotone structure across the levels of a march;
+#: the solve tolerance amplified by operator conditioning and accumulated
+#: over steps
+MONOTONE_SWEEP_TOL = 1e-7
 #: most steps one run may take, far above any run in the package (the finest
 #: on the refinement ladder, dt = h/16 at h = 1/128 to t = 0.5, takes 1,024):
 #: a dt so small that t + dt rounds to t would otherwise never end
@@ -56,23 +60,6 @@ def temperature(u, m):
     return m * np.maximum(np.asarray(u, dtype=float) - 1.0, 0.0)
 
 
-def _check_times(scenario, snapshot_times, dt):
-    """Validated snapshot times and dt (default if None); raises ConfigError."""
-    snapshot_times = [float(t) for t in snapshot_times]
-    if not all(0.0 <= t <= scenario.t_max + 1e-12 for t in snapshot_times):
-        raise ConfigError("snapshot times must lie within [0, t_max]")
-    if any(b < a for a, b in zip(snapshot_times, snapshot_times[1:])):
-        raise ConfigError("snapshot times must be sorted")
-    dt = float(dt) if dt is not None else default_dt(scenario)
-    if not 0 < dt < np.inf:
-        raise ConfigError("dt must be positive and finite")
-    steps = max(snapshot_times, default=0.0) / dt
-    if not steps <= MAX_STEPS:
-        raise ConfigError(f"dt={dt:g} takes {steps:.3g} steps, more than "
-                          f"the bound of {MAX_STEPS:,}")
-    return snapshot_times, dt
-
-
 def default_dt(scenario):
     """Default step h / max(max_datum, 1): about one cell of front motion.
 
@@ -89,10 +76,13 @@ def default_dt(scenario):
 
 @dataclass
 class RunResult:
-    """Snapshots and diagnostics of one enthalpy run.
+    """Snapshots and diagnostics of the last level of one enthalpy run.
 
-    ``u_fields``, ``theta_fields`` and ``w_integrals`` hold one array per
-    entry of ``times``.  ``first_theta_time`` holds, per cell, the midpoint
+    ``m_list`` holds the run's diffusivities in the order they march; ``m``
+    is the last.  ``u_fields``, ``theta_fields``, ``w_integrals`` and
+    ``tail_gap`` hold one entry per entry of ``times``: ``tail_gap`` is the
+    largest cellwise temperature gap between the last two levels (0.0 with
+    one level).  ``first_theta_time`` holds, per cell, the midpoint
     of the step in which the temperature first passed
     :func:`~mesahs.fbdiag.active_cut` of that step's temperature (inf if
     it never did).
@@ -106,15 +96,20 @@ class RunResult:
     total enthalpy gain and the last cumulative influx.
     """
 
-    m: float
+    m_list: tuple
     dt: float
     times: list
     u_fields: list
     theta_fields: list
     w_integrals: list       # backward-Euler sums of dt * temperature
     first_theta_time: np.ndarray
+    tail_gap: list
     mass_error: float
     step_log: list
+
+    @property
+    def m(self):
+        return self.m_list[-1]
 
     @property
     def steps(self):
@@ -199,18 +194,17 @@ def _union(a, b):
                  for x, y in zip(a, b))
 
 
-def _swap(u, held, level, scenario):
+def _swap(u, held, level, u_start):
     """Move the shared enthalpy buffer ``u`` from ``held`` to ``level``.
 
     ``held`` takes back its enthalpy on its box, where ``u`` returns to
-    the initial enthalpy; ``level`` lends its own to ``u``.
+    ``u_start``, the enthalpy every level starts from; ``level`` lends its
+    own to ``u``.
     """
-    grid = scenario.grid
     if held.box is not None:
         b = held.box
         held.u = u[b].copy()
-        u[b] = np.where(grid.fluid[b] | grid.farfield[b],
-                        scenario.u_init[b], 0.0)
+        u[b] = u_start[b]
     if level.box is not None:
         u[level.box] = level.u
         level.u = None
@@ -234,7 +228,7 @@ def _not_monotone(drop):
     return SolverError(f"u not monotone between snapshots (drop {drop:.2e})")
 
 
-def _march(scenario, m_list, snapshot_times, dt, st, check=None):
+def _march(scenario, m_list, snapshot_times, dt, st):
     """Advance the levels ``m_list`` through the same steps, in m order.
 
     Each step time is reached by every level in turn.  Level k starts its
@@ -253,14 +247,17 @@ def _march(scenario, m_list, snapshot_times, dt, st, check=None):
     keeps first times, W^n, a step log and snapshot copies.  Cellwise
     time-monotonicity of u is asserted at every step and between
     snapshots: the last level compares its consecutive snapshots, a lower
-    level the sum of its steps' largest drops.  ``check(k, below, theta)``
-    sees the temperatures of levels k - 1 and k >= 1 as soon as level k has
-    stepped onto a snapshot time; a snapshot reached without a step shows it
-    the last pair again.  Returns the last level's :class:`RunResult`.
+    level the sum of its steps' largest drops.  As soon as level k >= 1 has
+    stepped onto a snapshot time its temperature is checked to be
+    nondecreasing in m against level k - 1, up to ``MONOTONE_SWEEP_TOL``;
+    the last pair's largest gap is the snapshot's ``tail_gap``, and a
+    snapshot reached without a step repeats the last one (0.0 before any).
+    Returns the last level's :class:`RunResult`.
     """
     grid = scenario.grid
-    u = np.where(grid.fluid | grid.farfield, scenario.u_init, 0.0)
-    levels = [_Level(float(m)) for m in m_list]
+    u_start = np.where(grid.fluid | grid.farfield, scenario.u_init, 0.0)
+    u = u_start.copy()
+    levels = [_Level(m) for m in m_list]
     for k in range(2, len(levels)):
         m_a, m_b, m_c = (lv.m for lv in levels[k - 2:k + 1])
         levels[k].c = (m_c - m_b) / (m_b - m_a) * m_a / m_c
@@ -271,11 +268,11 @@ def _march(scenario, m_list, snapshot_times, dt, st, check=None):
     first_theta = np.full(grid.shape, np.inf)
     w_accum = np.zeros(grid.shape)
     times, u_fields, theta_fields, w_integrals, step_log = [], [], [], [], []
+    tail_gap, gap = [], 0.0
     cumulative = 0.0
 
     t, steps = 0.0, 0
     for target in snapshot_times:
-        stepped = False
         # a step within 1e-13 of the target is stretched to land on it; a
         # target within 1e-13 of the time reached is recorded at that time,
         # so every snapshot time is the sum of the steps taken to reach it
@@ -286,7 +283,7 @@ def _march(scenario, m_list, snapshot_times, dt, st, check=None):
             steps += 1
             for k, level in enumerate(levels):
                 if level is not held:
-                    _swap(u, held, level, scenario)
+                    _swap(u, held, level, u_start)
                     held = level
                 theta = thetas[k % 3]
                 if wet[k % 3] is not None:
@@ -320,49 +317,72 @@ def _march(scenario, m_list, snapshot_times, dt, st, check=None):
                           & ~np.isfinite(first)] = 0.5 * (t + t_end)
                 else:
                     level.drop += record.drop
-                if snap and k and check is not None:
-                    check(k, thetas[(k - 1) % 3], theta)
+                if snap and k:
+                    below = thetas[(k - 1) % 3]
+                    worst = float((below - theta).max())
+                    if worst > MONOTONE_SWEEP_TOL:
+                        raise SolverError(
+                            f"temperature not monotone in m between "
+                            f"m={levels[k - 1].m:g} and m={level.m:g} "
+                            f"(violation {worst:.3e}); this indicates a "
+                            "discretization fault")
+                    if level is top:
+                        gap = float(np.abs(below - theta).max())
             t = t_end
-            stepped = True
-        if not stepped and len(levels) > 1 and check is not None:
-            k = len(levels) - 1
-            check(k, thetas[(k - 1) % 3], thetas[k % 3])
         for level in levels[:-1]:
             if level.drop > MONOTONE_STEP_TOL:
                 raise _not_monotone(level.drop).at(f"m={level.m:g}")
             level.drop = 0.0
         # on FLUID the initial enthalpy is u_init
-        gap = float(((u_fields[-1] if u_fields else scenario.u_init)
-                     - u)[grid.fluid].max())
-        if gap > MONOTONE_STEP_TOL:
-            raise _not_monotone(gap).at(f"m={top.m:g}")
+        drop = float(((u_fields[-1] if u_fields else scenario.u_init)
+                      - u)[grid.fluid].max())
+        if drop > MONOTONE_STEP_TOL:
+            raise _not_monotone(drop).at(f"m={top.m:g}")
         times.append(t)
         u_fields.append(u.copy())
         theta_fields.append(thetas[(len(levels) - 1) % 3].copy())
         w_integrals.append(w_accum.copy())
+        tail_gap.append(gap)
 
     gain = float((u - scenario.u_init)[grid.fluid].sum()) * grid.cell_volume
-    return RunResult(m=top.m, dt=dt, times=times, u_fields=u_fields,
+    return RunResult(m_list=m_list, dt=dt, times=times, u_fields=u_fields,
                      theta_fields=theta_fields, w_integrals=w_integrals,
-                     first_theta_time=first_theta,
+                     first_theta_time=first_theta, tail_gap=tail_gap,
                      mass_error=abs(gain - cumulative), step_log=step_log)
 
 
 def run(scenario, m, snapshot_times, dt=None, stencil=None):
     """March the m-problem through ``snapshot_times`` and collect fields.
 
-    ``m`` must be positive and finite, and snapshot times sorted within
+    ``m`` is one diffusivity or a strictly increasing sequence of them, each
+    positive and finite; the levels march together (:func:`_march`) and the
+    result is the last level's.  Snapshot times must be sorted within
     [0, t_max]; the step length shrinks to land on each exactly, and a
     snapshot time within 1e-13 of the time already reached is recorded at
-    that time.  Each step starts from m * (u - 1)_+.  Cellwise
-    time-monotonicity is asserted every step, and the run aborts if
-    temperature ever reaches the farfield clearance.  Returns a
-    :class:`RunResult`.
+    that time.  The levels, the times and dt (the default if None) are
+    validated before any step; a bad one raises ConfigError.  Cellwise
+    time-monotonicity, and monotonicity in m across levels, are asserted
+    as the levels march, and the run aborts if temperature ever reaches the
+    farfield clearance.  Returns a :class:`RunResult`.
     """
-    m = _diffusivity(m)
-    snapshot_times, dt = _check_times(scenario, snapshot_times, dt)
+    m_list = tuple(map(_diffusivity, np.atleast_1d(m)))
+    if not m_list or any(b <= a for a, b in zip(m_list, m_list[1:])):
+        raise ConfigError("diffusivities must be a non-empty, strictly "
+                          "increasing sequence")
+    snapshot_times = [float(t) for t in snapshot_times]
+    if not all(0.0 <= t <= scenario.t_max + 1e-12 for t in snapshot_times):
+        raise ConfigError("snapshot times must lie within [0, t_max]")
+    if any(b < a for a, b in zip(snapshot_times, snapshot_times[1:])):
+        raise ConfigError("snapshot times must be sorted")
+    dt = float(dt) if dt is not None else default_dt(scenario)
+    if not 0 < dt < np.inf:
+        raise ConfigError("dt must be positive and finite")
+    steps = max(snapshot_times, default=0.0) / dt
+    if not steps <= MAX_STEPS:
+        raise ConfigError(f"dt={dt:g} takes {steps:.3g} steps, more than "
+                          f"the bound of {MAX_STEPS:,}")
     st = stencil if stencil is not None else build_stencil(scenario)
-    return _march(scenario, [m], snapshot_times, dt, st)
+    return _march(scenario, m_list, snapshot_times, dt, st)
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,7 @@ def _box_neighbor_sum(values, box):
 
 #: the complementarity tolerance of every solve: the limit is unique, so both
 #: routes meet one residual.  ``stefan.MONOTONE_STEP_TOL`` and
-#: ``mesa.MONOTONE_SWEEP_TOL`` are calibrated to it
+#: ``stefan.MONOTONE_SWEEP_TOL`` are calibrated to it
 SOLVE_TOL = 1e-10
 
 

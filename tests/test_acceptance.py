@@ -65,7 +65,7 @@ class TestCriterion3MonotoneStructure:
         checks = []
 
         # time-monotonicity of the enthalpy at the last level
-        for a, b in zip(limit.u_raw, limit.u_raw[1:]):
+        for a, b in zip(limit.u_fields, limit.u_fields[1:]):
             checks.append(float((a - b)[fl].max()) <= 1e-8)
         # m-monotonicity of the temperature, every adjacent pair, every time
         for m_lo, m_hi in zip(limit.m_list, limit.m_list[1:]):
@@ -160,7 +160,7 @@ class TestCriterion6EssentialRange:
         limit = radial64_sweep["limit"]
         idx = limit.times.index(0.25)
         rep64 = stefan.essential_range_check(
-            limit.u_raw[idx], radial64.u_init, 1024, tol=tol,
+            limit.u_fields[idx], radial64.u_init, 1024, tol=tol,
             max_datum=radial64.max_datum, grid=radial64.grid)
         fracs[64] = rep64["fraction"]
         ratio = fracs[64] / fracs[32]

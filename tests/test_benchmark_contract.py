@@ -6,10 +6,11 @@ their arguments and results: ``projected_sor``'s ``tol``, ``box`` and
 ``stefan.run``'s ``steps`` and ``mass_error``, and ``solve_slice``'s
 ``warm``, ``sweeps`` and ``residual``.  A change that breaks one of them
 fails only inside the benchmark, so this runs the tracer in a subprocess on
-an h = 1/8 scenario.  Its regrowth count, kernel calls beyond the first per
-step, must equal the regrowths of the package's own step log.  The command
-lines ``perfbench/run.py`` passes to the CLI are checked against the CLI's
-parser too.
+an h = 1/8 scenario, once on single runs and slices and once on a sweep,
+which must reach the traced ``stefan.run``.  The regrowth count, kernel
+calls beyond the first per step, must equal the regrowths of the package's
+own step log.  The command lines ``perfbench/run.py`` passes to the CLI are
+checked against the CLI's parser too.
 """
 
 import importlib.util
@@ -50,12 +51,30 @@ print(json.dumps({
 """
 
 
-def _traced_run():
+SWEEP_SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from tracer import Tracer, install, summarise
+
+tracer = Tracer("contract-sweep")
+root = tracer.open("process", "process")
+install(tracer)
+from mesahs import mesa, scenarios
+
+sc = scenarios.radial_scenario(h=1 / 8, t_max=0.2, m_list=(8, 16, 32))
+lim = mesa.sweep(sc, [0.1, 0.2])
+tracer.close(root)
+print(json.dumps({"metrics": summarise([tracer.spans]),
+                  "mass_error": lim.mass_error}))
+"""
+
+
+def _traced_run(script=SCRIPT):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(ROOT / "perfbench")], cwd=ROOT,
+        [sys.executable, "-c", script, str(ROOT / "perfbench")], cwd=ROOT,
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -89,6 +108,14 @@ def test_tracer_binds_and_counts_the_step_log():
     assert attrs["run"] == [{"steps": len(run_log), "mass_error": error}
                             for run_log, error in zip(logs,
                                                       out["mass_errors"])]
+
+
+def test_sweep_is_traced_as_a_run():
+    # the sweep marches through stefan.run, so the benchmark times it and
+    # reads the last level's conservation error
+    out = _traced_run(SWEEP_SCRIPT)
+    assert out["metrics"]["stefan.run_s"] > 0
+    assert out["metrics"]["stefan.mass_error_max"] == out["mass_error"]
 
 
 def test_benchmark_command_lines_parse(monkeypatch):

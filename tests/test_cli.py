@@ -158,6 +158,8 @@ class TestMesaCommand:
         # the sweep runs in one process: no --jobs, no manifest key
         assert "jobs" not in manifest
         assert len(manifest["tail_gap"]) == 2
+        # the last level's conservation error, at rounding level
+        assert 0.0 <= manifest["mass_error"] <= 1e-12
         v, meta = snapshots.load_raster(out / "mesa_V_0001.json")
         assert meta["m"] == 32
         assert v.max() > 0
@@ -198,6 +200,7 @@ class TestCompareCommand:
         assert (out / "compare.csv").exists()
         worst = max(r["supgap_rel"] for r in manifest["cross_validation"])
         assert worst <= 0.08
+        assert 0.0 <= manifest["mass_error"] <= 1e-12
 
     def test_contact_tolerance_follows_dt(self, tmp_path):
         scenario = mini_annulus_spec(tmp_path)

@@ -58,13 +58,30 @@ class TestSweep:
     def test_pressure_monotone_in_time(self, coarse_sweep):
         sc, lim = coarse_sweep
         fl = sc.grid.fluid
-        for a, b in zip(lim.pressure, lim.pressure[1:]):
+        for a, b in zip(lim.theta_fields, lim.theta_fields[1:]):
             assert np.all(b[fl] >= a[fl] - 1e-8)
 
     def test_tail_gap_recorded(self, coarse_sweep):
         _, lim = coarse_sweep
         assert len(lim.tail_gap) == len(lim.times)
         assert all(np.isfinite(g) and g >= 0 for g in lim.tail_gap)
+
+    def test_sweep_is_the_run_of_its_levels(self, coarse_sweep):
+        # the limit is stefan.run over the scenario's levels, bit for bit,
+        # and keeps that run's record: its step log and its mass error,
+        # which stays at rounding level
+        sc, lim = coarse_sweep
+        run = stefan.run(sc, sc.m_list, lim.times)
+        assert lim.m_list == run.m_list == sc.m_list
+        for name in ("dt", "times", "tail_gap", "step_log", "mass_error"):
+            assert getattr(lim, name) == getattr(run, name)
+        for name in ("u_fields", "theta_fields", "w_integrals"):
+            for a, b in zip(getattr(lim, name), getattr(run, name)):
+                assert np.array_equal(a, b)
+        assert np.array_equal(lim.first_theta_time, run.first_theta_time)
+        influx = lim.step_log[-1][3]
+        assert influx > 1.0
+        assert lim.mass_error <= 1e-13 * influx
 
     def test_snapshot_without_a_step_repeats_the_gap(self):
         # a snapshot within 1e-13 of the time reached takes no step: the
@@ -94,7 +111,7 @@ class TestSweep:
         sc = dataclasses.replace(sc, p_samples=np.zeros_like(sc.p_samples))
         lim = mesa.sweep(sc, snapshot_times=[0.1, 0.2])
         fl = sc.grid.fluid
-        for v in lim.pressure:
+        for v in lim.theta_fields:
             assert np.all(v[fl] == 0.0)
         for q in lim.q_masks:
             assert not q.any()
@@ -188,13 +205,13 @@ class TestSweep:
         alone = stefan.run(radial_coarse, radial_coarse.m_list[-1], times,
                            stencil=radial_coarse_stencil)
         assert lim.times == alone.times
-        for a, b in zip(lim.w_integrals + lim.pressure,
+        for a, b in zip(lim.w_integrals + lim.theta_fields,
                         alone.w_integrals + alone.theta_fields):
             assert np.abs(a - b).max() <= MONOTONE_SWEEP_TOL
 
     def test_keeps_only_the_last_level(self):
         # the limit holds the last level alone: u, theta and W and a
-        # boolean q mask per snapshot, and t_limit; no array of an earlier
+        # boolean q mask per snapshot, and first times; no array of an earlier
         # level is kept, and only the last level copies u and W at all
         sc = scenarios.radial_scenario(h=1 / 16, t_max=0.3)
         times = [0.1, 0.2, 0.3]
@@ -208,7 +225,7 @@ class TestSweep:
         grid_array = np.zeros(sc.grid.shape).nbytes
         assert held <= (4 * len(times) + 4) * grid_array
         assert peak <= 27 * grid_array
-        assert len(lim.pressure) == len(times)
+        assert len(lim.theta_fields) == len(times)
 
 
 class TestRouteGap:
@@ -270,7 +287,7 @@ class TestTimeFunctions:
         sc = mini_annulus_scenario(h=1 / 16, m_list=(16, 64, 256))
         lim = mesa.sweep(sc, snapshot_times=[0.3])
         patch = sc.grid.fluid & (sc.u_init >= 1.0)
-        assert np.all(lim.t_limit[patch] > 0.0)
+        assert np.all(lim.first_theta_time[patch] > 0.0)
 
     def test_contact_reading_ignores_solver_dust(self, mini_annulus):
         # coarse corrections may leave sub-tolerance temperature on the
@@ -287,7 +304,7 @@ class TestTimeFunctions:
                     mp.setattr(mesahs.stencil, "_engages",
                                lambda history, cost: True)
                 lim = mesa.sweep(sc, snapshot_times=[0.1, 0.2, 0.3])
-            firsts.append(float(lim.t_limit[patch].min()))
+            firsts.append(float(lim.first_theta_time[patch].min()))
         t_contact = baiocchi.contact_time(sc, patch, t_lo=0.0, t_hi=sc.t_max,
                                           tol_t=lim.dt)
         assert firsts[0] == firsts[1]
@@ -317,7 +334,7 @@ class TestRepresentation:
         # restrict to the uniform-data region: beyond the compact patch the
         # initial data is 0 by construction
         half_region = sc.grid.fluid & (sc.u_init == 0.5)
-        u = lim.u_raw[0][half_region]
+        u = lim.u_fields[0][half_region]
         near_half = np.abs(u - 0.5) <= 0.1
         near_one = np.abs(u - 1.0) <= 0.1
         # intermediate values live on the O(h)-wide transition ring, whose
@@ -341,16 +358,18 @@ class TestHarmonicity:
 
     def test_residual_small_inside(self, coarse_sweep):
         sc, lim = coarse_sweep
-        rep = mesa.harmonicity_check(lim.pressure[-1],
+        rep = mesa.harmonicity_check(lim.theta_fields[-1],
                                      lim.active_mask_at(0.3), sc.grid)
         assert not rep["empty"]
         assert rep["max_residual"] <= 2.0 * (1.0 / 256 + sc.grid.h)
 
     def test_slot_margin_insensitive(self, coarse_sweep):
         sc, lim = coarse_sweep
-        r2 = mesa.harmonicity_check(lim.pressure[-1], lim.active_mask_at(0.3),
+        r2 = mesa.harmonicity_check(lim.theta_fields[-1],
+                                    lim.active_mask_at(0.3),
                                     sc.grid, slot_margin=2)
-        r3 = mesa.harmonicity_check(lim.pressure[-1], lim.active_mask_at(0.3),
+        r3 = mesa.harmonicity_check(lim.theta_fields[-1],
+                                    lim.active_mask_at(0.3),
                                     sc.grid, slot_margin=3)
         assert r3["max_residual"] <= r2["max_residual"] + 1e-12
 
@@ -360,7 +379,7 @@ class TestHarmonicity:
             sc = scenarios.radial_scenario(h=h, t_max=0.2,
                                            m_list=(m_top // 4, m_top // 2, m_top))
             lim = mesa.sweep(sc, snapshot_times=[0.2])
-            rep = mesa.harmonicity_check(lim.pressure[-1],
+            rep = mesa.harmonicity_check(lim.theta_fields[-1],
                                          lim.active_mask_at(0.2), sc.grid)
             res[h] = rep["max_residual"]
         assert res[1 / 24] <= res[1 / 12] * 1.1

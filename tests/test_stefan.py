@@ -206,6 +206,27 @@ class TestRun:
         with pytest.raises(ConfigError):
             stefan.run(sc, 32, snapshot_times=[0.2, 0.1], stencil=st)
 
+    def test_one_level_is_a_list_of_one(self, small):
+        # one diffusivity is a march of one level: no pair, so no tail gap
+        sc, st = small
+        res = stefan.run(sc, 32, snapshot_times=[0.0, 0.05], stencil=st)
+        assert res.m_list == (32.0,) and res.m == 32.0
+        assert res.tail_gap == [0.0, 0.0]
+
+    @pytest.mark.parametrize("m_list", [[], [16, 16], [32, 16],
+                                        [16, np.inf]],
+                             ids=["empty", "repeated", "decreasing",
+                                  "infinite"])
+    def test_bad_level_list_takes_no_step(self, small, monkeypatch, m_list):
+        sc, st = small
+
+        def step(*args):
+            raise AssertionError("a level stepped before validation")
+
+        monkeypatch.setattr(stefan, "_advance", step)
+        with pytest.raises(ConfigError):
+            stefan.run(sc, m_list, snapshot_times=[0.05], stencil=st)
+
     def test_nonconvergence_raises_with_history(self, small, monkeypatch):
         sc, st = small
         monkeypatch.setattr(mesahs.stencil, "_sweep_budget", lambda grid: 2)
