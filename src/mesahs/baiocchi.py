@@ -70,8 +70,9 @@ def solve_slice(scenario, t, warm=None, stencil=None):
     residual included, and :class:`EnvelopeError`, naming t, if the
     converged W is positive on a farfield clearance cell.
 
-    The solve starts from zero, or from ``warm``'s W, and sweeps the window
-    of :meth:`FaceStencil.solve`: the slot, the support of that start and
+    The slice is :meth:`FaceStencil.solve` with u = u_init and (shift,
+    coupling, load) = (0, 1, t), from zero or from ``warm``'s W (read on the
+    interior).  Its window holds the slot, the support of that start and
     the FLUID cells whose load is within one cell width of zero (a patch
     near saturation that the flow is about to reach), padded by
     ``SLICE_WINDOW_PAD`` cells and grown by twice that until the
@@ -93,8 +94,9 @@ def solve_slice(scenario, t, warm=None, stencil=None):
     if warm is not None:
         np.copyto(w, warm.w, where=grid.fluid)
     try:
-        record = st.solve(w, st.diag, _slice_rhs(scenario, st, t),
-                          coupling=1.0, pad=SLICE_WINDOW_PAD)
+        record = st.solve(w, scenario.u_init, 0.0, 1.0, t,
+                          pad=SLICE_WINDOW_PAD,
+                          support=None if warm is None else st.interior)
     except (SolverError, EnvelopeError) as exc:
         raise exc.at(f"obstacle slice at t={t:g}") from exc
     return BaiocchiPotential(t=float(t), w=w,
@@ -103,19 +105,15 @@ def solve_slice(scenario, t, warm=None, stencil=None):
                              corrections=record.corrections)
 
 
-def _slice_rhs(scenario, st, t):
-    """Load of the slice at time t: the slot data p*t less (1 - u_init)."""
-    return st.slot_load * t - (1.0 - scenario.u_init)
-
-
 def complementarity_report(scenario, slice_, stencil=None):
     """Cellwise residuals of the converged slice (for invariant tests)."""
     st = stencil if stencil is not None else build_stencil(scenario)
     grid = scenario.grid
     box = st.interior
-    pde, max_comp = _box_residual(slice_.w, st.diag,
-                                  _slice_rhs(scenario, st, slice_.t), box,
-                                  grid.fluid, coupling=1.0, h=grid.h)
+    # the slice's problem, posed on the whole grid (the index ...)
+    diag, rhs = st.pose(scenario.u_init, 0.0, 1.0, slice_.t, ...)
+    pde, max_comp = _box_residual(slice_.w, diag, rhs, box, grid.fluid,
+                                  coupling=1.0, h=grid.h)
     return {
         "min_w": float(slice_.w[grid.fluid].min()),
         "max_comp": max_comp,

@@ -19,7 +19,6 @@ import numpy as np
 from . import stefan
 from .errors import ConfigError, SolverError
 from .fbdiag import _time_index, active_mask_from
-from .stefan import MONOTONE_SWEEP_TOL  # noqa: F401  (re-exported)
 from .stencil import _box_neighbor_sum
 
 

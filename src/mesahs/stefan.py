@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigError, EnvelopeError, SolverError
 from .fbdiag import active_cut
-from .stencil import SolveRecord, build_stencil
+from .stencil import SolveRecord, _union, build_stencil
 
 #: per-step slack allowed on cellwise time-monotonicity of u
 MONOTONE_STEP_TOL = 1e-8
@@ -125,15 +125,15 @@ class StepRecord(SolveRecord):
     drop: float = 0.0
 
 
-def _advance(st, u, theta, m, dt):
+def _advance(st, u, theta, m, dt, support):
     """One conservative implicit step of length ``dt`` from (u, theta).
 
-    The step solves (1/m + dt * A) theta = (u - 1) + dt * slot load,
-    theta >= 0, starting from ``theta``: the solution is unique, so that
-    start affects only the sweep count.  The first window holds the FLUID
-    cells whose load is within one cell width of zero.  ``theta`` and ``u``
-    are updated in place.  Returns the step's slot influx, the solver's
-    final residual and sweep count, and its whole :class:`StepRecord`.  The
+    The step is :meth:`FaceStencil.solve` with (shift, coupling, load) =
+    (1/m, dt, dt) and ``support`` as that solve takes it, from ``theta``:
+    the solution is unique, so that start affects only the sweep count.
+    ``theta`` and ``u`` are updated in place; no array is larger than the
+    solve's frame.  Returns the step's slot influx, the solver's final
+    residual and sweep count, and its whole :class:`StepRecord`.  The
     temperature is zero outside the record's box, and ``u`` changes only
     inside it.
     """
@@ -142,9 +142,7 @@ def _advance(st, u, theta, m, dt):
     # below credits the ring with the flux out of the window, and beyond
     # the ring no flux moves.  Pad 2: the default step moves the front about
     # one cell, and a leaking window regrows by 2 * pad = 4 cells
-    record = st.solve(
-        theta, 1.0 / m + dt * st.diag, (u - 1.0) + dt * st.slot_load,
-        coupling=dt, pad=2)
+    record = st.solve(theta, u, 1.0 / m, dt, dt, pad=2, support=support)
 
     box = record.box
     fluid = grid.fluid[box]
@@ -184,14 +182,6 @@ class _Level:
     box: tuple = None
     u: np.ndarray = None
     drop: float = 0.0
-
-
-def _union(a, b):
-    """Bounding box of two boxes, either of which may be None."""
-    if a is None or b is None:
-        return b if a is None else a
-    return tuple(slice(min(x.start, y.start), max(x.stop, y.stop))
-                 for x, y in zip(a, b))
 
 
 def _swap(u, held, level, u_start):
@@ -264,6 +254,7 @@ def _march(scenario, m_list, snapshot_times, dt, st):
     thetas = [np.zeros(grid.shape) for _ in levels[:3]]
     wet = [None] * len(thetas)      # the box outside which a buffer is zero
     held, top = levels[0], levels[-1]   # held: whose enthalpy u holds
+    nowhere = (slice(0, 0),) * grid.n   # the box of a level yet to step
 
     first_theta = np.full(grid.shape, np.inf)
     w_accum = np.zeros(grid.shape)
@@ -296,7 +287,7 @@ def _march(scenario, m_list, snapshot_times, dt, st):
                     _start(theta[span], level, u[span], *below)
                 try:
                     influx, residual, sweeps, record = _advance(
-                        st, u, theta, level.m, dt_step)
+                        st, u, theta, level.m, dt_step, span)
                 except (SolverError, EnvelopeError) as exc:
                     raise exc.at(f"m={level.m:g}, step {steps} to "
                                  f"t={t_end:g}") from exc
@@ -318,8 +309,10 @@ def _march(scenario, m_list, snapshot_times, dt, st):
                 else:
                     level.drop += record.drop
                 if snap and k:
-                    below = thetas[(k - 1) % 3]
-                    worst = float((below - theta).max())
+                    # both temperatures are zero off their boxes
+                    pair = _union(box, wet[(k - 1) % 3])
+                    diff = thetas[(k - 1) % 3][pair] - theta[pair]
+                    worst = float(diff.max())
                     if worst > MONOTONE_SWEEP_TOL:
                         raise SolverError(
                             f"temperature not monotone in m between "
@@ -327,15 +320,17 @@ def _march(scenario, m_list, snapshot_times, dt, st):
                             f"(violation {worst:.3e}); this indicates a "
                             "discretization fault")
                     if level is top:
-                        gap = float(np.abs(below - theta).max())
+                        gap = float(np.abs(diff).max())
+                    del diff    # not held through the next levels' steps
             t = t_end
         for level in levels[:-1]:
             if level.drop > MONOTONE_STEP_TOL:
                 raise _not_monotone(level.drop).at(f"m={level.m:g}")
             level.drop = 0.0
-        # on FLUID the initial enthalpy is u_init
-        drop = float(((u_fields[-1] if u_fields else scenario.u_init)
-                      - u)[grid.fluid].max())
+        # u is u_start off the last level's box, where it drops by 0
+        b = top.box or nowhere
+        drop = float(np.max((u_fields[-1] if u_fields else u_start)[b] - u[b],
+                            where=grid.fluid[b], initial=0.0))
         if drop > MONOTONE_STEP_TOL:
             raise _not_monotone(drop).at(f"m={top.m:g}")
         times.append(t)
@@ -344,7 +339,9 @@ def _march(scenario, m_list, snapshot_times, dt, st):
         w_integrals.append(w_accum.copy())
         tail_gap.append(gap)
 
-    gain = float((u - scenario.u_init)[grid.fluid].sum()) * grid.cell_volume
+    b = top.box or nowhere
+    gain = float(np.sum(u[b] - u_start[b], where=grid.fluid[b]))
+    gain *= grid.cell_volume
     return RunResult(m_list=m_list, dt=dt, times=times, u_fields=u_fields,
                      theta_fields=theta_fields, w_integrals=w_integrals,
                      first_theta_time=first_theta, tail_gap=tail_gap,

@@ -73,6 +73,20 @@ def _sweep_budget(grid):
     return max(2000, int(50 * np.sqrt(np.count_nonzero(grid.fluid))))
 
 
+def _union(a, b):
+    """Bounding box of two boxes, either of which may be None."""
+    if a is None or b is None:
+        return b if a is None else a
+    return tuple(slice(min(x.start, y.start), max(x.stop, y.stop))
+                 for x, y in zip(a, b))
+
+
+def _within(box, frame):
+    """``box`` in the coordinates of ``frame``, a box that holds it."""
+    return tuple(slice(s.start - f.start, s.stop - f.start)
+                 for s, f in zip(box, frame))
+
+
 @dataclass(frozen=True)
 class SolveRecord:
     """What one :meth:`FaceStencil.solve` did.
@@ -99,10 +113,18 @@ class FaceStencil:
     diag: np.ndarray        # sum over faces of 1/(h*d_f)
     slot_coef: np.ndarray   # sum over slot faces of 1/(h*d_f)
     slot_load: np.ndarray   # sum over slot faces of p_f/(h*d_f)
+    budget: int = 0         # sweeps per solve, :func:`_sweep_budget`
+    near_box: tuple = None  # slot and FLUID with u_init - 1 >= near_load
 
     @property
     def h(self):
         return self.grid.h
+
+    @property
+    def near_load(self):
+        """The rhs from which a FLUID cell can turn active within a solve:
+        one cell width below zero, the width clamped to [1e-3, 0.5]."""
+        return -min(0.5, max(self.h, 1e-3))
 
     @property
     def interior(self):
@@ -138,15 +160,19 @@ class FaceStencil:
                    - self.slot_coef[box] * values[box])
         return float(contrib[g.fluid[box]].sum()) * g.cell_volume
 
-    def window_box(self, source_mask, pad):
-        """Bounding box of a mask grown by ``pad`` cells; None if empty."""
+    def window_box(self, source_mask, pad, origin=None):
+        """Bounding box of a mask grown by ``pad`` cells; None if empty.
+
+        ``origin`` is the box the mask was cut from, by default the grid.
+        """
         if not source_mask.any():
             return None
         box = []
         for axis in range(self.grid.n):
             other = tuple(a for a in range(self.grid.n) if a != axis)
             idx = np.nonzero(source_mask.any(axis=other))[0]
-            box.append(slice(idx[0], idx[-1] + 1))
+            at = origin[axis].start if origin else 0
+            box.append(slice(at + idx[0], at + idx[-1] + 1))
         return self.grow_box(tuple(box), pad)
 
     def grow_box(self, box, cells):
@@ -154,52 +180,82 @@ class FaceStencil:
                            min(size - 1, s.stop + cells))
                      for s, size in zip(box, self.grid.shape))
 
-    def solve(self, values, diag, rhs, coupling, pad):
-        """Projected SOR on a window grown by 2*pad cells until its ring holds.
+    def pose(self, u, shift, coupling, load, box):
+        """The problem of :meth:`solve` on a box: its diagonal shift +
+        coupling*diag and its right-hand side (u - 1) + load*slot_load."""
+        diag = self.diag[box]
+        if (shift, coupling) != (0.0, 1.0):
+            # a slice solves on diag itself: a copy would only add memory
+            diag = shift + coupling * diag
+        return diag, (u[box] - 1.0) + load * self.slot_load[box]
 
-        Solves diag*v - coupling*sum(nb)/h^2 = rhs, v >= 0 in place, from
-        ``values`` >= 0 and zero off FLUID.  The first box holds the slot,
-        the positive ``values`` and the FLUID cells that can turn active
-        first, those whose load is within one cell width (clamped to [1e-3,
-        0.5]) of zero, grown by ``pad`` cells, so every box meets the zero
-        rule of :func:`projected_sor`.  ``pad`` is the caller's estimate of
-        the front's travel in cells.  A converged box ends the solve when
-        the complementarity residual on it and its one-cell ring is within
-        ``SOLVE_TOL``: beyond the ring a FLUID cell has negative load and
-        zero neighbours, so residual 0, and the solution is unique.
-        Otherwise the box grows by ``2 * pad`` cells per side, clipped at
-        the interior, and the kernel sweeps on.  One sweep budget covers
-        every kernel call.  Returns a :class:`SolveRecord`.  Raises
-        :class:`ValueError` if ``pad`` < 1, :class:`SolverError`, with the
-        residual history of every call, unless residual <= ``SOLVE_TOL``
-        (never true of a NaN), and :class:`EnvelopeError` if the converged
-        field is positive on a farfield clearance cell (``Grid.near_band``):
-        the truncated domain no longer holds the solution.
+    def first_window(self, values, u, load, pad, support):
+        """The first box of :meth:`solve`: the slot, the positive ``values``
+        and the FLUID cells whose rhs is at least ``near_load``, grown by
+        ``pad``.  The rule is read on the box of ``support`` and the slot's
+        box; beyond it the rhs is u_init - 1, and ``near_box`` stands in
+        (its cells meet the rule wherever u >= u_init)."""
+        region = _union(support, self._slot_box)
+        rhs = (u[region] - 1.0) + load * self.slot_load[region]
+        near = self.grid.fluid[region] & (rhs >= self.near_load)
+        near |= values[region] > 0
+        return _union(self.window_box(near, pad, region),
+                      self.grow_box(self.near_box, pad))
+
+    def _frame(self, box):
+        """``box`` grown by 2 cells, room for its ring and the ring's halo,
+        from even coordinates: :func:`projected_sor` picks the colour it
+        sweeps first by coordinate parity in the array it is given."""
+        return tuple(slice(max(0, s.start - 2) & -2, min(n, s.stop + 2))
+                     for s, n in zip(box, self.grid.shape))
+
+    def solve(self, values, u, shift, coupling, load, pad, support):
+        """Projected SOR for (shift + coupling*A) v = (u - 1) + load*L, v >= 0.
+
+        A is the face Laplacian and L the slot load: a step of the m-problem
+        is (shift, coupling, load) = (1/m, dt, dt), an obstacle slice (0, 1,
+        t) with u = u_init.  Solves in place from ``values`` >= 0, zero off
+        FLUID; off the box ``support`` (None: the slot's box) values are zero
+        and u is u_init on FLUID.  The first box is :meth:`first_window`,
+        ``pad`` the caller's estimate of the front's travel in cells, and
+        each box is posed on its :meth:`_frame` alone.  A converged box ends
+        the solve when the complementarity residual on it and its one-cell
+        ring is within ``SOLVE_TOL``: beyond the ring a FLUID cell has
+        negative load and zero neighbours, so residual 0, and the solution
+        is unique.  Otherwise the box grows by ``2 * pad`` cells per side,
+        clipped at the interior.  One sweep ``budget`` covers every kernel
+        call.  Returns a :class:`SolveRecord`.  Raises :class:`ValueError`
+        if ``pad`` < 1, :class:`SolverError`, with the residual history of
+        every call, unless residual <= ``SOLVE_TOL`` (never true of a NaN),
+        and :class:`EnvelopeError` if the converged field is positive on a
+        farfield clearance cell (``Grid.near_band``).
         """
         if not pad >= 1:
             # a zero step would regrow the same box forever
             raise ValueError(f"window pad must be at least 1, got {pad}")
         g = self.grid
-        near = g.fluid & (rhs >= -min(0.5, max(g.h, 1e-3)))
-        box = self.window_box(g.slot | (values > 0) | near, pad)
-        budget = _sweep_budget(g)
+        box = self.first_window(values, u, load, pad, support)
         history, sweeps, regrowths, corrections = [], 0, 0, 0
         while True:
+            frame = self._frame(box)
+            diag, rhs = self.pose(u, shift, coupling, load, frame)
+            view, fluid = values[frame], g.fluid[frame]
             res, used, hist = projected_sor(
-                values, diag, rhs, box, g.fluid, coupling=coupling,
-                tol=SOLVE_TOL, max_sweeps=budget - sweeps, h=self.h)
+                view, diag, rhs, _within(box, frame), fluid,
+                coupling=coupling, tol=SOLVE_TOL,
+                max_sweeps=self.budget - sweeps, h=self.h)
             sweeps += used
             history += hist
             corrections += hist.corrections
             if not res <= SOLVE_TOL:
                 raise SolverError(
                     f"projected SOR did not reach tol={SOLVE_TOL:g} within "
-                    f"{budget} sweeps on box "
+                    f"{self.budget} sweeps on box "
                     f"{[(int(s.start), int(s.stop)) for s in box]} "
                     f"(last residual {res:.3e})", residual_history=history)
             ring = self.grow_box(box, 1)
-            _, res = _box_residual(values, diag, rhs, ring, g.fluid,
-                                   coupling, self.h)
+            _, res = _box_residual(view, diag, rhs, _within(ring, frame),
+                                   fluid, coupling, self.h)
             if res <= SOLVE_TOL:
                 break
             box = self.grow_box(box, 2 * pad)
@@ -246,8 +302,11 @@ def build_stencil(scenario):
             np.add.at(slot_load.ravel(), flat, p_face / (h * d))
 
     diag = interior_count / (h * h) + slot_coef
-    return FaceStencil(grid=grid, diag=diag, slot_coef=slot_coef,
-                       slot_load=slot_load)
+    st = FaceStencil(grid=grid, diag=diag, slot_coef=slot_coef,
+                     slot_load=slot_load, budget=_sweep_budget(grid))
+    near = fluid & (scenario.u_init - 1.0 >= st.near_load)
+    st.near_box = st.window_box(grid.slot | near, 0)
+    return st
 
 
 def _crossing_fraction(geom, outside_pts, inside_pts):

@@ -11,10 +11,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mesahs import baiocchi, mesa, scenarios, stefan
+from mesahs import baiocchi, mesa, scenarios, stefan, stencil
 from mesahs.fbdiag import active_cut
 from mesahs.geometry import SlotGeometry, Scenario, build_grid, radial_u_init
-from mesahs.stencil import build_stencil
+from mesahs.stencil import FaceStencil, build_stencil
 
 
 def mini_annulus_scenario(h=1 / 16, width=0.08, m_list=(16, 64, 256),
@@ -46,8 +46,8 @@ def recorded_sweep(scenario, snapshot_times, **kwargs):
     advance = stefan._advance
     times = [float(t) for t in snapshot_times]
 
-    def recorded(st, u, theta, m, dt):
-        out = advance(st, u, theta, m, dt)
+    def recorded(st, u, theta, m, dt, support):
+        out = advance(st, u, theta, m, dt, support)
         run = runs.setdefault(m, SimpleNamespace(
             t=0.0, theta_fields=[],
             first_theta_time=np.full(theta.shape, np.inf)))
@@ -64,6 +64,58 @@ def recorded_sweep(scenario, snapshot_times, **kwargs):
         mp.setattr(stefan, "_advance", recorded)
         limit = mesa.sweep(scenario, snapshot_times, **kwargs)
     return limit, runs
+
+
+def grid_box(view, box, grid_array=None):
+    """A kernel call's ``box`` on ``view``, a frame of ``grid_array`` (by
+    default the array ``view`` is a view of), in grid coordinates."""
+    grid_array = view.base if grid_array is None else grid_array
+    offset = (view.ctypes.data - grid_array.ctypes.data) // view.itemsize
+    origin = np.unravel_index(offset, grid_array.shape)
+    return tuple(slice(s.start + int(o), s.stop + int(o))
+                 for s, o in zip(box, origin))
+
+
+def record_solves(mp):
+    """The list of every ``FaceStencil.solve`` from now on, as it runs.
+
+    Each entry holds the problem as given, copied at call time (``values``,
+    ``u``, ``shift``, ``coupling``, ``load``, ``pad``, ``support``: a step
+    updates u in place after its solve), the solved field ``solved``, the
+    ``record`` and ``first``, the box of the solve's first kernel call in
+    grid coordinates.
+    """
+    solves = []
+    solve, kernel = FaceStencil.solve, stencil.projected_sor
+
+    def solving(self, values, u, shift, coupling, load, pad, support):
+        call = SimpleNamespace(values=values.copy(), u=np.array(u),
+                               shift=shift, coupling=coupling, load=load,
+                               pad=pad, support=support, target=values,
+                               first=None)
+        solves.append(call)
+        call.record = solve(self, values, u, shift, coupling, load, pad,
+                            support)
+        call.solved, call.target = values.copy(), None
+        return call.record
+
+    def sweeping(values, diag, rhs, box, *args, **kwargs):
+        call = solves[-1]
+        if call.first is None:
+            call.first = grid_box(values, box, call.target)
+        return kernel(values, diag, rhs, box, *args, **kwargs)
+
+    mp.setattr(FaceStencil, "solve", solving)
+    mp.setattr(stencil, "projected_sor", sweeping)
+    return solves
+
+
+def interior_solves(mp):
+    """Make the first window of every solve from now on the interior box:
+    the reference solve.  Returns :func:`record_solves`'s list, with which
+    the caller asserts that each solve's first kernel call ran there."""
+    mp.setattr(FaceStencil, "first_window", lambda self, *args: self.interior)
+    return record_solves(mp)
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mesahs import baiocchi, barriers, fbdiag, scenarios, stefan
-from mesahs.mesa import MONOTONE_SWEEP_TOL
+from mesahs.stefan import MONOTONE_SWEEP_TOL
 
 H64 = 1 / 64
 

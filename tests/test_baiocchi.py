@@ -14,10 +14,10 @@ from hypothesis import strategies as hst
 import mesahs.stencil
 from mesahs import baiocchi, scenarios
 from mesahs.errors import ConfigError, EnvelopeError, SolverError
-from mesahs.mesa import MONOTONE_SWEEP_TOL
-from mesahs.stencil import SOLVE_TOL, FaceStencil, build_stencil
+from mesahs.stefan import MONOTONE_SWEEP_TOL
+from mesahs.stencil import SOLVE_TOL, build_stencil
 
-from conftest import mini_annulus_scenario
+from conftest import interior_solves, mini_annulus_scenario
 
 #: the ten times of the radial warm chain, as in the compare workload
 CHAIN_TIMES = [round(0.05 * k, 10) for k in range(1, 11)]
@@ -37,13 +37,6 @@ def _record_kernel_calls(monkeypatch):
     return calls
 
 
-def _full_box(monkeypatch, st):
-    """Make every window the interior box: the reference solve."""
-    interior = st.interior
-    monkeypatch.setattr(FaceStencil, "window_box",
-                        lambda self, source_mask, pad: interior)
-
-
 def _box_cells(box):
     return math.prod(s.stop - s.start for s in box)
 
@@ -59,7 +52,7 @@ def _chain(sc, st, starts=None):
     slices, calls = [], []
     with pytest.MonkeyPatch.context() as mp:
         if starts is not None:
-            _full_box(mp, st)
+            solves = interior_solves(mp)
         recorded = _record_kernel_calls(mp)
         for k, t in enumerate(CHAIN_TIMES):
             warm = slices[-1] if slices else None
@@ -68,6 +61,8 @@ def _chain(sc, st, starts=None):
             slices.append(baiocchi.solve_slice(sc, t, warm=warm, stencil=st))
             calls.append(recorded[:])
             recorded.clear()
+    if starts is not None:
+        assert [call.first for call in solves] == [st.interior] * len(slices)
     return slices, calls
 
 
@@ -196,12 +191,11 @@ class TestSolveSlice:
         assert err.value.residual_history[-1][0] == 0
 
     def test_nonconvergence_names_the_time(self, radial_coarse,
-                                           radial_coarse_stencil, monkeypatch):
-        monkeypatch.setattr(mesahs.stencil, "_sweep_budget", lambda grid: 3)
+                                           radial_coarse_stencil):
+        st = dataclasses.replace(radial_coarse_stencil, budget=3)
         with pytest.raises(SolverError,
                            match=r"^obstacle slice at t=0\.2: ") as err:
-            baiocchi.solve_slice(radial_coarse, 0.2,
-                                 stencil=radial_coarse_stencil)
+            baiocchi.solve_slice(radial_coarse, 0.2, stencil=st)
         assert err.value.residual_history[-1][0] == 3
 
     def test_active_set_at_the_band_is_envelope_error(
@@ -334,8 +328,9 @@ class TestSliceWindow:
         assert len(calls) > 1
         rep = baiocchi.complementarity_report(sc, sl, stencil=st)
         assert rep["max_comp"] == sl.residual <= SOLVE_TOL
-        _full_box(monkeypatch, st)
+        solves = interior_solves(monkeypatch)
         ref = baiocchi.solve_slice(sc, 0.5, warm=seed, stencil=st)
+        assert [call.first for call in solves] == [st.interior]
         assert np.abs(sl.w - ref.w).max() <= MONOTONE_SWEEP_TOL
 
     def test_cold_slice_regrows_in_few_calls(self, radial64, monkeypatch):
@@ -348,8 +343,9 @@ class TestSliceWindow:
         assert 1 < len(calls) <= 4
         rep = baiocchi.complementarity_report(sc, sl, stencil=st)
         assert rep["max_comp"] == sl.residual <= SOLVE_TOL
-        _full_box(monkeypatch, st)
+        solves = interior_solves(monkeypatch)
         ref = baiocchi.solve_slice(sc, 0.5, stencil=st)
+        assert [call.first for call in solves] == [st.interior]
         assert np.abs(sl.w - ref.w).max() <= MONOTONE_SWEEP_TOL
 
     def test_patch_near_saturation_is_in_the_first_window(self, mini_annulus,
@@ -366,8 +362,9 @@ class TestSliceWindow:
         assert np.any(post.active_mask & patch)
         assert len(calls) == 1
         assert _box_cells(calls[0][1]) < _box_cells(st.interior)
-        _full_box(monkeypatch, st)
+        solves = interior_solves(monkeypatch)
         ref = baiocchi.solve_slice(sc, 0.12, warm=pre, stencil=st)
+        assert [call.first for call in solves] == [st.interior]
         assert np.array_equal(post.w, ref.w)
 
 

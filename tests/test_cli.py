@@ -170,7 +170,7 @@ class TestMesaCommand:
         scenario = write_scenario(tmp_path, h=1 / 10)
         calls = []
 
-        def level_step(st, u, theta, m, dt):
+        def level_step(st, u, theta, m, dt, support):
             calls.append(m)
             raise AssertionError("a level ran before validation")
 

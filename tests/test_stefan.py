@@ -1,6 +1,8 @@
 """Enthalpy solver: conservation, monotone structure, containment, limits."""
 
 import dataclasses
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,14 +11,12 @@ from hypothesis import strategies as hst
 from scipy import ndimage
 
 import mesahs.stefan as stefan
-import mesahs.stencil
 from mesahs import barriers, scenarios
 from mesahs.errors import ConfigError, EnvelopeError, SolverError
-from mesahs.mesa import MONOTONE_SWEEP_TOL
-from mesahs.stefan import temperature
-from mesahs.stencil import SOLVE_TOL, FaceStencil, build_stencil
+from mesahs.stefan import MONOTONE_SWEEP_TOL, temperature
+from mesahs.stencil import SOLVE_TOL, build_stencil
 
-from conftest import mini_annulus_scenario
+from conftest import interior_solves, mini_annulus_scenario
 
 
 class TestTemperature:
@@ -133,11 +133,34 @@ def test_step_solution_does_not_depend_on_its_start(radial_coarse,
     thetas = []
     for start in (mid.theta_fields[-1], np.zeros(sc.grid.shape)):
         theta = start.copy()
-        out = stefan._advance(st, mid.u_fields[-1].copy(), theta, m, mid.dt)
+        out = stefan._advance(st, mid.u_fields[-1].copy(), theta, m, mid.dt,
+                              st.interior)
         assert out[2] > 0
         thetas.append(theta)
     assert thetas[0].max() > 0.0
     assert np.abs(thetas[0] - thetas[1]).max() <= 2 * m * SOLVE_TOL
+
+
+def test_step_on_a_small_box_allocates_no_grid_array():
+    # the first step of a long-horizon run solves on about 6 % of a 204^2
+    # grid: the step poses its problem on the box's frame and touches
+    # nothing else, so its traced peak, about ten box arrays (0.58 grid
+    # arrays), stays below one grid array; a diagonal and a load posed on
+    # the whole grid would take two alone
+    sc = scenarios.radial_scenario(h=1 / 16, t_max=4.0)
+    st = build_stencil(sc)
+    grid = sc.grid
+    u = np.where(grid.fluid | grid.farfield, sc.u_init, 0.0)
+    theta = np.zeros(grid.shape)
+    tracemalloc.start()
+    try:
+        record = stefan._advance(st, u, theta, 256.0, grid.h, None)[3]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    grid_array = theta.nbytes
+    assert math.prod(s.stop - s.start for s in record.box) < 0.1 * theta.size
+    assert peak < grid_array, f"peak {peak / grid_array:.2f} grid arrays"
 
 
 class TestRun:
@@ -227,22 +250,21 @@ class TestRun:
         with pytest.raises(ConfigError):
             stefan.run(sc, m_list, snapshot_times=[0.05], stencil=st)
 
-    def test_nonconvergence_raises_with_history(self, small, monkeypatch):
+    def test_nonconvergence_raises_with_history(self, small):
         sc, st = small
-        monkeypatch.setattr(mesahs.stencil, "_sweep_budget", lambda grid: 2)
         with pytest.raises(SolverError) as err:
-            stefan.run(sc, 32, snapshot_times=[0.05], stencil=st)
+            stefan.run(sc, 32, snapshot_times=[0.05],
+                       stencil=dataclasses.replace(st, budget=2))
         assert err.value.residual_history
 
-    def test_nonconvergence_names_m_step_and_time(self, small, monkeypatch):
+    def test_nonconvergence_names_m_step_and_time(self, small):
         # within 36 sweeps the short first step, to t = 0.001, converges
         # and the second, to t = 0.011, does not
         sc, st = small
-        monkeypatch.setattr(mesahs.stencil, "_sweep_budget", lambda grid: 36)
         with pytest.raises(SolverError,
                            match=r"^m=32, step 2 to t=0\.011: ") as err:
             stefan.run(sc, 32, snapshot_times=[0.001, 0.05], dt=0.01,
-                       stencil=st)
+                       stencil=dataclasses.replace(st, budget=36))
         assert err.value.residual_history[-1][0] == 36
 
     def test_envelope_abort_on_tight_domain(self):
@@ -273,11 +295,10 @@ class TestWindowIndependence:
         st = build_stencil(sc)
         times = [0.1, 0.2, 0.3] if dt is None else [0.3]
         windowed = stefan.run(sc, 256, times, dt=dt, stencil=st)
-        interior = st.interior
-        monkeypatch.setattr(FaceStencil, "window_box",
-                            lambda self, source_mask, pad: interior)
+        solves = interior_solves(monkeypatch)
         full = stefan.run(sc, 256, times, dt=dt, stencil=st)
-        assert full.steps == windowed.steps
+        assert full.steps == windowed.steps == len(solves)
+        assert all(call.first == st.interior for call in solves)
         for name in ("theta_fields", "u_fields", "w_integrals"):
             for a, b in zip(getattr(windowed, name), getattr(full, name)):
                 assert np.abs(a - b).max() <= MONOTONE_SWEEP_TOL

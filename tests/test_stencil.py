@@ -5,7 +5,6 @@ import functools
 import math
 import tracemalloc
 from types import SimpleNamespace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,19 +14,21 @@ from scipy import ndimage
 
 import mesahs.coarse
 import mesahs.stencil
-from mesahs import stefan
+from mesahs import mesa, stefan
 from mesahs.baiocchi import SLICE_WINDOW_PAD, solve_slice
 from mesahs.errors import SolverError
-from mesahs.mesa import MONOTONE_SWEEP_TOL
 from mesahs.geometry import Scenario, SlotGeometry, build_grid
 from mesahs.scenarios import (annulus_scenario, radial_scenario,
                               two_slot_scenario)
+from mesahs.stefan import MONOTONE_SWEEP_TOL
 from mesahs.stencil import (SOLVE_TOL, FaceStencil,
                             _box_neighbor_sum, _box_residual,
                             _nearest_sample_values,
                             _shifted, _sweep_budget,
                             active_width_cells, build_stencil,
                             omega_for_width, projected_sor)
+
+from conftest import grid_box, interior_solves, record_solves
 
 
 @pytest.fixture(scope="module")
@@ -611,15 +612,25 @@ class TestProjectedSorKernel:
         assert peak / (sc.grid.fluid.size * 8) <= 5.7
 
 
-def _flooding_step(sc, st):
-    """One m = 256, dt = 0.3 enthalpy step from u_init: (diag, rhs, coupling).
+def _flooding_step(sc):
+    """One m = 256, dt = 0.3 enthalpy step from u_init, as the problem
+    (u, shift, coupling, load) of :meth:`FaceStencil.solve`.
 
     On the empty radial scenario the load is near zero only on slot-face
     cells, so the first window is the slot's, while the step's temperature
     spreads far beyond it.
     """
     m, dt = 256.0, 0.3
-    return 1.0 / m + dt * st.diag, (sc.u_init - 1.0) + dt * st.slot_load, dt
+    return sc.u_init, 1.0 / m, dt, dt
+
+
+def _interior_residual(st, values, u, shift, coupling, load):
+    """:func:`_box_residual` on the interior box of the problem of
+    :meth:`FaceStencil.solve`, posed on the whole grid."""
+    diag = shift + coupling * st.diag
+    rhs = (u - 1.0) + load * st.slot_load
+    return _box_residual(values, diag, rhs, st.interior, st.grid.fluid,
+                         coupling, st.h)
 
 
 class TestCheckSchedule:
@@ -897,9 +908,9 @@ class TestSolveDriver:
         calls = []
         kernel = mesahs.stencil.projected_sor
 
-        def recorded(*args, **kwargs):
-            result = kernel(*args, **kwargs)
-            calls.append((result[1], result[2], args[3]))
+        def recorded(values, diag, rhs, box, *args, **kwargs):
+            result = kernel(values, diag, rhs, box, *args, **kwargs)
+            calls.append((result[1], result[2], grid_box(values, box)))
             return result
 
         monkeypatch.setattr(mesahs.stencil, "projected_sor", recorded)
@@ -909,16 +920,15 @@ class TestSolveDriver:
                                                 radial_coarse_stencil,
                                                 kernel_calls, monkeypatch):
         sc, st = radial_coarse, radial_coarse_stencil
-        diag, rhs, coupling = _flooding_step(sc, st)
+        problem = _flooding_step(sc)
         # with no load near zero beyond the slot the first box is the
         # slot's, padded by one cell
         small = st.window_box(sc.grid.slot, pad=1)
         theta = np.zeros(sc.grid.shape)
-        record = st.solve(theta, diag, rhs, coupling, 1)
+        record = st.solve(theta, *problem, 1, None)
         assert len(kernel_calls) > 1 and record.box != small
         # the record's residual is the whole interior's, bit for bit
-        _, residual = _box_residual(theta, diag, rhs, st.interior,
-                                    sc.grid.fluid, coupling, sc.grid.h)
+        _, residual = _interior_residual(st, theta, *problem)
         assert record.residual == residual <= SOLVE_TOL
         assert record.sweeps == sum(used for used, _, _ in kernel_calls)
         assert record.checks == sum(len(history)
@@ -926,11 +936,10 @@ class TestSolveDriver:
         assert record.regrowths == len(kernel_calls) - 1
         assert record.corrections == sum(history.corrections
                                          for _, history, _ in kernel_calls)
-        interior = st.interior
-        monkeypatch.setattr(FaceStencil, "window_box",
-                            lambda self, source_mask, pad: interior)
+        solves = interior_solves(monkeypatch)
         ref = np.zeros(sc.grid.shape)
-        st.solve(ref, diag, rhs, coupling, 1)
+        st.solve(ref, *problem, 1, None)
+        assert [call.first for call in solves] == [st.interior]
         assert np.abs(theta - ref).max() <= MONOTONE_SWEEP_TOL
 
     @staticmethod
@@ -948,8 +957,7 @@ class TestSolveDriver:
         # the pad-1 flooding step and a cold pad-8 slice at t = 0.3, which
         # leaks its first window once
         sc, st = radial_coarse, radial_coarse_stencil
-        diag, rhs, coupling = _flooding_step(sc, st)
-        st.solve(np.zeros(sc.grid.shape), diag, rhs, coupling, 1)
+        st.solve(np.zeros(sc.grid.shape), *_flooding_step(sc), 1, None)
         step_boxes = [box for _, _, box in kernel_calls]
         kernel_calls.clear()
         solve_slice(sc, 0.3, stencil=st)
@@ -965,28 +973,25 @@ class TestSolveDriver:
                                        pad):
         # a zero step would regrow the same box forever at 0 sweeps a call
         sc, st = radial_coarse, radial_coarse_stencil
-        diag, rhs, coupling = _flooding_step(sc, st)
         with pytest.raises(ValueError, match="pad"):
-            st.solve(np.zeros(sc.grid.shape), diag, rhs, coupling, pad)
+            st.solve(np.zeros(sc.grid.shape), *_flooding_step(sc), pad, None)
         assert kernel_calls == []
 
     def test_one_budget_covers_every_regrowth(self, radial_coarse,
                                               radial_coarse_stencil,
-                                              kernel_calls, monkeypatch):
+                                              kernel_calls):
         # a budget one sweep past every call but the last of a converging
         # solve runs out after the regrowths, in that last call
         sc, st = radial_coarse, radial_coarse_stencil
-        diag, rhs, coupling = _flooding_step(sc, st)
-        st.solve(np.zeros(sc.grid.shape), diag, rhs, coupling, 1)
+        st.solve(np.zeros(sc.grid.shape), *_flooding_step(sc), 1, None)
         assert len(kernel_calls) > 1
         budget = sum(used for used, _, _ in kernel_calls[:-1]) + 1
         kernel_calls.clear()
-        monkeypatch.setattr(mesahs.stencil, "_sweep_budget",
-                            lambda grid: budget)
+        short = dataclasses.replace(st, budget=budget)
         # the box is written in plain integers, not numpy scalar reprs
         with pytest.raises(SolverError,
                            match=r"on box \[\(\d+, \d+\)") as err:
-            st.solve(np.zeros(sc.grid.shape), diag, rhs, coupling, 1)
+            short.solve(np.zeros(sc.grid.shape), *_flooding_step(sc), 1, None)
         assert "np.int64" not in str(err.value)
         assert len(kernel_calls) > 1
         assert sum(used for used, _, _ in kernel_calls) <= budget
@@ -1006,18 +1011,17 @@ class TestWindowRule:
         boxes = []
         kernel = mesahs.stencil.projected_sor
 
-        def recorded(*args, **kwargs):
-            boxes.append(args[3])
-            return kernel(*args, **kwargs)
+        def recorded(values, diag, rhs, box, *args, **kwargs):
+            boxes.append(grid_box(values, box))
+            return kernel(values, diag, rhs, box, *args, **kwargs)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mesahs.stencil, "projected_sor", recorded)
             windowed = solve()
         with pytest.MonkeyPatch.context() as mp:
-            interior = st.interior
-            mp.setattr(FaceStencil, "window_box",
-                       lambda self, source_mask, pad: interior)
+            solves = interior_solves(mp)
             full = solve()
+        assert [call.first for call in solves] == [st.interior]
         return windowed, full, boxes
 
     @settings(max_examples=30, deadline=None)
@@ -1037,11 +1041,11 @@ class TestWindowRule:
         slice_start = solve_slice(sc, t / 2, stencil=st) if warm else None
         step_start = np.zeros(grid.shape)
         if warm:
-            stefan._advance(st, u.copy(), step_start, m, t / 2)
+            stefan._advance(st, u.copy(), step_start, m, t / 2, None)
 
         def step():
             theta = step_start.copy()
-            stefan._advance(st, u.copy(), theta, m, t)
+            stefan._advance(st, u.copy(), theta, m, t, st.interior)
             return theta
 
         cases = (
@@ -1078,28 +1082,73 @@ class TestZeroRule:
                                  p_samples=np.full_like(base.p_samples, p))
         st = build_stencil(sc)
         grid = sc.grid
-        solves = []
-        solve = st.solve
-
-        def recorded(values, diag, rhs, coupling, pad):
-            record = solve(values, diag, rhs, coupling, pad)
-            solves.append((values.copy(), diag, rhs, coupling, record))
-            return record
-
-        with mock.patch.object(st, "solve", recorded):
+        with pytest.MonkeyPatch.context() as mp:
+            solves = record_solves(mp)
             # a cold slice, a warm one from it, and one enthalpy step
             start = solve_slice(sc, share * t, stencil=st)
             solve_slice(sc, t, warm=start, stencil=st)
             u = np.where(grid.fluid | grid.farfield, sc.u_init, 0.0)
-            stefan._advance(st, u, np.zeros(grid.shape), m, t)
+            stefan._advance(st, u, np.zeros(grid.shape), m, t, None)
         assert len(solves) == 3
-        for values, diag, rhs, coupling, record in solves:
+        for call in solves:
             off_box = np.ones(grid.shape, dtype=bool)
-            off_box[record.box] = False
-            assert np.all(values[off_box | ~grid.fluid] == 0.0)
-            _, residual = _box_residual(values, diag, rhs, st.interior,
-                                        grid.fluid, coupling, grid.h)
-            assert record.residual == residual <= SOLVE_TOL
+            off_box[call.record.box] = False
+            assert np.all(call.solved[off_box | ~grid.fluid] == 0.0)
+            # u as the solve was given it: the step updates it afterwards
+            _, residual = _interior_residual(st, call.solved, call.u,
+                                             call.shift, call.coupling,
+                                             call.load)
+            assert call.record.residual == residual <= SOLVE_TOL
+
+
+class TestSupportContract:
+    # a solve reads its first-window rule on the caller's support and the
+    # slot's box alone: outside the support the start is zero and u is
+    # u_init on FLUID, and the first kernel box is the rule read on the
+    # whole grid, on every step of two sweeps and every slice of a chain
+    @staticmethod
+    def _check(sc, st, solves):
+        g = sc.grid
+        near = -min(0.5, max(g.h, 1e-3))
+        for call in solves:
+            outside = np.ones(g.shape, dtype=bool)
+            if call.support is not None:
+                outside[call.support] = False
+            assert not call.values[outside].any()
+            assert np.array_equal(call.u[outside & g.fluid],
+                                  sc.u_init[outside & g.fluid])
+            load = (call.u - 1.0) + call.load * st.slot_load
+            rule = g.slot | (call.values > 0) | (g.fluid & (load >= near))
+            assert call.first == st.window_box(rule, call.pad)
+
+    @pytest.mark.parametrize("two_slot", [False, True],
+                             ids=["mini-annulus", "two-slot"])
+    def test_every_step_of_a_sweep(self, mini_annulus, two_slot):
+        # the mini-annulus sweep floods its saturated patch by t = 0.3
+        sc = two_slot_scenario(h=1 / 16) if two_slot else mini_annulus
+        times = [0.1, 0.2] if two_slot else [0.1, 0.2, 0.3]
+        with pytest.MonkeyPatch.context() as mp:
+            solves = record_solves(mp)
+            lim = mesa.sweep(sc, times, stencil=build_stencil(sc))
+        assert len(solves) == lim.steps * len(sc.m_list)
+        if not two_slot:
+            patch = sc.grid.fluid & (sc.u_init >= 1.0)
+            assert not np.any(solves[0].u[patch] > 1.0)
+            assert np.all(lim.u_fields[-1][patch] > 1.0)
+        self._check(sc, build_stencil(sc), solves)
+
+    def test_every_slice_of_a_warm_chain(self, mini_annulus):
+        sc = mini_annulus
+        st = build_stencil(sc)
+        with pytest.MonkeyPatch.context() as mp:
+            solves = record_solves(mp)
+            warm = None
+            for t in (0.05, 0.1, 0.15, 0.2, 0.25, 0.3):
+                warm = solve_slice(sc, t, warm=warm, stencil=st)
+        assert len(solves) == 6
+        assert solves[0].support is None
+        assert all(call.support == st.interior for call in solves[1:])
+        self._check(sc, st, solves)
 
 
 # ---------------------------------------------------------------------------
