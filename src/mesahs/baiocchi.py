@@ -47,7 +47,9 @@ class BaiocchiPotential:
     """Converged slice: W, its active mask, and the residual achieved.
 
     ``sweeps`` includes the coarse corrections, which ``corrections``
-    counts, in fine-sweep equivalents.
+    counts, in fine-sweep equivalents.  ``box`` is the box of the solve
+    (:attr:`SolveRecord.box`): W is zero off it, and it is None only where
+    W is zero everywhere.
     """
 
     t: float
@@ -56,6 +58,7 @@ class BaiocchiPotential:
     residual: float
     sweeps: int
     corrections: int = 0
+    box: tuple = None
 
     def max_w(self):
         return float(self.w.max())
@@ -71,12 +74,13 @@ def solve_slice(scenario, t, warm=None, stencil=None):
     converged W is positive on a farfield clearance cell.
 
     The slice is :meth:`FaceStencil.solve` with u = u_init and (shift,
-    coupling, load) = (0, 1, t), from zero or from ``warm``'s W (read on the
-    interior).  Its window holds the slot, the support of that start and
-    the FLUID cells whose load is within one cell width of zero (a patch
-    near saturation that the flow is about to reach), padded by
-    ``SLICE_WINDOW_PAD`` cells and grown by twice that until the
-    complementarity residual on it and its one-cell ring is within tol.
+    coupling, load) = (0, 1, t), from zero or from ``warm``'s W, read on
+    ``warm.box`` alone (a start with no box starts cold).  Its window holds
+    the slot, the support of that start and the FLUID cells whose load is
+    within one cell width of zero (a patch near saturation that the flow is
+    about to reach), padded by ``SLICE_WINDOW_PAD`` cells and grown by
+    twice that until the complementarity residual on it and its one-cell
+    ring is within tol.
     W stays zero outside the box, and beyond the first window the load
     -(1 - u_init) is negative, so every cell beyond the ring already
     satisfies complementarity: the window changes which cells are swept,
@@ -91,18 +95,18 @@ def solve_slice(scenario, t, warm=None, stencil=None):
     if t == 0.0:
         return BaiocchiPotential(t=0.0, w=w, active_mask=np.zeros(grid.shape, bool),
                                  residual=0.0, sweeps=0)
-    if warm is not None:
-        np.copyto(w, warm.w, where=grid.fluid)
+    support = None if warm is None else warm.box
+    if support is not None:
+        w[support] = warm.w[support]
     try:
         record = st.solve(w, scenario.u_init, 0.0, 1.0, t,
-                          pad=SLICE_WINDOW_PAD,
-                          support=None if warm is None else st.interior)
+                          pad=SLICE_WINDOW_PAD, support=support)
     except (SolverError, EnvelopeError) as exc:
         raise exc.at(f"obstacle slice at t={t:g}") from exc
     return BaiocchiPotential(t=float(t), w=w,
                              active_mask=active_mask_from(w, grid),
                              residual=record.residual, sweeps=record.sweeps,
-                             corrections=record.corrections)
+                             corrections=record.corrections, box=record.box)
 
 
 def complementarity_report(scenario, slice_, stencil=None):

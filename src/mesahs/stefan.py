@@ -54,12 +54,6 @@ def _diffusivity(m):
     return m
 
 
-def temperature(u, m):
-    """Temperature of enthalpy u at diffusivity m: m * max(u - 1, 0)."""
-    m = _diffusivity(m)
-    return m * np.maximum(np.asarray(u, dtype=float) - 1.0, 0.0)
-
-
 def default_dt(scenario):
     """Default step h / max(max_datum, 1): about one cell of front motion.
 

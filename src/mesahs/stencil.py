@@ -215,7 +215,8 @@ class FaceStencil:
         A is the face Laplacian and L the slot load: a step of the m-problem
         is (shift, coupling, load) = (1/m, dt, dt), an obstacle slice (0, 1,
         t) with u = u_init.  Solves in place from ``values`` >= 0, zero off
-        FLUID; off the box ``support`` (None: the slot's box) values are zero
+        FLUID.  ``support`` is the box of the solve(s) that made ``values``
+        (None for a cold start: the slot's box); off it ``values`` is zero
         and u is u_init on FLUID.  The first box is :meth:`first_window`,
         ``pad`` the caller's estimate of the front's travel in cells, and
         each box is posed on its :meth:`_frame` alone.  A converged box ends

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
 
@@ -366,6 +367,25 @@ class TestSliceWindow:
         ref = baiocchi.solve_slice(sc, 0.12, warm=pre, stencil=st)
         assert [call.first for call in solves] == [st.interior]
         assert np.array_equal(post.w, ref.w)
+
+    def test_warm_slice_on_a_small_box_allocates_under_two_grid_arrays(self):
+        # the slice at t = 0.1 of a long-horizon radial grid (204^2) starts
+        # from t = 0.05 and reads that start on its box alone: its traced
+        # peak, about 1.67 grid arrays, is the new W and its active mask
+        # plus box-sized work; a start copied over the whole grid and a
+        # first-window rule read on the interior would take it past two
+        sc = scenarios.radial_scenario(h=1 / 16, t_max=4.0)
+        st = build_stencil(sc)
+        start = baiocchi.solve_slice(sc, 0.05, stencil=st)
+        tracemalloc.start()
+        try:
+            sl = baiocchi.solve_slice(sc, 0.1, warm=start, stencil=st)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        peak /= sl.w.nbytes
+        assert _box_cells(sl.box) < 0.1 * sl.w.size
+        assert peak < 2.0, f"peak {peak:.2f} grid arrays"
 
 
 class TestMassBalance:

@@ -13,25 +13,17 @@ from scipy import ndimage
 import mesahs.stefan as stefan
 from mesahs import barriers, scenarios
 from mesahs.errors import ConfigError, EnvelopeError, SolverError
-from mesahs.stefan import MONOTONE_SWEEP_TOL, temperature
+from mesahs.stefan import MONOTONE_SWEEP_TOL
 from mesahs.stencil import SOLVE_TOL, build_stencil
 
 from conftest import interior_solves, mini_annulus_scenario
 
 
 class TestTemperature:
-    def test_values(self):
-        assert temperature(1.5, 2.0) == pytest.approx(1.0)
-        assert temperature(0.7, 64.0) == 0.0
-        for m, big_m in ((8.0, 3.0), (1024.0, 1.0)):
-            assert temperature(1.0 + big_m / m, m) == pytest.approx(big_m)
-
     def test_nonpositive_m_rejected(self):
-        # non-finite m too, and by the run as well as the conversion
+        # non-finite m too
         sc = scenarios.radial_scenario(h=1 / 8, t_max=0.1, m_list=(8, 16, 32))
         for m in (0.0, -1.0, np.nan, np.inf):
-            with pytest.raises(ConfigError):
-                temperature(1.2, m)
             with pytest.raises(ConfigError, match="diffusivity"):
                 stefan.run(sc, m, snapshot_times=[0.1])
 
