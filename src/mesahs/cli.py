@@ -5,9 +5,10 @@ Subcommands cover the full pipeline: ``stefan`` (one diffusivity), ``mesa``
 cross-validation), ``barriers`` (closed-form profiles and certified
 constants), and ``diagnose`` (free-boundary reports for a finished run).
 
-Every run writes ``manifest.json`` recording the scenario hash, package
-version, every tolerance actually used, and a hash of every output file;
-single-threaded reruns of the same manifest are bit-identical.  Exit codes:
+Every run writes ``manifest.json`` into its ``--out`` directory, which must
+be new or empty, recording the scenario hash, package version, every
+tolerance actually used, and a hash of every output file; single-threaded
+reruns of the same manifest are bit-identical.  Exit codes:
 1 bad configuration or command line, 2 solver failure, 3 envelope
 violation, 4 internal.
 """
@@ -68,10 +69,7 @@ def _dump_run(out_dir, result, scenario, tag):
                               result.u_fields[i], header)
         snapshots.dump_raster(out_dir, f"{tag}_theta_{i:04d}",
                               result.theta_fields[i], header)
-    snapshots.write_csv(out_dir / f"{tag}_steps.csv",
-                        ["step", "t", "influx", "cumulative", "sweeps",
-                         "residual", "box_cells", "checks", "regrowths",
-                         "corrections"],
+    snapshots.write_csv(out_dir / f"{tag}_steps.csv", stefan.STEP_LOG_COLUMNS,
                         result.step_log)
 
 
@@ -331,7 +329,8 @@ def build_parser():
 
     def common(p):
         p.add_argument("scenario", help="scenario JSON file")
-        p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--out", required=True,
+                       help="output directory, new or empty")
 
     def recorded_jobs(p):
         p.add_argument("--jobs", type=_positive_int, default=1,
@@ -388,6 +387,11 @@ def build_parser():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
+        out = Path(args.out)
+        # a run's outputs and manifest are never mixed with another's
+        if out.exists() and not (out.is_dir() and not any(out.iterdir())):
+            raise ConfigError(f"--out {out} exists and is not an empty "
+                              "directory")
         return args.func(args)
     except ConfigError as exc:
         _emit_error("config", exc)

@@ -423,10 +423,11 @@ class Scenario:
     """Immutable bundle of slot, grid, initial data, and sweep parameters.
 
     ``u_init`` holds per-cell initial enthalpy in [0, 1] over the full grid
-    shape (values on SLOT cells are ignored); it must vanish on and near the
-    farfield band.  ``p_samples`` holds nonnegative pressure data aligned
-    with ``geometry.boundary_samples``.  ``lambda_bound`` records the claimed
-    uniform bound u_init <= lambda where nondegeneracy is assumed.
+    shape (values on SLOT cells are ignored: they are stored as 0); it must
+    vanish on and near the farfield band.  ``p_samples`` holds nonnegative
+    pressure data aligned with ``geometry.boundary_samples``.
+    ``lambda_bound`` records the claimed uniform bound u_init <= lambda
+    where nondegeneracy is assumed.
     """
 
     geometry: SlotGeometry
@@ -464,6 +465,7 @@ class Scenario:
             raise ConfigError(
                 "boundary sample spacing exceeds grid spacing; sample the "
                 "slot at a spacing of at most h")
+        u = np.where(g.slot, 0.0, u)
         u.setflags(write=False)
         p.setflags(write=False)
         object.__setattr__(self, "u_init", u)
@@ -507,7 +509,7 @@ def radial_u_init(grid, geometry, breakpoints):
     center, _ = geometry.bounding_center_radius()
     r = grid.radius_from(center)
     u = np.interp(r, bp[:, 0], bp[:, 1])
-    u[grid.slot | grid.farfield] = 0.0
+    u[grid.farfield] = 0.0   # Scenario zeroes the slot
     return u
 
 
@@ -579,7 +581,7 @@ def _u_init_from_dict(d, grid, geometry, base_dir):
             raise ConfigError(
                 f"raster u_init shape {shape} does not match grid {grid.shape}")
         u = u.copy()
-        u[grid.slot | grid.farfield] = 0.0
+        u[grid.farfield] = 0.0   # Scenario zeroes the slot
         return u
     raise ConfigError(f"unknown u_init kind {kind!r}")
 

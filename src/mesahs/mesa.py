@@ -12,55 +12,23 @@ the grid by thresholding the last-level enthalpy at 1 - h.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import stefan
 from .errors import ConfigError, SolverError
-from .fbdiag import _time_index, active_mask_from
 from .stencil import _box_neighbor_sum
 
 
-@dataclass
-class MesaLimit(stefan.RunResult):
-    """The sweep's last level with the limit read from it.
-
-    The fields of :class:`stefan.RunResult` are the last level's: its
-    temperatures ``theta_fields`` are the limiting pressures V, its
-    ``w_integrals`` the discrete Baiocchi transform, and ``tail_gap`` the
-    largest cellwise temperature gap to the level before it.  ``q_masks``
-    holds the plateau region Q per snapshot.
-    """
-
-    q_masks: list
-    grid: object
-    u_init: np.ndarray
-
-    @property
-    def u_inf(self):
-        """Projected representation: 1 on Q, u_init off Q."""
-        return [np.where(q, 1.0, self.u_init) for q in self.q_masks]
-
-    def w_integral_at(self, t):
-        i = _time_index(self.times, t)
-        return None if i is None else self.w_integrals[i]
-
-    def active_mask_at(self, t):
-        i = _time_index(self.times, t)
-        return None if i is None else active_mask_from(self.theta_fields[i],
-                                                       self.grid)
-
-
 def sweep(scenario, snapshot_times, dt=None, stencil=None):
-    """Run every diffusivity in the scenario and form the limit fields.
+    """Run every diffusivity in the scenario and return the limit.
 
     Requires at least three levels and at least one snapshot time; the
     levels, the snapshot times and dt are validated before any level runs.
     The levels are one :func:`stefan.run` (``stencil`` is passed to it): they
     share the step length and the stencil, so snapshots align cellwise, and
     each level is checked to be nondecreasing in m against the level before
-    it at every snapshot.
+    it at every snapshot.  Returns the run's :class:`stefan.RunResult`, its
+    plateau regions ``q_masks`` checked to be nested in time.
     """
     if len(scenario.m_list) < 3:
         raise ConfigError("the sweep needs at least 3 diffusivity values")
@@ -68,14 +36,10 @@ def sweep(scenario, snapshot_times, dt=None, stencil=None):
         raise ConfigError("the sweep needs at least one snapshot time")
     result = stefan.run(scenario, scenario.m_list, snapshot_times, dt=dt,
                         stencil=stencil)
-
-    grid = scenario.grid
-    q_masks = [grid.fluid & (u >= 1.0 - grid.h) for u in result.u_fields]
-    for earlier, later in zip(q_masks, q_masks[1:]):
+    for earlier, later in zip(result.q_masks, result.q_masks[1:]):
         if np.any(earlier & ~later):
             raise SolverError("plateau region not nested in time")
-    return MesaLimit(**vars(result), q_masks=q_masks, grid=grid,
-                     u_init=scenario.u_init)
+    return result
 
 
 def representation_check(limit, scenario, tol=None):

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, EnvelopeError, SolverError
-from .fbdiag import active_cut
+from .fbdiag import _time_index, active_cut, active_mask_from
 from .stencil import SolveRecord, _union, build_stencil
 
 #: per-step slack allowed on cellwise time-monotonicity of u
@@ -68,26 +68,34 @@ def default_dt(scenario):
     return scenario.grid.h / max(m_datum, 1.0)
 
 
+#: the columns of ``RunResult.step_log``, in the order of each row
+STEP_LOG_COLUMNS = ("step", "t", "influx", "cumulative", "sweeps", "residual",
+                    "box_cells", "checks", "regrowths", "corrections")
+
+
 @dataclass
 class RunResult:
     """Snapshots and diagnostics of the last level of one enthalpy run.
 
     ``m_list`` holds the run's diffusivities in the order they march; ``m``
-    is the last.  ``u_fields``, ``theta_fields``, ``w_integrals`` and
-    ``tail_gap`` hold one entry per entry of ``times``: ``tail_gap`` is the
-    largest cellwise temperature gap between the last two levels (0.0 with
-    one level).  ``first_theta_time`` holds, per cell, the midpoint
+    is the last.  In a sweep (:func:`mesa.sweep`) that level is the limit:
+    its temperatures are the limiting pressures V.  ``u_fields``,
+    ``theta_fields``, ``w_integrals``, ``q_masks`` and ``tail_gap`` hold
+    one entry per entry of ``times``: ``tail_gap`` is the largest cellwise
+    temperature gap between the last two levels (0.0 with one level), and
+    ``q_masks`` the plateau region Q, the FLUID cells with u >= 1 - h.
+    ``first_theta_time`` holds, per cell, the midpoint
     of the step in which the temperature first passed
     :func:`~mesahs.fbdiag.active_cut` of that step's temperature (inf if
     it never did).
     ``w_integrals`` holds the backward-Euler sums W^n = sum_k dt_k theta^k,
     the discrete Baiocchi transform of the run: the steps telescope to
     u^n - u_init = -A_h W^n + t_n * slot_load on FLUID, up to rounding, for
-    any dt.  ``step_log`` holds one row per step:
-    (step, t, slot influx, cumulative influx, sweeps, final residual, cells
-    of the solve's box, its last window and ring, residual checks, box
-    regrowths, coarse corrections); ``mass_error`` is the gap between the
-    total enthalpy gain and the last cumulative influx.
+    any dt.  ``step_log`` holds one row per step, its columns named by
+    :data:`STEP_LOG_COLUMNS`: the slot influx, the cells of the solve's box
+    (its last window and ring) and the solve's residual checks, box
+    regrowths and coarse corrections among them; ``mass_error`` is the gap
+    between the total enthalpy gain and the last cumulative influx.
     """
 
     m_list: tuple
@@ -96,10 +104,13 @@ class RunResult:
     u_fields: list
     theta_fields: list
     w_integrals: list       # backward-Euler sums of dt * temperature
+    q_masks: list
     first_theta_time: np.ndarray
     tail_gap: list
     mass_error: float
     step_log: list
+    grid: object
+    u_init: np.ndarray
 
     @property
     def m(self):
@@ -108,6 +119,20 @@ class RunResult:
     @property
     def steps(self):
         return len(self.step_log)
+
+    @property
+    def u_inf(self):
+        """Projected representation: 1 on Q, u_init off Q."""
+        return [np.where(q, 1.0, self.u_init) for q in self.q_masks]
+
+    def w_integral_at(self, t):
+        i = _time_index(self.times, t)
+        return None if i is None else self.w_integrals[i]
+
+    def active_mask_at(self, t):
+        i = _time_index(self.times, t)
+        return None if i is None else active_mask_from(self.theta_fields[i],
+                                                       self.grid)
 
 
 @dataclass(frozen=True)
@@ -165,47 +190,31 @@ def _advance(st, u, theta, m, dt, support):
 class _Level:
     """One diffusivity of a march.
 
-    ``u`` is its enthalpy on ``box``, the box its steps have touched;
-    outside it the enthalpy is the initial one.  ``c`` is the Richardson
-    factor of its start, and ``drop`` the sum of its steps' largest
-    enthalpy drops since the last snapshot.
+    ``u`` is its enthalpy on ``box``, the box its steps have touched, at
+    first the stencil's ``slot_box``; outside it the enthalpy is the
+    initial one.  ``c`` is the Richardson factor of its start, and ``drop``
+    the sum of its steps' largest enthalpy drops since the last snapshot.
     """
 
     m: float
+    box: tuple
+    u: np.ndarray
     c: float = 0.0
-    box: tuple = None
-    u: np.ndarray = None
     drop: float = 0.0
 
 
-def _swap(u, held, level, u_start):
+def _swap(u, held, level, u_init):
     """Move the shared enthalpy buffer ``u`` from ``held`` to ``level``.
 
     ``held`` takes back its enthalpy on its box, where ``u`` returns to
-    ``u_start``, the enthalpy every level starts from; ``level`` lends its
+    ``u_init``, the enthalpy every level starts from; ``level`` lends its
     own to ``u``.
     """
-    if held.box is not None:
-        b = held.box
-        held.u = u[b].copy()
-        u[b] = u_start[b]
-    if level.box is not None:
-        u[level.box] = level.u
-        level.u = None
-
-
-def _start(theta, level, u, below=None, below2=None):
-    """Write a level's start on a box into its view ``theta``.
-
-    Off FLUID, and off the level's box, u is at most u_init <= 1, so the
-    rebuilt temperature m * (u - 1)_+ is zero there.  ``below`` and
-    ``below2`` are the temperatures of the levels below, if any.
-    """
-    np.maximum(level.m * (u - 1.0), 0.0, out=theta)
-    if below is not None:
-        if below2 is not None:
-            below = below + level.c * (below - below2)
-        np.maximum(theta, below, out=theta)
+    b = held.box
+    held.u = u[b].copy()
+    u[b] = u_init[b]
+    u[level.box] = level.u
+    level.u = None
 
 
 def _not_monotone(drop):
@@ -225,10 +234,14 @@ def _march(scenario, m_list, snapshot_times, dt, st):
     no guess.  Each step's solution is unique, so the start moves only
     rounding and sweep counts.
 
-    A level keeps only its enthalpy, on the box its steps have touched.
-    One full-grid enthalpy and three temperature buffers (the level being
-    stepped and the two below it) serve every step, and only the last level
-    keeps first times, W^n, a step log and snapshot copies.  Cellwise
+    Every level starts from ``scenario.u_init`` and keeps only its
+    enthalpy, on the box its steps have touched.  One full-grid enthalpy
+    and two temperature buffers serve every step: level k steps in buffer
+    k mod 2, which still holds level k - 2's temperature, so its guess is
+    formed before that buffer is zeroed.  Every box, a level's and the one
+    outside which a buffer is zero, starts at the stencil's ``slot_box``,
+    which every solve's box holds.  Only the last level keeps first times,
+    W^n, Q, a step log and snapshot copies.  Cellwise
     time-monotonicity of u is asserted at every step and between
     snapshots: the last level compares its consecutive snapshots, a lower
     level the sum of its steps' largest drops.  As soon as level k >= 1 has
@@ -238,22 +251,20 @@ def _march(scenario, m_list, snapshot_times, dt, st):
     snapshot reached without a step repeats the last one (0.0 before any).
     Returns the last level's :class:`RunResult`.
     """
-    grid = scenario.grid
-    u_start = np.where(grid.fluid | grid.farfield, scenario.u_init, 0.0)
-    u = u_start.copy()
-    levels = [_Level(m) for m in m_list]
+    grid, u_init = scenario.grid, scenario.u_init
+    u = u_init.copy()
+    levels = [_Level(m, st.slot_box, u_init[st.slot_box]) for m in m_list]
     for k in range(2, len(levels)):
         m_a, m_b, m_c = (lv.m for lv in levels[k - 2:k + 1])
         levels[k].c = (m_c - m_b) / (m_b - m_a) * m_a / m_c
-    thetas = [np.zeros(grid.shape) for _ in levels[:3]]
-    wet = [None] * len(thetas)      # the box outside which a buffer is zero
+    thetas = [np.zeros(grid.shape) for _ in levels[:2]]
+    wet = [st.slot_box] * len(thetas)   # the box outside which a buffer is 0
     held, top = levels[0], levels[-1]   # held: whose enthalpy u holds
-    nowhere = (slice(0, 0),) * grid.n   # the box of a level yet to step
 
     first_theta = np.full(grid.shape, np.inf)
     w_accum = np.zeros(grid.shape)
     times, u_fields, theta_fields, w_integrals, step_log = [], [], [], [], []
-    tail_gap, gap = [], 0.0
+    q_masks, tail_gap, gap = [], [], 0.0
     cumulative = 0.0
 
     t, steps = 0.0, 0
@@ -268,17 +279,23 @@ def _march(scenario, m_list, snapshot_times, dt, st):
             steps += 1
             for k, level in enumerate(levels):
                 if level is not held:
-                    _swap(u, held, level, u_start)
+                    _swap(u, held, level, u_init)
                     held = level
-                theta = thetas[k % 3]
-                if wet[k % 3] is not None:
-                    theta[wet[k % 3]] = 0.0
-                # the guess is zero outside the box of the level below
-                span = _union(level.box, wet[(k - 1) % 3] if k else None)
-                if span is not None:
-                    below = [thetas[(k - j) % 3][span]
-                             for j in range(1, min(k, 2) + 1)]
-                    _start(theta[span], level, u[span], *below)
+                theta = thetas[k % 2]
+                # the guess is zero off the box of the level below
+                span = _union(level.box, wet[(k - 1) % 2]) if k else level.box
+                guess = thetas[(k - 1) % 2][span] if k else None
+                if k >= 2:
+                    # theta still holds level k - 2's temperature
+                    guess = guess + level.c * (guess - theta[span])
+                theta[wet[k % 2]] = 0.0
+                # off FLUID, and off the level's box, u <= u_init <= 1: the
+                # rebuilt temperature m * (u - 1)_+ is zero there
+                start = theta[span]
+                np.maximum(level.m * (u[span] - 1.0), 0.0, out=start)
+                if k:
+                    np.maximum(start, guess, out=start)
+                del guess   # not held through the step
                 try:
                     influx, residual, sweeps, record = _advance(
                         st, u, theta, level.m, dt_step, span)
@@ -286,7 +303,7 @@ def _march(scenario, m_list, snapshot_times, dt, st):
                     raise exc.at(f"m={level.m:g}, step {steps} to "
                                  f"t={t_end:g}") from exc
                 level.box = _union(level.box, record.box)
-                wet[k % 3] = box = record.box
+                wet[k % 2] = box = record.box
                 if level is top:
                     cumulative += influx
                     step_log.append((steps, t_end, influx, cumulative, sweeps,
@@ -304,8 +321,8 @@ def _march(scenario, m_list, snapshot_times, dt, st):
                     level.drop += record.drop
                 if snap and k:
                     # both temperatures are zero off their boxes
-                    pair = _union(box, wet[(k - 1) % 3])
-                    diff = thetas[(k - 1) % 3][pair] - theta[pair]
+                    pair = _union(box, wet[(k - 1) % 2])
+                    diff = thetas[(k - 1) % 2][pair] - theta[pair]
                     worst = float(diff.max())
                     if worst > MONOTONE_SWEEP_TOL:
                         raise SolverError(
@@ -321,25 +338,27 @@ def _march(scenario, m_list, snapshot_times, dt, st):
             if level.drop > MONOTONE_STEP_TOL:
                 raise _not_monotone(level.drop).at(f"m={level.m:g}")
             level.drop = 0.0
-        # u is u_start off the last level's box, where it drops by 0
-        b = top.box or nowhere
-        drop = float(np.max((u_fields[-1] if u_fields else u_start)[b] - u[b],
+        # u is u_init off the last level's box, where it drops by 0
+        b = top.box
+        drop = float(np.max((u_fields[-1] if u_fields else u_init)[b] - u[b],
                             where=grid.fluid[b], initial=0.0))
         if drop > MONOTONE_STEP_TOL:
             raise _not_monotone(drop).at(f"m={top.m:g}")
         times.append(t)
         u_fields.append(u.copy())
-        theta_fields.append(thetas[(len(levels) - 1) % 3].copy())
+        theta_fields.append(thetas[(len(levels) - 1) % 2].copy())
         w_integrals.append(w_accum.copy())
+        q_masks.append(grid.fluid & (u >= 1.0 - grid.h))
         tail_gap.append(gap)
 
-    b = top.box or nowhere
-    gain = float(np.sum(u[b] - u_start[b], where=grid.fluid[b]))
+    b = top.box
+    gain = float(np.sum(u[b] - u_init[b], where=grid.fluid[b]))
     gain *= grid.cell_volume
     return RunResult(m_list=m_list, dt=dt, times=times, u_fields=u_fields,
                      theta_fields=theta_fields, w_integrals=w_integrals,
-                     first_theta_time=first_theta, tail_gap=tail_gap,
-                     mass_error=abs(gain - cumulative), step_log=step_log)
+                     q_masks=q_masks, first_theta_time=first_theta,
+                     tail_gap=tail_gap, mass_error=abs(gain - cumulative),
+                     step_log=step_log, grid=grid, u_init=u_init)
 
 
 def run(scenario, m, snapshot_times, dt=None, stencil=None):

@@ -140,11 +140,13 @@ class FaceStencil:
         return _box_neighbor_sum(values, box) / (self.h * self.h)
 
     @functools.cached_property
-    def _slot_box(self):
+    def slot_box(self):
         """A box that holds every FLUID cell with a slot face.
 
         Never empty: the grid keeps FLUID cells between the slot and the
         farfield band, so the slot's outermost cell has a FLUID neighbour.
+        Every :meth:`solve`'s box holds it: each first window holds
+        ``near_box``, which holds the slot, grown by the pad.
         """
         return self.window_box(self.slot_coef > 0, 0)
 
@@ -155,7 +157,7 @@ class FaceStencil:
         sum over slot faces of h^(n-1) * (scale*p_f - v_i)/d_f.
         """
         g = self.grid
-        box = self._slot_box
+        box = self.slot_box
         contrib = (load_scale * self.slot_load[box]
                    - self.slot_coef[box] * values[box])
         return float(contrib[g.fluid[box]].sum()) * g.cell_volume
@@ -195,7 +197,7 @@ class FaceStencil:
         ``pad``.  The rule is read on the box of ``support`` and the slot's
         box; beyond it the rhs is u_init - 1, and ``near_box`` stands in
         (its cells meet the rule wherever u >= u_init)."""
-        region = _union(support, self._slot_box)
+        region = _union(support, self.slot_box)
         rhs = (u[region] - 1.0) + load * self.slot_load[region]
         near = self.grid.fluid[region] & (rhs >= self.near_load)
         near |= values[region] > 0

@@ -437,6 +437,31 @@ class TestExitCodes:
         record = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert (code, record["error"]) == (1, "config")
 
+    def test_used_out_is_refused_before_any_work(self, tmp_path, capsys):
+        # a second run into a used --out would leave the first run's extra
+        # rasters beside its own manifest, and diagnose into its run
+        # directory would overwrite that run's manifest
+        scenario = write_scenario(tmp_path, h=1 / 16, t_max=0.5)
+        out = tmp_path / "run"
+        assert main(["obstacle", str(scenario), "--times", "0.1,0.2,0.3",
+                     "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        (tmp_path / "file").write_text("")
+        for args in (["obstacle", str(scenario), "--times", "0.4,0.5"],
+                     ["diagnose", str(out), str(scenario)],
+                     ["obstacle", str(tmp_path / "missing.json"),
+                      "--times", "0.4"]):
+            for target in (out, tmp_path / "file"):
+                assert main([*args, "--out", str(target)]) == 1
+                record = json.loads(capsys.readouterr().err.splitlines()[-1])
+                assert record["error"] == "config"
+                assert "is not an empty directory" in record["message"]
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert main(["obstacle", str(scenario), "--times", "0.4,0.5",
+                     "--out", str(empty)]) == 0
+
     @pytest.mark.parametrize("args", [["--help"], ["--version"],
                                       ["obstacle", "--help"]], ids=" ".join)
     def test_help_and_version_exit_0(self, capsys, args):

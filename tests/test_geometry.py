@@ -1,6 +1,7 @@
 """Slot geometry, grid classification, scenario validation and files."""
 
 import copy
+import dataclasses
 import json
 
 import numpy as np
@@ -302,6 +303,15 @@ class TestScenario:
             Scenario(geometry=geom, grid=grid, u_init=np.zeros(grid.shape),
                      p_samples=np.ones(geom.boundary_samples.shape[0]),
                      t_max=0.3, m_list=(16, 64))
+
+    def test_slot_values_are_stored_as_zero(self, radial_coarse):
+        # SLOT values are ignored: the march starts from u_init as stored
+        grid = radial_coarse.grid
+        raw = np.where(grid.slot, 1.0, radial_coarse.u_init)
+        sc = dataclasses.replace(radial_coarse, u_init=raw)
+        assert not sc.u_init[grid.slot].any()
+        assert np.array_equal(sc.u_init[~grid.slot], raw[~grid.slot])
+        assert raw[grid.slot].all()    # the caller's array is not touched
 
     def test_immutable_arrays(self, radial_coarse):
         with pytest.raises(ValueError):

@@ -1122,6 +1122,10 @@ class TestSupportContract:
             load = (call.u - 1.0) + call.load * st.slot_load
             rule = g.slot | (call.values > 0) | (g.fluid & (load >= near))
             assert call.first == st.window_box(rule, call.pad)
+            # the march starts every box at the slot's box: each solve's
+            # box holds it
+            assert all(r.start <= s.start and s.stop <= r.stop
+                       for r, s in zip(call.record.box, st.slot_box))
 
     @pytest.mark.parametrize("two_slot", [False, True],
                              ids=["mini-annulus", "two-slot"])
