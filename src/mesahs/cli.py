@@ -189,20 +189,23 @@ def _contact_record(scenario, limit, st):
     patch = scenario.grid.fluid & (scenario.u_init >= 1.0 - 1e-9)
     if not patch.any():
         return None
-    # first times are step midpoints, or inf where a cell never turned active
+    # the patch has zero load, so its first times are step midpoints, or
+    # inf where a cell never turned active
     t_mesa = float(limit.first_theta_time[patch].min())
     if t_mesa == np.inf:
         return None
-    dt = limit.dt
+    # one cell's time, h / max(p, 1), or the step if shorter: a longer
+    # default step does not widen the gate
+    d = min(limit.dt, scenario.grid.h / max(scenario.max_datum, 1.0))
     # W vanishes at t = 0, so the patch is inactive there whatever dt is
     try:
         t_obstacle = baiocchi.contact_time(
             scenario, patch, t_lo=0.0, t_hi=scenario.t_max,
-            tol_t=dt, stencil=st)
+            tol_t=d, stencil=st)
     except ConfigError as exc:
         return {"t_mesa": t_mesa, "t_obstacle": None,
                 "note": f"bracketing failed: {exc}"}
-    gap, tol = abs(t_mesa - t_obstacle), 2 * dt
+    gap, tol = abs(t_mesa - t_obstacle), 2 * d
     return {"t_mesa": t_mesa, "t_obstacle": t_obstacle, "gap": gap,
             "tol": tol, "agree": gap <= tol}
 
@@ -324,8 +327,8 @@ def build_parser():
                     "and obstacle-slice route with cross-validation.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    dt_help = ("enthalpy step length (default: h / max(max pressure datum, "
-               "1), stefan.default_dt)")
+    dt_help = ("enthalpy step length (default: 2h / max(max pressure "
+               "datum, 1), stefan.default_dt)")
 
     def common(p):
         p.add_argument("scenario", help="scenario JSON file")

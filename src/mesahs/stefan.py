@@ -55,17 +55,21 @@ def _diffusivity(m):
 
 
 def default_dt(scenario):
-    """Default step h / max(max_datum, 1): about one cell of front motion.
+    """Default step 2h / max(max_datum, 1): about two cells of front motion.
 
     In the mesa limit the backward-Euler sum W^n solves the obstacle
     problem at t_n for any dt, so the sweep route's accuracy is bounded by
     the O(1/m) route gap, not by the step length.  The front speed is
     bounded by the sup of the pressure data, so a step moves the front about
-    one cell, and the time functions resolve to one step; for p == 0 there
-    is no evolution and any step works.
+    two cells.  The time functions stay sharper than one step: a cell with
+    positive load reads its arrival from W's quadratic growth over the
+    next step (:class:`RunResult`), and the contact record keeps its
+    tolerance at one cell's time, h / max(max_datum, 1)
+    (:func:`mesahs.cli._contact_record`).  For p == 0 there is no
+    evolution and any step works.
     """
     m_datum = scenario.max_datum
-    return scenario.grid.h / max(m_datum, 1.0)
+    return 2.0 * scenario.grid.h / max(m_datum, 1.0)
 
 
 #: the columns of ``RunResult.step_log``, in the order of each row
@@ -84,10 +88,13 @@ class RunResult:
     one entry per entry of ``times``: ``tail_gap`` is the largest cellwise
     temperature gap between the last two levels (0.0 with one level), and
     ``q_masks`` the plateau region Q, the FLUID cells with u >= 1 - h.
-    ``first_theta_time`` holds, per cell, the midpoint
-    of the step in which the temperature first passed
-    :func:`~mesahs.fbdiag.active_cut` of that step's temperature (inf if
-    it never did).
+    ``first_theta_time`` holds, per cell, the arrival time of the
+    temperature: the step in which it first passed
+    :func:`~mesahs.fbdiag.active_cut` of that step's temperature brackets
+    it (inf if it never did).  A cell with positive load (u_init < 1)
+    reads it from W's quadratic growth over the next step
+    (:func:`_arrival`); a zero-load cell, which floods at once, and a cell
+    first active in the run's last step keep the step's midpoint.
     ``w_integrals`` holds the backward-Euler sums W^n = sum_k dt_k theta^k,
     the discrete Baiocchi transform of the run: the steps telescope to
     u^n - u_init = -A_h W^n + t_n * slot_load on FLUID, up to rounding, for
@@ -159,8 +166,10 @@ def _advance(st, u, theta, m, dt, support):
     grid = st.grid
     # the record's box is the window and its one-cell ring: the update
     # below credits the ring with the flux out of the window, and beyond
-    # the ring no flux moves.  Pad 2: the default step moves the front about
-    # one cell, and a leaking window regrows by 2 * pad = 4 cells
+    # the ring no flux moves.  Pad 2, and a leaking window regrows by
+    # 2 * pad = 4 cells: the default step moves the front about two cells,
+    # and on compare's sweep at h = 1/32 pads 2, 3 and 4 take 4, 2 and 1
+    # regrowths but 78.9, 81.1 and 83.7 million cell updates
     record = st.solve(theta, u, 1.0 / m, dt, dt, pad=2, support=support)
 
     box = record.box
@@ -217,6 +226,23 @@ def _swap(u, held, level, u_init):
     level.u = None
 
 
+def _arrival(w_n, w_next, t_before, t_n, t_next):
+    """Arrival times of cells first active in the step from ``t_before`` to
+    ``t_n``, read from their backward-Euler sums ``w_n`` at ``t_n`` (positive)
+    and ``w_next`` at ``t_next``.
+
+    Near a moving front the obstacle solution grows like
+    W = a * (t - tau)^2 from the arrival tau, its C^{1,1} regularity and
+    nondegeneracy: with s = sqrt(W^(n+1) / W^n), tau = (s * t_n - t_(n+1))
+    / (s - 1), clipped to the step.  W that did not grow (s = 1) reads as
+    the step's start.
+    """
+    s = np.sqrt(w_next / w_n)
+    with np.errstate(divide="ignore"):
+        tau = (s * t_n - t_next) / (s - 1.0)
+    return np.clip(tau, t_before, t_n)
+
+
 def _not_monotone(drop):
     return SolverError(f"u not monotone between snapshots (drop {drop:.2e})")
 
@@ -267,7 +293,8 @@ def _march(scenario, m_list, snapshot_times, dt, st):
     q_masks, tail_gap, gap = [], [], 0.0
     cumulative = 0.0
 
-    t, steps = 0.0, 0
+    # t_prev and mid: the start and the midpoint of the last step taken
+    t, t_prev, mid, steps = 0.0, 0.0, np.nan, 0
     for target in snapshot_times:
         # a step within 1e-13 of the target is stretched to land on it; a
         # target within 1e-13 of the time reached is recorded at that time,
@@ -313,10 +340,19 @@ def _march(scenario, m_list, snapshot_times, dt, st):
                                      record.corrections))
                     # the step changed theta and u inside its box only
                     theta_box = theta[box]
-                    w_accum[box] += dt_step * theta_box
+                    w_box = w_accum[box]
                     first = first_theta[box]
+                    # the cells first active in the previous step, still at
+                    # its midpoint, read their arrival from W^n and W^(n+1);
+                    # zero-load cells flood at once and keep the midpoint
+                    fresh = (first == mid) & (u_init[box] < 1.0)
+                    w_old = w_box[fresh]
+                    w_box += dt_step * theta_box
+                    first[fresh] = _arrival(w_old, w_box[fresh], t_prev, t,
+                                            t_end)
+                    mid = 0.5 * (t + t_end)
                     first[(theta_box > active_cut(theta_box))
-                          & ~np.isfinite(first)] = 0.5 * (t + t_end)
+                          & ~np.isfinite(first)] = mid
                 else:
                     level.drop += record.drop
                 if snap and k:
@@ -333,7 +369,7 @@ def _march(scenario, m_list, snapshot_times, dt, st):
                     if level is top:
                         gap = float(np.abs(diff).max())
                     del diff    # not held through the next levels' steps
-            t = t_end
+            t_prev, t = t, t_end
         for level in levels[:-1]:
             if level.drop > MONOTONE_STEP_TOL:
                 raise _not_monotone(level.drop).at(f"m={level.m:g}")

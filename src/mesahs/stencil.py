@@ -614,12 +614,18 @@ def _engages(history, cost):
     one correction buys, exceed a correction's ``cost`` in sweeps.  The
     rate is measured over the last two check intervals, not one: the
     max-norm residual of one interval can stall or jump.  False before the
-    third check, or unless both residuals are finite and positive and the
-    later one is smaller.  On the annulus, engaging from the first, second
-    or third check, 2-30 CG steps per correction and other correction
-    settings were all measured no faster (ROADMAP item 4 has the counts).
+    fourth check, so that the rate never reaches back to check 0: at the
+    default step of two cells the first interval of a step's solve is a
+    start transient (residual 1.0, 1.9, 0.6 at sweeps 0, 4 and 11 on
+    compare's lowest level), on which the third check would start 45-sweep
+    corrections that cost more than they save.  False too unless both residuals are finite and
+    positive and the later one is smaller.  On the annulus, engaging from
+    the first, second or third check, 2-30 CG steps per correction and
+    other correction settings were all measured no faster (ROADMAP item 4
+    has the counts); its solves and the obstacle slices first engage at the
+    fifth check.
     """
-    if len(history) < 3:
+    if len(history) < 4:
         return False
     (s0, r0), (s1, r1) = history[-3], history[-1]
     if not 0.0 < r1 < r0 < math.inf:

@@ -40,7 +40,10 @@ def recorded_sweep(scenario, snapshot_times, **kwargs):
     records taken here from every level's steps: ``run.theta_fields`` holds
     the temperature of each step that ends on a snapshot time, and
     ``run.first_theta_time`` the midpoint of the step in which a cell first
-    passes the step's active cut, as the sweep records for its last level.
+    passes the step's active cut.  Those midpoints are not the sweep's own
+    first times, which read a cell's arrival from W's quadratic growth
+    where its load is positive; they serve only to compare levels
+    (``test_crossings_tighten_with_m``).
     """
     runs = {}
     advance = stefan._advance

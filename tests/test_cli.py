@@ -214,7 +214,8 @@ class TestCompareCommand:
 
     def test_contact_bracket_holds_when_dt_passes_contact(self, tmp_path):
         # one step of dt = 0.2 already runs past the contact (t about 0.12);
-        # the obstacle bracket must still start before it
+        # the obstacle bracket must still start before it, and a step
+        # longer than one cell's time h / max(p, 1) does not widen the gate
         scenario = mini_annulus_spec(tmp_path)
         out = tmp_path / "cmp"
         code = main(["compare", str(scenario), "--times", "0.2",
@@ -222,7 +223,7 @@ class TestCompareCommand:
         assert code == 0
         contact = json.loads((out / "manifest.json").read_text())["contact"]
         assert contact["t_obstacle"] is not None
-        assert contact["gap"] <= contact["tol"] == 2 * 0.2
+        assert contact["gap"] <= contact["tol"] == 2 * (1 / 12)
 
     def test_contact_bracketing_failure_is_recorded(self, tmp_path,
                                                    monkeypatch):

@@ -164,11 +164,11 @@ class TestSweep:
 
         monkeypatch.setattr(stefan, "_advance", dropping)
         if not raises:
-            mesa.sweep(sc, snapshot_times=[0.2])
+            mesa.sweep(sc, snapshot_times=[0.2], dt=0.1)
             return
         with pytest.raises(SolverError, match="m=16: u not monotone "
                                               "between snapshots"):
-            mesa.sweep(sc, snapshot_times=[0.2])
+            mesa.sweep(sc, snapshot_times=[0.2], dt=0.1)
 
     @pytest.mark.parametrize("share, raises", [(0.4, False), (0.6, True)])
     def test_last_level_compares_its_snapshots(self, monkeypatch, share,
@@ -190,11 +190,11 @@ class TestSweep:
 
         monkeypatch.setattr(stefan, "_advance", lowering)
         if not raises:
-            mesa.sweep(sc, snapshot_times=[0.2])
+            mesa.sweep(sc, snapshot_times=[0.2], dt=0.1)
             return
         with pytest.raises(SolverError, match="m=32: u not monotone "
                                               "between snapshots"):
-            mesa.sweep(sc, snapshot_times=[0.2])
+            mesa.sweep(sc, snapshot_times=[0.2], dt=0.1)
 
     @staticmethod
     def _last_level_alone(sc, stencil):
@@ -312,7 +312,7 @@ class TestRouteGap:
             return [np.abs(w - s.w)[fluid].max() / s.max_w()
                     for w, s in zip(res.w_integrals, slices)]
 
-        assert stefan.default_dt(sc) == sc.grid.h
+        assert stefan.default_dt(sc) == 2 * sc.grid.h
         for m in (16, 1024):
             for quarter, default in zip(gaps(m, sc.grid.h / 4), gaps(m, None)):
                 assert default <= 1.1 * quarter
@@ -329,8 +329,8 @@ class TestTimeFunctions:
         # coarse corrections may leave sub-tolerance temperature on the
         # saturated patch before contact; the first patch time is the
         # midpoint of the step in which the patch first passes the active
-        # cut, the same with corrections forced on, and within half a step
-        # of the slices' contact time
+        # cut, the same with corrections forced on, and within half a cell's
+        # time h / max(p, 1) (p = 1 here) of the slices' contact time
         sc = mini_annulus
         patch = sc.grid.fluid & (sc.u_init >= 1.0)
         firsts = []
@@ -342,9 +342,9 @@ class TestTimeFunctions:
                 lim = mesa.sweep(sc, snapshot_times=[0.1, 0.2, 0.3])
             firsts.append(float(lim.first_theta_time[patch].min()))
         t_contact = baiocchi.contact_time(sc, patch, t_lo=0.0, t_hi=sc.t_max,
-                                          tol_t=lim.dt)
+                                          tol_t=sc.grid.h)
         assert firsts[0] == firsts[1]
-        assert abs(firsts[0] - t_contact) <= lim.dt / 2
+        assert abs(firsts[0] - t_contact) <= sc.grid.h / 2
 
     def test_crossings_tighten_with_m(self):
         sc = scenarios.radial_scenario(h=1 / 12, t_max=0.3, m_list=(16, 64, 256))

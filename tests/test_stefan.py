@@ -11,7 +11,7 @@ from hypothesis import strategies as hst
 from scipy import ndimage
 
 import mesahs.stefan as stefan
-from mesahs import barriers, scenarios
+from mesahs import baiocchi, barriers, scenarios
 from mesahs.errors import ConfigError, EnvelopeError, SolverError
 from mesahs.stefan import MONOTONE_SWEEP_TOL
 from mesahs.stencil import SOLVE_TOL, build_stencil
@@ -350,6 +350,42 @@ class TestPatchContact:
         assert t_contact > 5 * res.dt
         # the whole patch turns diffusive within a step of first contact
         assert t_first.max() - t_first.min() <= res.dt + 1e-12
+
+
+class TestArrivalTimes:
+    def test_quadratic_growth_gives_its_root(self):
+        # W = a (t - tau)^2 at t_n and t_(n+1) gives back tau, on uneven
+        # steps too; W that did not grow reads as the step's start
+        tau = np.array([0.21, 0.25, 0.2999])
+        a = np.array([0.5, 3.0, 40.0])
+        t_n, t_next = 0.3, 0.35
+        got = stefan._arrival(a * (t_n - tau) ** 2, a * (t_next - tau) ** 2,
+                              0.2, t_n, t_next)
+        assert np.allclose(got, tau, rtol=0.0, atol=1e-12)
+        assert stefan._arrival(np.array([1.0]), np.array([1.0]),
+                               0.2, t_n, t_next)[0] == 0.2
+
+    def test_radial_arrival_against_the_oracle(self):
+        # one level at the default step of two cells: the arrival read from
+        # W's quadratic growth beats the step midpoint at one-cell steps
+        # (median 0.0085 at h = 1/32), on the cells more than 2h from the
+        # slot and from the final front
+        sc = scenarios.radial_scenario(h=1 / 32, t_max=0.5)
+        h = sc.grid.h
+        res = stefan.run(sc, 1024, [0.5])
+        assert res.dt == 2 * h
+        center, _ = sc.geometry.bounding_center_radius()
+        r = sc.grid.radius_from(center)
+        front = baiocchi.radial_fb_radius(0.5)
+        cells = sc.grid.fluid & (r > 1 + 2 * h) & (r < front - 2 * h)
+        first = res.first_theta_time[cells]
+        err = np.abs(first - baiocchi.radial_fb_equation(r[cells]))
+        assert np.median(err) <= 0.005
+        # cells first active in the last step have no following step and
+        # keep its midpoint
+        followed = first <= res.step_log[-2][1]
+        assert 0 < np.count_nonzero(~followed) < 0.02 * first.size
+        assert err[followed].max() <= 0.0305
 
 
 class TestEssentialRange:

@@ -762,6 +762,19 @@ class TestCoarseCorrection:
         assert res.steps > 0
         assert sum(row[9] for row in res.step_log) == 0
 
+    def test_engage_rule_waits_for_the_fourth_check(self):
+        # compare's lowest level at the two-cell step: over checks 0-2 the
+        # rate reads the start transient (1.0, 1.9, 0.6), which would
+        # engage at cost 45; from the fourth check on the rate no longer
+        # reaches back to check 0
+        engages = mesahs.stencil._engages
+        assert not engages([(0, 1.0), (4, 1.9), (11, 0.6)], 45)
+        # the annulus's solves first engage at the fifth check, as before
+        annulus = [(0, 6.2e4), (4, 3.1e3), (11, 1.1e2), (41, 2.3e1),
+                   (71, 1.0e1)]
+        assert not engages(annulus[:4], 32)
+        assert engages(annulus, 32)
+
     def test_annulus_contact_corrects_every_solve(self, annulus_jump):
         # the saturated annulus at h = 1/32 needs 37-70 SOR sweeps per
         # decade, so every solve of its contact bisection corrects
