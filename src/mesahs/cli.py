@@ -5,10 +5,15 @@ Subcommands cover the full pipeline: ``stefan`` (one diffusivity), ``mesa``
 cross-validation), ``barriers`` (closed-form profiles and certified
 constants), and ``diagnose`` (free-boundary reports for a finished run).
 
-Every run writes ``manifest.json`` into its ``--out`` directory, which must
-be new or empty, recording the scenario hash, package version, every
-tolerance actually used, and a hash of every output file; single-threaded
-reruns of the same manifest are bit-identical.  Exit codes:
+Each ``cmd_*`` takes ``(args, scenario, out)``, the scenario loaded (with
+any ``--m-list``) by :func:`main` or None for ``barriers``, writes its
+outputs into ``out`` and returns its own manifest keys and its summary
+line.  :func:`main` alone writes ``manifest.json`` into the ``--out``
+directory, which must be new or empty: the package version, the command,
+the scenario's path, hashes and grid, ``jobs`` where the flag exists, the
+command's keys (every tolerance actually used among them) and a hash of
+every output file; single-threaded reruns of the same manifest are
+bit-identical.  Exit codes:
 1 bad configuration or command line, 2 solver failure, 3 envelope
 violation, 4 internal.
 """
@@ -45,99 +50,58 @@ def _parse_times(text):
     return values
 
 
-def _base_manifest(args, scenario, scenario_path, extras):
-    manifest = {
-        "package_version": __version__,
-        "command": args.command,
-        "scenario_path": str(scenario_path),
-        "scenario_sha256": snapshots.file_sha256(scenario_path),
-        "scenario_content_hash": scenario.content_hash(),
-        "grid": {"h": scenario.grid.h, "shape": list(scenario.grid.shape),
-                 "counts": scenario.grid.counts()},
-    }
-    if "jobs" in args:
-        manifest["jobs"] = args.jobs
-    manifest.update(extras)
-    return manifest
-
-
-def _dump_run(out_dir, result, scenario, tag):
-    h = scenario.grid.h
-    for i, t in enumerate(result.times):
-        header = {"t": t, "m": result.m, "h": h}
-        snapshots.dump_raster(out_dir, f"{tag}_u_{i:04d}",
-                              result.u_fields[i], header)
-        snapshots.dump_raster(out_dir, f"{tag}_theta_{i:04d}",
-                              result.theta_fields[i], header)
-    snapshots.write_csv(out_dir / f"{tag}_steps.csv", stefan.STEP_LOG_COLUMNS,
-                        result.step_log)
-
-
-def cmd_stefan(args):
-    scenario = load_scenario(args.scenario)
+def cmd_stefan(args, scenario, out):
     snapshot_times = _parse_times(args.snapshots)
     envelope = barriers.supersolution_envelope(scenario)
     result = stefan.run(scenario, args.m, snapshot_times, dt=args.dt)
-    out = Path(args.out)
-    _dump_run(out, result, scenario, f"stefan_m{args.m:g}")
-    manifest = _base_manifest(args, scenario, args.scenario, {
+    tag = f"stefan_m{args.m:g}"
+    for i, t in enumerate(result.times):
+        header = {"t": t, "m": result.m, "h": scenario.grid.h}
+        snapshots.dump_raster(out, f"{tag}_u_{i:04d}", result.u_fields[i],
+                              header)
+        snapshots.dump_raster(out, f"{tag}_theta_{i:04d}",
+                              result.theta_fields[i], header)
+    snapshots.write_csv(out / f"{tag}_steps.csv", stefan.STEP_LOG_COLUMNS,
+                        result.step_log)
+    return {
         "m": args.m, "dt": result.dt, "snapshot_times": snapshot_times,
         "solver_tol": SOLVE_TOL, "mass_error": result.mass_error,
         "steps": result.steps, "envelope": envelope.to_dict(),
-    })
-    snapshots.write_manifest(out, manifest)
-    print(f"stefan m={args.m:g}: {result.steps} steps, "
-          f"mass error {result.mass_error:.3e}, wrote {out}")
-    return 0
+    }, (f"stefan m={args.m:g}: {result.steps} steps, "
+        f"mass error {result.mass_error:.3e}")
 
 
-def _run_sweep(args, scenario, snapshot_times, stencil=None):
-    if args.m_list is not None:
-        m_list = tuple(_parse_times(args.m_list))
-        scenario = dataclasses.replace(scenario, m_list=m_list)
-    return scenario, mesa.sweep(scenario, snapshot_times, dt=args.dt,
-                                stencil=stencil)
-
-
-def cmd_mesa(args):
-    scenario = load_scenario(args.scenario)
+def cmd_mesa(args, scenario, out):
     snapshot_times = _parse_times(args.snapshots)
-    scenario, limit = _run_sweep(args, scenario, snapshot_times)
-    out = Path(args.out)
-    h = scenario.grid.h
+    limit = mesa.sweep(scenario, snapshot_times, dt=args.dt)
     q_counts = []
     for i, (t, u_inf) in enumerate(zip(limit.times, limit.u_inf)):
-        header = {"t": t, "m": limit.m, "h": h}
+        header = {"t": t, "m": limit.m, "h": scenario.grid.h}
         snapshots.dump_raster(out, f"mesa_V_{i:04d}", limit.theta_fields[i],
                               header)
         snapshots.dump_raster(out, f"mesa_uinf_{i:04d}", u_inf, header)
         q_counts.append(int(limit.q_masks[i].sum()))
-    manifest = _base_manifest(args, scenario, args.scenario, {
+    return {
         "m_list": list(scenario.m_list), "dt": limit.dt,
         "snapshot_times": snapshot_times,
         "tail_gap": [float(g) for g in limit.tail_gap],
         "q_cell_counts": q_counts, "solver_tol": SOLVE_TOL,
         "mass_error": limit.mass_error,
-    })
-    snapshots.write_manifest(out, manifest)
-    print(f"mesa sweep m={list(scenario.m_list)}: tail gap "
-          f"{max(limit.tail_gap):.3e}, wrote {out}")
-    return 0
+    }, (f"mesa sweep m={list(scenario.m_list)}: tail gap "
+        f"{max(limit.tail_gap):.3e}")
 
 
-def cmd_obstacle(args):
-    scenario = load_scenario(args.scenario)
-    times = _parse_times(args.times)
+def cmd_obstacle(args, scenario, out):
+    times = sorted(_parse_times(args.times))
     st = build_stencil(scenario)
-    out = Path(args.out)
+    center, _ = scenario.geometry.bounding_center_radius()
     rows = []
     sl = None
-    for i, t in enumerate(sorted(times)):
+    for i, t in enumerate(times):
         sl = baiocchi.solve_slice(scenario, t, warm=sl, stencil=st)
         snapshots.dump_raster(out, f"obstacle_W_{i:04d}", sl.w,
                               {"t": t, "m": None, "h": scenario.grid.h})
         balance = baiocchi.mass_balance_check(scenario, sl, stencil=st)
-        center, _ = scenario.geometry.bounding_center_radius()
         radius = baiocchi.fb_radius_stats(sl.active_mask, scenario.grid, center)
         rows.append([t, sl.residual, sl.sweeps, balance["discrepancy"],
                      radius[0], radius[1], radius[2], sl.corrections])
@@ -145,21 +109,15 @@ def cmd_obstacle(args):
                         ["t", "residual", "sweeps", "mass_discrepancy",
                          "fb_r_min", "fb_r_median", "fb_r_max",
                          "corrections"], rows)
-    manifest = _base_manifest(args, scenario, args.scenario, {
-        "times": sorted(times), "solver_tol": SOLVE_TOL,
-        "report": "obstacle_report.csv",
-    })
-    snapshots.write_manifest(out, manifest)
-    print(f"obstacle slices at {sorted(times)}: wrote {out}")
-    return 0
+    return {"times": times, "solver_tol": SOLVE_TOL,
+            "report": "obstacle_report.csv"}, f"obstacle slices at {times}"
 
 
-def cmd_compare(args):
-    scenario = load_scenario(args.scenario)
+def cmd_compare(args, scenario, out):
     times = sorted(_parse_times(args.times))
     # the levels change no coefficient: the sweep and the slices share it
     st = build_stencil(scenario)
-    scenario, limit = _run_sweep(args, scenario, times, stencil=st)
+    limit = mesa.sweep(scenario, times, dt=args.dt, stencil=st)
     slices, sl = [], None
     for t in times:
         sl = baiocchi.solve_slice(scenario, t, warm=sl, stencil=st)
@@ -167,21 +125,17 @@ def cmd_compare(args):
     rows = baiocchi.cross_validate(limit, slices, scenario)
 
     contact = _contact_record(scenario, limit, st)
-    out = Path(args.out)
     csv_rows = [[r["t"], r["supgap_w"], r["supgap_rel"], r["hausdorff_cells"],
                  contact is not None] for r in rows]
     snapshots.write_csv(out / "compare.csv",
                         ["t", "supgap_W", "supgap_rel", "hausdorff_cells",
                          "contact_flags"], csv_rows)
-    manifest = _base_manifest(args, scenario, args.scenario, {
+    worst = max((r["supgap_rel"] for r in rows), default=0.0)
+    return {
         "times": times, "m_list": list(scenario.m_list), "dt": limit.dt,
         "solver_tol": SOLVE_TOL, "mass_error": limit.mass_error,
         "cross_validation": rows, "contact": contact,
-    })
-    snapshots.write_manifest(out, manifest)
-    worst = max((r["supgap_rel"] for r in rows), default=0.0)
-    print(f"compare: worst relative W gap {worst:.3%}, wrote {out}")
-    return 0
+    }, f"compare: worst relative W gap {worst:.3%}"
 
 
 def _contact_record(scenario, limit, st):
@@ -210,11 +164,10 @@ def _contact_record(scenario, limit, st):
             "tol": tol, "agree": gap <= tol}
 
 
-def cmd_barriers(args):
+def cmd_barriers(args, scenario, out):
     n, k, eps = args.n, args.k, args.eps
     bounds = barriers.derivative_bounds(n)
     sub = barriers.subsolution_speed(n, k, eps, bounds=bounds)
-    out = Path(args.out)
     rows = []
     for alpha, beta in [(1.0, 0.0), (1.0, 1.0), (4.0, 0.5)]:
         r = np.linspace(alpha, 1 + alpha + beta, 101)
@@ -237,15 +190,10 @@ def cmd_barriers(args):
         "m_min": sub.m_min if np.isfinite(sub.m_min) else None,
     }
     (out / "barrier_bounds.json").write_text(json.dumps(record, indent=2))
-    manifest = {"package_version": __version__, "command": "barriers",
-                **record}
-    snapshots.write_manifest(out, manifest)
-    print(f"barriers n={n}: ell in [{sub.ell_sub:.4g}, {k:g}], wrote {out}")
-    return 0
+    return record, f"barriers n={n}: ell in [{sub.ell_sub:.4g}, {k:g}]"
 
 
-def cmd_diagnose(args):
-    scenario = load_scenario(args.scenario)
+def cmd_diagnose(args, scenario, out):
     run_dir = Path(args.run_dir)
     fields, times = [], []
     for json_path in sorted(run_dir.glob("*_W_*.json")) or \
@@ -263,7 +211,6 @@ def cmd_diagnose(args):
     if not fields:
         raise ConfigError(f"no field rasters found in {run_dir}")
     series = fbdiag.extract_regions(fields, scenario, times=times)
-    out = Path(args.out)
     rows = [[t, series.measures[i], series.weighted_measures[i],
              series.fb_points[i].shape[0] * scenario.grid.h ** (scenario.grid.n - 1)]
             for i, t in enumerate(series.times)]
@@ -297,14 +244,11 @@ def cmd_diagnose(args):
     (out / "fb_points.json").write_text(json.dumps(reports, indent=2))
     growth = fbdiag.measure_continuity(series, scenario.lambda_bound) \
         if len(series.times) > 1 else None
-    manifest = _base_manifest(args, scenario, args.scenario, {
+    return {
         "run_dir": str(run_dir), "radii": radii,
         "max_growth_slope": None if growth is None else growth["max_slope"],
         "classifications": [r["classification"] for r in reports],
-    })
-    snapshots.write_manifest(out, manifest)
-    print(f"diagnose: {len(reports)} points classified, wrote {out}")
-    return 0
+    }, f"diagnose: {len(reports)} points classified"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -395,7 +339,26 @@ def main(argv=None):
         if out.exists() and not (out.is_dir() and not any(out.iterdir())):
             raise ConfigError(f"--out {out} exists and is not an empty "
                               "directory")
-        return args.func(args)
+        manifest = {"package_version": __version__, "command": args.command}
+        scenario = None
+        if "scenario" in args:
+            scenario = load_scenario(args.scenario)
+            if getattr(args, "m_list", None) is not None:
+                scenario = dataclasses.replace(
+                    scenario, m_list=tuple(_parse_times(args.m_list)))
+            grid = scenario.grid
+            manifest.update({
+                "scenario_path": str(args.scenario),
+                "scenario_sha256": snapshots.file_sha256(args.scenario),
+                "scenario_content_hash": scenario.content_hash(),
+                "grid": {"h": grid.h, "shape": list(grid.shape),
+                         "counts": grid.counts()}})
+        if "jobs" in args:
+            manifest["jobs"] = args.jobs
+        record, summary = args.func(args, scenario, out)
+        snapshots.write_manifest(out, {**manifest, **record})
+        print(f"{summary}, wrote {out}")
+        return 0
     except ConfigError as exc:
         _emit_error("config", exc)
         return EXIT_CONFIG

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -105,9 +105,14 @@ class SolveRecord:
     corrections: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class FaceStencil:
-    """Per-cell coefficients for the face-flux Laplacian on one scenario."""
+    """Per-cell coefficients for the face-flux Laplacian on one scenario.
+
+    Immutable, its arrays read-only: one stencil is shared by every solve
+    of a run, the sweep's and the slices', and :meth:`pose` hands the
+    kernel views of ``diag``.
+    """
 
     grid: object
     diag: np.ndarray        # sum over faces of 1/(h*d_f)
@@ -115,6 +120,10 @@ class FaceStencil:
     slot_load: np.ndarray   # sum over slot faces of p_f/(h*d_f)
     budget: int = 0         # sweeps per solve, :func:`_sweep_budget`
     near_box: tuple = None  # slot and FLUID with u_init - 1 >= near_load
+
+    def __post_init__(self):
+        for array in (self.diag, self.slot_coef, self.slot_load):
+            array.setflags(write=False)
 
     @property
     def h(self):
@@ -308,8 +317,7 @@ def build_stencil(scenario):
     st = FaceStencil(grid=grid, diag=diag, slot_coef=slot_coef,
                      slot_load=slot_load, budget=_sweep_budget(grid))
     near = fluid & (scenario.u_init - 1.0 >= st.near_load)
-    st.near_box = st.window_box(grid.slot | near, 0)
-    return st
+    return replace(st, near_box=st.window_box(grid.slot | near, 0))
 
 
 def _crossing_fraction(geom, outside_pts, inside_pts):

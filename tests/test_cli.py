@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import mesahs
+import mesahs.cli
 import mesahs.stencil
 from mesahs import baiocchi, snapshots, stefan
 from mesahs.cli import main
@@ -263,6 +264,21 @@ class TestCompareCommand:
         assert contact["t_mesa"] == 0.1
         assert contact["gap"] == pytest.approx(3 * contact["tol"])
         assert contact["agree"] is False
+
+    def test_bad_level_list_builds_no_stencil(self, tmp_path, monkeypatch,
+                                              capsys):
+        # main applies --m-list to the scenario before the command starts,
+        # so a list that does not increase is refused before the stencil
+        def no_build(scenario):
+            raise AssertionError("a stencil was built before validation")
+
+        monkeypatch.setattr(mesahs.cli, "build_stencil", no_build)
+        scenario = write_scenario(tmp_path)
+        code = main(["compare", str(scenario), "--m-list", "16,16",
+                     "--times", "0.1", "--out", str(tmp_path / "x")])
+        record = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert (code, record["error"]) == (1, "config")
+        assert "strictly increasing" in record["message"]
 
 
 def _strict_json(text):
@@ -716,6 +732,50 @@ class TestStepLength:
                      "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["dt"] == stefan.default_dt(load_scenario(scenario))
+
+
+class TestRunRecord:
+    @pytest.mark.parametrize("command", ["stefan", "mesa", "obstacle",
+                                         "compare", "barriers", "diagnose"])
+    def test_every_manifest_carries_the_common_record(self, tmp_path,
+                                                      command):
+        # main writes every manifest: the version, the command and the
+        # output hashes always, the scenario record exactly where the
+        # command reads a scenario, and jobs exactly where --jobs exists
+        scenario = str(write_scenario(tmp_path))
+        run_dir = tmp_path / "slices"
+        args = {
+            "stefan": ["stefan", scenario, "--m", "16", "--snapshots", "0.1"],
+            "mesa": ["mesa", scenario, "--snapshots", "0.1"],
+            "obstacle": ["obstacle", scenario, "--times", "0.1"],
+            "compare": ["compare", scenario, "--times", "0.1"],
+            "barriers": ["barriers"],
+            "diagnose": ["diagnose", str(run_dir), scenario],
+        }[command]
+        if command == "diagnose":
+            assert main(["obstacle", scenario, "--times", "0.1",
+                         "--out", str(run_dir)]) == 0
+        out = tmp_path / "run"
+        assert main([*args, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["package_version"] == mesahs.__version__
+        assert manifest["command"] == command
+        hashes = manifest["output_hashes"]
+        assert hashes
+        assert all(snapshots.file_sha256(out / name) == digest
+                   for name, digest in hashes.items())
+        reads_scenario = command != "barriers"
+        for key in ("scenario_path", "scenario_sha256",
+                    "scenario_content_hash", "grid"):
+            assert (key in manifest) == reads_scenario
+        if reads_scenario:
+            assert manifest["scenario_path"] == scenario
+            assert manifest["scenario_sha256"] == \
+                snapshots.file_sha256(scenario)
+            assert manifest["scenario_content_hash"] == \
+                load_scenario(scenario).content_hash()
+        has_jobs = command in ("obstacle", "compare", "diagnose")
+        assert manifest.get("jobs") == (1 if has_jobs else None)
 
 
 def _cap_address_space():

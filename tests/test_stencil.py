@@ -76,7 +76,8 @@ def _window_case(draw):
         start = draw(hst.integers(1, n - 2))
         box.append(slice(start, draw(hst.integers(start + 1, n - 1))))
     grid = SimpleNamespace(shape=shape, n=len(shape))
-    st = FaceStencil(grid=grid, diag=None, slot_coef=None, slot_load=None)
+    zeros = np.zeros(shape)
+    st = FaceStencil(grid=grid, diag=zeros, slot_coef=zeros, slot_load=zeros)
     return st, mask, draw(hst.integers(1, 4)), tuple(box)
 
 
@@ -116,6 +117,17 @@ class TestStencilGeometry:
         floor = 2 * grid.n / grid.h ** 2
         assert np.all(st.diag[grid.fluid] >= floor * (1 - 1e-12))
         assert np.any(st.diag[grid.fluid] > floor * (1 + 1e-12))
+
+    def test_stencil_cannot_be_written(self, tiny):
+        # one stencil serves every solve of a run, and pose hands the
+        # kernel views of its diagonal: neither its arrays nor its fields
+        # change in place
+        _, st = tiny
+        for array in (st.diag, st.slot_coef, st.slot_load):
+            with pytest.raises(ValueError, match="read-only"):
+                array[1, 1] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            st.budget = 1
 
     def test_neighbor_sum_matches_manual(self, tiny):
         sc, st = tiny
@@ -753,9 +765,10 @@ class TestCoarseCorrection:
         self._check(corrected, plain, corrections)
 
     def test_compare_level_never_corrects(self):
-        # the engage rule on the compare scenario: at h = 1/32 SOR needs
-        # 13-17 sweeps per decade on its 70-124-cell boxes, too few for a
-        # correction to pay
+        # the engage rule on the compare scenario: at h = 1/32 and the
+        # two-cell step SOR needs 5-18 sweeps per decade from the fourth
+        # check on, on boxes 70 to 122 cells wide; 1.4 decades of that is
+        # at most 25 sweeps, below a correction's cost of 40-49
         sc = radial_scenario(h=1 / 32, t_max=0.5)
         res = stefan.run(sc, 1024,
                          [round(0.05 * k, 10) for k in range(1, 11)])
