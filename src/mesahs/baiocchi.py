@@ -27,8 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, EnvelopeError, SolverError
 from .fbdiag import active_mask_from, boundary_faces
-from .stencil import (_box_residual, _nearest_index, _shifted,
-                      build_stencil)
+from .stencil import _box_residual, _nearest_index, build_stencil
 
 #: cells a slice's first window reaches beyond its source; a leaking window
 #: regrows by twice this.  On the radial h = 1/64 ten-slice warm chain, pad
@@ -196,21 +195,13 @@ def hausdorff_cells(mask_a, mask_b):
 
 
 def _farthest_sq_distance(mask_a, mask_b):
-    """Largest squared distance from a cell of A to its nearest cell of B.
-
-    The nearest cell of B to a cell outside B has a face neighbor outside B
-    (one step from it towards that cell would be nearer), so only those
-    edge cells of B are searched.  Distances are exact integers.
-    """
+    """Largest squared distance from a cell of A to its nearest cell of B,
+    an exact integer."""
     outside = np.argwhere(mask_a & ~mask_b)
     if outside.shape[0] == 0:
         return 0
-    inner = mask_b.copy()
-    for axis in range(mask_b.ndim):
-        for step in (-1, 1):
-            inner &= _shifted(mask_b, axis, step)
-    edge = np.argwhere(mask_b & ~inner)
-    nearest = edge[_nearest_index(outside, edge)]
+    cells = np.argwhere(mask_b)
+    nearest = cells[_nearest_index(outside, cells)]
     return int(((outside - nearest) ** 2).sum(axis=1).max())
 
 

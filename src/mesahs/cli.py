@@ -140,7 +140,7 @@ def cmd_compare(args, scenario, out):
 
 def _contact_record(scenario, limit, st):
     """Contact-time agreement between the two routes, when a patch exists."""
-    patch = scenario.grid.fluid & (scenario.u_init >= 1.0 - 1e-9)
+    patch = scenario.zero_load
     if not patch.any():
         return None
     # the patch has zero load, so its first times are step midpoints, or
@@ -148,9 +148,9 @@ def _contact_record(scenario, limit, st):
     t_mesa = float(limit.first_theta_time[patch].min())
     if t_mesa == np.inf:
         return None
-    # one cell's time, h / max(p, 1), or the step if shorter: a longer
-    # default step does not widen the gate
-    d = min(limit.dt, scenario.grid.h / max(scenario.max_datum, 1.0))
+    # one cell's time, or the step if shorter: a longer default step does
+    # not widen the gate
+    d = min(limit.dt, scenario.cell_time)
     # W vanishes at t = 0, so the patch is inactive there whatever dt is
     try:
         t_obstacle = baiocchi.contact_time(

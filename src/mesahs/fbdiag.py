@@ -107,7 +107,8 @@ def extract_regions(fields, scenario, times=None):
     """Build a :class:`RegionSeries` from pressure/potential fields or masks.
 
     ``fields`` may hold arrays, objects with ``.w`` (obstacle slices), or
-    boolean masks; ``times`` defaults to the fields' own ``.t`` attributes.
+    boolean masks, whose True FLUID cells the same cut keeps; ``times``
+    defaults to the fields' own ``.t`` attributes.
     """
     grid = scenario.grid
     masks, fb, wmeas, meas = [], [], [], []
@@ -119,10 +120,7 @@ def extract_regions(fields, scenario, times=None):
             t = times[i]
         if t is None:
             raise ConfigError("extract_regions needs times for bare arrays")
-        if values.dtype == bool:
-            mask = values & grid.fluid
-        else:
-            mask = active_mask_from(values, grid)
+        mask = active_mask_from(values, grid)
         masks.append(mask)
         fb.append(boundary_faces(mask, grid))
         wmeas.append(float(((1.0 - scenario.u_init) * mask).sum())

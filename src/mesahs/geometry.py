@@ -143,9 +143,7 @@ class SlotGeometry:
             for c, r in zip(self.centers, self.radii):
                 d = np.minimum(d, np.linalg.norm(points - c, axis=1) - r)
             return d
-        dist = _polygon_distance(points, self.centers)
-        inside = _polygon_contains(points, self.centers)
-        return np.where(inside, -dist, dist) - float(self.radii[0])
+        return _polygon_distance(points, self.centers) - float(self.radii[0])
 
     def contains(self, points):
         return self.signed_distance(points) < 0.0
@@ -210,33 +208,23 @@ def _is_convex(v):
     return bool(np.all(cross > -1e-12 * np.abs(cross).max()))
 
 def _polygon_distance(points, vertices):
-    """Distance from each point to the polygon boundary (segments)."""
+    """Signed distance from each point to the boundary of the convex,
+    counter-clockwise polygon ``vertices``: negative inside, where a point
+    lies left of every edge."""
     d = np.full(points.shape[0], np.inf)
+    inside = np.ones(points.shape[0], dtype=bool)
     m = len(vertices)
     for i in range(m):
         a = vertices[i]
         b = vertices[(i + 1) % m]
         ab = b - a
+        ap = points - a
         denom = float(ab @ ab)
-        t = np.clip(((points - a) @ ab) / denom, 0.0, 1.0)
+        t = np.clip((ap @ ab) / denom, 0.0, 1.0)
         proj = a + t[:, None] * ab
         d = np.minimum(d, np.linalg.norm(points - proj, axis=1))
-    return d
-
-
-def _polygon_contains(points, vertices):
-    """Ray-casting test, vectorized over points (2D)."""
-    x, y = points[:, 0], points[:, 1]
-    inside = np.zeros(points.shape[0], dtype=bool)
-    m = len(vertices)
-    for i in range(m):
-        x0, y0 = vertices[i]
-        x1, y1 = vertices[(i + 1) % m]
-        crosses = (y0 > y) != (y1 > y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xi = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
-        inside ^= crosses & (x < xi)
-    return inside
+        inside &= ab[0] * ap[:, 1] - ab[1] * ap[:, 0] > 0.0
+    return np.where(inside, -d, d)
 
 
 def _sample_rounded_polygon(vertices, rounding, spacing):
@@ -418,6 +406,17 @@ def build_grid(geometry, h, margin, band_cells=2, required_radius=None):
 # scenario
 # ---------------------------------------------------------------------------
 
+def diffusivities(m_list):
+    """The levels ``m_list`` as a tuple of floats; ConfigError unless there is
+    one at least, each positive and finite, in strictly increasing order."""
+    m = tuple(float(x) for x in m_list)
+    if not m or not all(0.0 < x < np.inf for x in m) or any(
+            b <= a for a, b in zip(m, m[1:])):
+        raise ConfigError("each diffusivity m must be positive and finite, "
+                          f"and the levels strictly increasing; got {list(m)}")
+    return m
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Immutable bundle of slot, grid, initial data, and sweep parameters.
@@ -425,9 +424,10 @@ class Scenario:
     ``u_init`` holds per-cell initial enthalpy in [0, 1] over the full grid
     shape (values on SLOT cells are ignored: they are stored as 0); it must
     vanish on and near the farfield band.  ``p_samples`` holds nonnegative
-    pressure data aligned with ``geometry.boundary_samples``.
-    ``lambda_bound`` records the claimed uniform bound u_init <= lambda
-    where nondegeneracy is assumed.
+    pressure data aligned with ``geometry.boundary_samples``.  ``m_list``
+    holds the sweep's levels, checked by :func:`diffusivities`.  What the
+    data imply is derived from them, never stated: ``lambda_bound``,
+    ``zero_load`` and ``cell_time``.
     """
 
     geometry: SlotGeometry
@@ -436,7 +436,6 @@ class Scenario:
     p_samples: np.ndarray
     t_max: float
     m_list: tuple
-    lambda_bound: float = 1.0
 
     def __post_init__(self):
         g = self.grid
@@ -452,15 +451,9 @@ class Scenario:
         if np.any(u[outer] > 0):
             raise ConfigError(
                 "u_init must be compactly supported away from the farfield band")
-        if not (0.0 <= self.lambda_bound <= 1.0):
-            raise ConfigError("lambda_bound must lie in [0, 1]")
         if not 0 < self.t_max < np.inf:
             raise ConfigError("t_max must be positive and finite")
-        m = tuple(float(x) for x in self.m_list)
-        if not m or not all(0 < x < np.inf for x in m) or any(
-                b <= a for a, b in zip(m, m[1:])):
-            raise ConfigError(
-                "m_list must be positive, finite and strictly increasing")
+        m = diffusivities(self.m_list)
         if self.geometry.sample_spacing > g.h + 1e-12:
             raise ConfigError(
                 "boundary sample spacing exceeds grid spacing; sample the "
@@ -476,6 +469,24 @@ class Scenario:
     def max_datum(self):
         """Sup of the pressure data over the slot boundary."""
         return float(self.p_samples.max())
+
+    @property
+    def lambda_bound(self):
+        """The uniform bound u_init <= lambda: the largest initial enthalpy.
+        Free-boundary regularity is proven for lambda < 1."""
+        return float(self.u_init.max())
+
+    @cached_property
+    def zero_load(self):
+        """FLUID cells saturated from the start, u_init >= 1 - 1e-9: their
+        obstacle load 1 - u_init vanishes, so they flood at once (read-only)."""
+        return _read_only(self.grid.fluid & (self.u_init >= 1.0 - 1e-9))
+
+    @property
+    def cell_time(self):
+        """Time the front takes to cross one cell, h / max(max_datum, 1):
+        the front speed is bounded by the sup of the pressure data."""
+        return self.grid.h / max(self.max_datum, 1.0)
 
     def support_radius(self):
         """Radius (about the slot center) of the support of u_init."""
@@ -550,8 +561,7 @@ def load_scenario(path):
         p = _p_from_dict(spec["p"], geometry)
         return Scenario(geometry=geometry, grid=grid, u_init=u, p_samples=p,
                         t_max=float(spec["t_max"]),
-                        m_list=tuple(spec["m_list"]),
-                        lambda_bound=float(spec.get("lambda", 1.0)))
+                        m_list=tuple(spec["m_list"]))
     except KeyError as exc:
         raise ConfigError(f"scenario file missing key {exc}") from exc
     except (AttributeError, IndexError, OSError, OverflowError, TypeError,

@@ -59,17 +59,16 @@ def representation_check(limit, scenario, tol=None):
     return {"tol": tol, "intermediate_fraction": intermediate}
 
 
-def harmonicity_check(pressure, active_mask, grid, interior_margin=2,
-                      slot_margin=2):
+def harmonicity_check(pressure, active_mask, grid):
     """Max discrete Laplacian of the limiting pressure inside the region.
 
-    Cells are kept only ``interior_margin`` cells inside the active set and
-    ``slot_margin`` cells away from the slot, where the pressure should be
-    harmonic up to O(M/m + h).  An empty interior is reported, not an error.
+    Cells are kept only two cells inside the active set and two cells away
+    from the slot, where the pressure should be harmonic up to O(M/m + h).
+    An empty interior is reported, not an error.
     """
     from scipy import ndimage   # deferred: no solve path loads scipy
-    region = ndimage.binary_erosion(active_mask, iterations=interior_margin)
-    region &= ~ndimage.binary_dilation(grid.slot, iterations=slot_margin)
+    region = ndimage.binary_erosion(active_mask, iterations=2)
+    region &= ~ndimage.binary_dilation(grid.slot, iterations=2)
     region &= grid.fluid
     if not region.any():
         return {"max_residual": 0.0, "cells": 0, "empty": True}

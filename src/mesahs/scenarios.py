@@ -24,8 +24,7 @@ def _margin_for(rho_fit, envelope_radius, h):
     return float(np.ceil(margin / h) * h)
 
 
-def _scenario(geometry, h, envelope_radius, u_breakpoints, p, t_max, m_list,
-              lam):
+def _scenario(geometry, h, envelope_radius, u_breakpoints, p, t_max, m_list):
     _, rho_fit = geometry.bounding_center_radius()
     margin = _margin_for(rho_fit, envelope_radius, h)
     grid = build_grid(geometry, h, margin, required_radius=envelope_radius)
@@ -35,8 +34,7 @@ def _scenario(geometry, h, envelope_radius, u_breakpoints, p, t_max, m_list,
         u = radial_u_init(grid, geometry, u_breakpoints)
     p_samples = np.full(geometry.boundary_samples.shape[0], float(p))
     return Scenario(geometry=geometry, grid=grid, u_init=u,
-                    p_samples=p_samples, t_max=t_max, m_list=tuple(m_list),
-                    lambda_bound=lam)
+                    p_samples=p_samples, t_max=t_max, m_list=tuple(m_list))
 
 
 def radial_scenario(h=1 / 64, lam=0.0, patch_radius=2.6, p=1.0, t_max=0.5,
@@ -57,7 +55,7 @@ def radial_scenario(h=1 / 64, lam=0.0, patch_radius=2.6, p=1.0, t_max=0.5,
         rho = 1.0
         breakpoints = None
     envelope = 2.0 * rho + p * t_max / rho
-    return _scenario(geometry, h, envelope, breakpoints, p, t_max, m_list, lam)
+    return _scenario(geometry, h, envelope, breakpoints, p, t_max, m_list)
 
 
 def sandwich_scenario(h=1 / 64, k=1.0, t_max=0.2, m_list=(256, 512, 1024)):
@@ -71,7 +69,7 @@ def sandwich_scenario(h=1 / 64, k=1.0, t_max=0.2, m_list=(256, 512, 1024)):
     envelope = 2.0 + k * t_max
     breakpoints = [(0.0, 0.0), (1.0 - 1e-9, 0.0), (1.0, 1.0), (2.0, 1.0),
                    (2.0 + 1e-9, 0.0)]
-    return _scenario(geometry, h, envelope, breakpoints, k, t_max, m_list, 1.0)
+    return _scenario(geometry, h, envelope, breakpoints, k, t_max, m_list)
 
 
 def annulus_scenario(h=1 / 32, eps_patch=0.0, ramp=0.1, t_max=3.2,
@@ -91,7 +89,7 @@ def annulus_scenario(h=1 / 32, eps_patch=0.0, ramp=0.1, t_max=3.2,
                    (5.0 + ramp, 0.0)]
     rho = max(1.0, (5.0 + ramp) / 2.0)
     envelope = 2.0 * rho + p * t_max / rho
-    return _scenario(geometry, h, envelope, breakpoints, p, t_max, m_list, 1.0)
+    return _scenario(geometry, h, envelope, breakpoints, p, t_max, m_list)
 
 
 def annulus_patch_mask(scenario):
@@ -108,4 +106,4 @@ def two_slot_scenario(h=1 / 16, p=1.0, t_max=0.2, m_list=(16, 64, 256),
         [(-c, 0.0), (c, 0.0)], [radius, radius], sample_spacing=h / 2)
     _, rho_fit = geometry.bounding_center_radius()
     envelope = 2.0 * rho_fit + p * t_max / rho_fit
-    return _scenario(geometry, h, envelope, None, p, t_max, m_list, 0.0)
+    return _scenario(geometry, h, envelope, None, p, t_max, m_list)

@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import ConfigError, EnvelopeError, SolverError
 from .fbdiag import _time_index, active_cut, active_mask_from
+from .geometry import diffusivities
 from .stencil import SolveRecord, _union, build_stencil
 
 #: per-step slack allowed on cellwise time-monotonicity of u
@@ -45,15 +46,6 @@ MONOTONE_SWEEP_TOL = 1e-7
 MAX_STEPS = 2 ** 20
 
 
-def _diffusivity(m):
-    """``m`` as a float; raises ConfigError unless it is positive and finite."""
-    m = float(m)
-    if not 0.0 < m < np.inf:
-        raise ConfigError(f"diffusivity m must be positive and finite, "
-                          f"got {m:g}")
-    return m
-
-
 def default_dt(scenario):
     """Default step 2h / max(max_datum, 1): about two cells of front motion.
 
@@ -64,12 +56,11 @@ def default_dt(scenario):
     two cells.  The time functions stay sharper than one step: a cell with
     positive load reads its arrival from W's quadratic growth over the
     next step (:class:`RunResult`), and the contact record keeps its
-    tolerance at one cell's time, h / max(max_datum, 1)
-    (:func:`mesahs.cli._contact_record`).  For p == 0 there is no
+    tolerance at one cell's time, :attr:`Scenario.cell_time
+    <mesahs.geometry.Scenario.cell_time>`.  For p == 0 there is no
     evolution and any step works.
     """
-    m_datum = scenario.max_datum
-    return 2.0 * scenario.grid.h / max(m_datum, 1.0)
+    return 2.0 * scenario.cell_time
 
 
 #: the columns of ``RunResult.step_log``, in the order of each row
@@ -91,10 +82,11 @@ class RunResult:
     ``first_theta_time`` holds, per cell, the arrival time of the
     temperature: the step in which it first passed
     :func:`~mesahs.fbdiag.active_cut` of that step's temperature brackets
-    it (inf if it never did).  A cell with positive load (u_init < 1)
-    reads it from W's quadratic growth over the next step
-    (:func:`_arrival`); a zero-load cell, which floods at once, and a cell
-    first active in the run's last step keep the step's midpoint.
+    it (inf if it never did).  A cell with positive load reads it from W's
+    quadratic growth over the next step (:func:`_arrival`); a zero-load
+    cell (:attr:`Scenario.zero_load <mesahs.geometry.Scenario.zero_load>`),
+    which floods at once, and a cell first active in the run's last step
+    keep the step's midpoint.
     ``w_integrals`` holds the backward-Euler sums W^n = sum_k dt_k theta^k,
     the discrete Baiocchi transform of the run: the steps telescope to
     u^n - u_init = -A_h W^n + t_n * slot_load on FLUID, up to rounding, for
@@ -277,7 +269,7 @@ def _march(scenario, m_list, snapshot_times, dt, st):
     snapshot reached without a step repeats the last one (0.0 before any).
     Returns the last level's :class:`RunResult`.
     """
-    grid, u_init = scenario.grid, scenario.u_init
+    grid, u_init, zero_load = scenario.grid, scenario.u_init, scenario.zero_load
     u = u_init.copy()
     levels = [_Level(m, st.slot_box, u_init[st.slot_box]) for m in m_list]
     for k in range(2, len(levels)):
@@ -345,7 +337,7 @@ def _march(scenario, m_list, snapshot_times, dt, st):
                     # the cells first active in the previous step, still at
                     # its midpoint, read their arrival from W^n and W^(n+1);
                     # zero-load cells flood at once and keep the midpoint
-                    fresh = (first == mid) & (u_init[box] < 1.0)
+                    fresh = (first == mid) & ~zero_load[box]
                     w_old = w_box[fresh]
                     w_box += dt_step * theta_box
                     first[fresh] = _arrival(w_old, w_box[fresh], t_prev, t,
@@ -411,10 +403,7 @@ def run(scenario, m, snapshot_times, dt=None, stencil=None):
     as the levels march, and the run aborts if temperature ever reaches the
     farfield clearance.  Returns a :class:`RunResult`.
     """
-    m_list = tuple(map(_diffusivity, np.atleast_1d(m)))
-    if not m_list or any(b <= a for a, b in zip(m_list, m_list[1:])):
-        raise ConfigError("diffusivities must be a non-empty, strictly "
-                          "increasing sequence")
+    m_list = diffusivities(np.atleast_1d(m))
     snapshot_times = [float(t) for t in snapshot_times]
     if not all(0.0 <= t <= scenario.t_max + 1e-12 for t in snapshot_times):
         raise ConfigError("snapshot times must lie within [0, t_max]")

@@ -30,7 +30,7 @@ def mini_annulus_scenario(h=1 / 16, width=0.08, m_list=(16, 64, 256),
     u = radial_u_init(grid, geometry, breakpoints)
     p = np.ones(geometry.boundary_samples.shape[0])
     return Scenario(geometry=geometry, grid=grid, u_init=u, p_samples=p,
-                    t_max=t_max, m_list=m_list, lambda_bound=1.0)
+                    t_max=t_max, m_list=m_list)
 
 
 def recorded_sweep(scenario, snapshot_times, **kwargs):

@@ -10,7 +10,8 @@ an h = 1/8 scenario, once on single runs and slices and once on a sweep,
 which must reach the traced ``stefan.run``.  The regrowth count, kernel
 calls beyond the first per step, must equal the regrowths of the package's
 own step log.  The command lines ``perfbench/run.py`` passes to the CLI are
-checked against the CLI's parser too.
+checked against the CLI's parser too, and its scenario files, which still
+state ``lambda``, against the loader, which derives it.
 """
 
 import importlib.util
@@ -20,7 +21,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from mesahs.cli import build_parser
+from mesahs.geometry import load_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -118,15 +122,21 @@ def test_sweep_is_traced_as_a_run():
     assert out["metrics"]["stefan.mass_error_max"] == out["mass_error"]
 
 
-def test_benchmark_command_lines_parse(monkeypatch):
-    # a flag the benchmark passes that the CLI drops or tightens would fail
-    # only inside the benchmark run
+def _load_bench(monkeypatch):
+    """``perfbench/run.py`` as a module."""
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     spec = importlib.util.spec_from_file_location(
         "perfbench_run", ROOT / "perfbench" / "run.py")
     bench = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, bench)
     spec.loader.exec_module(bench)
+    return bench
+
+
+def test_benchmark_command_lines_parse(monkeypatch):
+    # a flag the benchmark passes that the CLI drops or tightens would fail
+    # only inside the benchmark run
+    bench = _load_bench(monkeypatch)
     commands = [args for workload in bench.WORKLOADS.values()
                 for mode, args in workload.processes("scenario.json", "out")
                 if mode == "cli"]
@@ -135,3 +145,20 @@ def test_benchmark_command_lines_parse(monkeypatch):
     parser = build_parser()
     for args in commands:
         parser.parse_args(args)
+
+
+@pytest.mark.parametrize("shape", ["radial_spec", "annulus_spec"])
+def test_stated_lambda_moves_no_hash(monkeypatch, tmp_path, shape):
+    # lambda is the largest u_init whatever the file states, so the
+    # benchmark's manifests keep their scenario_content_hash
+    spec = getattr(_load_bench(monkeypatch), shape)(1 / 8, 1.0)
+    hashes = set()
+    for stated in (spec["lambda"], None, 0.5):
+        path = tmp_path / f"{stated}.json"
+        path.write_text(json.dumps(
+            {**{k: v for k, v in spec.items() if k != "lambda"},
+             **({} if stated is None else {"lambda": stated})}))
+        sc = load_scenario(path)
+        assert sc.lambda_bound == float(sc.u_init.max()) == spec["lambda"]
+        hashes.add(sc.content_hash())
+    assert len(hashes) == 1

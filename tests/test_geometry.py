@@ -10,17 +10,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 from hypothesis.extra import numpy as hnp
 from scipy import ndimage
+from scipy.spatial import ConvexHull
 
 from mesahs import barriers, scenarios
 from mesahs.errors import ConfigError, EnvelopeError
 from mesahs.geometry import (BAND_CLEARANCE, FARFIELD, FLUID,
                              MAX_BOUNDARY_SAMPLES, MAX_GRID_CELLS, SLOT,
-                             Grid, Scenario, SlotGeometry, build_grid,
-                             load_scenario, radial_u_init)
+                             Grid, Scenario, SlotGeometry, _polygon_distance,
+                             build_grid, load_scenario, radial_u_init)
+
+from conftest import mini_annulus_scenario
 
 
 #: a polygon slot that is valid with any positive, finite rounding
 _SQUARE = [(-0.6, -0.6), (0.6, -0.6), (0.6, 0.6), (-0.6, 0.6)]
+
+
+def _ray_cast_contains(points, vertices):
+    """Reference point-in-polygon test: a point is inside when the ray from
+    it towards +x crosses an odd number of edges."""
+    x, y = points[:, 0], points[:, 1]
+    inside = np.zeros(points.shape[0], dtype=bool)
+    for (x0, y0), (x1, y1) in zip(vertices, np.roll(vertices, -1, axis=0)):
+        crosses = (y0 > y) != (y1 > y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xi = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
+        inside ^= crosses & (x < xi)
+    return inside
 
 
 class TestSlotGeometry:
@@ -114,6 +130,24 @@ class TestSlotGeometry:
         geom = SlotGeometry.rounded_polygon(
             [[0, 0], [1, bend], [2, 0], [1, 1]], 0.2, sample_spacing=0.01)
         assert geom.boundary_samples.shape[0] == 613
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_polygon_sign_matches_a_ray_cast(self, seed):
+        # inside is left of every edge, which the validated convexity makes
+        # the ray cast's answer: random hulls on random points, and the
+        # square on a lattice that runs along its edge lines
+        rng = np.random.default_rng(seed)
+        hull = ConvexHull(rng.normal(size=(12, 2)))
+        polygons = [hull.points[hull.vertices], _SQUARE]
+        lattice = np.mgrid[-1:1:41j, -1:1:41j].reshape(2, -1).T
+        for vertices, points in zip(polygons, [
+                rng.uniform(-3.0, 3.0, size=(4000, 2)), lattice]):
+            vertices = SlotGeometry.rounded_polygon(vertices, 0.1).centers
+            d = _polygon_distance(points, vertices)
+            far = np.abs(d) > 1e-9
+            assert np.count_nonzero(far) > 0.9 * len(points)
+            assert np.array_equal(d[far] < 0.0,
+                                  _ray_cast_contains(points[far], vertices))
 
     def test_nonconvex_polygon_rejected(self):
         vertices = [(0, 0), (2, 0), (1, 0.2), (0, 2)]
@@ -264,6 +298,28 @@ class TestBuildGrid:
                 mask[0, 0] = not mask[0, 0]
 
 
+#: a small instance of every constructor in mesahs.scenarios, and of the
+#: test suite's mini-annulus, with the largest initial enthalpy it sets
+_CONSTRUCTED = [
+    pytest.param(lambda: scenarios.radial_scenario(
+        h=1 / 8, t_max=0.2, m_list=(8, 16, 32)), 0.0, id="radial_scenario"),
+    pytest.param(lambda: scenarios.radial_scenario(
+        h=1 / 8, lam=0.5, patch_radius=2.0, t_max=0.2, m_list=(8, 16, 32)),
+        0.5, id="radial_scenario-lam"),
+    pytest.param(lambda: scenarios.sandwich_scenario(h=1 / 8), 1.0,
+                 id="sandwich_scenario"),
+    pytest.param(lambda: scenarios.annulus_scenario(
+        h=1 / 8, t_max=0.5, m_list=(8, 16, 32)), 1.0, id="annulus_scenario"),
+    pytest.param(lambda: scenarios.annulus_scenario(
+        h=1 / 8, eps_patch=0.25, t_max=0.5, m_list=(8, 16, 32)), 0.75,
+        id="annulus_scenario-eps"),
+    pytest.param(lambda: scenarios.two_slot_scenario(), 0.0,
+                 id="two_slot_scenario"),
+    pytest.param(lambda: mini_annulus_scenario(h=1 / 8), 1.0,
+                 id="mini_annulus_scenario"),
+]
+
+
 class TestScenario:
     def test_u_init_range_enforced(self, radial_coarse):
         bad = radial_coarse.u_init.copy()
@@ -316,6 +372,17 @@ class TestScenario:
     def test_immutable_arrays(self, radial_coarse):
         with pytest.raises(ValueError):
             radial_coarse.u_init[0, 0] = 0.5
+
+    @pytest.mark.parametrize("make, top", _CONSTRUCTED)
+    def test_lambda_is_the_largest_initial_enthalpy(self, make, top):
+        sc = make()
+        assert sc.lambda_bound == float(sc.u_init.max()) == top
+
+    def test_every_constructor_is_covered(self):
+        made = {p.id.split("-")[0] for p in _CONSTRUCTED}
+        assert made - {"mini_annulus_scenario"} == {
+            name for name in dir(scenarios)
+            if name.endswith("_scenario") and not name.startswith("_")}
 
 
 class TestAnnulusScenario:

@@ -399,16 +399,6 @@ class TestHarmonicity:
         assert not rep["empty"]
         assert rep["max_residual"] <= 2.0 * (1.0 / 256 + sc.grid.h)
 
-    def test_slot_margin_insensitive(self, coarse_sweep):
-        sc, lim = coarse_sweep
-        r2 = mesa.harmonicity_check(lim.theta_fields[-1],
-                                    lim.active_mask_at(0.3),
-                                    sc.grid, slot_margin=2)
-        r3 = mesa.harmonicity_check(lim.theta_fields[-1],
-                                    lim.active_mask_at(0.3),
-                                    sc.grid, slot_margin=3)
-        assert r3["max_residual"] <= r2["max_residual"] + 1e-12
-
     def test_refinement_improves_residual(self):
         res = {}
         for h, m_top in ((1 / 12, 256), (1 / 24, 1024)):

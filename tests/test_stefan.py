@@ -351,6 +351,18 @@ class TestPatchContact:
         # the whole patch turns diffusive within a step of first contact
         assert t_first.max() - t_first.min() <= res.dt + 1e-12
 
+    @pytest.mark.parametrize("eps_patch", [0.0, 5e-10])
+    def test_near_saturated_patch_keeps_the_step_midpoint(self, eps_patch):
+        # a patch within 1e-9 of saturation has zero load, as the contact
+        # record counts it: it floods at once in the step (2.75, 2.8), and
+        # no cell of it reads an arrival from W's growth clipped to 2.75
+        sc = scenarios.annulus_scenario(h=1 / 16, eps_patch=eps_patch,
+                                        m_list=(16, 64, 256))
+        patch = scenarios.annulus_patch_mask(sc)
+        res = stefan.run(sc, sc.m_list, [2.0, 2.5, 2.8, 3.0])
+        assert np.all(res.first_theta_time[patch] == 2.775)
+        assert np.array_equal(patch, sc.zero_load)
+
 
 class TestArrivalTimes:
     def test_quadratic_growth_gives_its_root(self):
