@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, EnvelopeError, SolverError
-from .fbdiag import active_mask_from, boundary_faces
-from .stencil import _box_residual, _nearest_index, build_stencil
+from .fbdiag import ACTIVE_REL_THRESHOLD, active_mask_from, boundary_faces
+from .stencil import SOLVE_TOL, _box_residual, _nearest_index, build_stencil
 
 #: cells a slice's first window reaches beyond its source; a leaking window
 #: regrows by twice this.  On the radial h = 1/64 ten-slice warm chain, pad
@@ -97,13 +97,22 @@ def solve_slice(scenario, t, warm=None, stencil=None):
     support = None if warm is None else warm.box
     if support is not None:
         w[support] = warm.w[support]
+    return _converge(scenario, st, t, w, support)
+
+
+def _converge(scenario, st, t, w, support, stop=None):
+    """The slice at t solved in place from ``w``, whose support box is
+    ``support``: :meth:`FaceStencil.solve` with (0, 1, t) and u_init, its
+    errors naming t.  None if ``stop`` ended the solve."""
     try:
         record = st.solve(w, scenario.u_init, 0.0, 1.0, t,
-                          pad=SLICE_WINDOW_PAD, support=support)
+                          pad=SLICE_WINDOW_PAD, support=support, stop=stop)
     except (SolverError, EnvelopeError) as exc:
         raise exc.at(f"obstacle slice at t={t:g}") from exc
+    if record.stopped:
+        return None
     return BaiocchiPotential(t=float(t), w=w,
-                             active_mask=active_mask_from(w, grid),
+                             active_mask=active_mask_from(w, scenario.grid),
                              residual=record.residual, sweeps=record.sweeps,
                              corrections=record.corrections, box=record.box)
 
@@ -264,27 +273,83 @@ def contact_time(scenario, patch_mask, t_lo, t_hi, tol_t, stencil=None):
     """Bisect for the first slice time whose active set meets ``patch_mask``.
 
     Requires ``tol_t`` > 0, ``t_lo`` < ``t_hi``, the patch inactive at
-    ``t_lo`` and active at ``t_hi``.  Solves are warm-started from the
-    lower bracket, which approaches the answer monotonically from below.
-    Bisection ends early once the bracket is two adjacent doubles.
+    ``t_lo`` and active at ``t_hi``.  The slice at ``t_lo`` is a
+    :func:`solve_slice`; every later time, ``t_hi`` and each midpoint, is a
+    probe warm-started from the lower bracket (:func:`_probe`), which
+    approaches the answer monotonically from below.  A probe first solves
+    on the lower bracket's active box grown by ``SLICE_WINDOW_PAD``, where
+    the flow has not yet reached most of a distant patch.  The window's W,
+    zero at its edge, lies below the whole slice's, and the whole slice's
+    lies below t * ``max_datum``: a patch cell whose window W clears the
+    active cut at that bound, with both solves' error bounds, is active in
+    the slice :func:`solve_slice` would return, and the probe is wet.
+    Otherwise the probe regrows and converges as a slice does, and its
+    verdict is read from the converged W.  Every verdict is therefore the
+    slice's own, and so is t*.  Bisection ends early once the bracket is
+    two adjacent doubles.
     """
     if not (tol_t > 0 and t_lo < t_hi):
         raise ConfigError("contact_time needs tol_t > 0 and t_lo < t_hi")
     st = stencil if stencil is not None else build_stencil(scenario)
     lo_slice = solve_slice(scenario, t_lo, stencil=st)
-    hi_active = solve_slice(scenario, t_hi, stencil=st)
     if np.any(lo_slice.active_mask & patch_mask):
         raise ConfigError("patch already active at t_lo")
-    if not np.any(hi_active.active_mask & patch_mask):
+    if _probe(scenario, t_hi, lo_slice, patch_mask, st) is not None:
         raise ConfigError("patch not active at t_hi")
     lo, hi = t_lo, t_hi
     mid = 0.5 * (lo + hi)
     while hi - lo > tol_t and lo < mid < hi:
-        sl = solve_slice(scenario, mid, warm=lo_slice, stencil=st)
-        if np.any(sl.active_mask & patch_mask):
+        dry = _probe(scenario, mid, lo_slice, patch_mask, st)
+        if dry is None:
             hi = mid
         else:
-            lo = mid
-            lo_slice = sl
+            lo, lo_slice = mid, dry
         mid = 0.5 * (lo + hi)
     return mid
+
+
+def _probe(scenario, t, start, patch_mask, stencil):
+    """The slice at ``t`` if ``patch_mask`` is inactive there, else None.
+
+    ``start``, a slice at an earlier time with the patch inactive, gives
+    the warm start on its active cells alone (its solver dust stays
+    behind) and the support box, their bounding box.  The solve ends on
+    the first converged window on which a patch cell's W exceeds
+    :func:`_wet_cut`.
+    """
+    active = start.active_mask
+    support = stencil.window_box(active, 0)
+    w = np.zeros(scenario.grid.shape)
+    if support is not None:
+        np.copyto(w[support], start.w[support], where=active[support])
+    cut = _wet_cut(scenario, t)
+
+    def wet(box):
+        return bool(np.any(w[box] > cut, where=patch_mask[box]))
+
+    sl = _converge(scenario, stencil, t, w, support, stop=wet)
+    if sl is None or np.any(sl.active_mask & patch_mask):
+        return None
+    return sl
+
+
+def _wet_cut(scenario, t):
+    """The W above which a probe's converged window proves a cell active
+    in the slice at t.
+
+    With A the slice's M-matrix, E = ||A^-1 1|| is at most R^2 / (2n) for
+    R the radius of a ball about the grid's centre that holds every cell:
+    (R^2 - |x - c|^2) / (2n) is nonnegative there and A maps it to at
+    least 1.  A solve within tol of complementarity lies below the exact
+    solution by at most tol * E and above it by at most tol * (1 + E).
+    The exact whole slice is at most t * ``max_datum``, a supersolution
+    since u_init <= 1 and the slot load is at most ``max_datum`` times
+    the slot coefficient, and at least the exact window solution.  So a
+    window W above the cut is above the whole slice's computed W's active
+    cut, ``ACTIVE_REL_THRESHOLD`` times its maximum.
+    """
+    grid = scenario.grid
+    reach = (0.5 * grid.h) ** 2 * sum(n * n for n in grid.shape) / (2 * grid.n)
+    above = SOLVE_TOL * (1.0 + reach)
+    return (ACTIVE_REL_THRESHOLD * (t * scenario.max_datum + above)
+            + above + SOLVE_TOL * reach)

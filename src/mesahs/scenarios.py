@@ -15,8 +15,6 @@ from .geometry import (BAND_CLEARANCE, Scenario, SlotGeometry, build_grid,
 DEFAULT_M_LIST = (16, 32, 64, 128, 256, 512, 1024)
 #: cells from the envelope to the box edge: band 2, clearance, slack 2
 _MARGIN_CELLS = 2 + BAND_CLEARANCE + 2
-#: how far below its plateau an initial enthalpy still counts as the patch
-_PATCH_TOL = 1e-9
 
 
 def _margin_for(rho_fit, envelope_radius, h):
@@ -93,9 +91,9 @@ def annulus_scenario(h=1 / 32, eps_patch=0.0, ramp=0.1, t_max=3.2,
 
 
 def annulus_patch_mask(scenario):
-    """Cells of the saturated patch (initial enthalpy at its max plateau)."""
-    top = float(scenario.u_init.max())
-    return scenario.grid.fluid & (scenario.u_init >= top - _PATCH_TOL)
+    """Cells of the saturated patch: ``Scenario.zero_load``, the cells whose
+    contact ``mesahs compare`` records.  Empty if ``eps_patch`` > 1e-9."""
+    return scenario.zero_load
 
 
 def two_slot_scenario(h=1 / 16, p=1.0, t_max=0.2, m_list=(16, 64, 256),

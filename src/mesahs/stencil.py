@@ -94,7 +94,9 @@ class SolveRecord:
     ``sweeps`` counts SOR sweeps and coarse corrections at their cost in
     fine-sweep equivalents, ``checks`` the residual checks of every kernel
     call.  ``box``, the last window and its one-cell ring, holds every cell
-    the solve may change; ``residual`` over it is the whole interior's.
+    the solve may change; ``residual`` over it is the whole interior's,
+    unless ``stopped``: the caller's test ended the solve on a converged
+    window, and ``residual`` is that window's.
     """
 
     residual: float
@@ -103,6 +105,7 @@ class SolveRecord:
     checks: int
     regrowths: int
     corrections: int
+    stopped: bool = False
 
 
 @dataclass(frozen=True)
@@ -154,8 +157,8 @@ class FaceStencil:
 
         Never empty: the grid keeps FLUID cells between the slot and the
         farfield band, so the slot's outermost cell has a FLUID neighbour.
-        Every :meth:`solve`'s box holds it: each first window holds
-        ``near_box``, which holds the slot, grown by the pad.
+        Every :meth:`solve`'s box holds it: each :meth:`first_window`
+        holds it, a window with a ``stop`` test included.
         """
         return self.window_box(self.slot_coef > 0, 0)
 
@@ -201,17 +204,19 @@ class FaceStencil:
         return diag, (u[box] - 1.0) + load * self.slot_load[box]
 
     def first_window(self, values, u, load, pad, support):
-        """The first box of :meth:`solve`: the slot, the positive ``values``
-        and the FLUID cells whose rhs is at least ``near_load``, grown by
-        ``pad``.  The rule is read on the box of ``support`` and the slot's
-        box; beyond it the rhs is u_init - 1, and ``near_box`` stands in
-        (its cells meet the rule wherever u >= u_init)."""
+        """The first box of :meth:`solve`: ``slot_box``, and the positive
+        ``values`` and the FLUID cells whose rhs is at least ``near_load``
+        grown by ``pad``.  The rule is read on the box of ``support`` and
+        ``slot_box`` alone.  Beyond it the rhs is u_init - 1, and a solve
+        without a ``stop`` test adds ``near_box`` grown by ``pad`` (its
+        cells meet the rule wherever u >= u_init, and it holds the slot); a
+        solve with one, which asks whether the smaller problem already
+        settles its question, does not."""
         region = _union(support, self.slot_box)
         rhs = (u[region] - 1.0) + load * self.slot_load[region]
         near = self.grid.fluid[region] & (rhs >= self.near_load)
         near |= values[region] > 0
-        return _union(self.window_box(near, pad, region),
-                      self.grow_box(self.near_box, pad))
+        return _union(self.window_box(near, pad, region), self.slot_box)
 
     def _frame(self, box):
         """``box`` grown by 2 cells, room for its ring and the ring's halo,
@@ -220,7 +225,8 @@ class FaceStencil:
         return tuple(slice(max(0, s.start - 2) & -2, min(n, s.stop + 2))
                      for s, n in zip(box, self.grid.shape))
 
-    def solve(self, values, u, shift, coupling, load, pad, support):
+    def solve(self, values, u, shift, coupling, load, pad, support,
+              stop=None):
         """Projected SOR for (shift + coupling*A) v = (u - 1) + load*L, v >= 0.
 
         A is the face Laplacian and L the slot load: a step of the m-problem
@@ -228,15 +234,27 @@ class FaceStencil:
         t) with u = u_init.  Solves in place from ``values`` >= 0, zero off
         FLUID.  ``support`` is the box of the solve(s) that made ``values``
         (None for a cold start: the slot's box); off it ``values`` is zero
-        and u is u_init on FLUID.  The first box is :meth:`first_window`,
-        ``pad`` the caller's estimate of the front's travel in cells, and
-        each box is posed on its :meth:`_frame` alone.  A converged box ends
-        the solve when the complementarity residual on it and its one-cell
-        ring is within ``SOLVE_TOL``: beyond the ring a FLUID cell has
-        negative load and zero neighbours, so residual 0, and the solution
-        is unique.  Otherwise the box grows by ``2 * pad`` cells per side,
-        clipped at the interior.  One sweep ``budget`` covers every kernel
-        call.  Returns a :class:`SolveRecord`.  Raises :class:`ValueError`
+        and u is u_init on FLUID.  The first box is :meth:`first_window`
+        with ``near_box`` grown by ``pad``, ``pad`` the caller's estimate of
+        the front's travel in cells, and each box is posed on its
+        :meth:`_frame` alone.  A converged box ends the solve when the
+        complementarity residual on it and its one-cell ring is within
+        ``SOLVE_TOL``: beyond the ring a FLUID cell has negative load and
+        zero neighbours, so residual 0, and the solution is unique.
+        Otherwise the box grows by ``2 * pad`` cells per side, clipped at
+        the interior.  One sweep ``budget`` covers every kernel call.
+
+        ``stop``, if given, is called with the box of every converged
+        kernel call, before its ring is checked; if it returns true the
+        solve ends there, its record ``stopped``.  The box's values then
+        solve the problem with zero Dirichlet data around the box, within
+        tol: below the whole problem's solution, by the comparison
+        principle of M-matrix complementarity problems, which is what a
+        caller's test may rely on.  The first window of such a solve is
+        :meth:`first_window` alone, without ``near_box``.  Without ``stop``
+        the solve is unchanged.
+
+        Returns a :class:`SolveRecord`.  Raises :class:`ValueError`
         if ``pad`` < 1, :class:`SolverError`, with the residual history of
         every call, unless residual <= ``SOLVE_TOL`` (never true of a NaN),
         and :class:`EnvelopeError` if the converged field is positive on a
@@ -247,6 +265,8 @@ class FaceStencil:
             raise ValueError(f"window pad must be at least 1, got {pad}")
         g = self.grid
         box = self.first_window(values, u, load, pad, support)
+        if stop is None:
+            box = _union(box, self.grow_box(self.near_box, pad))
         history, sweeps, regrowths, corrections = [], 0, 0, 0
         while True:
             frame = self._frame(box)
@@ -266,6 +286,9 @@ class FaceStencil:
                     f"{[(int(s.start), int(s.stop)) for s in box]} "
                     f"(last residual {res:.3e})", residual_history=history)
             ring = self.grow_box(box, 1)
+            stopped = stop is not None and bool(stop(box))
+            if stopped:
+                break
             _, res = _box_residual(view, diag, rhs, _within(ring, frame),
                                    fluid, coupling, self.h)
             if res <= SOLVE_TOL:
@@ -280,7 +303,7 @@ class FaceStencil:
                 "margin)")
         return SolveRecord(residual=res, sweeps=sweeps, box=ring,
                            checks=len(history), regrowths=regrowths,
-                           corrections=corrections)
+                           corrections=corrections, stopped=stopped)
 
 
 def build_stencil(scenario):

@@ -91,14 +91,15 @@ def record_solves(mp):
     solves = []
     solve, kernel = FaceStencil.solve, stencil.projected_sor
 
-    def solving(self, values, u, shift, coupling, load, pad, support):
+    def solving(self, values, u, shift, coupling, load, pad, support,
+                stop=None):
         call = SimpleNamespace(values=values.copy(), u=np.array(u),
                                shift=shift, coupling=coupling, load=load,
                                pad=pad, support=support, target=values,
                                first=None)
         solves.append(call)
         call.record = solve(self, values, u, shift, coupling, load, pad,
-                            support)
+                            support, stop)
         call.solved, call.target = values.copy(), None
         return call.record
 
@@ -193,15 +194,22 @@ def annulus_jump():
     patch = scenarios.annulus_patch_mask(scenario)
     st = build_stencil(scenario)
     solves = []
-    solve_slice = baiocchi.solve_slice
+    solve_slice, probe = baiocchi.solve_slice, baiocchi._probe
 
     def recorded(*args, **kwargs):
         solves.append(solve_slice(*args, **kwargs))
         return solves[-1]
 
+    def probed(*args):
+        dry = probe(*args)
+        if dry is not None:
+            solves.append(dry)
+        return dry
+
     with pytest.MonkeyPatch.context() as mp:
-        # every slice solve, the bisection's included
+        # every slice solve and every converged dry probe of the bisection
         mp.setattr(baiocchi, "solve_slice", recorded)
+        mp.setattr(baiocchi, "_probe", probed)
         t_star = baiocchi.contact_time(scenario, patch, t_lo=2.0, t_hi=3.2,
                                        tol_t=2e-3, stencil=st)
         delta, dt_v = 0.01, 0.01

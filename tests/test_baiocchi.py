@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 import mesahs.stencil
@@ -497,6 +497,8 @@ class TestContactTime:
         solves = []
         monkeypatch.setattr(baiocchi, "solve_slice",
                             lambda *args, **kwargs: solves.append(args))
+        monkeypatch.setattr(baiocchi, "_probe",
+                            lambda *args: solves.append(args))
         with pytest.raises(ConfigError, match="tol_t > 0 and t_lo < t_hi"):
             baiocchi.contact_time(None, np.ones((3, 3), dtype=bool), t_lo,
                                   t_hi, tol_t, stencil=object())
@@ -507,20 +509,157 @@ class TestContactTime:
         # bracket stops shrinking once its ends are adjacent
         t_star = 0.1505
         patch = np.ones((3, 3), dtype=bool)
-        solves = []
+        probes = []
 
-        def solve_slice(scenario, t, warm=None, stencil=None):
-            solves.append(t)
-            if len(solves) > 200:
+        def dry(t):
+            return SimpleNamespace(t=t, active_mask=np.zeros(patch.shape,
+                                                             dtype=bool))
+
+        def probe(scenario, t, start, patch_mask, stencil):
+            # every probe starts from the latest dry time below it
+            assert start.t == max([0.001] + [p for p in probes
+                                             if p < t_star])
+            probes.append(t)
+            if len(probes) > 200:
                 raise AssertionError("bisection did not end")
-            return SimpleNamespace(active_mask=np.full(patch.shape,
-                                                       t >= t_star))
+            return None if t >= t_star else dry(t)
 
-        monkeypatch.setattr(baiocchi, "solve_slice", solve_slice)
+        monkeypatch.setattr(baiocchi, "solve_slice",
+                            lambda scenario, t, stencil=None: dry(t))
+        monkeypatch.setattr(baiocchi, "_probe", probe)
         t = baiocchi.contact_time(None, patch, 0.001, 0.3, 1e-300,
                                   stencil=object())
         assert np.nextafter(t_star, 0.0) <= t <= t_star
-        assert len(solves) < 70
+        assert len(probes) < 70
+
+
+def _plain_contact_time(sc, patch, t_lo, t_hi, tol_t, st):
+    """The bisection of :func:`baiocchi.contact_time` over whole slices:
+    every midpoint a :func:`baiocchi.solve_slice` warm-started from the
+    lower bracket."""
+    lo_slice = baiocchi.solve_slice(sc, t_lo, stencil=st)
+    lo, hi = t_lo, t_hi
+    mid = 0.5 * (lo + hi)
+    while hi - lo > tol_t and lo < mid < hi:
+        sl = baiocchi.solve_slice(sc, mid, warm=lo_slice, stencil=st)
+        if np.any(sl.active_mask & patch):
+            hi = mid
+        else:
+            lo, lo_slice = mid, sl
+        mid = 0.5 * (lo + hi)
+    return mid
+
+
+def _contact_case(name):
+    """(scenario, stencil, patch, (t_lo, t_hi, tol_t)) of a contact search:
+    the mini annulus as the API tests bracket it, and the h = 1/16 annulus
+    as the contact record of ``mesahs compare`` does."""
+    if name == "mini":
+        sc = mini_annulus_scenario()
+        bracket = (0.05, 0.3, 2e-3)
+    else:
+        sc = scenarios.annulus_scenario(h=1 / 16)
+        bracket = (0.0, sc.t_max, sc.cell_time)
+    return sc, build_stencil(sc), scenarios.annulus_patch_mask(sc), bracket
+
+
+def _record_stopped_solves(monkeypatch):
+    """List that gets (t, window W, record) of every solve from now on that
+    its ``stop`` test ended."""
+    stopped = []
+    solve = mesahs.stencil.FaceStencil.solve
+
+    def solving(self, values, u, shift, coupling, load, *args, **kwargs):
+        record = solve(self, values, u, shift, coupling, load, *args,
+                       **kwargs)
+        if record.stopped:
+            stopped.append((load, values.copy(), record))
+        return record
+
+    monkeypatch.setattr(mesahs.stencil.FaceStencil, "solve", solving)
+    return stopped
+
+
+@pytest.fixture(scope="module")
+def mini_probe_start(mini_annulus):
+    sc = mini_annulus
+    st = build_stencil(sc)
+    patch = scenarios.annulus_patch_mask(sc)
+    start = baiocchi.solve_slice(sc, 0.05, stencil=st)
+    assert not np.any(start.active_mask & patch)
+    return sc, st, patch, start
+
+
+class TestContactProbe:
+    # contact_time decides each probe after t_lo on the lower bracket's
+    # active box, and ends a probe early once that window proves the patch
+    # wet; every verdict must still be the whole slice's
+
+    @pytest.mark.parametrize("name", ["mini", "annulus16"])
+    def test_contact_time_equals_a_plain_bisection(self, name):
+        sc, st, patch, bracket = _contact_case(name)
+        assert (baiocchi.contact_time(sc, patch, *bracket, stencil=st)
+                == _plain_contact_time(sc, patch, *bracket, st))
+
+    @pytest.mark.parametrize("name", ["mini", "annulus16"])
+    def test_every_kernel_call_converges(self, name, monkeypatch):
+        # a probe ends only after a converged kernel call, never inside one
+        sc, st, patch, bracket = _contact_case(name)
+        residuals = []
+        kernel = mesahs.stencil.projected_sor
+
+        def spied(*args, **kwargs):
+            result = kernel(*args, **kwargs)
+            residuals.append(result[0])
+            return result
+
+        monkeypatch.setattr(mesahs.stencil, "projected_sor", spied)
+        stopped = _record_stopped_solves(monkeypatch)
+        baiocchi.contact_time(sc, patch, *bracket, stencil=st)
+        assert stopped, "no probe was decided early"
+        assert residuals
+        assert all(res <= SOLVE_TOL for res in residuals)
+
+    @settings(max_examples=40, deadline=None)
+    @given(t=hst.floats(0.05, 0.3, exclude_min=True), certify=hst.booleans())
+    @example(t=0.1, certify=True)
+    @example(t=0.2, certify=True)
+    @example(t=0.2, certify=False)
+    def test_probe_verdict_is_the_slice_verdict(self, mini_probe_start, t,
+                                                certify):
+        # with an infinite cut no window certifies, so every probe
+        # converges and reads its verdict from the converged W
+        sc, st, patch, start = mini_probe_start
+        cut = baiocchi._wet_cut if certify else lambda scenario, t: math.inf
+        with mock.patch.object(baiocchi, "_wet_cut", cut):
+            dry = baiocchi._probe(sc, t, start, patch, st)
+        whole = baiocchi.solve_slice(sc, t, stencil=st)
+        assert (dry is None) == bool(np.any(whole.active_mask & patch))
+        if dry is not None:
+            assert dry.t == t and dry.residual <= SOLVE_TOL
+
+    @pytest.mark.parametrize("name", ["mini", "annulus16"])
+    def test_certified_window_lies_below_the_slice(self, name, monkeypatch):
+        # the comparison the certificate rests on: a window with zero data
+        # at its edge solves below the whole slice, within the two solves'
+        # error bound tol * (1 + 2E), E = ||A^-1 1|| <= R^2 / (2n)
+        sc, st, patch, bracket = _contact_case(name)
+        stopped = _record_stopped_solves(monkeypatch)
+        baiocchi.contact_time(sc, patch, *bracket, stencil=st)
+        monkeypatch.undo()
+        assert stopped
+        g = sc.grid
+        reach = (0.5 * g.h) ** 2 * sum(n * n for n in g.shape) / (2 * g.n)
+        bound = SOLVE_TOL * (1.0 + 2.0 * reach)
+        for t, window, record in stopped:
+            whole = baiocchi.solve_slice(sc, t, stencil=st)
+            assert (window - whole.w).max() <= bound
+            assert all(b.start <= s.start and s.stop <= b.stop
+                       for b, s in zip(record.box, st.slot_box))
+            # the cells that certified the probe are active in the slice
+            proof = patch & (window > baiocchi._wet_cut(sc, t))
+            assert proof.any()
+            assert np.all(whole.active_mask[proof])
 
 
 def _edt_hausdorff(mask_a, mask_b):

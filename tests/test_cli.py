@@ -14,7 +14,7 @@ import pytest
 import mesahs
 import mesahs.cli
 import mesahs.stencil
-from mesahs import baiocchi, snapshots, stefan
+from mesahs import baiocchi, scenarios, snapshots, stefan
 from mesahs.cli import main
 from mesahs.geometry import load_scenario
 from mesahs.stencil import SOLVE_TOL
@@ -264,6 +264,16 @@ class TestCompareCommand:
         assert contact["t_mesa"] == 0.1
         assert contact["gap"] == pytest.approx(3 * contact["tol"])
         assert contact["agree"] is False
+
+    def test_api_and_contact_record_read_one_patch(self):
+        # a patch 0.01 below saturation has positive load: the API's
+        # contact search and the contact record of compare read the same
+        # cells, and there are none
+        sc = scenarios.annulus_scenario(h=1 / 16, eps_patch=0.01)
+        patch = scenarios.annulus_patch_mask(sc)
+        assert np.array_equal(patch, sc.zero_load)
+        assert not patch.any()
+        assert mesahs.cli._contact_record(sc, None, None) is None
 
     def test_bad_level_list_builds_no_stencil(self, tmp_path, monkeypatch,
                                               capsys):
