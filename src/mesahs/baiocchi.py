@@ -63,7 +63,7 @@ class BaiocchiPotential:
         return float(self.w.max())
 
 
-def solve_slice(scenario, t, warm=None, stencil=None):
+def solve_slice(scenario, t, warm=None, stencil=None, stop=None):
     """Solve the obstacle problem at time t by projected red-black SOR.
 
     Returns a :class:`BaiocchiPotential` whose every FLUID cell satisfies
@@ -73,17 +73,24 @@ def solve_slice(scenario, t, warm=None, stencil=None):
     converged W is positive on a farfield clearance cell.
 
     The slice is :meth:`FaceStencil.solve` with u = u_init and (shift,
-    coupling, load) = (0, 1, t), from zero or from ``warm``'s W, read on
-    ``warm.box`` alone (a start with no box starts cold).  Its window holds
-    the slot, the support of that start and the FLUID cells whose load is
-    within one cell width of zero (a patch near saturation that the flow is
-    about to reach), padded by ``SLICE_WINDOW_PAD`` cells and grown by
-    twice that until the complementarity residual on it and its one-cell
-    ring is within tol.
+    coupling, load) = (0, 1, t), from zero or from ``warm``'s W on its
+    active cells alone, read on ``warm.box``: the solver dust a start
+    leaves on its dry cells stays behind.  The support of that start is
+    the bounding box of those cells (a start with none starts cold).  Its
+    first window holds the slot's box, that start and the FLUID cells
+    whose load is within one cell width of zero (a patch near saturation
+    that the flow is about to reach), padded by ``SLICE_WINDOW_PAD``
+    cells, and it grows by twice the pad until the complementarity
+    residual on it and its one-cell ring is within tol.
     W stays zero outside the box, and beyond the first window the load
-    -(1 - u_init) is negative, so every cell beyond the ring already
+    -(1 - u_init) is not positive, so every cell beyond the ring already
     satisfies complementarity: the window changes which cells are swept,
     not the converged W, and ``residual`` is the whole grid's.
+
+    ``stop`` is passed to :meth:`FaceStencil.solve`, whose first window
+    then leaves the patches near saturation out.  If it ends the solve,
+    the slice returned is its converged window's: W, ``residual`` and
+    ``box`` are that window's, and W lies below the slice's.
     """
     if not 0 <= t < np.inf:
         raise ConfigError("slice time must be nonnegative and finite")
@@ -94,25 +101,19 @@ def solve_slice(scenario, t, warm=None, stencil=None):
     if t == 0.0:
         return BaiocchiPotential(t=0.0, w=w, active_mask=np.zeros(grid.shape, bool),
                                  residual=0.0, sweeps=0)
-    support = None if warm is None else warm.box
+    support = None
+    if warm is not None and warm.box is not None:
+        support = st.window_box(warm.active_mask[warm.box], 0, warm.box)
     if support is not None:
-        w[support] = warm.w[support]
-    return _converge(scenario, st, t, w, support)
-
-
-def _converge(scenario, st, t, w, support, stop=None):
-    """The slice at t solved in place from ``w``, whose support box is
-    ``support``: :meth:`FaceStencil.solve` with (0, 1, t) and u_init, its
-    errors naming t.  None if ``stop`` ended the solve."""
+        np.copyto(w[support], warm.w[support],
+                  where=warm.active_mask[support])
     try:
         record = st.solve(w, scenario.u_init, 0.0, 1.0, t,
                           pad=SLICE_WINDOW_PAD, support=support, stop=stop)
     except (SolverError, EnvelopeError) as exc:
         raise exc.at(f"obstacle slice at t={t:g}") from exc
-    if record.stopped:
-        return None
     return BaiocchiPotential(t=float(t), w=w,
-                             active_mask=active_mask_from(w, scenario.grid),
+                             active_mask=active_mask_from(w, grid),
                              residual=record.residual, sweeps=record.sweeps,
                              corrections=record.corrections, box=record.box)
 
@@ -273,20 +274,20 @@ def contact_time(scenario, patch_mask, t_lo, t_hi, tol_t, stencil=None):
     """Bisect for the first slice time whose active set meets ``patch_mask``.
 
     Requires ``tol_t`` > 0, ``t_lo`` < ``t_hi``, the patch inactive at
-    ``t_lo`` and active at ``t_hi``.  The slice at ``t_lo`` is a
-    :func:`solve_slice`; every later time, ``t_hi`` and each midpoint, is a
-    probe warm-started from the lower bracket (:func:`_probe`), which
-    approaches the answer monotonically from below.  A probe first solves
-    on the lower bracket's active box grown by ``SLICE_WINDOW_PAD``, where
-    the flow has not yet reached most of a distant patch.  The window's W,
-    zero at its edge, lies below the whole slice's, and the whole slice's
-    lies below t * ``max_datum``: a patch cell whose window W clears the
-    active cut at that bound, with both solves' error bounds, is active in
-    the slice :func:`solve_slice` would return, and the probe is wet.
-    Otherwise the probe regrows and converges as a slice does, and its
-    verdict is read from the converged W.  Every verdict is therefore the
-    slice's own, and so is t*.  Bisection ends early once the bracket is
-    two adjacent doubles.
+    ``t_lo`` and active at ``t_hi``.  Every solve is a :func:`solve_slice`:
+    a cold one at ``t_lo``, then a probe (:func:`_probe`) at ``t_hi`` and
+    at each midpoint, warm-started from the lower bracket, which
+    approaches the answer monotonically from below.  A probe's first
+    window is the lower bracket's active box grown by ``SLICE_WINDOW_PAD``,
+    where the flow has not yet reached most of a distant patch.  The
+    window's W, zero at its edge, lies below the whole slice's, and the
+    whole slice's lies below t * ``max_datum``: a patch cell whose window
+    W clears the active cut at that bound, with both solves' error bounds,
+    is active in the slice :func:`solve_slice` would return without the
+    stop, and the probe is wet.  Otherwise the probe regrows and converges
+    as a slice does.  Either way its verdict is read from its active mask,
+    so every verdict is the slice's own, and so is t*.  Bisection ends
+    early once the bracket is two adjacent doubles.
     """
     if not (tol_t > 0 and t_lo < t_hi):
         raise ConfigError("contact_time needs tol_t > 0 and t_lo < t_hi")
@@ -311,26 +312,19 @@ def contact_time(scenario, patch_mask, t_lo, t_hi, tol_t, stencil=None):
 def _probe(scenario, t, start, patch_mask, stencil):
     """The slice at ``t`` if ``patch_mask`` is inactive there, else None.
 
-    ``start``, a slice at an earlier time with the patch inactive, gives
-    the warm start on its active cells alone (its solver dust stays
-    behind) and the support box, their bounding box.  The solve ends on
-    the first converged window on which a patch cell's W exceeds
-    :func:`_wet_cut`.
+    The slice is :func:`solve_slice` warm-started from ``start``, a slice
+    at an earlier time with the patch inactive, and it ends on the first
+    converged window on which a patch cell's W exceeds :func:`_wet_cut`.
+    That cut lies above ``ACTIVE_REL_THRESHOLD`` times the window's
+    largest W, so such a window is wet by its active mask too.
     """
-    active = start.active_mask
-    support = stencil.window_box(active, 0)
-    w = np.zeros(scenario.grid.shape)
-    if support is not None:
-        np.copyto(w[support], start.w[support], where=active[support])
     cut = _wet_cut(scenario, t)
 
-    def wet(box):
-        return bool(np.any(w[box] > cut, where=patch_mask[box]))
+    def wet(values, box):
+        return bool(np.any(values[box] > cut, where=patch_mask[box]))
 
-    sl = _converge(scenario, stencil, t, w, support, stop=wet)
-    if sl is None or np.any(sl.active_mask & patch_mask):
-        return None
-    return sl
+    sl = solve_slice(scenario, t, warm=start, stencil=stencil, stop=wet)
+    return None if np.any(sl.active_mask & patch_mask) else sl
 
 
 def _wet_cut(scenario, t):

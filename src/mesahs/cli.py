@@ -242,7 +242,7 @@ def cmd_diagnose(args, scenario, out):
             "md_ratios": rep.md_ratios,
             "classification": rep.classification, "notes": rep.notes})
     (out / "fb_points.json").write_text(json.dumps(reports, indent=2))
-    growth = fbdiag.measure_continuity(series, scenario.lambda_bound) \
+    growth = fbdiag.measure_continuity(series) \
         if len(series.times) > 1 else None
     return {
         "run_dir": str(run_dir), "radii": radii,

@@ -257,12 +257,10 @@ def classify_point(series, point, t, r_list, delta_reg=DEFAULT_DELTA_REG,
 # growth and energy diagnostics
 # ---------------------------------------------------------------------------
 
-def measure_continuity(series, lam):
+def measure_continuity(series):
     """Incremental growth rate of the active region between snapshot pairs.
 
     Reports |A(t) \\ A(s)| / (t - s) for consecutive pairs and the max slope.
-    For lam = 1 the theoretical bound is vacuous; this is flagged, not
-    asserted.
     """
     if len(series.times) < 2:
         raise ConfigError("need at least 2 times for growth slopes")
@@ -276,10 +274,7 @@ def measure_continuity(series, lam):
         grown = float((b & ~a).sum()) * cell
         rows.append({"s": s, "t": t, "increment": grown,
                      "slope": grown / (t - s)})
-    return {"rows": rows,
-            "max_slope": max(r["slope"] for r in rows),
-            "vacuous": lam >= 1.0,
-            "lambda": lam}
+    return {"rows": rows, "max_slope": max(r["slope"] for r in rows)}
 
 
 def energy_ratio(theta_arrays, times, grid, center, r, R):

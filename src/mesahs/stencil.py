@@ -122,7 +122,7 @@ class FaceStencil:
     slot_coef: np.ndarray   # sum over slot faces of 1/(h*d_f)
     slot_load: np.ndarray   # sum over slot faces of p_f/(h*d_f)
     budget: int = 0         # sweeps per solve, :func:`_sweep_budget`
-    near_box: tuple = None  # slot and FLUID with u_init - 1 >= near_load
+    near_box: tuple = None  # slot and FLUID near saturation, build_stencil
 
     def __post_init__(self):
         for array in (self.diag, self.slot_coef, self.slot_load):
@@ -131,12 +131,6 @@ class FaceStencil:
     @property
     def h(self):
         return self.grid.h
-
-    @property
-    def near_load(self):
-        """The rhs from which a FLUID cell can turn active within a solve:
-        one cell width below zero, the width clamped to [1e-3, 0.5]."""
-        return -min(0.5, max(self.h, 1e-3))
 
     @property
     def interior(self):
@@ -203,20 +197,20 @@ class FaceStencil:
             diag = shift + coupling * diag
         return diag, (u[box] - 1.0) + load * self.slot_load[box]
 
-    def first_window(self, values, u, load, pad, support):
-        """The first box of :meth:`solve`: ``slot_box``, and the positive
-        ``values`` and the FLUID cells whose rhs is at least ``near_load``
-        grown by ``pad``.  The rule is read on the box of ``support`` and
-        ``slot_box`` alone.  Beyond it the rhs is u_init - 1, and a solve
-        without a ``stop`` test adds ``near_box`` grown by ``pad`` (its
-        cells meet the rule wherever u >= u_init, and it holds the slot); a
-        solve with one, which asks whether the smaller problem already
-        settles its question, does not."""
+    def first_window(self, values, pad, support):
+        """The first box of :meth:`solve`: the positive ``values``, read on
+        the box of ``support`` and ``slot_box`` alone, and ``slot_box``,
+        grown by ``pad``.  Every cell whose rhs is positive lies in it: it
+        is a positive start or has a slot face, so beyond the ring of a
+        converged box every FLUID cell has residual 0.  A solve without a
+        ``stop`` test adds ``near_box`` grown by ``pad``, the patches near
+        saturation that the flow is about to reach; a solve with one, which
+        asks whether the smaller problem already settles its question, does
+        not."""
         region = _union(support, self.slot_box)
-        rhs = (u[region] - 1.0) + load * self.slot_load[region]
-        near = self.grid.fluid[region] & (rhs >= self.near_load)
-        near |= values[region] > 0
-        return _union(self.window_box(near, pad, region), self.slot_box)
+        return self.grow_box(
+            _union(self.window_box(values[region] > 0, 0, region),
+                   self.slot_box), pad)
 
     def _frame(self, box):
         """``box`` grown by 2 cells, room for its ring and the ring's halo,
@@ -232,27 +226,28 @@ class FaceStencil:
         A is the face Laplacian and L the slot load: a step of the m-problem
         is (shift, coupling, load) = (1/m, dt, dt), an obstacle slice (0, 1,
         t) with u = u_init.  Solves in place from ``values`` >= 0, zero off
-        FLUID.  ``support`` is the box of the solve(s) that made ``values``
-        (None for a cold start: the slot's box); off it ``values`` is zero
-        and u is u_init on FLUID.  The first box is :meth:`first_window`
-        with ``near_box`` grown by ``pad``, ``pad`` the caller's estimate of
-        the front's travel in cells, and each box is posed on its
-        :meth:`_frame` alone.  A converged box ends the solve when the
-        complementarity residual on it and its one-cell ring is within
-        ``SOLVE_TOL``: beyond the ring a FLUID cell has negative load and
-        zero neighbours, so residual 0, and the solution is unique.
+        FLUID.  ``support`` is a box off which ``values`` is zero and u is
+        u_init on FLUID (None for a cold start): the box of the solve(s)
+        that made ``values``, or of a warm slice's start.  The first box is
+        :meth:`first_window` and ``near_box`` grown by ``pad``, ``pad`` the
+        caller's estimate of the front's travel in cells, and each box is
+        posed on its :meth:`_frame` alone.  A converged box ends the solve
+        when the complementarity residual on it and its one-cell ring is
+        within ``SOLVE_TOL``: beyond the ring a FLUID cell has no positive
+        load and zero neighbours, so residual 0, and the solution is
+        unique.
         Otherwise the box grows by ``2 * pad`` cells per side, clipped at
         the interior.  One sweep ``budget`` covers every kernel call.
 
-        ``stop``, if given, is called with the box of every converged
-        kernel call, before its ring is checked; if it returns true the
-        solve ends there, its record ``stopped``.  The box's values then
-        solve the problem with zero Dirichlet data around the box, within
-        tol: below the whole problem's solution, by the comparison
-        principle of M-matrix complementarity problems, which is what a
-        caller's test may rely on.  The first window of such a solve is
-        :meth:`first_window` alone, without ``near_box``.  Without ``stop``
-        the solve is unchanged.
+        ``stop``, if given, is called as ``stop(values, box)`` after every
+        converged kernel call, before its ring is checked; if it returns
+        true the solve ends there, its record ``stopped``.  The box's
+        values then solve the problem with zero Dirichlet data around the
+        box, within tol: below the whole problem's solution, by the
+        comparison principle of M-matrix complementarity problems, which is
+        what a caller's test may rely on.  The first window of such a solve
+        is :meth:`first_window` alone, without ``near_box``.  Without
+        ``stop`` the solve is unchanged.
 
         Returns a :class:`SolveRecord`.  Raises :class:`ValueError`
         if ``pad`` < 1, :class:`SolverError`, with the residual history of
@@ -264,7 +259,7 @@ class FaceStencil:
             # a zero step would regrow the same box forever
             raise ValueError(f"window pad must be at least 1, got {pad}")
         g = self.grid
-        box = self.first_window(values, u, load, pad, support)
+        box = self.first_window(values, pad, support)
         if stop is None:
             box = _union(box, self.grow_box(self.near_box, pad))
         history, sweeps, regrowths, corrections = [], 0, 0, 0
@@ -286,7 +281,7 @@ class FaceStencil:
                     f"{[(int(s.start), int(s.stop)) for s in box]} "
                     f"(last residual {res:.3e})", residual_history=history)
             ring = self.grow_box(box, 1)
-            stopped = stop is not None and bool(stop(box))
+            stopped = stop is not None and bool(stop(values, box))
             if stopped:
                 break
             _, res = _box_residual(view, diag, rhs, _within(ring, frame),
@@ -339,7 +334,9 @@ def build_stencil(scenario):
     diag = interior_count / (h * h) + slot_coef
     st = FaceStencil(grid=grid, diag=diag, slot_coef=slot_coef,
                      slot_load=slot_load, budget=_sweep_budget(grid))
-    near = fluid & (scenario.u_init - 1.0 >= st.near_load)
+    # the cells that can turn active within a solve from zero data: their
+    # load is within one cell width of zero, the width clamped to [1e-3, 0.5]
+    near = fluid & (scenario.u_init - 1.0 >= -min(0.5, max(h, 1e-3)))
     return replace(st, near_box=st.window_box(grid.slot | near, 0))
 
 

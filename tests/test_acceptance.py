@@ -176,7 +176,7 @@ class TestCriterion7MeasureContinuity:
         for lam, bundle in lambda_slices.items():
             series = fbdiag.extract_regions(bundle["slices"],
                                             bundle["scenario"])
-            growth = fbdiag.measure_continuity(series, lam)
+            growth = fbdiag.measure_continuity(series)
             slopes[lam] = [r["slope"] for r in growth["rows"]]
         ratios = [b / a for a, b in zip(slopes[0.0], slopes[0.5])]
         ok = all(abs(r - 2.0) <= 0.6 for r in ratios)

@@ -387,6 +387,22 @@ class TestSliceWindow:
         assert _box_cells(sl.box) < 0.1 * sl.w.size
         assert peak < 2.0, f"peak {peak:.2f} grid arrays"
 
+    def test_warm_slice_reads_only_its_start_s_active_cells(
+            self, mini_probe_start):
+        # dust a million times below the active cut on the start's dry
+        # patch cells, inside its box, does not reach the warm slice
+        sc, st, patch, start = mini_probe_start
+        dust = np.zeros(sc.grid.shape, dtype=bool)
+        dust[start.box] = True
+        dust &= patch & ~start.active_mask
+        assert dust.any()
+        w = start.w.copy()
+        w[dust] += 1e-14 * start.max_w()
+        dusty = dataclasses.replace(start, w=w)
+        clean = baiocchi.solve_slice(sc, 0.1, warm=start, stencil=st)
+        assert np.array_equal(
+            baiocchi.solve_slice(sc, 0.1, warm=dusty, stencil=st).w, clean.w)
+
 
 class TestMassBalance:
     def test_zero_at_time_zero(self, radial_coarse, radial_coarse_stencil):
@@ -600,6 +616,30 @@ class TestContactProbe:
         sc, st, patch, bracket = _contact_case(name)
         assert (baiocchi.contact_time(sc, patch, *bracket, stencil=st)
                 == _plain_contact_time(sc, patch, *bracket, st))
+
+    def test_every_solve_is_a_solve_slice(self, monkeypatch):
+        # one cold slice at t_lo, then one warm slice per probe, from the
+        # probe's lower bracket and with its stop test
+        sc, st, patch, bracket = _contact_case("mini")
+        calls, probes = [], []
+        solve_slice, probe = baiocchi.solve_slice, baiocchi._probe
+
+        def spied(scenario, t, warm=None, stencil=None, stop=None):
+            calls.append((t, warm, stop))
+            return solve_slice(scenario, t, warm=warm, stencil=stencil,
+                               stop=stop)
+
+        def probed(scenario, t, start, *args):
+            probes.append((t, start))
+            return probe(scenario, t, start, *args)
+
+        monkeypatch.setattr(baiocchi, "solve_slice", spied)
+        monkeypatch.setattr(baiocchi, "_probe", probed)
+        baiocchi.contact_time(sc, patch, *bracket, stencil=st)
+        assert calls[0] == (bracket[0], None, None)
+        assert len(calls) == 1 + len(probes) > 2
+        for (t, warm, stop), (t_probe, start) in zip(calls[1:], probes):
+            assert t == t_probe and warm is start and stop is not None
 
     @pytest.mark.parametrize("name", ["mini", "annulus16"])
     def test_every_kernel_call_converges(self, name, monkeypatch):

@@ -209,15 +209,8 @@ class TestMeasureContinuity:
         mask = np.zeros(radial_coarse.grid.shape, bool)
         series = fbdiag.extract_regions([mask, mask], radial_coarse,
                                         times=[0.1, 0.2])
-        growth = fbdiag.measure_continuity(series, 0.0)
+        growth = fbdiag.measure_continuity(series)
         assert growth["max_slope"] == 0.0
-        assert not growth["vacuous"]
-
-    def test_vacuous_flag_for_saturated_data(self, radial_coarse):
-        mask = np.zeros(radial_coarse.grid.shape, bool)
-        series = fbdiag.extract_regions([mask, mask], radial_coarse,
-                                        times=[0.1, 0.2])
-        assert fbdiag.measure_continuity(series, 1.0)["vacuous"]
 
     @pytest.mark.parametrize("times", [[0.1, 0.1], [0.2, 0.1]])
     def test_times_must_increase(self, radial_coarse, times):
@@ -225,17 +218,16 @@ class TestMeasureContinuity:
         series = fbdiag.extract_regions([mask, mask], radial_coarse,
                                         times=times)
         with pytest.raises(ConfigError):
-            fbdiag.measure_continuity(series, 0.0)
+            fbdiag.measure_continuity(series)
 
     def test_radial_growth_slopes_finite(self, radial_series):
-        growth = fbdiag.measure_continuity(radial_series, 0.0)
+        growth = fbdiag.measure_continuity(radial_series)
         assert all(np.isfinite(r["slope"]) for r in growth["rows"])
         assert growth["max_slope"] > 0
 
-    def test_saturated_patch_contact_spikes_and_is_flagged(self):
+    def test_saturated_patch_contact_spikes(self):
         # crossing the contact time of a saturated patch produces a growth
-        # spike; the theoretical bound says nothing there (lambda = 1), which
-        # the report flags instead of asserting
+        # spike; the theoretical bound says nothing there (lambda = 1)
         sc = mini_annulus_scenario(h=1 / 16)
         st = build_stencil(sc)
         patch = sc.grid.fluid & (sc.u_init >= 1.0)
@@ -246,9 +238,8 @@ class TestMeasureContinuity:
             warm = baiocchi.solve_slice(sc, t, warm=warm, stencil=st)
             slices.append(warm)
         series = fbdiag.extract_regions(slices, sc)
-        growth = fbdiag.measure_continuity(series, sc.lambda_bound)
+        growth = fbdiag.measure_continuity(series)
         slopes = [r["slope"] for r in growth["rows"]]
-        assert growth["vacuous"]
         assert slopes[1] > 5 * max(slopes[0], slopes[2])
 
 

@@ -1028,10 +1028,11 @@ class TestSolveDriver:
 
 
 class TestWindowRule:
-    # the first window holds the FLUID cells whose load is within one cell
-    # width of zero; on random data, with a saturated patch or without and
-    # cold or warm, a positive load ends positive and the regrown window
-    # gives the interior-box answer.  At p = 0 the window is the slot's
+    # the first window holds the positive start and the slot's box, and
+    # without a stop test the patches near saturation; on random data,
+    # with a saturated patch or without and cold or warm, a positive load
+    # ends positive and the regrown window gives the interior-box answer.
+    # At p = 0 the window is the slot's box grown by the pad
     @staticmethod
     def _windowed_and_full(st, solve):
         """``solve()`` on the first window and regrown, then on the interior
@@ -1088,7 +1089,7 @@ class TestWindowRule:
                 # no load is positive, none near zero: nothing flows and
                 # one kernel call sweeps the slot's window
                 assert not windowed.any()
-                slot_window = st.window_box(grid.slot, SLICE_WINDOW_PAD)
+                slot_window = st.grow_box(st.slot_box, SLICE_WINDOW_PAD)
                 assert len(boxes) == 1 and all(
                     s.start <= b.start and b.stop <= s.stop
                     for b, s in zip(boxes[0], slot_window))
@@ -1172,9 +1173,9 @@ class TestSupportContract:
     @pytest.mark.parametrize("two_slot", [False, True],
                              ids=["mini-annulus", "two-slot"])
     def test_every_slice_of_a_warm_chain(self, mini_annulus, two_slot):
-        # each warm slice's support is the box of the slice before it; the
-        # two-slot chain crosses the merger of its wet regions, between
-        # t = 0.70 and 0.75
+        # each warm slice's support is the box of the active cells of the
+        # slice before it; the two-slot chain crosses the merger of its wet
+        # regions, between t = 0.70 and 0.75
         if two_slot:
             sc = two_slot_scenario(h=1 / 16, t_max=1.0)
             times = (0.2, 0.4, 0.6, 0.7, 0.75, 0.8, 1.0)
@@ -1190,7 +1191,7 @@ class TestSupportContract:
                                           else None, stencil=st))
         assert len(solves) == len(times)
         assert solves[0].support is None
-        assert all(call.support == sl.box
+        assert all(call.support == st.window_box(sl.active_mask, 0)
                    for call, sl in zip(solves[1:], slices))
         if two_slot:
             parts = [ndimage.label(sl.active_mask)[1] for sl in slices]
